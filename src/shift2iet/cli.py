@@ -225,26 +225,23 @@ def cmd_plot(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    level = _approx_level(cfg)
     report = run_verification(
         cfg.substitution,
         cfg.n_max,
         cfg.depth_cap,
         measure_level=cfg.level,
+        approximant_level=level,
         grid_size=cfg.grid_size,
     )
     log = report.log_text()
-    path = _write(cfg, "verify.log", log)
+    _write(cfg, "verify.log", log)
     sys.stdout.write(log)
 
-    table = build_factor_table(cfg.substitution, cfg.n_max)
-    result = refine(table, cfg.depth_cap)
-    level = min(100, cfg.n_max) if cfg.level is None else cfg.level
-    level = max(2, level)
-    amap = build_approximant(table, level)
-    mt = measure_table(table, result.cylinder_words(), cfg.n_max)
+    table, amap = report.table, report.approximant
     _write(cfg, "analyze.tsv", analyze_text(table))
-    _write(cfg, "partition.tsv", partition_text(result, mt))
-    _write(cfg, "measures.tsv", measures_text(table, mt))
+    _write(cfg, "partition.tsv", partition_text(report.partition, report.measures))
+    _write(cfg, "measures.tsv", measures_text(table, report.measures))
     _write(cfg, f"approx_{level}.csv", approximant_csv(amap))
     clusters = accumulation_diagnostic(table, level, cfg.epsilon)
     _write(cfg, f"approx_{level}.svg", approximant_svg(amap, clusters))

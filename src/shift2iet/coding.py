@@ -11,11 +11,12 @@ back to the exchange.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .ietmap import build_approximant
+from .ietmap import _grid_sup, build_approximant
 from .language import FactorTable, build_factor_table
 from .substitution import Substitution
 
@@ -149,6 +150,25 @@ def _as_quadratic(x) -> QuadraticNumber:
     raise InputError(f"expected an exact field element, got {type(x).__name__}")
 
 
+def _check_breakpoints(breakpoints: list) -> None:
+    """Left ends of right-open pieces tiling [0, 1): 0 first, strictly increasing, below 1."""
+    if breakpoints[0] != 0:
+        raise InputError("first breakpoint must be 0")
+    for x, y in zip(breakpoints, breakpoints[1:]):
+        if not x < y:
+            raise InputError("breakpoints must increase strictly")
+    if not breakpoints[-1] < 1:
+        raise InputError("breakpoints must stay below 1")
+
+
+def _piece_of(breakpoints: list, x) -> int:
+    """Index of the right-open piece of [0, 1) that contains x."""
+    x = _as_quadratic(x)
+    if not (0 <= x and x < 1):
+        raise InputError("point outside [0, 1)")
+    return bisect_right(breakpoints, x) - 1
+
+
 @dataclass
 class FiniteIET:
     """Interval exchange on [0, 1): finitely many pieces, each translated.
@@ -165,13 +185,7 @@ class FiniteIET:
         self.translations = [_as_quadratic(t) for t in self.translations]
         if len(self.breakpoints) != len(self.translations) or not self.breakpoints:
             raise InputError("need one translation per breakpoint")
-        if self.breakpoints[0] != 0:
-            raise InputError("first breakpoint must be 0")
-        for x, y in zip(self.breakpoints, self.breakpoints[1:]):
-            if not x < y:
-                raise InputError("breakpoints must increase strictly")
-        if not self.breakpoints[-1] < 1:
-            raise InputError("breakpoints must stay below 1")
+        _check_breakpoints(self.breakpoints)
         images = sorted(
             (lo + t, hi + t)
             for (lo, hi), t in zip(self.intervals(), self.translations)
@@ -189,13 +203,7 @@ class FiniteIET:
         return list(zip(self.breakpoints, rights))
 
     def piece_index(self, x) -> int:
-        x = _as_quadratic(x)
-        if not (0 <= x and x < 1):
-            raise InputError("point outside [0, 1)")
-        for i in range(len(self.breakpoints) - 1, -1, -1):
-            if self.breakpoints[i] <= x:
-                return i
-        raise AssertionError("unreachable: 0 is always a breakpoint")
+        return _piece_of(self.breakpoints, x)
 
     def apply(self, x) -> QuadraticNumber:
         x = _as_quadratic(x)
@@ -224,22 +232,10 @@ class CodingPartition:
             raise InputError("need one letter per breakpoint")
         if len(set(self.letters)) != len(self.letters):
             raise InputError("coding letters must be distinct")
-        if self.breakpoints[0] != 0:
-            raise InputError("first breakpoint must be 0")
-        for x, y in zip(self.breakpoints, self.breakpoints[1:]):
-            if not x < y:
-                raise InputError("breakpoints must increase strictly")
-        if not self.breakpoints[-1] < 1:
-            raise InputError("breakpoints must stay below 1")
+        _check_breakpoints(self.breakpoints)
 
     def letter_at(self, x) -> str:
-        x = _as_quadratic(x)
-        if not (0 <= x and x < 1):
-            raise InputError("point outside [0, 1)")
-        for i in range(len(self.breakpoints) - 1, -1, -1):
-            if self.breakpoints[i] <= x:
-                return self.letters[i]
-        raise AssertionError("unreachable: 0 is always a breakpoint")
+        return self.letters[_piece_of(self.breakpoints, x)]
 
     def sort_key(self, word: str):
         order = {c: i for i, c in enumerate(self.letters)}
@@ -369,17 +365,12 @@ def roundtrip_check(
         set(QuadraticNumber(d) for d in amap.discontinuities())
         | set(iet.breakpoints[1:])
     )
-    radius = Fraction(1, amap.source_count)
-    sup = 0.0
-    excluded = 0
-    for g in range(grid_size):
-        x = Fraction(g, grid_size)
-        qx = QuadraticNumber(x)
-        if any(abs(qx - q) < radius for q in jumps):
-            excluded += 1
-            continue
-        gap = abs(float(amap.evaluate(x)) - float(iet.apply(qx)))
-        sup = max(sup, gap)
+    sup, excluded = _grid_sup(
+        grid_size,
+        jumps,
+        Fraction(1, amap.source_count),
+        lambda x: abs(float(amap.evaluate(x)) - float(iet.apply(x))),
+    )
     passed = mismatch is None and sup < tolerance
     return RoundtripResult(
         passed,

@@ -168,20 +168,32 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
     coarse = build_approximant(table, n1)
     fine = build_approximant(table, n2)
     jumps = sorted(set(coarse.discontinuities()) | set(fine.discontinuities()))
-    radius = Fraction(1, coarse.source_count)
-    sup = Fraction(0)
+    sup, excluded = _grid_sup(
+        grid_size,
+        jumps,
+        Fraction(1, coarse.source_count),
+        lambda x: abs(coarse.evaluate(x) - fine.evaluate(x)),
+    )
+    return ConvergenceReport(
+        n1, n2, grid_size, sup, Fraction(excluded, grid_size), grid_size - excluded
+    )
+
+
+def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:
+    """Largest gap(x) over the grid g/grid_size, skipping points near a jump.
+
+    A point closer than radius to one of the sorted jumps is excluded.
+    Returns the sup as a float and the number of excluded points.
+    """
+    sup = 0
     excluded = 0
     for g in range(grid_size):
         x = Fraction(g, grid_size)
         if _near(jumps, x, radius):
             excluded += 1
             continue
-        gap = abs(coarse.evaluate(x) - fine.evaluate(x))
-        if gap > sup:
-            sup = gap
-    return ConvergenceReport(
-        n1, n2, grid_size, float(sup), Fraction(excluded, grid_size), grid_size - excluded
-    )
+        sup = max(sup, gap(x))
+    return float(sup), excluded
 
 
 def _near(sorted_points, x, radius) -> bool:

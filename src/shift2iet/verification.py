@@ -8,17 +8,15 @@ enumerations).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .coding import golden_coding, golden_iet, roundtrip_check
-from .errors import InputError
+from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, roundtrip_check
 from .fixtures import FIXTURE_RULES
 from .ietmap import (
+    PiecewiseAffineMap,
     accumulation_clusters,
     accumulation_diagnostic,
     block_affinity_check,
@@ -27,8 +25,8 @@ from .ietmap import (
     limit_intervals,
 )
 from .language import FactorTable, build_factor_table
-from .measure import cylinder_measure_estimate, invariance_defect, measure_table
-from .partition import refine
+from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
+from .partition import PartitionResult, refine
 from .substitution import Substitution
 
 
@@ -41,7 +39,13 @@ class CheckResult(NamedTuple):
 
 @dataclass
 class VerificationReport:
+    """Check verdicts plus the shared stage results every suite inspected."""
+
     checks: list[CheckResult]
+    table: FactorTable
+    partition: PartitionResult      # refined to the depth cap
+    measures: MeasureTable          # partition cylinders at the measure level
+    approximant: PiecewiseAffineMap  # T_n at the approximant level
 
     @property
     def passed(self) -> bool:
@@ -59,20 +63,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def thread_cap() -> int:
-    """Worker cap from SHIFT2IET_THREADS; absent or empty means 1."""
-    raw = os.environ.get("SHIFT2IET_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"SHIFT2IET_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError("SHIFT2IET_THREADS must be >= 1")
-    return value
-
-
 def run_verification(
     substitution: Substitution,
     n_max: int,
@@ -80,33 +70,32 @@ def run_verification(
     measure_level: int | None = None,
     approximant_level: int | None = None,
     grid_size: int = 1000,
-    threads: int | None = None,
 ) -> VerificationReport:
-    """Run every module's invariant suite on one substitution."""
+    """Run every module's invariant suite on one substitution.
+
+    Each stage is computed once and handed to every suite that reads it; the
+    report carries those same objects so callers can write what was checked.
+    The measure level defaults to n_max and the approximant level to
+    min(100, n_max).
+    """
     table = build_factor_table(substitution, n_max)
     if measure_level is None:
         measure_level = n_max
     if approximant_level is None:
         approximant_level = min(100, n_max)
     partition = refine(table, depth_cap)
-    if threads is None:
-        threads = thread_cap()
+    measures = measure_table(table, partition.cylinder_words(), measure_level)
+    approximant = build_approximant(table, approximant_level)
 
-    groups: list[tuple[str, Callable[[], list[CheckResult]]]] = [
-        ("substitution", lambda: _substitution_checks(substitution)),
-        ("language", lambda: _language_checks(table)),
-        ("partition", lambda: _partition_checks(table, depth_cap, measure_level)),
-        ("measure", lambda: _measure_checks(table, partition, measure_level)),
-        ("ietmap", lambda: _ietmap_checks(table, partition, approximant_level, grid_size)),
-        ("coding", lambda: _coding_checks(substitution, n_max)),
+    checks = [
+        *_substitution_checks(substitution),
+        *_language_checks(table),
+        *_partition_checks(table, partition, measures),
+        *_measure_checks(table, partition, measures),
+        *_ietmap_checks(table, partition, approximant, grid_size),
+        *_coding_checks(substitution, n_max),
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda g: g[1](), groups))
-    else:
-        results = [fn() for _, fn in groups]
-    checks = [c for group in results for c in group]
-    return VerificationReport(checks)
+    return VerificationReport(checks, table, partition, measures, approximant)
 
 
 def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -276,10 +265,12 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
 # -- partition ----------------------------------------------------------------
 
 
-def _partition_checks(table: FactorTable, depth_cap: int, measure_level: int) -> list[CheckResult]:
+def _partition_checks(
+    table: FactorTable, result: PartitionResult, mt: MeasureTable
+) -> list[CheckResult]:
     out = []
     code = table.alphabet.code
-    result = refine(table, depth_cap)
+    depth_cap = result.depth_cap
 
     ok = all(c.k == i + 1 for i, c in enumerate(result.cylinders))
     steps = [(c.step, code(c.word)) for c in result.cylinders]
@@ -336,7 +327,6 @@ def _partition_checks(table: FactorTable, depth_cap: int, measure_level: int) ->
     ok = result.cylinders[: len(half.cylinders)] == half.cylinders
     out.append(_check("partition", "monotone-in-depth", ok, "emission lists diverge"))
 
-    mt = measure_table(table, result.cylinder_words(), measure_level)
     r_full = result.residual_mass(mt)
     r_half = half.residual_mass(mt)
     ok = 0 <= r_full <= r_half <= 1
@@ -365,11 +355,12 @@ def _partition_checks(table: FactorTable, depth_cap: int, measure_level: int) ->
 # -- measure -------------------------------------------------------------------
 
 
-def _measure_checks(table: FactorTable, partition, measure_level: int) -> list[CheckResult]:
+def _measure_checks(
+    table: FactorTable, partition: PartitionResult, mt: MeasureTable
+) -> list[CheckResult]:
     out = []
-    n = measure_level
+    n = mt.n_used
     letters = table.alphabet.letters
-    mt = measure_table(table, partition.cylinder_words(), n)
 
     out.append(
         _check("measure", "empty-word-unity", mt.entries[""] == 1, f'entry("") = {mt.entries[""]}')
@@ -455,9 +446,11 @@ def _measure_checks(table: FactorTable, partition, measure_level: int) -> list[C
 # -- ietmap ---------------------------------------------------------------------
 
 
-def _ietmap_checks(table: FactorTable, partition, level: int, grid_size: int) -> list[CheckResult]:
+def _ietmap_checks(
+    table: FactorTable, partition: PartitionResult, amap: PiecewiseAffineMap, grid_size: int
+) -> list[CheckResult]:
     out = []
-    amap = build_approximant(table, level)
+    level = amap.level
     p_n, p_n1 = amap.source_count, amap.target_count
 
     out.append(
@@ -517,7 +510,8 @@ def _ietmap_checks(table: FactorTable, partition, level: int, grid_size: int) ->
     out.append(_check("ietmap", "discontinuity-definition", ok, detail))
 
     block_level = max(level, min(partition.depth_cap, table.n_max))
-    verdict = block_affinity_check(build_approximant(table, block_level), partition)
+    block_map = amap if block_level == level else build_approximant(table, block_level)
+    verdict = block_affinity_check(block_map, partition)
     bad = [k for k, good in verdict.items() if not good]
     out.append(
         _check("ietmap", "block-affinity", not bad, f"cylinders {bad} not affine blocks")
@@ -579,8 +573,6 @@ def _coding_checks(sub: Substitution, n_max: int) -> list[CheckResult]:
     golden = iet.breakpoints[1]
     ok = iet.apply(0) == 1 - golden and iet.apply(golden) == 0
     out.append(_check("coding", "golden-endpoints", ok, "exchange moves endpoints wrongly"))
-
-    from .coding import code_orbit, coded_factor_table
 
     ok, detail = True, ""
     for j in range(5):

@@ -80,6 +80,39 @@ def test_verify_runs_are_byte_identical(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_verify_writes_what_the_single_commands_write(tmp_path, capsys):
+    verify_dir = tmp_path / "verify"
+    code, _, _ = run_cli(["verify", *FIB, "--out", str(verify_dir)], capsys)
+    assert code == 0
+    single_dir = tmp_path / "single"
+    for argv in (
+        ["analyze"],
+        ["partition", "--n", "20"],
+        ["measures"],
+        ["approx"],
+        ["plot"],
+    ):
+        code, _, _ = run_cli([*argv, *FIB, "--out", str(single_dir)], capsys)
+        assert code == 0
+    for name in ("analyze.tsv", "partition.tsv", "measures.tsv", "approx_20.csv", "approx_20.svg"):
+        assert (verify_dir / name).read_bytes() == (single_dir / name).read_bytes(), name
+
+
+def test_verify_level_sets_measures_and_approximant(tmp_path, capsys):
+    code, out, _ = run_cli(["verify", *FIB, "--n", "8", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert (tmp_path / "approx_8.csv").exists()
+    assert not (tmp_path / "approx_20.csv").exists()
+    rows = (tmp_path / "measures.tsv").read_text().splitlines()
+    assert len(rows) > 1
+    assert all(row.split("\t")[2] == "9" for row in rows[1:])  # p(8) = 9
+
+    code, _, err = run_cli(["verify", *FIB, "--n", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "--n must be within 2..20" in err
+
+
 def test_roundtrip_pass_and_fail(capsys):
     code, out, _ = run_cli(["roundtrip", "fibonacci", "--nmax", "12", "--assert-aperiodic"], capsys)
     assert code == 0
@@ -143,10 +176,3 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "shift2iet" in proc.stdout
-
-
-def test_threads_env_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHIFT2IET_THREADS", "not-a-number")
-    code, _, err = run_cli(["verify", *FIB, "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert "SHIFT2IET_THREADS" in err

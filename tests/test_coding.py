@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shift2iet import (
+    CodingPartition,
     FiniteIET,
     InputError,
     QuadraticNumber,
@@ -17,6 +18,7 @@ from shift2iet import (
     golden_iet,
     roundtrip_check,
 )
+from shift2iet.coding import GOLDEN_ROTATION
 import oracles
 
 SQRT5 = 5 ** 0.5
@@ -90,13 +92,27 @@ def test_golden_iet_is_a_bijection_of_breakpoint_pieces():
         assert r == pytest.approx(l2, abs=1e-12)
 
 
+# Both classes share one breakpoint validator; each case must be rejected.
+BAD_PIECEWISE = [
+    (FiniteIET, [Fraction(1, 4)], [Fraction(0)]),
+    (FiniteIET, [Fraction(0), Fraction(0)], [Fraction(1, 2), Fraction(-1, 2)]),
+    (FiniteIET, [Fraction(0), Fraction(1, 2)], [Fraction(1, 4), Fraction(-1, 4)]),
+    (CodingPartition, [Fraction(0), Fraction(1, 2)], ["a", "a"]),
+    (CodingPartition, [Fraction(0), Fraction(1, 2)], ["a"]),
+    (CodingPartition, [Fraction(1, 4), Fraction(1, 2)], ["a", "b"]),
+    (CodingPartition, [Fraction(0), Fraction(1, 2), Fraction(1, 3)], ["a", "b", "c"]),
+]
+
+
 def test_finite_iet_validation():
+    for cls, breakpoints, labels in BAD_PIECEWISE:
+        with pytest.raises(InputError):
+            cls(breakpoints, labels)
+    coding = golden_coding()
+    assert coding.letter_at(GOLDEN_ROTATION) == "b"
+    assert coding.letter_at(0) == "a"
     with pytest.raises(InputError):
-        FiniteIET([Fraction(1, 4)], [Fraction(0)])
-    with pytest.raises(InputError):
-        FiniteIET([Fraction(0), Fraction(0)], [Fraction(1, 2), Fraction(-1, 2)])
-    with pytest.raises(InputError):
-        FiniteIET([Fraction(0), Fraction(1, 2)], [Fraction(1, 4), Fraction(-1, 4)])
+        coding.letter_at(1)
 
 
 def test_code_orbit_against_float_shadow():
@@ -132,6 +148,8 @@ def test_roundtrip_accepts_the_golden_pairing():
     assert result.first_mismatch is None
     assert result.sup_difference < 0.05
     assert result.approximant_level == 100
+    assert result.sup_difference == 0.008023988749894795
+    assert result.excluded_fraction == Fraction(3, 125)
 
 
 def test_roundtrip_rejects_a_wrong_pairing():

@@ -180,6 +180,13 @@ def test_convergence_fibonacci(deep_tables):
     assert rep.sup_difference < 0.05
 
 
+def test_convergence_thue_morse_pinned(tm100):
+    rep = convergence_report(tm100, 50, 100, 1000)
+    assert rep.sup_difference == 0.0017080246913580247
+    assert rep.excluded_fraction == Fraction(161, 1000)
+    assert rep.compared_points == 839
+
+
 def test_convergence_thue_morse_trend(deep_tables):
     """Much coarser maps sit farther from level 100; exclusions shrink.
 

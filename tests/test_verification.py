@@ -2,8 +2,7 @@
 
 import pytest
 
-from shift2iet import InputError, fixture_names, get_fixture, run_verification
-from shift2iet.verification import thread_cap
+from shift2iet import fixture_names, get_fixture, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -40,23 +39,20 @@ def test_reports_are_deterministic():
     assert a.log_text() == b.log_text()
 
 
-def test_parallel_run_preserves_order_and_verdict():
-    serial = run_verification(get_fixture("tetranacci"), 30, 8, threads=1)
-    parallel = run_verification(get_fixture("tetranacci"), 30, 8, threads=4)
-    assert serial.log_text() == parallel.log_text()
+def test_report_carries_the_checked_stages(fib_report):
+    """The report hands back the one table, partition, measures and map it checked."""
+    assert fib_report.table.n_max == 40
+    assert fib_report.partition.depth_cap == 12
+    assert fib_report.measures.n_used == 40
+    assert fib_report.approximant.level == 40
+    assert set(fib_report.partition.cylinder_words()) <= set(fib_report.measures.entries)
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("SHIFT2IET_THREADS", raising=False)
-    assert thread_cap() >= 1
-    monkeypatch.setenv("SHIFT2IET_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("SHIFT2IET_THREADS", "zero")
-    with pytest.raises(InputError):
-        thread_cap()
-    monkeypatch.setenv("SHIFT2IET_THREADS", "0")
-    with pytest.raises(InputError):
-        thread_cap()
+def test_levels_follow_the_arguments():
+    report = run_verification(get_fixture("fibonacci"), 40, 12, measure_level=20, approximant_level=25)
+    assert report.passed
+    assert report.measures.n_used == 20
+    assert report.approximant.level == 25
 
 
 def test_failure_reporting_shape(fib_report):
