@@ -165,6 +165,8 @@ def measures_text(table: FactorTable, mt: MeasureTable) -> str:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    if cfg.n_max < 2:
+        raise InputError("analyze needs --nmax >= 2: it lists lengths 1..nmax-1")
     table = build_factor_table(cfg.substitution, cfg.n_max)
     path = _write(cfg, "analyze.tsv", analyze_text(table))
     print(f"wrote {path} ({cfg.source}, lengths 1..{cfg.n_max - 1})")

@@ -1,47 +1,87 @@
 """Factor language of a primitive substitution shift.
 
-The factor table holds, for each length n <= n_max, the sorted list of words of
-that length occurring in the shift, together with left/right extension sets.
-Everything else in the package (special factors, cylinder partitions, measure
-estimates, affine approximants) reads from this table.
+The factor table answers, for each length n <= n_max, which words of that
+length occur in the shift, in sorted order, together with left/right extension
+sets.  Everything else in the package (special factors, cylinder partitions,
+measure estimates, affine approximants) reads from this table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 from .errors import InputError
 from .substitution import Substitution
 
+# Window letters compared at once when measuring common prefixes.
+_LCP_CHUNK = 1 << 20
+
 
 class FactorTable:
-    """Sorted factor lists per length plus extension data.
+    """Sorted factor lists per length plus extension data, from one sorted index.
+
+    The table keeps the distinct length-n_max factors once, as start positions
+    into a short harvested text, sorted in alphabet order, together with the
+    length of the common prefix of each of them and its predecessor in that
+    order (`lcp`) and a bit mask of the letters that may precede it.  Level n
+    is read off that order: a new length-n factor starts wherever the common
+    prefix is shorter than n, so p(n) is 1 plus the number of lcp values below
+    n, and factor i of level n is the first n letters of the window at the
+    i-th such rank.  Left extension letters of a level-n factor are the union
+    of the masks of its run of windows; right extension letters are the
+    letters at offset n of that run.
+
+    Strings are made on demand: `factors(n)` and the word -> rank map behind
+    `index_of` and the extension queries are built for a level on first use
+    and then kept, and `left_special`/`right_special` only cut out the special
+    words.  Extension sets are shared frozensets, one per distinct letter mask.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
     lengths strictly below n_max, because they are read off the next level.
     """
 
-    def __init__(self, substitution: Substitution, n_max: int, levels, left_ext, right_ext):
+    def __init__(self, substitution: Substitution, n_max: int, text: str, keyed: str, codes, positions, lcp, left_masks):
         self.substitution = substitution
         self.alphabet = substitution.alphabet
         self.n_max = n_max
-        self._levels = levels
-        self._left_ext = left_ext
-        self._right_ext = right_ext
-        self._index = [None] * (n_max + 1)
+        letters = self.alphabet.letters
+        self._letter_key = {a: chr(i) for i, a in enumerate(letters)}
+        self._text = text  # harvested text in the alphabet's letters
+        self._keyed = keyed  # the same text with letter i written as chr(i)
+        self._codes = codes  # letter indices of the text, as an array
+        self._positions = positions  # start of each distinct window, sorted order
+        self._position_list = positions.tolist()
+        self._lcp = lcp  # common prefix with the previous window; lcp[0] = 0
+        self._left_masks = left_masks
+        self._bits = np.array([1 << i for i in range(len(letters))], dtype=left_masks.dtype)
+        counts = np.bincount(lcp[1:], minlength=n_max).cumsum()
+        self._p = [0] + [1 + c for c in counts.tolist()]
+        self._letter_sets: dict[int, frozenset[str]] = {}
+        self._heads = [None] * (n_max + 1)  # level heads, kept for prefix_range
+        self._words = [None] * (n_max + 1)
+        self._ranks = [None] * (n_max + 1)
+        self._left_sets = [None] * n_max
+        self._right_sets = [None] * n_max
+        self._left_special = [None] * n_max
+        self._right_special = [None] * n_max
 
     # -- raw access ---------------------------------------------------------
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Sorted tuple of the length-n factors."""
         self._check_level(n)
-        return self._levels[n]
+        words = self._words[n]
+        if words is None:
+            words = self._words[n] = self._cut(self._level_heads(n), n)
+        return words
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
         self._check_level(n)
-        return len(self._levels[n])
+        return self._p[n]
 
     def is_factor(self, word: str) -> bool:
         if word == "":
@@ -55,34 +95,34 @@ class FactorTable:
     def index_of(self, n: int, word: str) -> int:
         """Position of a factor inside the sorted level n."""
         self._check_level(n)
-        if self._index[n] is None:
-            self._index[n] = {w: i for i, w in enumerate(self._levels[n])}
         try:
-            return self._index[n][word]
+            return self._level_ranks(n)[word]
         except KeyError:
             raise InputError(f"{word!r} is not a length-{n} factor") from None
 
     def left_extensions(self, word: str) -> frozenset[str]:
         """Letters x with x+word a factor.  Known for len(word) < n_max."""
-        return self._extensions(self._left_ext, word)
+        return self._extensions(word, self._left_sets, self._left_level_masks)
 
     def right_extensions(self, word: str) -> frozenset[str]:
         """Letters x with word+x a factor.  Known for len(word) < n_max."""
-        return self._extensions(self._right_ext, word)
+        return self._extensions(word, self._right_sets, self._right_level_masks)
 
     # -- special factors ----------------------------------------------------
 
     def left_special(self, n: int) -> tuple[str, ...]:
         """Length-n factors with at least two left extensions, sorted."""
         self._check_extension_level(n)
-        ext = self._left_ext
-        return tuple(w for w in self._levels[n] if len(ext[w]) >= 2)
+        if self._left_special[n] is None:
+            self._left_special[n] = self._special(self._left_level_masks(n), n)
+        return self._left_special[n]
 
     def right_special(self, n: int) -> tuple[str, ...]:
         """Length-n factors with at least two right extensions, sorted."""
         self._check_extension_level(n)
-        ext = self._right_ext
-        return tuple(w for w in self._levels[n] if len(ext[w]) >= 2)
+        if self._right_special[n] is None:
+            self._right_special[n] = self._special(self._right_level_masks(n), n)
+        return self._right_special[n]
 
     def left_special_count(self, n: int) -> int:
         return len(self.left_special(n))
@@ -113,14 +153,28 @@ class FactorTable:
     def prefix_range(self, prefix: str, n: int) -> tuple[int, int]:
         """Index range [lo, hi) of the length-n factors starting with the prefix."""
         self._check_level(n)
-        if len(prefix) > n:
+        size = len(prefix)
+        if size > n:
             raise InputError("prefix longer than the requested length")
-        code = self.alphabet.code
-        level = self._levels[n]
-        needle = code(prefix)
-        lo = bisect_left(level, needle, key=code)
-        hi = bisect_left(level, needle + (len(self.alphabet),), key=code)
-        return lo, hi
+        try:
+            needle = "".join([self._letter_key[c] for c in prefix])
+        except KeyError as e:
+            raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
+        keyed, positions = self._keyed, self._position_list
+
+        def key(rank):
+            start = positions[rank]
+            return keyed[start : start + size]
+
+        ranks = range(len(positions))
+        lo = bisect_left(ranks, needle, key=key)
+        hi = bisect_right(ranks, needle, lo=lo, key=key)
+        # lo and hi each start a run of equal length-size prefixes (or are the
+        # end), so they are heads at level size and hence at level n >= size.
+        heads = self._heads[n]
+        if heads is None:
+            heads = self._heads[n] = self._level_heads(n)
+        return int(heads.searchsorted(lo)), int(heads.searchsorted(hi))
 
     def restricted_complexity(self, prefix: str, n: int) -> int:
         """Number of length-n factors that start with the given word.
@@ -142,73 +196,145 @@ class FactorTable:
                 f"extension data exists for lengths 1..{self.n_max - 1}, got {n}"
             )
 
-    def _extensions(self, ext: dict, word: str) -> frozenset[str]:
-        if not 1 <= len(word) <= self.n_max - 1:
+    def _level_heads(self, n: int) -> np.ndarray:
+        """Window ranks where a length-n factor starts, in level order."""
+        return np.flatnonzero(self._lcp < n)
+
+    def _level_ranks(self, n: int) -> dict[str, int]:
+        ranks = self._ranks[n]
+        if ranks is None:
+            ranks = self._ranks[n] = {w: i for i, w in enumerate(self.factors(n))}
+        return ranks
+
+    def _cut(self, window_ranks: np.ndarray, n: int) -> tuple[str, ...]:
+        text = self._text
+        return tuple([text[p : p + n] for p in self._positions[window_ranks].tolist()])
+
+    def _left_level_masks(self, n: int) -> np.ndarray:
+        return np.bitwise_or.reduceat(self._left_masks, self._level_heads(n))
+
+    def _right_level_masks(self, n: int) -> np.ndarray:
+        following = self._bits[self._codes[self._positions + n]]
+        return np.bitwise_or.reduceat(following, self._level_heads(n))
+
+    def _special(self, masks: np.ndarray, n: int) -> tuple[str, ...]:
+        several = np.flatnonzero(masks & (masks - 1))
+        return self._cut(self._level_heads(n)[several], n)
+
+    def _letter_set(self, mask: int) -> frozenset[str]:
+        found = self._letter_sets.get(mask)
+        if found is None:
+            letters = self.alphabet.letters
+            found = self._letter_sets[mask] = frozenset(
+                a for i, a in enumerate(letters) if mask >> i & 1
+            )
+        return found
+
+    def _extensions(self, word: str, sets: list, level_masks) -> frozenset[str]:
+        n = len(word)
+        if not 1 <= n <= self.n_max - 1:
             raise InputError("extensions are known for lengths 1..n_max-1 only")
-        try:
-            return ext[word]
-        except KeyError:
-            raise InputError(f"{word!r} is not a factor") from None
+        i = self._level_ranks(n).get(word)
+        if i is None:
+            raise InputError(f"{word!r} is not a factor")
+        level = sets[n]
+        if level is None:
+            level = sets[n] = [self._letter_set(m) for m in level_masks(n).tolist()]
+        return level[i]
+
+
+def _legal_pairs(substitution: Substitution) -> set[str]:
+    """Two-letter factors of the shift, as a closure fixpoint.
+
+    Seeds are the two-letter words inside each image sigma(x); a legal xy
+    adds the one two-letter word across the seam of sigma(x)sigma(y).  Every
+    two-letter factor of sigma^k(a) with k >= 1 sits inside some sigma(x) or
+    across the seam of sigma(xy) for a two-letter factor xy of sigma^(k-1)(a),
+    so by induction on k the fixpoint is exactly the set of two-letter factors.
+    """
+    images = substitution.images
+    legal = {w[i : i + 2] for w in images.values() for i in range(len(w) - 1)}
+    pending = list(legal)
+    while pending:
+        x, y = pending.pop()
+        seam = images[x][-1] + images[y][0]
+        if seam not in legal:
+            legal.add(seam)
+            pending.append(seam)
+    return legal
 
 
 def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
-    """Harvest the factors of a primitive substitution shift up to length n_max.
+    """Index the factors of a primitive substitution shift up to length n_max.
 
-    Iterates the substitution on every letter and collects length-n_max windows
-    (all factors while an iterate is still short), stopping once one full extra
-    iteration adds nothing.  Shorter levels are then derived downward: by
-    prolongability, level n is exactly the set of prefixes and suffixes of
-    level n+1.
+    Certified harvest: take the least k with |sigma^k(x)| >= n_max for every
+    letter x.  A factor of the shift occurs in some sigma^(k+j)(a) =
+    sigma^k(sigma^j(a)) with j >= 1, a concatenation of blocks sigma^k(c)
+    whose neighbouring letters c c' form legal two-letter words
+    (`_legal_pairs`).  A word V of length n_max together with the letter
+    before it therefore starts inside some pair sigma^k(x)sigma^k(y) with xy
+    legal, at an offset 1..|sigma^k(x)|: a start at offset j >= 1 of a block
+    stays in that block and the next one, and a start at offset 0 of a block
+    is offset |sigma^k(z)| of the pair formed with the block before it.  A
+    window of length n_max at such an offset fits inside the pair because
+    |sigma^k(y)| >= n_max.  Conversely every window of a legal pair is a
+    factor.  So the distinct windows at those offsets are exactly the
+    length-n_max factors, their preceding letters are exactly their left
+    extensions, and, every factor being a prefix of a longer one, their
+    length-n prefixes and the letters at offset n give every factor of length
+    n and its right extensions.  No step stops on "nothing new appeared".
+
+    The windows are deduplicated, sorted in alphabet order and kept as start
+    positions plus the common prefix length of each with its predecessor,
+    measured with numpy over the letter codes (see `FactorTable`); no level is
+    stored as strings.  For Rudin-Shapiro at n_max = 200 the text is 8
+    legal pairs of 256-letter blocks, 4096 letters in all.
     """
     if n_max <= 0:
         raise InputError("n_max must be >= 1")
     prim = substitution.primitivity()
     if not prim.primitive:
         raise InputError("factor table needs a primitive substitution")
-    if max(len(w) for w in substitution.images.values()) == 1:
+    images = substitution.images
+    if max(len(w) for w in images.values()) == 1:
         raise InputError("substitution images never grow; the shift is a finite orbit")
 
-    top: set[str] = set()
-    short: set[str] = set()
+    letters = substitution.alphabet.letters
+    blocks = {a: a for a in letters}
+    apply_once = str.maketrans(images)
+    while min(len(w) for w in blocks.values()) < n_max:
+        blocks = {a: w.translate(apply_once) for a, w in blocks.items()}
 
-    def harvest(word: str):
-        if len(word) >= n_max:
-            for i in range(len(word) - n_max + 1):
-                top.add(word[i : i + n_max])
-        else:
-            for n in range(1, len(word) + 1):
-                for i in range(len(word) - n + 1):
-                    short.add(word[i : i + n])
+    key = str.maketrans({a: chr(i) for i, a in enumerate(letters)})
+    pairs = sorted(_legal_pairs(substitution), key=lambda xy: xy.translate(key))
+    text = "".join(blocks[x] + blocks[y] for x, y in pairs)
+    keyed = text.translate(key)
 
-    words = list(substitution.alphabet.letters)
-    for w in words:
-        harvest(w)
-    while True:
-        words = [substitution.apply(w) for w in words]
-        before = (len(top), len(short))
-        for w in words:
-            harvest(w)
-        if (len(top), len(short)) == before and all(len(w) >= n_max for w in words):
-            break
+    first: dict[str, list[int]] = {}  # window -> [first start, left-letter mask]
+    start = 0
+    for x, y in pairs:
+        for p in range(start + 1, start + len(blocks[x]) + 1):
+            window = keyed[p : p + n_max]
+            bit = 1 << ord(keyed[p - 1])
+            seen = first.get(window)
+            if seen is None:
+                first[window] = [p, bit]
+            else:
+                seen[1] |= bit
+        start += len(blocks[x]) + len(blocks[y])
+    ordered = sorted(first)
+    positions = np.array([first[w][0] for w in ordered], dtype=np.int32)
+    # One bit per letter; past 64 letters the masks stay Python integers.
+    mask_type = np.min_scalar_type(1 << (len(letters) - 1))
+    left_masks = np.array([first[w][1] for w in ordered], dtype=mask_type)
+    del first, ordered
 
-    code = substitution.alphabet.code
-    levels: list[tuple[str, ...]] = [()] * (n_max + 1)
-    levels[n_max] = tuple(sorted(top, key=code))
-    by_len: dict[int, set[str]] = {}
-    for w in short:
-        by_len.setdefault(len(w), set()).add(w)
-    for n in range(n_max - 1, 0, -1):
-        level = {w[:-1] for w in levels[n + 1]}
-        level.update(w[1:] for w in levels[n + 1])
-        level.update(by_len.get(n, ()))
-        levels[n] = tuple(sorted(level, key=code))
-
-    left_ext: dict[str, set[str]] = {w: set() for n in range(1, n_max) for w in levels[n]}
-    right_ext: dict[str, set[str]] = {w: set() for n in range(1, n_max) for w in levels[n]}
-    for n in range(2, n_max + 1):
-        for w in levels[n]:
-            left_ext[w[1:]].add(w[0])
-            right_ext[w[:-1]].add(w[-1])
-    frozen_left = {w: frozenset(s) for w, s in left_ext.items()}
-    frozen_right = {w: frozenset(s) for w, s in right_ext.items()}
-    return FactorTable(substitution, n_max, levels, frozen_left, frozen_right)
+    codes = np.frombuffer(keyed.encode("utf-32-le"), dtype=np.uint32)
+    windows = np.lib.stride_tricks.sliding_window_view(codes, n_max)
+    lcp = np.zeros(len(positions), dtype=np.int32)
+    step = max(1, _LCP_CHUNK // n_max)
+    for lo in range(1, len(positions), step):
+        hi = min(lo + step, len(positions))
+        differ = windows[positions[lo:hi]] != windows[positions[lo - 1 : hi - 1]]
+        lcp[lo:hi] = differ.argmax(axis=1)
+    return FactorTable(substitution, n_max, text, keyed, codes, positions, lcp, left_masks)

@@ -24,14 +24,17 @@ class Alphabet:
     """
 
     def __init__(self, letters):
-        letters = tuple(letters)
+        try:
+            letters = tuple(letters)
+        except TypeError:
+            raise InputError("alphabet must be a list of letters") from None
         if not letters:
             raise InputError("alphabet must contain at least one letter")
-        if len(set(letters)) != len(letters):
-            raise InputError("alphabet letters must be distinct")
         for c in letters:
             if not isinstance(c, str) or len(c) != 1:
                 raise InputError("alphabet letters must be single characters")
+        if len(set(letters)) != len(letters):
+            raise InputError("alphabet letters must be distinct")
         self.letters = letters
         self._index = {c: i for i, c in enumerate(letters)}
 
@@ -58,9 +61,8 @@ class Alphabet:
 
     def code(self, word: str) -> tuple[int, ...]:
         """Integer code of a word, usable as a lexicographic sort key."""
-        idx = self._index
         try:
-            return tuple(idx[c] for c in word)
+            return tuple(map(self._index.__getitem__, word))
         except KeyError as e:
             raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
 

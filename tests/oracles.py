@@ -1,9 +1,10 @@
 """Slow reference implementations the tests compare the library against.
 
-Everything here favors obviousness over speed: fixed points are materialized
-as plain strings, factor sets come from sliding windows, special factors from
-direct extension counting.  Nothing in this module imports the package under
-test, so agreement between the two is meaningful.
+Everything here favors obviousness over speed: words are materialized as
+plain strings, factor sets come from sliding windows over the images of legal
+two-letter words, special factors from direct extension counting.  Nothing in
+this module imports the package under test, so agreement between the two is
+meaningful.
 """
 
 from fractions import Fraction
@@ -32,23 +33,37 @@ def window_factors(word: str, n: int) -> list[str]:
     return sorted({word[i : i + n] for i in range(len(word) - n + 1)})
 
 
-def factor_levels(rules: dict, n_max: int) -> dict[int, list[str]]:
-    """Sorted factor lists for lengths 1..n_max+1 from a stabilized prefix.
-
-    The prefix doubles until two consecutive sizes produce identical window
-    sets for every length.  Shifts of primitive substitutions are linearly
-    recurrent, so every factor shows up once the prefix is a modest multiple
-    of the window length and the loop settles fast.
-    """
-    length = max(64, 8 * n_max)
-    previous = None
+def legal_pairs(rules: dict) -> set[str]:
+    """Two-letter factors: the two-letter words of every image, closed under
+    adding the two-letter words of the image of each legal pair."""
+    legal = {w for image in rules.values() for w in window_factors(image, 2)}
     while True:
-        prefix = fixed_point_prefix(rules, length)
-        levels = {n: window_factors(prefix, n) for n in range(1, n_max + 2)}
-        if levels == previous:
-            return levels
-        previous = levels
-        length *= 2
+        grown = legal | {w for xy in legal for w in window_factors(apply_rules(rules, xy), 2)}
+        if grown == legal:
+            return legal
+        legal = grown
+
+
+def factor_levels(rules: dict, n_max: int) -> dict[int, list[str]]:
+    """Sorted factor lists for lengths 1..n_max+1, certified by construction.
+
+    Iterate until every letter's image sigma^k(x) has at least n_max+1
+    letters.  Any factor of the shift sits in some sigma^(k+j)(a) with j >= 1,
+    a chain of blocks sigma^k(c) whose neighbours c c' are legal two-letter
+    words, and a factor no longer than the shortest block meets at most two
+    neighbouring blocks.  So the windows of the words sigma^k(x)sigma^k(y),
+    xy legal, are exactly the factors up to that length.  The rules must be
+    primitive and growing.
+    """
+    top = n_max + 1
+    blocks = {x: x for x in rules}
+    while min(len(w) for w in blocks.values()) < top:
+        blocks = {x: apply_rules(rules, w) for x, w in blocks.items()}
+    texts = [blocks[xy[0]] + blocks[xy[1]] for xy in legal_pairs(rules)]
+    return {
+        n: sorted({t[i : i + n] for t in texts for i in range(len(t) - n + 1)})
+        for n in range(1, top + 1)
+    }
 
 
 def left_special(levels: dict, n: int) -> list[str]:

@@ -27,6 +27,14 @@ def test_analyze_writes_table(tmp_path, capsys):
     assert len(lines) == 20  # header plus lengths 1..19
 
 
+def test_analyze_rejects_nmax_below_two(tmp_path, capsys):
+    argv = ["analyze", "--fixture", "fibonacci", "--nmax", "1", "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "error: analyze needs --nmax >= 2" in err
+    assert not (tmp_path / "analyze.tsv").exists()
+
+
 def test_partition_artifact(tmp_path, capsys):
     code, _, _ = run_cli(["partition", *FIB, "--out", str(tmp_path)], capsys)
     assert code == 0

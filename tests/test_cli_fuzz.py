@@ -1,0 +1,74 @@
+"""Random JSON configs through `shift2iet analyze`: exit 0 or 2, never a traceback.
+
+This is the contract of errors.py: every bad input ends as an InputError,
+which the command line maps to exit code 2.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shift2iet.cli import main
+
+LETTERS = "abcd"
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(min_value=0, max_value=2), max_size=2),
+)
+
+letter = st.sampled_from(LETTERS)
+bad_alphabets = st.one_of(
+    st.just([]),
+    st.lists(letter, min_size=2, max_size=4).filter(lambda xs: len(set(xs)) < len(xs)),  # repeats
+    st.lists(st.one_of(letter, st.text(min_size=2, max_size=3), junk), min_size=1, max_size=4),
+    junk,  # not a list at all
+)
+
+
+@st.composite
+def configs(draw):
+    """Mostly well-formed configs (images may be empty, rules may be
+    non-primitive or never grow), plus one deliberate flaw in some."""
+    letters = draw(st.lists(letter, min_size=1, max_size=4, unique=True))
+    alphabet = list(letters)
+    rules = {x: draw(st.text(alphabet="".join(letters), max_size=4)) for x in letters}
+    flaw = draw(st.sampled_from([None, None, None, "alphabet", "rules", "image", "missing", "shape"]))
+    if flaw == "alphabet":
+        alphabet = draw(bad_alphabets)
+    elif flaw == "rules":
+        rules = draw(st.one_of(junk, st.dictionaries(st.text(max_size=2), st.text(max_size=3), max_size=3)))
+    elif flaw == "image":
+        rules[draw(st.sampled_from(letters))] = draw(st.one_of(junk, st.text(alphabet=LETTERS, max_size=4)))
+    elif flaw == "missing":
+        return draw(st.sampled_from([{"alphabet": alphabet}, {"rules": rules}]))
+    elif flaw == "shape":
+        return draw(junk)
+    return {"alphabet": alphabet, "rules": rules}
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.integers(min_value=-2, max_value=12))
+def test_analyze_random_config_exits_cleanly(config, n_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sub.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--config", str(path), "--nmax", str(n_max), "--out", tmp, "--assert-aperiodic"])
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (Path(tmp) / "analyze.tsv").exists()
+        else:
+            assert code == 2, (code, err.getvalue())
+            assert err.getvalue().startswith("error: ")

@@ -1,0 +1,42 @@
+"""Factor tables at depth 1000 against closed-form complexities, on a time budget."""
+
+import time
+
+import pytest
+
+from shift2iet import build_factor_table, get_fixture
+from test_language import _tm_complexity
+
+DEPTH = 1000
+# The three builds plus the p(n) reads took 0.06-0.08 s in all on a 2-core
+# x86-64 VM; the budget is about ten times that.
+BUDGET_S = 1.0
+
+CLOSED_FORMS = {
+    "fibonacci": lambda n: n + 1,
+    "rudin-shapiro": lambda n: {1: 4, 2: 8}.get(n, 8 * n - 8),
+    "thue-morse": _tm_complexity,
+}
+
+
+def test_complexity_closed_forms_at_depth_1000():
+    start = time.perf_counter()
+    counts = {}
+    for name in CLOSED_FORMS:
+        table = build_factor_table(get_fixture(name), DEPTH)
+        counts[name] = [table.complexity(n) for n in range(1, DEPTH + 1)]
+    elapsed = time.perf_counter() - start
+    for name, formula in CLOSED_FORMS.items():
+        assert counts[name] == [formula(n) for n in range(1, DEPTH + 1)], name
+    assert elapsed < BUDGET_S, f"depth-{DEPTH} tables took {elapsed:.2f}s (budget {BUDGET_S}s)"
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_extensions_account_for_the_next_level_at_depth_1000(name):
+    table = build_factor_table(get_fixture(name), DEPTH)
+    for n in (10, DEPTH // 2, DEPTH - 1):
+        words = table.factors(n)
+        assert sum(len(table.left_extensions(w)) for w in words) == table.complexity(n + 1)
+        assert sum(len(table.right_extensions(w)) for w in words) == table.complexity(n + 1)
+    if name == "fibonacci":
+        assert all(table.left_special_count(n) == 1 for n in range(1, DEPTH))

@@ -1,0 +1,85 @@
+"""The library against the certified oracle on random primitive substitutions.
+
+Alphabets are declared in a random order.  The oracle sorts plain strings, so
+each substitution is renamed letter by letter into a..d in declaration order
+before it goes to the oracle, and library words are renamed the same way
+before they are compared.
+"""
+
+from bisect import bisect_left
+from itertools import product
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from shift2iet import build_approximant, build_factor_table, parse_substitution, refine
+import oracles
+
+LETTERS = "abcd"
+
+
+def test_oracle_finds_factors_a_doubling_prefix_missed():
+    """a->acb, b->c, c->cca: bccaa first occurs at offset 281 of the fixed
+    point from a; an oracle that stopped once two prefix lengths gave the same
+    windows missed it."""
+    rules = {"a": "acb", "b": "c", "c": "cca"}
+    levels = oracles.factor_levels(rules, 5)
+    assert "bccaa" in levels[5]
+    table = build_factor_table(parse_substitution({"alphabet": list("abc"), "rules": rules}), 6)
+    assert list(table.factors(5)) == levels[5]
+    assert table.is_factor("bccaa")
+
+
+@st.composite
+def primitive_substitutions(draw):
+    m = draw(st.integers(min_value=2, max_value=4))
+    letters = LETTERS[:m]
+    rules = {x: draw(st.text(alphabet=letters, min_size=1, max_size=4)) for x in letters}
+    order = draw(st.permutations(letters))
+    sub = parse_substitution({"alphabet": list(order), "rules": rules})
+    assume(sub.primitivity().primitive)
+    return sub
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions(), st.integers(min_value=1, max_value=30))
+def test_table_partition_and_jumps_match_oracle(sub, n_max):
+    letters = sub.alphabet.letters
+    rename = str.maketrans("".join(letters), LETTERS[: len(letters)])
+    levels = oracles.factor_levels(
+        {x.translate(rename): w.translate(rename) for x, w in sub.images.items()}, n_max
+    )
+    table = build_factor_table(sub, n_max)
+
+    def renamed(words):
+        return [w.translate(rename) for w in words]
+
+    short = ["".join(w) for k in range(4) for w in product(letters, repeat=k)]
+    for n in range(1, n_max + 1):
+        level = levels[n]
+        assert renamed(table.factors(n)) == level
+        assert table.complexity(n) == len(level)
+        for i, w in enumerate(table.factors(n)):
+            assert table.index_of(n, w) == i
+        for prefix in short + list(table.factors(max(1, n // 2))):
+            if len(prefix) > n:
+                continue
+            lo = bisect_left(level, prefix.translate(rename))
+            want = (lo, lo + oracles.prefix_count(levels, prefix.translate(rename), n))
+            assert table.prefix_range(prefix, n) == want
+        if n == n_max:
+            break
+        assert renamed(table.left_special(n)) == oracles.left_special(levels, n)
+        assert renamed(table.right_special(n)) == oracles.right_special(levels, n)
+        for w in table.factors(n):
+            rw = w.translate(rename)
+            assert sorted(renamed(table.left_extensions(w))) == oracles.left_extensions(levels, rw)
+            assert sorted(renamed(table.right_extensions(w))) == oracles.right_extensions(levels, rw)
+
+    for depth in range(2, n_max):
+        result = refine(table, depth)
+        emitted, unresolved = oracles.refine_cylinders(levels, depth)
+        assert [(c.k, c.word.translate(rename), c.step) for c in result.cylinders] == emitted
+        assert renamed(result.unresolved) == unresolved
+    for n in range(2, n_max + 1):
+        assert build_approximant(table, n).discontinuities() == oracles.approximant_jumps(levels, n)
