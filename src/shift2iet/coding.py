@@ -23,18 +23,51 @@ from .substitution import Substitution
 _SQRT5 = math.sqrt(5.0)
 
 
+def _sign_parts(x: int, xd: int, y: int, yd: int) -> int:
+    """Sign of x/xd + (y/yd)*sqrt(5) for integers with positive denominators.
+
+    Opposite signs are decided by comparing squares, scaled to a common
+    denominator; they never tie, because sqrt(5) is irrational.
+    """
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    x *= yd
+    y *= xd
+    return sx if x * x > 5 * y * y else sy
+
+
+def _floor_parts(p: int, q: int, r: int, s: int) -> int:
+    """floor(p/q + (r/s)*sqrt(5)) for integers with positive denominators.
+
+    Over the common denominator q*s the value is (p*s + r*q*sqrt(5)) / (q*s),
+    and m = isqrt(5*(r*q)**2) sits strictly below the irrational |r*q|*sqrt(5).
+    So the value lies strictly between two numerators one apart, and no
+    multiple of q*s falls strictly between them.
+    """
+    if r == 0:
+        return p // q
+    m = math.isqrt(5 * (r * q) ** 2)
+    top = p * s + m if r > 0 else p * s - m - 1
+    return top // (q * s)
+
+
 class QuadraticNumber:
     """Exact number a + b*sqrt(5) with rational coefficients.
 
-    Comparisons are decided by rational arithmetic alone (squaring against
-    5*b*b), never by floating point.
+    Comparisons, floor and ceil are decided in integers alone (squaring
+    against 5*b*b), never by floating point, and build no intermediate
+    numbers.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if isinstance(a, Fraction) else Fraction(a)
+        self.b = b if isinstance(b, Fraction) else Fraction(b)
 
     @staticmethod
     def _coerce(x):
@@ -46,18 +79,28 @@ class QuadraticNumber:
 
     def _sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, 5 * b * b
-        if a > 0:   # b < 0: positive iff a*a beats 5*b*b
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _sign_parts(a.numerator, a.denominator, b.numerator, b.denominator)
+
+    def _compare(self, other):
+        """Sign of self - other, or NotImplemented for a foreign type.
+
+        A rational operand is read as c + 0*sqrt(5) directly; ints carry
+        numerator and denominator too.
+        """
+        if isinstance(other, QuadraticNumber):
+            c, d = other.a, other.b
+        elif isinstance(other, (int, Fraction)):
+            c, d = other, 0
+        else:
+            return NotImplemented
+        a, b = self.a, self.b
+        ad, cd, bd, dd = a.denominator, c.denominator, b.denominator, d.denominator
+        return _sign_parts(
+            a.numerator * cd - c.numerator * ad,
+            ad * cd,
+            b.numerator * dd - d.numerator * bd,
+            bd * dd,
+        )
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -94,10 +137,11 @@ class QuadraticNumber:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if isinstance(other, QuadraticNumber):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         if self.b == 0:
@@ -105,31 +149,31 @@ class QuadraticNumber:
         return hash((self.a, self.b))
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other)._sign() < 0
+        sign = self._compare(other)
+        return sign if sign is NotImplemented else sign < 0
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other)._sign() <= 0
+        sign = self._compare(other)
+        return sign if sign is NotImplemented else sign <= 0
 
     def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other)._sign() > 0
+        sign = self._compare(other)
+        return sign if sign is NotImplemented else sign > 0
 
     def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other)._sign() >= 0
+        sign = self._compare(other)
+        return sign if sign is NotImplemented else sign >= 0
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
+
+    def __floor__(self):
+        a, b = self.a, self.b
+        return _floor_parts(a.numerator, a.denominator, b.numerator, b.denominator)
+
+    def __ceil__(self):
+        a, b = self.a, self.b
+        return -_floor_parts(-a.numerator, a.denominator, -b.numerator, b.denominator)
 
     def __float__(self):
         return float(self.a) + float(self.b) * _SQRT5
@@ -233,12 +277,13 @@ class CodingPartition:
         if len(set(self.letters)) != len(self.letters):
             raise InputError("coding letters must be distinct")
         _check_breakpoints(self.breakpoints)
+        self._order = {c: i for i, c in enumerate(self.letters)}
 
     def letter_at(self, x) -> str:
         return self.letters[_piece_of(self.breakpoints, x)]
 
     def sort_key(self, word: str):
-        order = {c: i for i, c in enumerate(self.letters)}
+        order = self._order
         try:
             return tuple(order[c] for c in word)
         except KeyError as e:
@@ -320,6 +365,32 @@ class RoundtripResult:
         return self.passed
 
 
+def _grid_gap(amap, iet: FiniteIET, grid_size: int):
+    """|float(T(g/N)) - float(E(g/N))| for the approximant T and the exchange E,
+    as a function of the grid index g, in integers.
+
+    T(g/N) = ((j - i)*N + g*p) / (N*q) on piece i = g*p // N with target j,
+    where p, q are the source and target counts.  E moves g/N by the
+    translation of the last piece whose left end b has ceil(N*b) <= g.
+    Int/int division rounds correctly, so both floats equal those of the
+    exact values, float(Fraction) and QuadraticNumber.__float__.
+    """
+    n = grid_size
+    p, scale = amap.source_count, grid_size * amap.target_count
+    shifts = [(piece.target_index - i) * n for i, piece in enumerate(amap.pieces)]
+    thresholds = [math.ceil(n * b) for b in iet.breakpoints]
+    moves = [
+        (t.a.numerator, t.a.denominator, float(t.b) * _SQRT5) for t in iet.translations
+    ]
+
+    def gap(g: int) -> float:
+        value = (shifts[g * p // n] + g * p) / scale
+        num, den, irrational = moves[bisect_right(thresholds, g) - 1]
+        return abs(value - ((g * den + num * n) / (n * den) + irrational))
+
+    return gap
+
+
 def roundtrip_check(
     substitution: Substitution,
     iet: FiniteIET,
@@ -340,6 +411,8 @@ def roundtrip_check(
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
+    if grid_size < 1:
+        raise InputError("grid_size must be >= 1")
     if table is None:
         table = build_factor_table(substitution, max(n_max, approximant_level or 100))
     if approximant_level is None:
@@ -361,15 +434,11 @@ def roundtrip_check(
             break
 
     amap = build_approximant(table, approximant_level)
-    jumps = sorted(
-        set(QuadraticNumber(d) for d in amap.discontinuities())
-        | set(iet.breakpoints[1:])
-    )
     sup, excluded = _grid_sup(
         grid_size,
-        jumps,
+        amap.discontinuities() + iet.breakpoints[1:],
         Fraction(1, amap.source_count),
-        lambda x: abs(float(amap.evaluate(x)) - float(iet.apply(x))),
+        _grid_gap(amap, iet, grid_size),
     )
     passed = mismatch is None and sup < tolerance
     return RoundtripResult(

@@ -10,7 +10,7 @@ the shift codes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -167,12 +167,16 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
         raise InputError("grid_size must be >= 1")
     coarse = build_approximant(table, n1)
     fine = build_approximant(table, n2)
-    jumps = sorted(set(coarse.discontinuities()) | set(fine.discontinuities()))
+
+    def gap(g):
+        x = Fraction(g, grid_size)
+        return abs(coarse.evaluate(x) - fine.evaluate(x))
+
     sup, excluded = _grid_sup(
         grid_size,
-        jumps,
+        coarse.discontinuities() + fine.discontinuities(),
         Fraction(1, coarse.source_count),
-        lambda x: abs(coarse.evaluate(x) - fine.evaluate(x)),
+        gap,
     )
     return ConvergenceReport(
         n1, n2, grid_size, sup, Fraction(excluded, grid_size), grid_size - excluded
@@ -180,28 +184,25 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
 
 
 def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:
-    """Largest gap(x) over the grid g/grid_size, skipping points near a jump.
+    """Largest gap(g) over the grid points g/grid_size that sit off every jump.
 
-    A point closer than radius to one of the sorted jumps is excluded.
-    Returns the sup as a float and the number of excluded points.
+    g/N lies closer than radius to a jump q exactly when
+    floor(N(q - radius)) < g < ceil(N(q + radius)), so each jump excludes one
+    range of indices, found by exact floor and ceil (jumps may be Fractions or
+    quadratic numbers).  gap takes the grid index g.  Returns the sup as a
+    float and the number of excluded points.
     """
+    excluded = bytearray(grid_size)
+    for q in jumps:
+        lo = max(math.floor(grid_size * (q - radius)) + 1, 0)
+        hi = min(math.ceil(grid_size * (q + radius)), grid_size)
+        if lo < hi:
+            excluded[lo:hi] = b"\1" * (hi - lo)
     sup = 0
-    excluded = 0
     for g in range(grid_size):
-        x = Fraction(g, grid_size)
-        if _near(jumps, x, radius):
-            excluded += 1
-            continue
-        sup = max(sup, gap(x))
-    return float(sup), excluded
-
-
-def _near(sorted_points, x, radius) -> bool:
-    pos = bisect_left(sorted_points, x)
-    for q in sorted_points[max(0, pos - 1) : pos + 1]:
-        if abs(x - q) < radius:
-            return True
-    return False
+        if not excluded[g]:
+            sup = max(sup, gap(g))
+    return float(sup), excluded.count(1)
 
 
 class Cluster(NamedTuple):

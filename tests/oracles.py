@@ -7,6 +7,8 @@ this module imports the package under test, so agreement between the two is
 meaningful.
 """
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -138,3 +140,67 @@ def golden_orbit_code(x: float, length: int) -> str:
             out.append("b")
             x = x - GOLDEN_BETA
     return "".join(out)
+
+
+def quadratic_sign(a: Fraction, b: Fraction) -> int:
+    """Sign of a + b*sqrt(5), bracketing sqrt(5*R*R) between isqrt and isqrt + 1.
+
+    Over the common denominator D the number is (P + R*sqrt(5)) / D.  With
+    m = isqrt(5*R*R), the irrational R*sqrt(5) lies strictly between m and
+    m + 1 (or -m - 1 and -m), and P is an integer.
+    """
+    a, b = Fraction(a), Fraction(b)
+    d = a.denominator * b.denominator
+    big_p, big_r = a.numerator * b.denominator, b.numerator * a.denominator
+    if big_r == 0:
+        return (big_p > 0) - (big_p < 0)
+    m = math.isqrt(5 * big_r * big_r)
+    if big_r > 0:
+        return 1 if big_p + m >= 0 else -1
+    return 1 if big_p - m - 1 >= 0 else -1
+
+
+def quadratic_floor(a: Fraction, b: Fraction) -> int:
+    """Largest integer k with k <= a + b*sqrt(5): bracket it around a float
+    guess with doubling steps, then bisect on the exact sign."""
+    lo = math.floor(float(a) + float(b) * 5 ** 0.5)
+    step = 1
+    while quadratic_sign(a - lo, b) < 0:
+        lo -= step
+        step *= 2
+    hi, step = lo + 1, 1
+    while quadratic_sign(a - hi, b) >= 0:
+        hi += step
+        step *= 2
+    while hi - lo > 1:   # lo <= a + b*sqrt(5) < hi
+        mid = (lo + hi) // 2
+        if quadratic_sign(a - mid, b) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:
+    """Point-by-point grid sweep: gap(x) at each x = g/grid_size whose nearest
+    sorted jump on either side is at least radius away.
+
+    Returns the sup as a float and the number of excluded points.
+    """
+    sup = 0
+    excluded = 0
+    for g in range(grid_size):
+        x = Fraction(g, grid_size)
+        if _near(jumps, x, radius):
+            excluded += 1
+            continue
+        sup = max(sup, gap(x))
+    return float(sup), excluded
+
+
+def _near(sorted_points, x, radius) -> bool:
+    pos = bisect_left(sorted_points, x)
+    for q in sorted_points[max(0, pos - 1) : pos + 1]:
+        if abs(x - q) < radius:
+            return True
+    return False

@@ -188,3 +188,17 @@ def test_criterion_11_deterministic_artifacts(tmp_path, capsys):
         assert any(n.endswith(".tsv") for n in names) and any(n.endswith(".csv") for n in names)
         for name in names:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_criterion_12_benchmark_roundtrip_pinned():
+    """The configuration of the roundtrip-golden benchmark workload: factor
+    sets to depth 120, then T_100 against the golden exchange on 20000 grid
+    points, swept in exact integer arithmetic."""
+    with _budget("criterion 12 benchmark roundtrip", 1.5):
+        result = roundtrip_check(
+            get_fixture("fibonacci"), golden_iet(), golden_coding(), 120, grid_size=20000
+        )
+        assert result.passed
+        assert result.approximant_level == 100
+        assert result.sup_difference == 0.008033488749895012
+        assert result.excluded_fraction == Fraction(479, 20000)

@@ -1,5 +1,6 @@
 """Exact quadratic arithmetic, the golden exchange, and the roundtrip gate."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,83 @@ def test_irrationality_separates_rationals():
     below = Fraction(682, 305)  # 682^2 = 465124 < 465125 = 5 * 305^2
     assert below < root5 < above
     assert root5 != above and root5 != below
+
+
+def _psi_power(n):
+    """psi^n = (L_n - F_n*sqrt(5)) / 2 for psi = (1 - sqrt(5)) / 2."""
+    fib, luc = (0, 1), (2, 1)
+    for _ in range(n):
+        fib, luc = (fib[1], fib[0] + fib[1]), (luc[1], luc[0] + luc[1])
+    return QuadraticNumber(Fraction(luc[0], 2), Fraction(-fib[0], 2))
+
+
+@st.composite
+def near_ties(draw):
+    """(a, b) with a + b*sqrt(5) within 2/s of an integer k, while a and b
+    are of size |r|/s: far below float resolution once |r| passes 1e16."""
+    r = draw(st.integers(min_value=-10**20, max_value=10**20))
+    s = draw(st.integers(min_value=1, max_value=10**4))
+    k = draw(st.integers(min_value=-3, max_value=3))
+    delta = draw(st.integers(min_value=-1, max_value=1))
+    root = math.isqrt(5 * r * r)
+    a = Fraction((root if r < 0 else -root) + delta, s) + k
+    return a, Fraction(r, s)
+
+
+@st.composite
+def golden_powers(draw):
+    """+-psi^n + k, with psi^n = (L_n - F_n*sqrt(5)) / 2 tending to 0."""
+    psi = _psi_power(draw(st.integers(min_value=1, max_value=150)))
+    sign = draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(min_value=-3, max_value=3))
+    return sign * psi.a + k, sign * psi.b
+
+
+field_pairs = st.one_of(
+    st.tuples(rationals, rationals),
+    near_ties(),
+    golden_powers(),
+    st.tuples(st.integers(min_value=-5, max_value=5), st.just(Fraction(0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pairs, field_pairs)
+def test_quadratic_order_floor_ceil_match_integer_oracle(x, y):
+    (a, b), (c, d) = x, y
+    qx, qy = QuadraticNumber(a, b), QuadraticNumber(c, d)
+    sign = oracles.quadratic_sign(Fraction(a) - c, Fraction(b) - d)
+    assert (qx < qy) == (sign < 0)
+    assert (qx <= qy) == (sign <= 0)
+    assert (qx > qy) == (sign > 0)
+    assert (qx >= qy) == (sign >= 0)
+    assert (qx == qy) == (sign == 0)
+    if d == 0:   # a rational operand is compared directly, on either side
+        assert (qx < c) == (c > qx) == (sign < 0)
+        assert (qx <= c) == (c >= qx) == (sign <= 0)
+        assert (qx == c) == (c == qx) == (sign == 0)
+    floor = oracles.quadratic_floor(a, b)
+    assert math.floor(qx) == floor
+    exact = oracles.quadratic_sign(Fraction(a) - floor, b) == 0
+    assert math.ceil(qx) == (floor if exact else floor + 1)
+
+
+def test_floor_ceil_exact_at_golden_near_ties():
+    """psi^n is 0 < psi^n < 1 for even n and -1 < psi^n < 0 for odd n, and
+    it is below float resolution against L_n from n around 40 on; floor and
+    ceil taken through float gave ceil(psi^40) = 0 and floor(psi^81) = 0."""
+    assert math.ceil(_psi_power(40)) == 1
+    assert math.floor(_psi_power(81)) == -1
+    psi = QuadraticNumber(Fraction(1, 2), Fraction(-1, 2))
+    power = QuadraticNumber(1)
+    for n in range(1, 121):
+        power = power * psi
+        assert power == _psi_power(n)
+        want_floor = 0 if n % 2 == 0 else -1
+        assert math.floor(power) == want_floor, n
+        assert math.ceil(power) == want_floor + 1, n
+        assert (0 < power) == (n % 2 == 0)
+        assert (power < 0) == (n % 2 == 1)
 
 
 def test_golden_iet_shape():
@@ -150,6 +228,12 @@ def test_roundtrip_accepts_the_golden_pairing():
     assert result.approximant_level == 100
     assert result.sup_difference == 0.008023988749894795
     assert result.excluded_fraction == Fraction(3, 125)
+
+
+def test_roundtrip_rejects_an_empty_grid():
+    fib = get_fixture("fibonacci")
+    with pytest.raises(InputError, match="grid_size must be >= 1"):
+        roundtrip_check(fib, golden_iet(), golden_coding(), 15, grid_size=0)
 
 
 def test_roundtrip_rejects_a_wrong_pairing():

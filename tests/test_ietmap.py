@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shift2iet import (
     AffinePiece,
     InputError,
     PiecewiseAffineMap,
+    QuadraticNumber,
     accumulation_clusters,
     accumulation_diagnostic,
     block_affinity_check,
@@ -16,9 +19,12 @@ from shift2iet import (
     convergence_report,
     fixture_names,
     get_fixture,
+    golden_coding,
+    golden_iet,
     limit_intervals,
     non_injectivity_witnesses,
     refine,
+    roundtrip_check,
 )
 import oracles
 
@@ -296,3 +302,61 @@ def test_non_injectivity_witnesses_thue_morse(deep_tables):
 def test_non_injectivity_witnesses_need_two_clusters(deep_tables):
     amap = build_approximant(deep_tables["fibonacci"], 100)
     assert non_injectivity_witnesses(amap, []) == []
+
+
+def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
+    """convergence_report(n1, n2) and the roundtrip at level n2 against the
+    point-by-point sweep: bit-identical sups, equal excluded counts."""
+    coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
+    sup, excluded = oracles.grid_sup(
+        grid_size,
+        sorted(set(coarse.discontinuities()) | set(fine.discontinuities())),
+        Fraction(1, coarse.source_count),
+        lambda x: abs(coarse.evaluate(x) - fine.evaluate(x)),
+    )
+    rep = convergence_report(table, n1, n2, grid_size)
+    assert rep.sup_difference == sup
+    assert rep.excluded_fraction == Fraction(excluded, grid_size)
+    assert rep.compared_points == grid_size - excluded
+
+    iet = golden_iet()
+    sup, excluded = oracles.grid_sup(
+        grid_size,
+        sorted({QuadraticNumber(d) for d in fine.discontinuities()} | set(iet.breakpoints[1:])),
+        Fraction(1, fine.source_count),
+        lambda x: abs(float(fine.evaluate(x)) - float(iet.apply(x))),
+    )
+    result = roundtrip_check(
+        get_fixture(name), iet, golden_coding(), 1,
+        table=table, approximant_level=n2, grid_size=grid_size,
+    )
+    assert result.sup_difference == sup
+    assert result.excluded_fraction == Fraction(excluded, grid_size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_grid_sweeps_match_pointwise_oracle(deep_tables, data):
+    name = data.draw(st.sampled_from(sorted(deep_tables)))
+    table = deep_tables[name]
+    n2 = data.draw(st.integers(min_value=2, max_value=100))
+    n1 = data.draw(st.integers(min_value=2, max_value=n2))
+    grid_size = data.draw(st.integers(min_value=1, max_value=3000))
+    _assert_sweeps_match_oracle(table, name, n1, n2, grid_size)
+
+
+def test_grid_sweeps_match_oracle_with_jump_ends_on_the_grid(deep_tables):
+    """Grid sizes that are multiples of p(n1) put q - 1/p(n1) and q + 1/p(n1)
+    on grid points for every coarse jump q; those points must stay in."""
+    for name, n1, n2, k in (
+        ("thue-morse", 20, 40, 40), ("fibonacci", 30, 30, 31), ("fibonacci", 5, 60, 100),
+        ("rudin-shapiro", 10, 50, 41), ("tribonacci", 12, 12, 7),
+    ):
+        table = deep_tables[name]
+        p = table.complexity(n1)
+        grid_size = k * p
+        coarse = build_approximant(table, n1)
+        assert coarse.discontinuities()
+        for q in coarse.discontinuities():
+            assert ((q - Fraction(1, p)) * grid_size).denominator == 1
+        _assert_sweeps_match_oracle(table, name, n1, n2, grid_size)
