@@ -39,7 +39,7 @@ from .measure import (
     invariance_defect,
     measure_table,
 )
-from .partition import Cylinder, PartitionResult, refine
+from .partition import Cylinder, PartitionResult, refine, refine_stages
 from .substitution import Alphabet, PrimitivityResult, Substitution, parse_substitution
 from .verification import CheckResult, VerificationReport, run_verification
 
@@ -54,6 +54,7 @@ __all__ = [
     "Cylinder",
     "PartitionResult",
     "refine",
+    "refine_stages",
     "MeasureTable",
     "cylinder_measure_estimate",
     "invariance_defect",

@@ -340,13 +340,17 @@ def coded_factor_table(
     words = [
         code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
     ]
-    levels: dict[int, set[str]] = {n: set() for n in range(1, n_max + 1)}
-    for w in words:
-        for n in range(1, n_max + 1):
-            bucket = levels[n]
-            for i in range(len(w) - n + 1):
-                bucket.add(w[i : i + n])
-    return {n: tuple(sorted(s, key=coding.sort_key)) for n, s in levels.items()}
+    # A length-n window is a prefix of the length-n_max window at the same
+    # start, except the last n_max - n windows of each orbit.
+    last = length - n_max
+    top = {w[i : i + n_max] for w in words for i in range(last + 1)}
+    key = str.maketrans({c: chr(i) for i, c in enumerate(coding.letters)})
+    levels = {}
+    for n in range(1, n_max + 1):
+        level = {u[:n] for u in top}
+        level.update(w[i : i + n] for w in words for i in range(last + 1, length - n + 1))
+        levels[n] = tuple(sorted(level, key=lambda u: u.translate(key)))
+    return levels
 
 
 @dataclass
@@ -445,7 +449,7 @@ def roundtrip_check(
         passed,
         mismatch is None,
         mismatch,
-        sup,
+        float(sup),
         Fraction(excluded, grid_size),
         approximant_level,
         tolerance,

@@ -167,30 +167,40 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
         raise InputError("grid_size must be >= 1")
     coarse = build_approximant(table, n1)
     fine = build_approximant(table, n2)
+    n = grid_size
+    p1, q1 = coarse.source_count, coarse.target_count
+    p2, q2 = fine.source_count, fine.target_count
+    shifts1 = [(piece.target_index - i) * n for i, piece in enumerate(coarse.pieces)]
+    shifts2 = [(piece.target_index - i) * n for i, piece in enumerate(fine.pieces)]
 
     def gap(g):
-        x = Fraction(g, grid_size)
-        return abs(coarse.evaluate(x) - fine.evaluate(x))
+        # T(g/N) = ((t_i - i)*N + g*p) / (N*q) on piece i = g*p // N with
+        # target t_i; both maps over the common denominator N*q1*q2.
+        return abs(
+            (shifts1[g * p1 // n] + g * p1) * q2 - (shifts2[g * p2 // n] + g * p2) * q1
+        )
 
-    sup, excluded = _grid_sup(
+    top, excluded = _grid_sup(
         grid_size,
         coarse.discontinuities() + fine.discontinuities(),
-        Fraction(1, coarse.source_count),
+        Fraction(1, p1),
         gap,
     )
+    # Int/int division rounds correctly: the float of the exact sup.
+    sup = top / (n * q1 * q2)
     return ConvergenceReport(
         n1, n2, grid_size, sup, Fraction(excluded, grid_size), grid_size - excluded
     )
 
 
-def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:
+def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple:
     """Largest gap(g) over the grid points g/grid_size that sit off every jump.
 
     g/N lies closer than radius to a jump q exactly when
     floor(N(q - radius)) < g < ceil(N(q + radius)), so each jump excludes one
     range of indices, found by exact floor and ceil (jumps may be Fractions or
-    quadratic numbers).  gap takes the grid index g.  Returns the sup as a
-    float and the number of excluded points.
+    quadratic numbers).  gap takes the grid index g.  Returns the sup (0 when
+    every point is excluded) and the number of excluded points.
     """
     excluded = bytearray(grid_size)
     for q in jumps:
@@ -202,7 +212,7 @@ def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:
     for g in range(grid_size):
         if not excluded[g]:
             sup = max(sup, gap(g))
-    return float(sup), excluded.count(1)
+    return sup, excluded.count(1)
 
 
 class Cluster(NamedTuple):

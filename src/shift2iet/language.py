@@ -239,7 +239,9 @@ class FactorTable:
             raise InputError(f"{word!r} is not a factor")
         level = sets[n]
         if level is None:
-            level = sets[n] = [self._letter_set(m) for m in level_masks(n).tolist()]
+            masks = level_masks(n).tolist()
+            shared = {m: self._letter_set(m) for m in set(masks)}
+            level = sets[n] = list(map(shared.__getitem__, masks))
         return level[i]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InputError
 from .language import FactorTable
@@ -72,27 +72,39 @@ def refine(table: FactorTable, depth_cap: int) -> PartitionResult:
     At step d the active words of length d+1 are split: word = a+u is emitted
     when u is not left special, otherwise all its one-letter extensions stay
     active.  Unresolved words are reported at exactly depth_cap length.
-    Cylinders are numbered by step, then lexicographically.
+    Cylinders are numbered by step, then lexicographically.  This is the last
+    stage of `refine_stages`.
+    """
+    for stage in refine_stages(table, depth_cap):
+        pass
+    return stage
+
+
+def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResult]:
+    """The refinement to every depth 2..depth_cap, from one pass.
+
+    The stage of depth d is what `refine(table, d)` returns: the cylinders
+    emitted up to step d-1 and the words still active at length d.  A word u
+    is left special when it has at least two left extensions, the definition
+    `FactorTable.left_special` uses.
     """
     if depth_cap < 2:
         raise InputError("depth_cap must be >= 2")
     if depth_cap > table.n_max - 1:
         raise InputError("depth_cap must stay below the table depth (extensions needed)")
 
-    special = {n: set(table.left_special(n)) for n in range(1, depth_cap)}
+    left = table.left_extensions
+    order = table.alphabet.index
     cylinders: list[Cylinder] = []
-    unresolved: list[str] = []
     active = list(table.factors(2))
     for length in range(2, depth_cap + 1):
         survivors: list[str] = []
         step = length - 1
         for word in active:
-            if word[1:] in special[length - 1]:
+            if len(left(word[1:])) >= 2:
                 survivors.append(word)
             else:
                 cylinders.append(Cylinder(len(cylinders) + 1, word, step))
-        if length == depth_cap:
-            unresolved = survivors
-            break
-        active = [w + x for w in survivors for x in sorted(table.right_extensions(w), key=table.alphabet.code)]
-    return PartitionResult(cylinders, unresolved, depth_cap)
+        yield PartitionResult(cylinders[:], survivors, length)
+        if length < depth_cap:
+            active = [w + x for w in survivors for x in sorted(table.right_extensions(w), key=order)]

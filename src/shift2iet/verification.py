@@ -26,7 +26,7 @@ from .ietmap import (
 )
 from .language import FactorTable, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
-from .partition import PartitionResult, refine
+from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
 
 
@@ -165,51 +165,61 @@ def _substitution_checks(sub: Substitution) -> list[CheckResult]:
 
 def _language_checks(table: FactorTable) -> list[CheckResult]:
     out = []
-    code = table.alphabet.code
     n_max = table.n_max
+    alphabet = table.alphabet.letters
+    levels = [()] + [table.factors(n) for n in range(1, n_max + 1)]
 
+    # Letter i is keyed as chr(i), so keyed words compare in alphabet order.
+    # A letter outside the alphabet keys to chr(len(alphabet)) or above, and
+    # so survives deleting chr(0)..chr(len(alphabet) - 1).
+    key = {ord(a): i for i, a in enumerate(alphabet)}
+    for c in range(len(alphabet)):
+        key.setdefault(c, len(alphabet))
+    keyed_letters = dict.fromkeys(range(len(alphabet)))
     ok, detail = True, ""
     for n in range(1, n_max + 1):
-        level = table.factors(n)
-        keys = [code(w) for w in level]
-        if keys != sorted(keys) or len(set(level)) != len(level):
+        keyed = [w.translate(key) for w in levels[n]]
+        if "".join(keyed).translate(keyed_letters):
+            ok, detail = False, f"level {n} has a letter outside the alphabet"
+            break
+        if not all(map(str.__lt__, keyed, keyed[1:])):
             ok, detail = False, f"level {n} not sorted/unique"
             break
     out.append(_check("language", "levels-sorted-unique", ok, detail))
 
     ok, detail = True, ""
+    lower = set(levels[1])
     for n in range(2, n_max + 1):
-        lower = set(table.factors(n - 1))
-        for w in table.factors(n):
+        for w in levels[n]:
             if w[1:] not in lower or w[:-1] not in lower:
                 ok, detail = False, f"{w!r} has a non-factor sub-word"
                 break
         if not ok:
             break
+        lower = set(levels[n])
     out.append(_check("language", "prefix-suffix-closure", ok, detail))
 
     growth = [table.complexity(n) for n in range(1, n_max + 1)]
     ok = all(a <= b for a, b in zip(growth, growth[1:]))
     out.append(_check("language", "complexity-nondecreasing", ok, f"counts {growth[:20]}..."))
 
-    ok, detail = True, ""
+    # prolongable and extension-totals read the same extension sets: one pass.
+    prolongable, prolongable_detail = True, ""
+    totals, totals_detail = True, ""
     for n in range(1, n_max):
-        for w in table.factors(n):
-            if not table.left_extensions(w) or not table.right_extensions(w):
-                ok, detail = False, f"{w!r} is not prolongable"
-                break
-        if not ok:
+        level = levels[n]
+        lefts = list(map(table.left_extensions, level))
+        rights = list(map(table.right_extensions, level))
+        if prolongable and not (all(lefts) and all(rights)):
+            w = next(w for w, l, r in zip(level, lefts, rights) if not l or not r)
+            prolongable, prolongable_detail = False, f"{w!r} is not prolongable"
+        total_l, total_r = sum(map(len, lefts)), sum(map(len, rights))
+        if totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
+            totals, totals_detail = False, f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
+        if not (prolongable or totals):
             break
-    out.append(_check("language", "prolongable", ok, detail))
-
-    ok, detail = True, ""
-    for n in range(1, n_max):
-        total_l = sum(len(table.left_extensions(w)) for w in table.factors(n))
-        total_r = sum(len(table.right_extensions(w)) for w in table.factors(n))
-        if total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1):
-            ok, detail = False, f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
-            break
-    out.append(_check("language", "extension-totals", ok, detail))
+    out.append(_check("language", "prolongable", prolongable, prolongable_detail))
+    out.append(_check("language", "extension-totals", totals, totals_detail))
 
     ok, detail = True, ""
     for n in range(2, min(n_max - 1, 40) + 1):
@@ -223,9 +233,8 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     out.append(_check("language", "left-special-prefix-closure", ok, detail))
 
     ok, detail = True, ""
-    alphabet = table.alphabet.letters
     for m in range(1, min(6, n_max - 1) + 1):
-        for u in table.factors(m):
+        for u in levels[m]:
             for n in range(m + 1, min(20, n_max) + 1):
                 spread = sum(table.restricted_complexity(a + u, n) for a in alphabet)
                 base = table.restricted_complexity(u, n - 1)
@@ -239,13 +248,18 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "left-extension-count-window", ok, detail))
 
+    # Every length-n window of the prefix is a prefix of the length-cap window
+    # at the same start, except the last cap - n windows: one scan at cap.
     cap = min(n_max, 30)
     seed, power = table.substitution.fixed_point_seed()
     prefix = table.substitution.power(power).fixed_point_prefix(seed, 10 * cap * cap)
+    last = len(prefix) - cap
+    top = {prefix[i : i + cap] for i in range(last + 1)}
     ok, detail = True, ""
     for n in range(1, cap + 1):
-        seen = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
-        if seen != set(table.factors(n)):
+        seen = {w[:n] for w in top}
+        seen.update(prefix[i : i + n] for i in range(last + 1, len(prefix) - n + 1))
+        if seen != set(levels[n]):
             ok, detail = False, f"level {n}: table and brute-force prefix scan differ"
             break
     out.append(_check("language", "oracle-equivalence", ok, detail))
@@ -308,8 +322,8 @@ def _partition_checks(
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
     ok, detail = True, ""
-    for d in range(2, depth_cap + 1):
-        stage = refine(table, d)
+    for stage in refine_stages(table, depth_cap):
+        d = stage.depth_cap
         emitted = stage.cylinder_words()
         pending = set(stage.unresolved)
         lengths = sorted({len(w) for w in emitted})

@@ -126,6 +126,17 @@ def approximant_jumps(levels: dict, n: int) -> list[Fraction]:
     return [Fraction(i, p) for i in range(1, p) if targets[i] != targets[i - 1] + 1]
 
 
+def orbit_levels(orbits: list[str], order: str, n_max: int) -> dict[int, tuple[str, ...]]:
+    """Windows of every length 1..n_max over the given words, one scan per
+    length, each level sorted by the position of its letters in `order`."""
+    rank = {c: i for i, c in enumerate(order)}
+    levels = {}
+    for n in range(1, n_max + 1):
+        seen = {w[i : i + n] for w in orbits for i in range(len(w) - n + 1)}
+        levels[n] = tuple(sorted(seen, key=lambda u: [rank[c] for c in u]))
+    return levels
+
+
 GOLDEN_BETA = (5 ** 0.5 - 1) / 2
 
 

@@ -23,6 +23,7 @@ from shift2iet import (
     invariance_defect,
     refine,
     roundtrip_check,
+    run_verification,
 )
 from shift2iet.cli import main as cli_main
 import oracles
@@ -202,3 +203,12 @@ def test_criterion_12_benchmark_roundtrip_pinned():
         assert result.approximant_level == 100
         assert result.sup_difference == 0.008033488749895012
         assert result.excluded_fraction == Fraction(479, 20000)
+
+
+def test_criterion_13_benchmark_verify_pinned():
+    """The configuration of the verify-full benchmark workload: every suite
+    on Thue-Morse with the table to depth 160 and the partition to depth 80."""
+    with _budget("criterion 13 benchmark verify", 2):
+        report = run_verification(get_fixture("thue-morse"), 160, 80)
+        assert report.passed
+        assert len(report.checks) == 41

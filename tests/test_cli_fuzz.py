@@ -10,9 +10,10 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shift2iet import fixture_names
 from shift2iet.cli import main
 
 LETTERS = "abcd"
@@ -72,3 +73,47 @@ def test_analyze_random_config_exits_cleanly(config, n_max):
         else:
             assert code == 2, (code, err.getvalue())
             assert err.getvalue().startswith("error: ")
+
+
+def _flag(name, values):
+    """An absent flag, or the flag with a drawn value.
+
+    The value is joined with `=`: argparse reads a separate `-1e-05` as an
+    option, not as a value.
+    """
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+@st.composite
+def level_flags(draw):
+    """Small table, partition and grid settings, bad values among them."""
+    return [
+        *draw(_flag("--nmax", st.integers(min_value=-1, max_value=12))),
+        *draw(_flag("--depth", st.integers(min_value=-1, max_value=14))),
+        *draw(_flag("--n", st.integers(min_value=-1, max_value=14))),
+        *draw(_flag("--grid", st.integers(min_value=-2, max_value=60))),
+        *draw(_flag("--epsilon", st.floats(min_value=-1, max_value=1, allow_nan=False))),
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["verify", "partition"]),
+    st.sampled_from(fixture_names()),
+    level_flags(),
+)
+@example("verify", "fibonacci", ["--nmax=4", "--depth=2"])
+def test_verify_and_partition_random_flags_exit_cleanly(command, fixture, flags):
+    """Exit 1 is a verdict, not a crash: Fibonacci `verify --nmax 4 --depth 2`
+    fails measure.letter-estimates-settled at its 1/20 tolerance."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        argv = [command, "--fixture", fixture, *flags, "--out", tmp, "--assert-aperiodic"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert command == "verify" and "FAIL " in out.getvalue(), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())

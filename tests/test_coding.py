@@ -218,6 +218,21 @@ def test_coded_factors_match_substitution_language(fib100):
         assert len(coded[n]) == n + 1
 
 
+@pytest.mark.parametrize("letters", ["ab", "ba"])
+def test_coded_factor_table_matches_per_level_scan(letters):
+    """Levels derived from one scan at n_max equal a scan at every length,
+    sorted in the coding's letter order (b before a in the second case)."""
+    iet = golden_iet()
+    coding = CodingPartition([QuadraticNumber(0), GOLDEN_ROTATION], list(letters))
+    for n_max, samples in ((1, 1), (2, 2), (15, 3), (40, 5), (120, 3)):
+        orbits = [
+            code_orbit(iet, coding, Fraction(j, samples + 1), 4 * n_max + 64)
+            for j in range(samples)
+        ]
+        want = oracles.orbit_levels(orbits, letters, n_max)
+        assert coded_factor_table(iet, coding, n_max, samples) == want
+
+
 def test_roundtrip_accepts_the_golden_pairing():
     result = roundtrip_check(get_fixture("fibonacci"), golden_iet(), golden_coding(), 15)
     assert result.passed

@@ -9,10 +9,19 @@ before they are compared.
 from bisect import bisect_left
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shift2iet import build_approximant, build_factor_table, parse_substitution, refine
+from shift2iet import (
+    build_approximant,
+    build_factor_table,
+    fixture_names,
+    get_fixture,
+    parse_substitution,
+    refine,
+    refine_stages,
+)
 import oracles
 
 LETTERS = "abcd"
@@ -83,3 +92,32 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
         assert renamed(result.unresolved) == unresolved
     for n in range(2, n_max + 1):
         assert build_approximant(table, n).discontinuities() == oracles.approximant_jumps(levels, n)
+
+
+def _assert_stages_match(sub, depth_cap):
+    """Every stage of one refinement pass is `refine` at that depth and the
+    oracle replay."""
+    letters = sub.alphabet.letters
+    rename = str.maketrans("".join(letters), LETTERS[: len(letters)])
+    levels = oracles.factor_levels(
+        {x.translate(rename): w.translate(rename) for x, w in sub.images.items()}, depth_cap + 1
+    )
+    table = build_factor_table(sub, depth_cap + 1)
+    stages = list(refine_stages(table, depth_cap))
+    assert [stage.depth_cap for stage in stages] == list(range(2, depth_cap + 1))
+    for stage in stages:
+        assert stage == refine(table, stage.depth_cap)
+        emitted, unresolved = oracles.refine_cylinders(levels, stage.depth_cap)
+        assert [(c.k, c.word.translate(rename), c.step) for c in stage.cylinders] == emitted
+        assert [w.translate(rename) for w in stage.unresolved] == unresolved
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_refine_stages_match_refine_on_fixtures(name):
+    _assert_stages_match(get_fixture(name), 24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(min_value=2, max_value=20))
+def test_refine_stages_match_refine_on_random_substitutions(sub, depth_cap):
+    _assert_stages_match(sub, depth_cap)

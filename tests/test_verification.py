@@ -2,7 +2,8 @@
 
 import pytest
 
-from shift2iet import fixture_names, get_fixture, run_verification
+from shift2iet import build_factor_table, fixture_names, get_fixture, run_verification
+from shift2iet.verification import _language_checks
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +62,108 @@ def test_failure_reporting_shape(fib_report):
         assert check.module and check.name
         assert isinstance(check.ok, bool)
         assert isinstance(check.detail, str)
+
+
+class _Served:
+    """A real factor table that serves one corruption: replaced levels, or
+    no left extensions for one word."""
+
+    def __init__(self, table, levels=(), no_left=None):
+        self._table = table
+        self._levels = dict(levels)
+        self._no_left = no_left
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def factors(self, n):
+        return self._levels.get(n, self._table.factors(n))
+
+    def left_extensions(self, word):
+        if word == self._no_left:
+            return frozenset()
+        return self._table.left_extensions(word)
+
+
+@pytest.fixture(scope="module")
+def tm30():
+    return build_factor_table(get_fixture("thue-morse"), 30)
+
+
+def _language(table) -> dict:
+    return {c.name: c for c in _language_checks(table)}
+
+
+def test_language_checks_pass_on_the_real_table(tm30):
+    checks = _language(_Served(tm30))
+    assert all(c.ok for c in checks.values()), checks
+
+
+def test_swapped_words_fail_sorted_unique(tm30):
+    level = list(tm30.factors(4))
+    level[2], level[3] = level[3], level[2]
+    check = _language(_Served(tm30, {4: tuple(level)}))["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, "level 4 not sorted/unique")
+
+
+def test_duplicated_word_fails_sorted_unique(tm30):
+    level = tm30.factors(4)
+    served = _Served(tm30, {4: level[:3] + level[2:]})
+    check = _language(served)["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, "level 4 not sorted/unique")
+
+
+@pytest.mark.parametrize("letter", ["z", "\x00"])
+def test_foreign_letter_fails_sorted_unique(tm30, letter):
+    """A letter outside the alphabet is a verdict, not an InputError, whether
+    its code point sits above the keyed letters or among them.  The word is
+    put on the top level, which no extension query reads."""
+    level = tm30.factors(30)
+    served = _Served(tm30, {30: level[:-1] + (level[-1][:-1] + letter,)})
+    check = _language(served)["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, "level 30 has a letter outside the alphabet")
+
+
+def test_dropped_word_fails_closure_and_totals(tm30):
+    level = tm30.factors(5)
+    dropped = level[3]
+    checks = _language(_Served(tm30, {5: level[:3] + level[4:]}))
+    first = next(v for v in tm30.factors(6) if dropped in (v[1:], v[:-1]))
+    closure = checks["prefix-suffix-closure"]
+    assert (closure.ok, closure.detail) == (False, f"{first!r} has a non-factor sub-word")
+    p6 = tm30.complexity(6)
+    left = p6 - len(tm30.left_extensions(dropped))
+    right = p6 - len(tm30.right_extensions(dropped))
+    totals = checks["extension-totals"]
+    assert (totals.ok, totals.detail) == (False, f"extension totals at 5: {left}/{right} != p(6)")
+    assert checks["levels-sorted-unique"].ok and checks["prolongable"].ok
+
+
+def test_empty_extension_set_fails_prolongable(tm30):
+    checks = _language(_Served(tm30, no_left="abab"))
+    prolongable = checks["prolongable"]
+    assert (prolongable.ok, prolongable.detail) == (False, "'abab' is not prolongable")
+    assert not checks["extension-totals"].ok
+
+
+def test_prolongable_and_totals_keep_their_own_first_failure(tm30):
+    """One pass serves both checks; a failure of one at level 5 must not hide
+    a failure of the other at level 10."""
+    level = tm30.factors(5)
+    word = tm30.factors(10)[4]
+    checks = _language(_Served(tm30, {5: level[:3] + level[4:]}, no_left=word))
+    assert checks["prolongable"].detail == f"{word!r} is not prolongable"
+    assert checks["extension-totals"].detail.startswith("extension totals at 5: ")
+
+
+def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
+    """Level 30 is the top level and the scan length: only the prefix oracle
+    can see a word missing there."""
+    level = tm30.factors(30)
+    checks = _language(_Served(tm30, {30: level[:5] + level[6:]}))
+    oracle = checks["oracle-equivalence"]
+    assert (oracle.ok, oracle.detail) == (
+        False, "level 30: table and brute-force prefix scan differ"
+    )
+    assert [name for name, c in checks.items() if not c.ok] == ["oracle-equivalence"]
+
