@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -286,8 +287,17 @@ def cmd_roundtrip(cfg: RunConfig, pairing: str) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form, `-1e-05`, as a value, as
+    argparse already reads `-0.5`, so the range checks can reject it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--fixture", choices=fixture_names(), help="built-in substitution")
     common.add_argument("--config", help="path to a JSON substitution config")
     common.add_argument("--nmax", type=int, help="factor table depth (default 120)")
@@ -302,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="caller asserts the shift is aperiodic; silences the warning",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="shift2iet",
         description="Factor languages, cylinder partitions, and affine approximants "
         "of interval exchanges for primitive substitution shifts",

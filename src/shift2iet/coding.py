@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .ietmap import _grid_sup, build_approximant
-from .language import FactorTable, build_factor_table
+from .language import FactorTable, _window_levels, build_factor_table
 from .substitution import Substitution
 
 _SQRT5 = math.sqrt(5.0)
@@ -340,17 +340,9 @@ def coded_factor_table(
     words = [
         code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
     ]
-    # A length-n window is a prefix of the length-n_max window at the same
-    # start, except the last n_max - n windows of each orbit.
-    last = length - n_max
-    top = {w[i : i + n_max] for w in words for i in range(last + 1)}
     key = str.maketrans({c: chr(i) for i, c in enumerate(coding.letters)})
-    levels = {}
-    for n in range(1, n_max + 1):
-        level = {u[:n] for u in top}
-        level.update(w[i : i + n] for w in words for i in range(last + 1, length - n + 1))
-        levels[n] = tuple(sorted(level, key=lambda u: u.translate(key)))
-    return levels
+    levels = enumerate(_window_levels(words, n_max), 1)
+    return {n: tuple(sorted(level, key=lambda u: u.translate(key))) for n, level in levels}
 
 
 @dataclass

@@ -9,6 +9,7 @@ measure estimates, affine approximants) reads from this table.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import Iterator
 
 import numpy as np
 
@@ -17,6 +18,17 @@ from .substitution import Substitution
 
 # Window letters compared at once when measuring common prefixes.
 _LCP_CHUNK = 1 << 20
+
+
+class _Level:
+    """Level n of the sorted windows: the window ranks where its factors
+    start (`heads`, in level order), their left and right letter masks (only
+    for n < n_max), and a word -> rank map, made by the first per-word query."""
+
+    __slots__ = ("heads", "left", "right", "ranks")
+
+    def __init__(self, heads):
+        self.heads, self.left, self.right, self.ranks = heads, None, None, None
 
 
 class FactorTable:
@@ -33,10 +45,10 @@ class FactorTable:
     of the masks of its run of windows; right extension letters are the
     letters at offset n of that run.
 
-    Strings are made on demand: `factors(n)` and the word -> rank map behind
-    `index_of` and the extension queries are built for a level on first use
-    and then kept, and `left_special`/`right_special` only cut out the special
-    words.  Extension sets are shared frozensets, one per distinct letter mask.
+    Each level is one `_Level` view, built on first use.  Strings are kept only
+    in the word -> rank map of a level that a per-word query has read;
+    `factors(n)` and the special lists cut afresh, and the counts read the
+    masks alone.  Extension sets are shared frozensets, one per letter mask.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
@@ -60,23 +72,16 @@ class FactorTable:
         counts = np.bincount(lcp[1:], minlength=n_max).cumsum()
         self._p = [0] + [1 + c for c in counts.tolist()]
         self._letter_sets: dict[int, frozenset[str]] = {}
-        self._heads = [None] * (n_max + 1)  # level heads, kept for prefix_range
-        self._words = [None] * (n_max + 1)
-        self._ranks = [None] * (n_max + 1)
-        self._left_sets = [None] * n_max
-        self._right_sets = [None] * n_max
-        self._left_special = [None] * n_max
-        self._right_special = [None] * n_max
+        self._levels: list[_Level | None] = [None] * (n_max + 1)
 
     # -- raw access ---------------------------------------------------------
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Sorted tuple of the length-n factors."""
-        self._check_level(n)
-        words = self._words[n]
-        if words is None:
-            words = self._words[n] = self._cut(self._level_heads(n), n)
-        return words
+        level = self._level(n)
+        if level.ranks is not None:
+            return tuple(level.ranks)
+        return self._cut(level.heads, n)
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
@@ -94,41 +99,41 @@ class FactorTable:
 
     def index_of(self, n: int, word: str) -> int:
         """Position of a factor inside the sorted level n."""
-        self._check_level(n)
-        try:
-            return self._level_ranks(n)[word]
-        except KeyError:
-            raise InputError(f"{word!r} is not a length-{n} factor") from None
+        i = self._rank(n, word)
+        if i is None:
+            raise InputError(f"{word!r} is not a length-{n} factor")
+        return i
 
     def left_extensions(self, word: str) -> frozenset[str]:
         """Letters x with x+word a factor.  Known for len(word) < n_max."""
-        return self._extensions(word, self._left_sets, self._left_level_masks)
+        return self._extensions(word, left=True)
 
     def right_extensions(self, word: str) -> frozenset[str]:
         """Letters x with word+x a factor.  Known for len(word) < n_max."""
-        return self._extensions(word, self._right_sets, self._right_level_masks)
+        return self._extensions(word, left=False)
+
+    def extension_counts(self, n: int) -> tuple[list[int], list[int]]:
+        """Numbers of left and of right extensions of the length-n factors,
+        in level order.  Known for n < n_max."""
+        self._check_extension_level(n)
+        level = self._level(n)
+        return tuple([m.bit_count() for m in masks.tolist()] for masks in (level.left, level.right))
 
     # -- special factors ----------------------------------------------------
 
     def left_special(self, n: int) -> tuple[str, ...]:
         """Length-n factors with at least two left extensions, sorted."""
-        self._check_extension_level(n)
-        if self._left_special[n] is None:
-            self._left_special[n] = self._special(self._left_level_masks(n), n)
-        return self._left_special[n]
+        return self._cut(self._special_heads(n, left=True), n)
 
     def right_special(self, n: int) -> tuple[str, ...]:
         """Length-n factors with at least two right extensions, sorted."""
-        self._check_extension_level(n)
-        if self._right_special[n] is None:
-            self._right_special[n] = self._special(self._right_level_masks(n), n)
-        return self._right_special[n]
+        return self._cut(self._special_heads(n, left=False), n)
 
     def left_special_count(self, n: int) -> int:
-        return len(self.left_special(n))
+        return len(self._special_heads(n, left=True))
 
     def right_special_count(self, n: int) -> int:
-        return len(self.right_special(n))
+        return len(self._special_heads(n, left=False))
 
     def persistent_left_special(self, n: int, margin: int | None = None) -> tuple[str, ...]:
         """Left special factors of length n that stay on a left special branch.
@@ -171,9 +176,7 @@ class FactorTable:
         hi = bisect_right(ranks, needle, lo=lo, key=key)
         # lo and hi each start a run of equal length-size prefixes (or are the
         # end), so they are heads at level size and hence at level n >= size.
-        heads = self._heads[n]
-        if heads is None:
-            heads = self._heads[n] = self._level_heads(n)
+        heads = self._level(n).heads
         return int(heads.searchsorted(lo)), int(heads.searchsorted(hi))
 
     def restricted_complexity(self, prefix: str, n: int) -> int:
@@ -196,30 +199,34 @@ class FactorTable:
                 f"extension data exists for lengths 1..{self.n_max - 1}, got {n}"
             )
 
-    def _level_heads(self, n: int) -> np.ndarray:
-        """Window ranks where a length-n factor starts, in level order."""
-        return np.flatnonzero(self._lcp < n)
+    def _level(self, n: int) -> _Level:
+        self._check_level(n)
+        level = self._levels[n]
+        if level is None:
+            heads = np.flatnonzero(self._lcp < n)
+            level = self._levels[n] = _Level(heads)
+            if n < self.n_max:
+                following = self._bits[self._codes[self._positions + n]]
+                level.left = np.bitwise_or.reduceat(self._left_masks, heads)
+                level.right = np.bitwise_or.reduceat(following, heads)
+        return level
 
-    def _level_ranks(self, n: int) -> dict[str, int]:
-        ranks = self._ranks[n]
-        if ranks is None:
-            ranks = self._ranks[n] = {w: i for i, w in enumerate(self.factors(n))}
-        return ranks
+    def _rank(self, n: int, word: str) -> int | None:
+        level = self._level(n)
+        if level.ranks is None:
+            level.ranks = {w: i for i, w in enumerate(self._cut(level.heads, n))}
+        return level.ranks.get(word)
 
     def _cut(self, window_ranks: np.ndarray, n: int) -> tuple[str, ...]:
         text = self._text
         return tuple([text[p : p + n] for p in self._positions[window_ranks].tolist()])
 
-    def _left_level_masks(self, n: int) -> np.ndarray:
-        return np.bitwise_or.reduceat(self._left_masks, self._level_heads(n))
-
-    def _right_level_masks(self, n: int) -> np.ndarray:
-        following = self._bits[self._codes[self._positions + n]]
-        return np.bitwise_or.reduceat(following, self._level_heads(n))
-
-    def _special(self, masks: np.ndarray, n: int) -> tuple[str, ...]:
-        several = np.flatnonzero(masks & (masks - 1))
-        return self._cut(self._level_heads(n)[several], n)
+    def _special_heads(self, n: int, left: bool) -> np.ndarray:
+        """Window ranks of the level-n factors with two or more extensions."""
+        self._check_extension_level(n)
+        level = self._level(n)
+        masks = level.left if left else level.right
+        return level.heads[np.flatnonzero(masks & (masks - 1))]
 
     def _letter_set(self, mask: int) -> frozenset[str]:
         found = self._letter_sets.get(mask)
@@ -230,19 +237,27 @@ class FactorTable:
             )
         return found
 
-    def _extensions(self, word: str, sets: list, level_masks) -> frozenset[str]:
+    def _extensions(self, word: str, left: bool) -> frozenset[str]:
         n = len(word)
-        if not 1 <= n <= self.n_max - 1:
-            raise InputError("extensions are known for lengths 1..n_max-1 only")
-        i = self._level_ranks(n).get(word)
+        self._check_extension_level(n)
+        i = self._rank(n, word)
         if i is None:
             raise InputError(f"{word!r} is not a factor")
-        level = sets[n]
-        if level is None:
-            masks = level_masks(n).tolist()
-            shared = {m: self._letter_set(m) for m in set(masks)}
-            level = sets[n] = list(map(shared.__getitem__, masks))
-        return level[i]
+        level = self._levels[n]
+        return self._letter_set((level.left if left else level.right).item(i))
+
+
+def _window_levels(texts: list[str], cap: int) -> Iterator[set[str]]:
+    """The sets of length-n windows of the texts, for n = 1..cap in turn.
+
+    One scan at length cap: a length-n window is the prefix of the length-cap
+    window at the same start, except in the last cap - n starts of a text.
+    """
+    top = {w[i : i + cap] for w in texts for i in range(len(w) - cap + 1)}
+    for n in range(1, cap + 1):
+        level = {u[:n] for u in top}
+        level.update(w[i : i + n] for w in texts for i in range(len(w) - cap + 1, len(w) - n + 1))
+        yield level
 
 
 def _legal_pairs(substitution: Substitution) -> set[str]:

@@ -8,6 +8,7 @@ enumerations).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,8 @@ from .ietmap import (
     convergence_report,
     limit_intervals,
 )
-from .language import FactorTable, build_factor_table
+from .errors import InputError
+from .language import FactorTable, _window_levels, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
 from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
@@ -102,6 +104,14 @@ def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(module, name, bool(ok), "" if ok else detail)
 
 
+def _left_special(table: FactorTable, word: str) -> bool:
+    """Two or more left extensions, as in `refine_stages`; False for a non-factor."""
+    try:
+        return len(table.left_extensions(word)) >= 2
+    except InputError:
+        return False
+
+
 # -- substitution ------------------------------------------------------------
 
 
@@ -167,7 +177,6 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     out = []
     n_max = table.n_max
     alphabet = table.alphabet.letters
-    levels = [()] + [table.factors(n) for n in range(1, n_max + 1)]
 
     # Letter i is keyed as chr(i), so keyed words compare in alphabet order.
     # A letter outside the alphabet keys to chr(len(alphabet)) or above, and
@@ -178,7 +187,7 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     keyed_letters = dict.fromkeys(range(len(alphabet)))
     ok, detail = True, ""
     for n in range(1, n_max + 1):
-        keyed = [w.translate(key) for w in levels[n]]
+        keyed = [w.translate(key) for w in table.factors(n)]
         if "".join(keyed).translate(keyed_letters):
             ok, detail = False, f"level {n} has a letter outside the alphabet"
             break
@@ -188,32 +197,29 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     out.append(_check("language", "levels-sorted-unique", ok, detail))
 
     ok, detail = True, ""
-    lower = set(levels[1])
+    lower = set(table.factors(1))
     for n in range(2, n_max + 1):
-        for w in levels[n]:
-            if w[1:] not in lower or w[:-1] not in lower:
-                ok, detail = False, f"{w!r} has a non-factor sub-word"
-                break
-        if not ok:
+        level = table.factors(n)
+        w = next((w for w in level if w[1:] not in lower or w[:-1] not in lower), None)
+        if w is not None:
+            ok, detail = False, f"{w!r} has a non-factor sub-word"
             break
-        lower = set(levels[n])
+        lower = set(level)
     out.append(_check("language", "prefix-suffix-closure", ok, detail))
 
     growth = [table.complexity(n) for n in range(1, n_max + 1)]
     ok = all(a <= b for a, b in zip(growth, growth[1:]))
     out.append(_check("language", "complexity-nondecreasing", ok, f"counts {growth[:20]}..."))
 
-    # prolongable and extension-totals read the same extension sets: one pass.
+    # prolongable and extension-totals read the same extension counts: one pass.
     prolongable, prolongable_detail = True, ""
     totals, totals_detail = True, ""
     for n in range(1, n_max):
-        level = levels[n]
-        lefts = list(map(table.left_extensions, level))
-        rights = list(map(table.right_extensions, level))
+        lefts, rights = table.extension_counts(n)
         if prolongable and not (all(lefts) and all(rights)):
-            w = next(w for w, l, r in zip(level, lefts, rights) if not l or not r)
+            w = next(w for w, l, r in zip(table.factors(n), lefts, rights) if not l or not r)
             prolongable, prolongable_detail = False, f"{w!r} is not prolongable"
-        total_l, total_r = sum(map(len, lefts)), sum(map(len, rights))
+        total_l, total_r = sum(lefts), sum(rights)
         if totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
             totals, totals_detail = False, f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
         if not (prolongable or totals):
@@ -223,18 +229,15 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
 
     ok, detail = True, ""
     for n in range(2, min(n_max - 1, 40) + 1):
-        lower = set(table.left_special(n - 1))
-        for w in table.left_special(n):
-            if w[:-1] not in lower:
-                ok, detail = False, f"left special {w!r} with non-special prefix"
-                break
-        if not ok:
+        w = next((w for w in table.left_special(n) if not _left_special(table, w[:-1])), None)
+        if w is not None:
+            ok, detail = False, f"left special {w!r} with non-special prefix"
             break
     out.append(_check("language", "left-special-prefix-closure", ok, detail))
 
     ok, detail = True, ""
     for m in range(1, min(6, n_max - 1) + 1):
-        for u in levels[m]:
+        for u in table.factors(m):
             for n in range(m + 1, min(20, n_max) + 1):
                 spread = sum(table.restricted_complexity(a + u, n) for a in alphabet)
                 base = table.restricted_complexity(u, n - 1)
@@ -248,18 +251,12 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "left-extension-count-window", ok, detail))
 
-    # Every length-n window of the prefix is a prefix of the length-cap window
-    # at the same start, except the last cap - n windows: one scan at cap.
     cap = min(n_max, 30)
     seed, power = table.substitution.fixed_point_seed()
     prefix = table.substitution.power(power).fixed_point_prefix(seed, 10 * cap * cap)
-    last = len(prefix) - cap
-    top = {prefix[i : i + cap] for i in range(last + 1)}
     ok, detail = True, ""
-    for n in range(1, cap + 1):
-        seen = {w[:n] for w in top}
-        seen.update(prefix[i : i + n] for i in range(last + 1, len(prefix) - n + 1))
-        if seen != set(levels[n]):
+    for n, seen in enumerate(_window_levels([prefix], cap), 1):
+        if seen != set(table.factors(n)):
             ok, detail = False, f"level {n}: table and brute-force prefix scan differ"
             break
     out.append(_check("language", "oracle-equivalence", ok, detail))
@@ -297,11 +294,9 @@ def _partition_checks(
         if table.left_extensions(u) != frozenset(c.word[0]):
             ok, detail = False, f"{c.word!r}: tail has extensions {set(table.left_extensions(u))}"
             break
-        for j in range(1, len(u)):
-            if u[:j] not in set(table.left_special(j)):
-                ok, detail = False, f"{c.word!r}: inner prefix {u[:j]!r} not left special"
-                break
-        if not ok:
+        inner = next((u[:j] for j in range(1, len(u)) if not _left_special(table, u[:j])), None)
+        if inner is not None:
+            ok, detail = False, f"{c.word!r}: inner prefix {inner!r} not left special"
             break
     out.append(_check("partition", "emitted-shape", ok, detail))
 
@@ -317,8 +312,7 @@ def _partition_checks(
     )
     out.append(_check("partition", "pairwise-non-prefix", clash is None, f"prefix pair {clash}"))
 
-    special = set(table.left_special(depth_cap - 1))
-    ok = all(len(u) == depth_cap and u[1:] in special for u in result.unresolved)
+    ok = all(len(u) == depth_cap and _left_special(table, u[1:]) for u in result.unresolved)
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
     ok, detail = True, ""
@@ -476,14 +470,12 @@ def _ietmap_checks(
         )
     )
 
-    hits: dict[int, int] = {}
-    for piece in amap.pieces:
-        hits[piece.target_index] = hits.get(piece.target_index, 0) + 1
+    hits = Counter(piece.target_index for piece in amap.pieces)
     ok, detail = True, ""
-    for j, u in enumerate(table.factors(level - 1)):
-        want = len(table.left_extensions(u)) if level - 1 < table.n_max else None
-        if want is not None and hits.get(j, 0) != want:
-            ok, detail = False, f"target {u!r} covered {hits.get(j, 0)} times, expected {want}"
+    for j, want in enumerate(table.extension_counts(level - 1)[0]):
+        if hits[j] != want:
+            u = table.factors(level - 1)[j]
+            ok, detail = False, f"target {u!r} covered {hits[j]} times, expected {want}"
             break
     ok = ok and sum(hits.values()) == p_n
     out.append(_check("ietmap", "target-coverage", ok, detail))

@@ -184,3 +184,12 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "shift2iet" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["-0.5", "-1e-05", "-2.5E+3"])
+def test_negative_epsilon_is_an_input_error_in_every_notation(tmp_path, capsys, value):
+    """A separate `-1e-05` token is the value of --epsilon, not an unknown option."""
+    argv = ["plot", *FIB, "--epsilon", value, "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: --epsilon must be positive")

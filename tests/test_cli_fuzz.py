@@ -76,12 +76,13 @@ def test_analyze_random_config_exits_cleanly(config, n_max):
 
 
 def _flag(name, values):
-    """An absent flag, or the flag with a drawn value.
-
-    The value is joined with `=`: argparse reads a separate `-1e-05` as an
-    option, not as a value.
-    """
-    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+    """An absent flag, or the flag with a drawn value, joined with `=` or as
+    a separate token (argparse must read `-1e-05` there as a value)."""
+    return st.one_of(
+        st.just([]),
+        values.map(lambda v: [f"{name}={v}"]),
+        values.map(lambda v: [name, str(v)]),
+    )
 
 
 @st.composite
@@ -96,24 +97,27 @@ def level_flags(draw):
     ]
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from(["verify", "partition"]),
-    st.sampled_from(fixture_names()),
-    level_flags(),
-)
-@example("verify", "fibonacci", ["--nmax=4", "--depth=2"])
+COMMANDS = [["verify"], ["partition"], ["measures"], ["approx"], ["plot"], ["roundtrip", "fibonacci"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COMMANDS), st.sampled_from(fixture_names()), level_flags())
+@example(["verify"], "fibonacci", ["--nmax=4", "--depth=2"])
+@example(["plot"], "thue-morse", ["--epsilon", "-1e-05"])
 def test_verify_and_partition_random_flags_exit_cleanly(command, fixture, flags):
-    """Exit 1 is a verdict, not a crash: Fibonacci `verify --nmax 4 --depth 2`
-    fails measure.letter-estimates-settled at its 1/20 tolerance."""
+    """Every subcommand but analyze (fuzzed above with random configs).
+
+    Exit 1 is a verdict, not a crash: Fibonacci `verify --nmax 4 --depth 2`
+    fails measure.letter-estimates-settled at its 1/20 tolerance, and
+    `roundtrip fibonacci` on another fixture finds a mismatching factor."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
-        argv = [command, "--fixture", fixture, *flags, "--out", tmp, "--assert-aperiodic"]
+        argv = [*command, "--fixture", fixture, *flags, "--out", tmp, "--assert-aperiodic"]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert "Traceback" not in err.getvalue()
         assert code in (0, 1, 2), (argv, code)
         if code == 1:
-            assert command == "verify" and "FAIL " in out.getvalue(), argv
+            assert command[0] in ("verify", "roundtrip") and "FAIL " in out.getvalue(), argv
         if code == 2:
             assert err.getvalue().startswith("error: "), (argv, err.getvalue())

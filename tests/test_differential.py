@@ -80,6 +80,10 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
             break
         assert renamed(table.left_special(n)) == oracles.left_special(levels, n)
         assert renamed(table.right_special(n)) == oracles.right_special(levels, n)
+        assert table.extension_counts(n) == (
+            [len(oracles.left_extensions(levels, w)) for w in level],
+            [len(oracles.right_extensions(levels, w)) for w in level],
+        )
         for w in table.factors(n):
             rw = w.translate(rename)
             assert sorted(renamed(table.left_extensions(w))) == oracles.left_extensions(levels, rw)

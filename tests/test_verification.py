@@ -1,9 +1,12 @@
 """The aggregated invariant suites and their report format."""
 
+import tracemalloc
+
 import pytest
 
-from shift2iet import build_factor_table, fixture_names, get_fixture, run_verification
-from shift2iet.verification import _language_checks
+from shift2iet import build_factor_table, fixture_names, get_fixture, measure_table, refine, run_verification
+from shift2iet.partition import Cylinder, PartitionResult
+from shift2iet.verification import _language_checks, _partition_checks
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,15 @@ class _Served:
         if word == self._no_left:
             return frozenset()
         return self._table.left_extensions(word)
+
+    def extension_counts(self, n):
+        """Counted over the served level with the served left extensions, so
+        both corruptions reach the bulk read."""
+        words = self.factors(n)
+        return (
+            [len(self.left_extensions(w)) for w in words],
+            [len(self._table.right_extensions(w)) for w in words],
+        )
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +179,31 @@ def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
     )
     assert [name for name, c in checks.items() if not c.ok] == ["oracle-equivalence"]
 
+
+def test_language_checks_keep_no_level_of_strings():
+    """The suite holds at most two levels as strings.  At Thue-Morse depth 160
+    every level together is sum n*p(n) = 4.28M characters, and a suite that
+    kept them all peaked at 8.5 MiB traced; one that does not stays near 1 MiB."""
+    table = build_factor_table(get_fixture("thue-morse"), 160)
+    tracemalloc.start()
+    try:
+        checks = _language_checks(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert peak < 4 * 2**20, peak
+
+
+def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
+    """`baab` passes the tail test (`aab` has the one left extension b), but its
+    inner prefix `aa` is not left special.  An unresolved word whose tail is no
+    factor at all fails too, as a verdict and not an InputError."""
+    result = refine(tm30, 8)
+    cylinders = result.cylinders + [Cylinder(len(result.cylinders) + 1, "baab", 3)]
+    bad = PartitionResult(cylinders, ["a" * 8] + result.unresolved[1:], 8)
+    mt = measure_table(tm30, bad.cylinder_words(), 30)
+    checks = {c.name: c for c in _partition_checks(tm30, bad, mt)}
+    shape = checks["emitted-shape"]
+    assert (shape.ok, shape.detail) == (False, "'baab': inner prefix 'aa' not left special")
+    assert not checks["unresolved-shape"].ok
