@@ -8,27 +8,24 @@ measure estimates, affine approximants) reads from this table.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice, pairwise
 from typing import Iterator
-
-import numpy as np
 
 from .errors import InputError
 from .substitution import Substitution
 
-# Window letters compared at once when measuring common prefixes.
-_LCP_CHUNK = 1 << 20
-
 
 class _Level:
     """Level n of the sorted windows: the window ranks where its factors
-    start (`heads`, in level order), their left and right letter masks (only
-    for n < n_max), and a word -> rank map, made by the first per-word query."""
+    start (`heads`, in level order) and a word -> rank map, made by the first
+    per-word query."""
 
-    __slots__ = ("heads", "left", "right", "ranks")
+    __slots__ = ("heads", "ranks")
 
-    def __init__(self, heads):
-        self.heads, self.left, self.right, self.ranks = heads, None, None, None
+    def __init__(self, heads: array):
+        self.heads, self.ranks = heads, None
 
 
 class FactorTable:
@@ -37,25 +34,50 @@ class FactorTable:
     The table keeps the distinct length-n_max factors once, as start positions
     into a short harvested text, sorted in alphabet order, together with the
     length of the common prefix of each of them and its predecessor in that
-    order (`lcp`) and a bit mask of the letters that may precede it.  Level n
-    is read off that order: a new length-n factor starts wherever the common
-    prefix is shorter than n, so p(n) is 1 plus the number of lcp values below
-    n, and factor i of level n is the first n letters of the window at the
-    i-th such rank.  Left extension letters of a level-n factor are the union
-    of the masks of its run of windows; right extension letters are the
-    letters at offset n of that run.
+    order (`lcp`, with lcp[0] = 0) and a bit mask of the letters that may
+    precede it.  Level n is read off that order: a new length-n factor starts
+    wherever the common prefix is shorter than n, so p(n) is 1 plus the number
+    of lcp values below n, and factor i of level n is the first n letters of
+    the window at the i-th such rank.
+
+    Extension data comes from the lcp-interval tree of this order (Abouelhoda,
+    Kurtz & Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
+    2004).  Write W for the number of windows and lcp[W] = 0.  A run of ranks
+    [a, b) is one factor of level n exactly when lcp[a] < n, lcp[b] < n and
+    every lcp[i] with a < i < b is at least n, that is, when lo < n <= hi with
+    lo = max(lcp[a], lcp[b]) and hi the least interior lcp (n_max for a
+    single window).  Such a run is an lcp-interval and its parent's value is
+    lo, so each node of the tree is the same factor run at every level of
+    (lo, hi], and the nodes alive at one level are disjoint.  On a node:
+
+    - the left letters are the union of its windows' masks at every level it
+      lives, so it is left special at all of them or at none;
+    - the letters at offset n are one letter for n < hi (the windows share hi
+      letters), and for n = hi < n_max the letters at offset hi of its
+      children, at least two since neighbouring children differ there; so an
+      inner node is right special at level hi alone, and a single window
+      never is.
+
+    The build makes one stack pass over the lcp list.  It puts each left
+    special node in the special list of every level it lives at and each inner
+    node in the right special list of level hi; a pass closes disjoint nodes
+    left to right, so each list is in level order.  Every special factor of
+    length n adds at least one to p(n+1) - p(n), so all the lists together
+    hold at most 2 p(n_max) entries, and the special queries cost their
+    output.  The inner nodes are kept by their run, which a per-word query
+    finds from the word's rank.
 
     Each level is one `_Level` view, built on first use.  Strings are kept only
     in the word -> rank map of a level that a per-word query has read;
-    `factors(n)` and the special lists cut afresh, and the counts read the
-    masks alone.  Extension sets are shared frozensets, one per letter mask.
+    `factors(n)` and the special lists cut afresh.  Extension sets are shared
+    frozensets, one per letter mask.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
     lengths strictly below n_max, because they are read off the next level.
     """
 
-    def __init__(self, substitution: Substitution, n_max: int, text: str, keyed: str, codes, positions, lcp, left_masks):
+    def __init__(self, substitution: Substitution, n_max: int, text: str, keyed: str, positions, lcp, left_masks):
         self.substitution = substitution
         self.alphabet = substitution.alphabet
         self.n_max = n_max
@@ -63,16 +85,34 @@ class FactorTable:
         self._letter_key = {a: chr(i) for i, a in enumerate(letters)}
         self._text = text  # harvested text in the alphabet's letters
         self._keyed = keyed  # the same text with letter i written as chr(i)
-        self._codes = codes  # letter indices of the text, as an array
         self._positions = positions  # start of each distinct window, sorted order
-        self._position_list = positions.tolist()
         self._lcp = lcp  # common prefix with the previous window; lcp[0] = 0
         self._left_masks = left_masks
-        self._bits = np.array([1 << i for i in range(len(letters))], dtype=left_masks.dtype)
-        counts = np.bincount(lcp[1:], minlength=n_max).cumsum()
-        self._p = [0] + [1 + c for c in counts.tolist()]
+        # Ranks i >= 1 by lcp[i]: the heads of level n + 1 are those of level
+        # n plus splits[n].
+        self._splits = [[] for _ in range(n_max)]
+        for i, v in enumerate(islice(lcp, 1, None), 1):
+            self._splits[v].append(i)
+        self._p = list(accumulate(map(len, self._splits), initial=1))
         self._letter_sets: dict[int, frozenset[str]] = {}
         self._levels: list[_Level | None] = [None] * (n_max + 1)
+        # Per level n < n_max: (window rank, number of extensions) of each
+        # special factor, in level order.
+        self._left_special = [[] for _ in range(n_max)]
+        self._right_special = [[] for _ in range(n_max)]
+        self._inner: dict[tuple[int, int], tuple[int, int, int]] = {}  # run -> hi, masks
+
+        def branch(i, h):  # letters at offset h of windows i and i + 1
+            return 1 << ord(keyed[positions[i] + h]) | 1 << ord(keyed[positions[i + 1] + h])
+
+        for a, b, lo, hi, left, right in _lcp_intervals(lcp, left_masks, branch, n_max):
+            if b - a > 1:
+                self._inner[a, b] = (hi, left, right)
+                self._right_special[hi].append((a, right.bit_count()))
+            count = left.bit_count()
+            if count > 1:
+                for n in range(lo + 1, min(hi, n_max - 1) + 1):
+                    self._left_special[n].append((a, count))
 
     # -- raw access ---------------------------------------------------------
 
@@ -116,8 +156,14 @@ class FactorTable:
         """Numbers of left and of right extensions of the length-n factors,
         in level order.  Known for n < n_max."""
         self._check_extension_level(n)
-        level = self._level(n)
-        return tuple([m.bit_count() for m in masks.tolist()] for masks in (level.left, level.right))
+        heads = self._level(n).heads
+        out = []
+        for special in (self._left_special[n], self._right_special[n]):
+            counts = [1] * len(heads)
+            for a, count in special:
+                counts[bisect_left(heads, a)] = count
+            out.append(counts)
+        return tuple(out)
 
     # -- special factors ----------------------------------------------------
 
@@ -130,10 +176,12 @@ class FactorTable:
         return self._cut(self._special_heads(n, left=False), n)
 
     def left_special_count(self, n: int) -> int:
-        return len(self._special_heads(n, left=True))
+        self._check_extension_level(n)
+        return len(self._left_special[n])
 
     def right_special_count(self, n: int) -> int:
-        return len(self._special_heads(n, left=False))
+        self._check_extension_level(n)
+        return len(self._right_special[n])
 
     def persistent_left_special(self, n: int, margin: int | None = None) -> tuple[str, ...]:
         """Left special factors of length n that stay on a left special branch.
@@ -165,7 +213,7 @@ class FactorTable:
             needle = "".join([self._letter_key[c] for c in prefix])
         except KeyError as e:
             raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
-        keyed, positions = self._keyed, self._position_list
+        keyed, positions = self._keyed, self._positions
 
         def key(rank):
             start = positions[rank]
@@ -177,7 +225,7 @@ class FactorTable:
         # lo and hi each start a run of equal length-size prefixes (or are the
         # end), so they are heads at level size and hence at level n >= size.
         heads = self._level(n).heads
-        return int(heads.searchsorted(lo)), int(heads.searchsorted(hi))
+        return bisect_left(heads, lo), bisect_left(heads, hi)
 
     def restricted_complexity(self, prefix: str, n: int) -> int:
         """Number of length-n factors that start with the given word.
@@ -203,12 +251,10 @@ class FactorTable:
         self._check_level(n)
         level = self._levels[n]
         if level is None:
-            heads = np.flatnonzero(self._lcp < n)
+            lower = self._levels[n - 1]  # _levels[0] stays None
+            base = lower.heads if lower is not None else chain([0], *self._splits[: n - 1])
+            heads = array("i", sorted(chain(base, self._splits[n - 1])))
             level = self._levels[n] = _Level(heads)
-            if n < self.n_max:
-                following = self._bits[self._codes[self._positions + n]]
-                level.left = np.bitwise_or.reduceat(self._left_masks, heads)
-                level.right = np.bitwise_or.reduceat(following, heads)
         return level
 
     def _rank(self, n: int, word: str) -> int | None:
@@ -217,16 +263,14 @@ class FactorTable:
             level.ranks = {w: i for i, w in enumerate(self._cut(level.heads, n))}
         return level.ranks.get(word)
 
-    def _cut(self, window_ranks: np.ndarray, n: int) -> tuple[str, ...]:
+    def _cut(self, window_ranks, n: int) -> tuple[str, ...]:
         text = self._text
-        return tuple([text[p : p + n] for p in self._positions[window_ranks].tolist()])
+        return tuple([text[p : p + n] for p in map(self._positions.__getitem__, window_ranks)])
 
-    def _special_heads(self, n: int, left: bool) -> np.ndarray:
+    def _special_heads(self, n: int, left: bool) -> list[int]:
         """Window ranks of the level-n factors with two or more extensions."""
         self._check_extension_level(n)
-        level = self._level(n)
-        masks = level.left if left else level.right
-        return level.heads[np.flatnonzero(masks & (masks - 1))]
+        return [a for a, _ in (self._left_special if left else self._right_special)[n]]
 
     def _letter_set(self, mask: int) -> frozenset[str]:
         found = self._letter_sets.get(mask)
@@ -243,8 +287,48 @@ class FactorTable:
         i = self._rank(n, word)
         if i is None:
             raise InputError(f"{word!r} is not a factor")
-        level = self._levels[n]
-        return self._letter_set((level.left if left else level.right).item(i))
+        heads = self._levels[n].heads
+        a = heads[i]
+        b = heads[i + 1] if i + 1 < len(heads) else len(self._lcp)
+        if b - a == 1:
+            hi, mask, branch = self.n_max, self._left_masks[a], 0
+        else:
+            hi, mask, branch = self._inner[a, b]
+        if not left:
+            mask = branch if n == hi else 1 << ord(self._keyed[self._positions[a] + n])
+        return self._letter_set(mask)
+
+
+def _lcp_intervals(lcp, masks, branch, depth: int):
+    """The nodes of the lcp-interval tree of the sorted windows, bottom up.
+
+    Yields (a, b, lo, hi, left, right) for every node [a, b) with hi >= 1:
+    lo and hi bound the levels it lives at (see `FactorTable`), `left` is the
+    union of its windows' left-letter masks and `right` the mask of the
+    letters at offset hi of its windows (0 for a single window, whose hi is
+    `depth`).  `branch(i, h)` gives the letters at offset h of windows i and
+    i + 1.  Nodes come in post-order, so disjoint nodes come left to right.
+    """
+    size = len(lcp)
+    stack = []  # open inner nodes [h, a, left, right], h increasing upwards
+    for i in range(size):
+        v = lcp[i + 1] if i + 1 < size else -1  # -1 closes every node
+        node = [depth, i, masks[i], 0]
+        while True:
+            h, a, left, right = node
+            if h:
+                yield a, i + 1, max(lcp[a], v), h, left, right
+            if not stack or stack[-1][0] <= v:
+                break
+            node = stack.pop()
+            node[2] |= left
+        if v < 0:
+            break
+        if stack and stack[-1][0] == v:
+            stack[-1][2] |= left
+        else:
+            stack.append([v, a, left, 0])
+        stack[-1][3] |= branch(i, v)
 
 
 def _window_levels(texts: list[str], cap: int) -> Iterator[set[str]]:
@@ -302,10 +386,13 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
     n and its right extensions.  No step stops on "nothing new appeared".
 
     The windows are deduplicated, sorted in alphabet order and kept as start
-    positions plus the common prefix length of each with its predecessor,
-    measured with numpy over the letter codes (see `FactorTable`); no level is
-    stored as strings.  For Rudin-Shapiro at n_max = 200 the text is 8
-    legal pairs of 256-letter blocks, 4096 letters in all.
+    positions plus the common prefix length of each with its predecessor: the
+    two keyed windows read as big-endian integers, one byte per letter (four
+    past 256 letters), differ first in the letter that holds the top set bit
+    of their xor.  The special lists and the runs of the lcp-interval tree
+    come from one pass over those lengths (see `FactorTable`); no level is
+    stored as strings.  For Rudin-Shapiro at n_max = 200 the text is 8 legal
+    pairs of 256-letter blocks, 4096 letters in all.
     """
     if n_max <= 0:
         raise InputError("n_max must be >= 1")
@@ -340,18 +427,13 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
                 seen[1] |= bit
         start += len(blocks[x]) + len(blocks[y])
     ordered = sorted(first)
-    positions = np.array([first[w][0] for w in ordered], dtype=np.int32)
-    # One bit per letter; past 64 letters the masks stay Python integers.
-    mask_type = np.min_scalar_type(1 << (len(letters) - 1))
-    left_masks = np.array([first[w][1] for w in ordered], dtype=mask_type)
-    del first, ordered
+    positions = [first[w][0] for w in ordered]
+    left_masks = [first[w][1] for w in ordered]
+    del first
 
-    codes = np.frombuffer(keyed.encode("utf-32-le"), dtype=np.uint32)
-    windows = np.lib.stride_tricks.sliding_window_view(codes, n_max)
-    lcp = np.zeros(len(positions), dtype=np.int32)
-    step = max(1, _LCP_CHUNK // n_max)
-    for lo in range(1, len(positions), step):
-        hi = min(lo + step, len(positions))
-        differ = windows[positions[lo:hi]] != windows[positions[lo - 1 : hi - 1]]
-        lcp[lo:hi] = differ.argmax(axis=1)
-    return FactorTable(substitution, n_max, text, keyed, codes, positions, lcp, left_masks)
+    encoding, width = ("latin-1", 8) if len(letters) <= 256 else ("utf-32-be", 32)
+    values = (int.from_bytes(w.encode(encoding), "big") for w in ordered)
+    lcp = array("i", [0])
+    lcp.extend(n_max - 1 - ((x ^ y).bit_length() - 1) // width for x, y in pairwise(values))
+    del ordered
+    return FactorTable(substitution, n_max, text, keyed, positions, lcp, left_masks)

@@ -9,11 +9,14 @@ produces fixed-point prefixes, and computes Perron letter frequencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from functools import reduce
+from operator import mul, or_
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Alphabet:
@@ -115,34 +118,41 @@ class Substitution:
             images = {a: self.apply(w) for a, w in images.items()}
         return Substitution(self.alphabet, images)
 
-    def incidence_matrix(self) -> np.ndarray:
-        """Square count matrix: entry (i, j) = occurrences of letter i in the image of letter j.
+    def incidence_rows(self) -> list[list[int]]:
+        """Square count matrix as rows: entry [i][j] = occurrences of letter i in the image of letter j.
 
         Column sums equal image lengths.
         """
-        m = len(self.alphabet)
-        mat = np.zeros((m, m), dtype=np.int64)
+        index = self.alphabet.index
+        rows = [[0] * len(self.alphabet) for _ in self.alphabet]
         for j, a in enumerate(self.alphabet):
             for c in self.images[a]:
-                mat[self.alphabet.index(c), j] += 1
-        return mat
+                rows[index(c)][j] += 1
+        return rows
+
+    def incidence_matrix(self) -> np.ndarray:
+        """`incidence_rows` as an int64 numpy array; the one numpy consumer of the package."""
+        import numpy as np
+
+        return np.array(self.incidence_rows(), dtype=np.int64)
 
     def primitivity(self) -> PrimitivityResult:
         """Decide primitivity: some power of the incidence matrix is entrywise positive.
 
         The search stops at the sharp bound (m-1)^2 + 1 for m letters, so the
         answer is exact, not a heuristic.  witness_power is the least positive
-        power, or None when not primitive.
+        power, or None when not primitive.  Row i of a power is kept as the bit
+        set of its positive columns; row i of M^(k+1) = M M^k is the union of
+        the rows l of M^k with M[i][l] > 0.
         """
         m = len(self.alphabet)
-        reach = self.incidence_matrix() > 0
-        bound = (m - 1) ** 2 + 1
-        step = reach.astype(np.int8)
-        current = reach
-        for k in range(1, bound + 1):
-            if current.all():
+        support = [[l for l, count in enumerate(row) if count] for row in self.incidence_rows()]
+        full = (1 << m) - 1
+        current = [sum(1 << j for j in cols) for cols in support]
+        for k in range(1, (m - 1) ** 2 + 2):
+            if all(row == full for row in current):
                 return PrimitivityResult(True, k)
-            current = (current.astype(np.int8) @ step) > 0
+            current = [reduce(or_, map(current.__getitem__, cols), 0) for cols in support]
         return PrimitivityResult(False, None)
 
     def fixed_point_prefix(self, seed: str, min_len: int) -> str:
@@ -191,16 +201,17 @@ class Substitution:
         """
         if not self.primitivity().primitive:
             raise InputError("perron frequencies need a primitive substitution")
-        mat = self.incidence_matrix().astype(np.float64)
-        v = np.full(len(self.alphabet), 1.0 / len(self.alphabet))
+        rows = self.incidence_rows()
+        v = [1.0 / len(self.alphabet)] * len(self.alphabet)
         for _ in range(10000):
-            w = mat @ v
-            w /= w.sum()
-            if np.abs(w - v).max() < 1e-15:
-                v = w
-                break
+            w = [sum(map(mul, row, v)) for row in rows]
+            total = sum(w)
+            w = [x / total for x in w]
+            settled = max(abs(x - y) for x, y in zip(w, v)) < 1e-15
             v = w
-        return {a: float(v[i]) for i, a in enumerate(self.alphabet)}
+            if settled:
+                break
+        return dict(zip(self.alphabet, v))
 
 
 def parse_substitution(obj: dict) -> Substitution:

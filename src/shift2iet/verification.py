@@ -125,8 +125,7 @@ def _substitution_checks(sub: Substitution) -> list[CheckResult]:
     )
     out.append(_check("substitution", "morphism-law", bad is None, f"split at {bad}"))
 
-    mat = sub.incidence_matrix()
-    cols = [int(mat[:, j].sum()) for j in range(len(letters))]
+    cols = [sum(column) for column in zip(*sub.incidence_rows())]
     lens = [len(sub.images[a]) for a in letters]
     out.append(
         _check("substitution", "incidence-column-sums", cols == lens, f"{cols} != {lens}")

@@ -92,6 +92,17 @@ def right_extensions(levels: dict, word: str) -> list[str]:
     return sorted({w[-1] for w in levels[n + 1] if w[:-1] == word})
 
 
+def extension_sets(levels: dict, n: int) -> tuple[list[list[str]], list[list[str]]]:
+    """Sorted left and right extension letters of every length-n factor, in
+    level order, from one scan of level n + 1."""
+    left: dict[str, set] = {}
+    right: dict[str, set] = {}
+    for w in levels[n + 1]:
+        left.setdefault(w[1:], set()).add(w[0])
+        right.setdefault(w[:-1], set()).add(w[-1])
+    return [sorted(left[u]) for u in levels[n]], [sorted(right[u]) for u in levels[n]]
+
+
 def prefix_count(levels: dict, prefix: str, n: int) -> int:
     return sum(1 for w in levels[n] if w.startswith(prefix))
 

@@ -186,6 +186,29 @@ def test_console_script_smoke():
     assert "shift2iet" in proc.stdout
 
 
+_NO_NUMPY_SCRIPT = """
+import json, sys
+from shift2iet.cli import main
+fib = ["--fixture", "fibonacci", "--nmax", "40", "--assert-aperiodic", "--out", sys.argv[1]]
+runs = [[command, *fib] for command in ("analyze", "partition", "measures", "approx", "plot")]
+runs.append(["verify", "--fixture", "thue-morse", "--nmax", "30", "--depth", "10",
+             "--assert-aperiodic", "--out", sys.argv[1]])
+runs.append(["roundtrip", "fibonacci", "--nmax", "30", "--grid", "200", "--assert-aperiodic"])
+codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_commands_never_import_numpy(tmp_path):
+    """numpy serves `Substitution.incidence_matrix` alone, so no command pays
+    for loading it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 7, "numpy": False}
+
+
 @pytest.mark.parametrize("value", ["-0.5", "-1e-05", "-2.5E+3"])
 def test_negative_epsilon_is_an_input_error_in_every_notation(tmp_path, capsys, value):
     """A separate `-1e-05` token is the value of --epsilon, not an unknown option."""

@@ -214,3 +214,29 @@ def test_every_factor_extends_and_embeds(name, n):
         assert w[1:] in below or n == 1
         assert any(w + a in above for a in table.alphabet.letters)
         assert any(a + w in above for a in table.alphabet.letters)
+
+
+@pytest.mark.parametrize("m", [70, 300])
+def test_large_alphabets_match_oracle(m):
+    """Past 64 letters the left-letter masks are wider than a machine word;
+    past 256 the keyed letters take four bytes each when common prefixes are
+    measured.  Letters are declared in code point order, the oracle's order."""
+    letters = [chr(0x100 + i) for i in range(m)]
+    rules = {x: x + letters[(i + 1) % m] + letters[(i * i + 3) % m] for i, x in enumerate(letters)}
+    depth = 5
+    levels = oracles.factor_levels(rules, depth)
+    table = build_factor_table(parse_substitution({"alphabet": letters, "rules": rules}), depth)
+    wide = False
+    for n in range(1, depth + 1):
+        assert list(table.factors(n)) == levels[n]
+        assert table.complexity(n) == len(levels[n])
+        if n == depth:
+            break
+        assert list(table.left_special(n)) == oracles.left_special(levels, n)
+        assert list(table.right_special(n)) == oracles.right_special(levels, n)
+        lefts, rights = oracles.extension_sets(levels, n)
+        assert table.extension_counts(n) == ([len(x) for x in lefts], [len(x) for x in rights])
+        assert [sorted(table.left_extensions(w)) for w in levels[n]] == lefts
+        assert [sorted(table.right_extensions(w)) for w in levels[n]] == rights
+        wide = wide or any(ord(x) - 0x100 >= 64 for w in table.left_special(n) for x in table.left_extensions(w))
+    assert wide

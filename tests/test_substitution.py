@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shift2iet import (
@@ -54,8 +54,11 @@ def test_parse_substitution_shape_errors():
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_incidence_columns_sum_to_image_lengths(name):
+    """The numpy matrix is the pure incidence rows."""
     sub = get_fixture(name)
     mat = sub.incidence_matrix()
+    assert isinstance(mat, np.ndarray) and mat.dtype == np.int64
+    assert mat.tolist() == sub.incidence_rows()
     for j, a in enumerate(sub.alphabet):
         assert mat[:, j].sum() == len(sub.images[a])
 
@@ -146,3 +149,45 @@ def test_morphism_law_on_random_words(name, data):
     v = "".join(data.draw(st.lists(st.sampled_from(letters), max_size=8)))
     assert sub.apply(u + v) == sub.apply(u) + sub.apply(v)
     assert sub.apply(u) == apply_rules(dict(sub.images), u)
+
+
+@st.composite
+def substitutions(draw):
+    """Any substitution on 2-6 letters: reducible, imprimitive and primitive."""
+    letters = "abcdef"[: draw(st.integers(min_value=2, max_value=6))]
+    rules = {x: draw(st.text(alphabet=letters, min_size=1, max_size=4)) for x in letters}
+    return parse_substitution({"alphabet": list(letters), "rules": rules})
+
+
+def _rules(rules):
+    return parse_substitution({"alphabet": sorted(rules), "rules": rules})
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+@example(_rules({"a": "b", "b": "a"}))  # irreducible, period 2
+@example(_rules({"a": "bc", "b": "c", "c": "a"}))  # primitive, least power 5
+def test_primitivity_matches_numpy_matrix_powers(sub):
+    """The bit-set powers against numpy's.  Floats hold the path counts,
+    which pass int64 by the bound at six letters; a positive count stays
+    positive."""
+    m = len(sub.alphabet)
+    mat = sub.incidence_matrix().astype(float)
+    positive = [
+        k for k in range(1, (m - 1) ** 2 + 2) if (np.linalg.matrix_power(mat, k) > 0).all()
+    ]
+    assert sub.primitivity() == ((True, positive[0]) if positive else (False, None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+def test_perron_frequencies_match_numpy_eigenvector(sub):
+    if not sub.primitivity().primitive:
+        with pytest.raises(InputError):
+            sub.perron_frequencies()
+        return
+    values, vectors = np.linalg.eig(sub.incidence_matrix().astype(float))
+    vec = np.abs(vectors[:, np.argmax(values.real)].real)
+    vec /= vec.sum()
+    freqs = sub.perron_frequencies()
+    assert max(abs(freqs[a] - vec[i]) for i, a in enumerate(sub.alphabet)) <= 1e-12
