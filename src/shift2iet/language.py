@@ -251,9 +251,7 @@ class FactorTable:
         self._check_level(n)
         level = self._levels[n]
         if level is None:
-            lower = self._levels[n - 1]  # _levels[0] stays None
-            base = lower.heads if lower is not None else chain([0], *self._splits[: n - 1])
-            heads = array("i", sorted(chain(base, self._splits[n - 1])))
+            heads = array("i", sorted(chain([0], *self._splits[:n])))
             level = self._levels[n] = _Level(heads)
         return level
 
