@@ -123,6 +123,14 @@ class FactorTable:
             return tuple(level.ranks)
         return self._cut(level.heads, n)
 
+    def level_ranks(self, n: int) -> array:
+        """Window ranks where the length-n factors start, in level order.
+
+        Factor i of length n is `factors(n_max)[level_ranks(n)[i]][:n]`.  The
+        array is the table's own; callers must not change it.
+        """
+        return self._level(n).heads
+
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
         self._check_level(n)

@@ -131,7 +131,9 @@ class Substitution:
         return rows
 
     def incidence_matrix(self) -> np.ndarray:
-        """`incidence_rows` as an int64 numpy array; the one numpy consumer of the package."""
+        """`incidence_rows` as an int64 numpy array; the one numpy consumer of
+        the package.  numpy is not an install dependency (the `test` extra
+        brings it), so this raises ImportError without it."""
         import numpy as np
 
         return np.array(self.incidence_rows(), dtype=np.int64)

@@ -8,10 +8,12 @@ enumerations).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, pairwise, product
+from operator import lt
 from typing import NamedTuple
 
 from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, roundtrip_check
@@ -177,33 +179,19 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     n_max = table.n_max
     alphabet = table.alphabet.letters
 
-    # Letter i is keyed as chr(i), so keyed words compare in alphabet order.
-    # A letter outside the alphabet keys to chr(len(alphabet)) or above, and
-    # so survives deleting chr(0)..chr(len(alphabet) - 1).
-    key = {ord(a): i for i, a in enumerate(alphabet)}
-    for c in range(len(alphabet)):
-        key.setdefault(c, len(alphabet))
-    keyed_letters = dict.fromkeys(range(len(alphabet)))
+    # The index certificate proves both checks at once.  Where it fails, the
+    # levels are read again as strings for the first failing word or level.
+    order_at, closure_at = _certificate(table)
     ok, detail = True, ""
-    for n in range(1, n_max + 1):
-        keyed = [w.translate(key) for w in table.factors(n)]
-        if "".join(keyed).translate(keyed_letters):
-            ok, detail = False, f"level {n} has a letter outside the alphabet"
-            break
-        if not all(map(str.__lt__, keyed, keyed[1:])):
-            ok, detail = False, f"level {n} not sorted/unique"
-            break
+    if order_at is not None:
+        ok = False
+        detail = _order_failure(table) or f"level {order_at} fails the index certificate"
     out.append(_check("language", "levels-sorted-unique", ok, detail))
 
     ok, detail = True, ""
-    lower = set(table.factors(1))
-    for n in range(2, n_max + 1):
-        level = table.factors(n)
-        w = next((w for w in level if w[1:] not in lower or w[:-1] not in lower), None)
-        if w is not None:
-            ok, detail = False, f"{w!r} has a non-factor sub-word"
-            break
-        lower = set(level)
+    if closure_at is not None:
+        ok = False
+        detail = _closure_failure(table) or f"level {closure_at} fails the index certificate"
     out.append(_check("language", "prefix-suffix-closure", ok, detail))
 
     growth = [table.complexity(n) for n in range(1, n_max + 1)]
@@ -234,12 +222,18 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "left-special-prefix-closure", ok, detail))
 
+    # prefixes[n][v]: the number of length-n factors that start with v, for
+    # |v| <= 7, which is restricted_complexity(v, n).
+    prefixes = [Counter()] + [
+        Counter(w[:k] for w in table.factors(n) for k in range(1, min(7, n) + 1))
+        for n in range(1, min(20, n_max) + 1)
+    ]
     ok, detail = True, ""
     for m in range(1, min(6, n_max - 1) + 1):
         for u in table.factors(m):
             for n in range(m + 1, min(20, n_max) + 1):
-                spread = sum(table.restricted_complexity(a + u, n) for a in alphabet)
-                base = table.restricted_complexity(u, n - 1)
+                spread = sum(prefixes[n][a + u] for a in alphabet)
+                base = prefixes[n - 1][u]
                 bound = len(alphabet) * table.left_special_count(n - 1)
                 if not 0 <= spread - base <= bound:
                     ok, detail = False, f"u={u!r} n={n}: {spread}-{base} outside [0,{bound}]"
@@ -270,6 +264,132 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
         )
     )
     return out
+
+
+def _certificate(table: FactorTable) -> tuple[int | None, int | None]:
+    """The first level whose order the table's index does not prove, and the
+    first whose closure it does not prove; None where it proves them all.
+
+    Write w_0, ..., w_(W-1) for the top level `factors(n_max)`, and lcp[i] for
+    the length of the common prefix of w_(i-1) and w_i, recomputed here from
+    those strings (lcp[0] = 0).  Level n is the list of w_r[:n] over the ranks
+    r of `level_ranks(n)`: `FactorTable.factors(n)` cuts its windows there.
+    Let H_n = {0} u {i : lcp[i] < n}.  The certificate is
+
+    (T) the top words have length n_max, letters of the alphabet only, and
+        increase strictly in alphabet order;
+    (S) every top word w has w[1:] = w_t[:n_max - 1] for some t;
+    (R) for each n < n_max the ranks of level n are H_n, in increasing order.
+
+    Lemma: if the ranks of level m include H_m, then w_t[:m] is a word of
+    level m for every t.  Take the greatest r <= t in H_m (0 is one); every i
+    with r < i <= t has lcp[i] >= m, so w_(i-1) and w_i share m letters, and
+    so do w_r and w_t.
+
+    Order: let r < s be neighbouring ranks of level n, with s in H_n.  As the
+    top is sorted, the common prefix of w_r and w_s is the least lcp[i] over
+    r < i <= s, which is at most lcp[s] < n.  With w_r < w_s this gives
+    w_r[:n] < w_s[:n]: each level is strictly increasing, hence unique, and
+    uses only the top's letters.  This needs (T) and ranks that increase
+    inside H_n, and it is all the order check asks.
+
+    Closure: a word w_r[:n] of level n >= 2 (w_r itself at n = n_max) has
+    the prefix w_r[:n-1], a word of level n - 1 by the lemma, and the suffix
+    w_r[1:n] = w_t[:n-1] for the t of (S), a word of level n - 1 too.  This
+    needs the lengths of (T), (S), and ranks that are H_n; the closure check
+    asks that.
+
+    So one level of strings and integer rank lists prove what the string scans
+    (`_order_failure`, `_closure_failure`) check level by level.
+    """
+    n_max = table.n_max
+    top = table.factors(n_max)
+    size = len(top)
+    key, delete = _letter_keys(table.alphabet.letters)
+    keyed = [w.translate(key) for w in top]
+    shaped = all(len(w) == n_max for w in top)
+    ordered = (
+        shaped
+        and not any(w.translate(delete) for w in top)
+        and all(map(str.__lt__, keyed, keyed[1:]))
+    )
+    del keyed
+    stems = {w[:-1] for w in top}
+    closed = shaped and all(w[1:] in stems for w in top)
+    lcp = [0, *map(_common_prefix, top, top[1:])]
+    del top, stems
+
+    by_lcp = [[] for _ in range(n_max + 1)]
+    for i in range(1, size):
+        by_lcp[min(lcp[i], n_max)].append(i)
+    order_at = closure_at = None
+    expected = [0] if size else []
+    for n in range(1, n_max):
+        expected += by_lcp[n - 1]
+        expected.sort()  # H_n: two sorted runs, merged in one pass
+        ranks = table.level_ranks(n)
+        if ranks.tolist() == expected:
+            continue
+        if order_at is None and not (
+            all(map(lt, ranks, islice(ranks, 1, None)))
+            and all(0 <= r < size and lcp[r] < n for r in ranks)
+        ):
+            order_at = n
+        if closure_at is None and set(ranks) != set(expected):
+            closure_at = n
+        if order_at is not None and closure_at is not None:
+            break
+    if order_at is None and not ordered:
+        order_at = n_max
+    if closure_at is None and not closed:
+        closure_at = n_max
+    return order_at, closure_at
+
+
+def _common_prefix(x: str, y: str) -> int:
+    """Length of the common prefix of two strings, by bisection on slices."""
+    lo, hi = 0, min(len(x), len(y))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if x[:mid] == y[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _letter_keys(alphabet) -> tuple[dict, dict]:
+    """`str.translate` tables: one writes letter i as chr(i), so that keyed
+    words compare in alphabet order; the other deletes the letters, so that
+    only letters outside the alphabet remain."""
+    return {ord(a): i for i, a in enumerate(alphabet)}, dict.fromkeys(map(ord, alphabet))
+
+
+def _order_failure(table: FactorTable) -> str:
+    """The first level with a letter outside the alphabet or out of order, as
+    read from its strings; "" if there is none."""
+    key, delete = _letter_keys(table.alphabet.letters)
+    for n in range(1, table.n_max + 1):
+        level = table.factors(n)
+        if any(w.translate(delete) for w in level):
+            return f"level {n} has a letter outside the alphabet"
+        keyed = [w.translate(key) for w in level]
+        if not all(map(str.__lt__, keyed, keyed[1:])):
+            return f"level {n} not sorted/unique"
+    return ""
+
+
+def _closure_failure(table: FactorTable) -> str:
+    """The first word whose prefix or suffix is missing from the level below,
+    as read from the strings; "" if there is none."""
+    lower = set(table.factors(1))
+    for n in range(2, table.n_max + 1):
+        level = table.factors(n)
+        w = next((w for w in level if w[1:] not in lower or w[:-1] not in lower), None)
+        if w is not None:
+            return f"{w!r} has a non-factor sub-word"
+        lower = set(level)
+    return ""
 
 
 # -- partition ----------------------------------------------------------------
@@ -315,19 +435,41 @@ def _partition_checks(
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
     ok, detail = True, ""
+    spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
     for stage in refine_stages(table, depth_cap):
         d = stage.depth_cap
-        emitted = stage.cylinder_words()
-        pending = set(stage.unresolved)
-        lengths = sorted({len(w) for w in emitted})
-        by_len = {m: {w for w in emitted if len(w) == m} for m in lengths}
-        for f in table.factors(d):
-            hits = sum(f[:m] in by_len[m] for m in lengths) + (f in pending)
-            if hits != 1:
-                ok, detail = False, f"depth {d}: {f!r} classified {hits} times"
-                break
-        if not ok:
-            break
+        # The words that can classify a length-d factor.  Any letter order
+        # puts each word right before the words it prefixes, so comparing
+        # neighbours shows them pairwise non-prefix; then no factor is
+        # classified twice, and the counts below sum to p(d) exactly when
+        # each one is classified once.
+        words = sorted(
+            [w for w in stage.cylinder_words() if len(w) <= d]
+            + [u for u in stage.unresolved if len(u) == d]
+        )
+        clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
+        ranks = table.level_ranks(d)
+        covered = 0
+        for w in words:
+            span = spans.get(w)
+            if span is None:
+                span = spans[w] = _window_span(table, w)
+            # The first window of the span starts a new length-|w| factor,
+            # hence a new length-d one, so the length-d factors that start
+            # with w are the level-d ranks inside the span.
+            covered += bisect_left(ranks, span[1]) - bisect_left(ranks, span[0])
+        if clash is None and covered == table.complexity(d):
+            continue
+        ok, detail = False, _cover_failure(table, stage)
+        # Every factor classified once as read from the strings: a clash, such
+        # as a cylinder listed twice, or an index at odds with the strings.
+        if not detail:
+            detail = (
+                f"depth {d}: {clash[0]!r} and {clash[1]!r} overlap"
+                if clash
+                else f"depth {d}: {covered} factors classified, p({d}) = {table.complexity(d)}"
+            )
+        break
     out.append(_check("partition", "cover-at-each-depth", ok, detail))
 
     half = refine(table, max(2, depth_cap // 2))
@@ -357,6 +499,30 @@ def _partition_checks(
             break
     out.append(_check("partition", "classify-roundtrip", ok, detail))
     return out
+
+
+def _window_span(table: FactorTable, word: str) -> tuple[int, int]:
+    """Ranks [lo, hi) of the windows that start with the word (at the top
+    level a factor's index is its window rank); empty for a non-factor."""
+    try:
+        return table.prefix_range(word, table.n_max)
+    except InputError:
+        return 0, 0
+
+
+def _cover_failure(table: FactorTable, stage: PartitionResult) -> str:
+    """The first length-d factor that the stage of depth d classifies other
+    than once, as read from the strings; "" if there is none."""
+    d = stage.depth_cap
+    emitted = stage.cylinder_words()
+    pending = set(stage.unresolved)
+    lengths = sorted({len(w) for w in emitted})
+    by_len = {m: {w for w in emitted if len(w) == m} for m in lengths}
+    for f in table.factors(d):
+        hits = sum(f[:m] in by_len[m] for m in lengths) + (f in pending)
+        if hits != 1:
+            return f"depth {d}: {f!r} classified {hits} times"
+    return ""
 
 
 # -- measure -------------------------------------------------------------------

@@ -64,9 +64,11 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
         return [w.translate(rename) for w in words]
 
     short = ["".join(w) for k in range(4) for w in product(letters, repeat=k)]
+    top = table.factors(n_max)
     for n in range(1, n_max + 1):
         level = levels[n]
         assert renamed(table.factors(n)) == level
+        assert renamed(top[r][:n] for r in table.level_ranks(n)) == level
         assert table.complexity(n) == len(level)
         for i, w in enumerate(table.factors(n)):
             assert table.index_of(n, w) == i

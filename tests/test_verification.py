@@ -1,10 +1,19 @@
 """The aggregated invariant suites and their report format."""
 
 import tracemalloc
+from array import array
 
 import pytest
 
-from shift2iet import build_factor_table, fixture_names, get_fixture, measure_table, refine, run_verification
+from shift2iet import (
+    build_factor_table,
+    fixture_names,
+    get_fixture,
+    measure_table,
+    refine,
+    refine_stages,
+    run_verification,
+)
 from shift2iet.partition import Cylinder, PartitionResult
 from shift2iet.verification import _language_checks, _partition_checks
 
@@ -68,19 +77,32 @@ def test_failure_reporting_shape(fib_report):
 
 
 class _Served:
-    """A real factor table that serves one corruption: replaced levels, or
-    no left extensions for one word."""
+    """A real factor table that serves one corruption: replaced levels,
+    replaced rank lists, or no left extensions for one word."""
 
-    def __init__(self, table, levels=(), no_left=None):
+    def __init__(self, table, levels=(), no_left=None, ranks=()):
         self._table = table
         self._levels = dict(levels)
         self._no_left = no_left
+        self._ranks = dict(ranks)
 
     def __getattr__(self, name):
         return getattr(self._table, name)
 
     def factors(self, n):
         return self._levels.get(n, self._table.factors(n))
+
+    def level_ranks(self, n):
+        """Read off the served levels alone, so a replaced level reaches the
+        certificate: each served word sits at the first served top window
+        that starts with it, and a word no top window starts with at -1,
+        which no certificate accepts."""
+        if n in self._ranks:
+            return self._ranks[n]
+        first = {}
+        for r, w in enumerate(self.factors(self._table.n_max)):
+            first.setdefault(w[:n], r)
+        return array("i", [first.get(w, -1) for w in self.factors(n)])
 
     def left_extensions(self, word):
         if word == self._no_left:
@@ -169,15 +191,56 @@ def test_prolongable_and_totals_keep_their_own_first_failure(tm30):
 
 
 def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
-    """Level 30 is the top level and the scan length: only the prefix oracle
-    can see a word missing there."""
+    """Level 30 is the top level and the scan length: of the string checks only
+    the prefix oracle can see a word missing there.  The index certificate
+    sees it too: the words of levels 20-29 that only the dropped window
+    started with now start no window."""
     level = tm30.factors(30)
     checks = _language(_Served(tm30, {30: level[:5] + level[6:]}))
     oracle = checks["oracle-equivalence"]
     assert (oracle.ok, oracle.detail) == (
         False, "level 30: table and brute-force prefix scan differ"
     )
-    assert [name for name, c in checks.items() if not c.ok] == ["oracle-equivalence"]
+    assert [name for name, c in checks.items() if not c.ok] == [
+        "levels-sorted-unique", "prefix-suffix-closure", "oracle-equivalence"
+    ]
+    for name in ("levels-sorted-unique", "prefix-suffix-closure"):
+        assert checks[name].detail == "level 20 fails the index certificate"
+
+
+def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
+    """A top word whose last letter is changed keeps its place in the order and
+    every prefix below the top, so only its suffix can give it away."""
+    top = tm30.factors(30)
+    i, word = next(
+        (i, w[:-1] + x)
+        for i, w in enumerate(top)
+        if len(tm30.right_extensions(w[:-1])) == 1
+        for x in "ab"
+        if x != w[-1] and not tm30.is_factor(w[1:-1] + x)
+    )
+    checks = _language(_Served(tm30, {30: top[:i] + (word,) + top[i + 1 :]}))
+    closure = checks["prefix-suffix-closure"]
+    assert (closure.ok, closure.detail) == (False, f"{word!r} has a non-factor sub-word")
+    assert checks["levels-sorted-unique"].ok
+
+
+def test_served_rank_lists_fail_closure(tm30):
+    """Rank lists that disagree with the top level fail the certificate even
+    where every level still reads right as strings; the detail names the level.
+    A missing rank leaves the level in order; an added one does not, since it
+    starts no new length-5 factor."""
+    ranks = tm30.level_ranks(5)
+    missing = _language(_Served(tm30, ranks={5: ranks[:3] + ranks[4:]}))
+    closure = missing["prefix-suffix-closure"]
+    assert (closure.ok, closure.detail) == (False, "level 5 fails the index certificate")
+    assert missing["levels-sorted-unique"].ok
+
+    extra = next(r for r in range(len(tm30.factors(30))) if r not in ranks)
+    added = _language(_Served(tm30, ranks={5: array("i", sorted([*ranks, extra]))}))
+    for name in ("prefix-suffix-closure", "levels-sorted-unique"):
+        check = added[name]
+        assert (check.ok, check.detail) == (False, "level 5 fails the index certificate")
 
 
 def test_language_checks_keep_no_level_of_strings():
@@ -207,3 +270,42 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     shape = checks["emitted-shape"]
     assert (shape.ok, shape.detail) == (False, "'baab': inner prefix 'aa' not left special")
     assert not checks["unresolved-shape"].ok
+
+
+def _cover(table, monkeypatch, cylinders):
+    """cover-at-each-depth when the depth-8 stage holds the given cylinders."""
+    result = refine(table, 8)
+    mt = measure_table(table, result.cylinder_words(), 30)
+
+    def stages(table, depth_cap):
+        for stage in refine_stages(table, depth_cap):
+            if stage.depth_cap == 8:
+                stage = PartitionResult(cylinders(stage.cylinders), stage.unresolved, 8)
+            yield stage
+
+    monkeypatch.setattr("shift2iet.verification.refine_stages", stages)
+    return {c.name: c for c in _partition_checks(table, result, mt)}["cover-at-each-depth"]
+
+
+def test_cover_fails_a_stage_that_drops_a_cylinder(tm30, monkeypatch):
+    dropped = refine(tm30, 8).cylinders[-1].word
+    check = _cover(tm30, monkeypatch, lambda cylinders: cylinders[:-1])
+    first = next(f for f in tm30.factors(8) if f.startswith(dropped))
+    assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 0 times")
+
+
+def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30, monkeypatch):
+    """Every factor still has one classifying word, so only the pairwise
+    comparison of the stage's words sees the repeat."""
+    word = refine(tm30, 8).cylinders[0].word
+    check = _cover(tm30, monkeypatch, lambda cylinders: cylinders + [cylinders[0]])
+    assert (check.ok, check.detail) == (False, f"depth 8: {word!r} and {word!r} overlap")
+
+
+def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30, monkeypatch):
+    short = refine(tm30, 8).cylinders[-1].word[:-1]
+    check = _cover(
+        tm30, monkeypatch, lambda cylinders: cylinders + [Cylinder(len(cylinders) + 1, short, 7)]
+    )
+    first = next(f for f in tm30.factors(8) if f.startswith(short))
+    assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 2 times")
