@@ -1,93 +1,76 @@
 """Word combinatorics of primitive substitution shifts and the piecewise-affine
-approximants that converge to the interval exchange the shift codes."""
+approximants that converge to the interval exchange the shift codes.
+
+The public names load lazily (PEP 562): `import shift2iet` runs no layer
+module, and the first access to a name imports the one module it lives in, so
+a command that needs only the factor table never compiles the verification or
+coding layers.
+"""
+
+from importlib import import_module
 
 from ._version import __version__
-from .coding import (
-    CodingPartition,
-    FiniteIET,
-    QuadraticNumber,
-    RoundtripResult,
-    code_orbit,
-    coded_factor_table,
-    golden_coding,
-    golden_iet,
-    roundtrip_check,
-)
-from .errors import InputError
-from .export import approximant_csv, approximant_svg
-from .fixtures import fixture_names, get_fixture
-from .ietmap import (
-    AffinePiece,
-    Cluster,
-    ConvergenceReport,
-    LimitInterval,
-    LimitIntervalSet,
-    PiecewiseAffineMap,
-    accumulation_clusters,
-    accumulation_diagnostic,
-    block_affinity_check,
-    build_approximant,
-    convergence_report,
-    limit_intervals,
-    non_injectivity_witnesses,
-)
-from .language import FactorTable, build_factor_table
-from .measure import (
-    MeasureTable,
-    convergence_certificate,
-    cylinder_measure_estimate,
-    invariance_defect,
-    measure_table,
-)
-from .partition import Cylinder, PartitionResult, refine, refine_stages
-from .substitution import Alphabet, PrimitivityResult, Substitution, parse_substitution
-from .verification import CheckResult, VerificationReport, run_verification
 
-__all__ = [
-    "__version__",
-    "Alphabet",
-    "Substitution",
-    "PrimitivityResult",
-    "parse_substitution",
-    "FactorTable",
-    "build_factor_table",
-    "Cylinder",
-    "PartitionResult",
-    "refine",
-    "refine_stages",
-    "MeasureTable",
-    "cylinder_measure_estimate",
-    "invariance_defect",
-    "measure_table",
-    "convergence_certificate",
-    "AffinePiece",
-    "PiecewiseAffineMap",
-    "build_approximant",
-    "block_affinity_check",
-    "LimitInterval",
-    "LimitIntervalSet",
-    "limit_intervals",
-    "ConvergenceReport",
-    "convergence_report",
-    "Cluster",
-    "accumulation_clusters",
-    "accumulation_diagnostic",
-    "non_injectivity_witnesses",
-    "QuadraticNumber",
-    "FiniteIET",
-    "CodingPartition",
-    "golden_iet",
-    "golden_coding",
-    "code_orbit",
-    "coded_factor_table",
-    "RoundtripResult",
-    "roundtrip_check",
-    "approximant_csv",
-    "approximant_svg",
-    "fixture_names",
-    "get_fixture",
-    "CheckResult",
-    "VerificationReport",
-    "run_verification",
-    "InputError",
-]
+# Public name -> the module it lives in.
+_HOMES = {
+    "Alphabet": "substitution",
+    "Substitution": "substitution",
+    "PrimitivityResult": "substitution",
+    "parse_substitution": "substitution",
+    "FactorTable": "language",
+    "build_factor_table": "language",
+    "Cylinder": "partition",
+    "PartitionResult": "partition",
+    "refine": "partition",
+    "refine_stages": "partition",
+    "MeasureTable": "measure",
+    "cylinder_measure_estimate": "measure",
+    "invariance_defect": "measure",
+    "measure_table": "measure",
+    "convergence_certificate": "measure",
+    "AffinePiece": "ietmap",
+    "PiecewiseAffineMap": "ietmap",
+    "build_approximant": "ietmap",
+    "block_affinity_check": "ietmap",
+    "LimitInterval": "ietmap",
+    "LimitIntervalSet": "ietmap",
+    "limit_intervals": "ietmap",
+    "ConvergenceReport": "ietmap",
+    "convergence_report": "ietmap",
+    "Cluster": "ietmap",
+    "accumulation_clusters": "ietmap",
+    "accumulation_diagnostic": "ietmap",
+    "non_injectivity_witnesses": "ietmap",
+    "QuadraticNumber": "coding",
+    "FiniteIET": "coding",
+    "CodingPartition": "coding",
+    "golden_iet": "coding",
+    "golden_coding": "coding",
+    "code_orbit": "coding",
+    "coded_factor_table": "coding",
+    "RoundtripResult": "coding",
+    "roundtrip_check": "coding",
+    "approximant_csv": "export",
+    "approximant_svg": "export",
+    "fixture_names": "fixtures",
+    "get_fixture": "fixtures",
+    "CheckResult": "verification",
+    "VerificationReport": "verification",
+    "run_verification": "verification",
+    "InputError": "errors",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,25 +8,26 @@ verification or roundtrip failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Module level holds what parsing and `analyze` need; every other command
+# imports its own layers, so a process compiles only the modules it runs.
 from ._version import __version__
-from .coding import golden_coding, golden_iet, roundtrip_check
 from .errors import InputError
-from .export import approximant_csv, approximant_svg
 from .fixtures import fixture_names, get_fixture
-from .ietmap import accumulation_diagnostic, build_approximant, non_injectivity_witnesses
 from .language import FactorTable, build_factor_table
-from .measure import MeasureTable, measure_table
-from .partition import PartitionResult, refine
 from .substitution import Substitution, parse_substitution
-from .verification import run_verification
 
-ROUNDTRIP_PAIRINGS = {"fibonacci": (golden_iet, golden_coding)}
+if TYPE_CHECKING:
+    from .measure import MeasureTable
+    from .partition import PartitionResult
+
+# Pairing -> the `coding` functions that make its exchange and its coding.
+ROUNDTRIP_PAIRINGS = {"fibonacci": ("golden_iet", "golden_coding")}
 
 
 @dataclass
@@ -47,6 +48,8 @@ def _load_substitution(fixture: str | None, config: str | None) -> tuple[Substit
         raise InputError("exactly one of --fixture or --config is required")
     if fixture is not None:
         return get_fixture(fixture), fixture
+    import json
+
     path = Path(config)
     try:
         text = path.read_text()
@@ -175,6 +178,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_partition(cfg: RunConfig) -> int:
+    from .measure import measure_table
+    from .partition import refine
+
     table = build_factor_table(cfg.substitution, cfg.n_max)
     result = refine(table, cfg.depth_cap)
     mt = None
@@ -193,6 +199,9 @@ def cmd_partition(cfg: RunConfig) -> int:
 
 
 def cmd_measures(cfg: RunConfig) -> int:
+    from .measure import measure_table
+    from .partition import refine
+
     table = build_factor_table(cfg.substitution, cfg.n_max)
     result = refine(table, cfg.depth_cap)
     level = cfg.level if cfg.level is not None else cfg.n_max
@@ -204,6 +213,9 @@ def cmd_measures(cfg: RunConfig) -> int:
 
 
 def cmd_approx(cfg: RunConfig) -> int:
+    from .export import approximant_csv
+    from .ietmap import build_approximant
+
     level = _approx_level(cfg)
     table = build_factor_table(cfg.substitution, cfg.n_max)
     amap = build_approximant(table, level)
@@ -213,6 +225,9 @@ def cmd_approx(cfg: RunConfig) -> int:
 
 
 def cmd_plot(cfg: RunConfig) -> int:
+    from .export import approximant_svg
+    from .ietmap import accumulation_diagnostic, build_approximant, non_injectivity_witnesses
+
     level = _approx_level(cfg)
     table = build_factor_table(cfg.substitution, cfg.n_max)
     amap = build_approximant(table, level)
@@ -228,6 +243,10 @@ def cmd_plot(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .export import approximant_csv, approximant_svg
+    from .ietmap import accumulation_diagnostic
+    from .verification import run_verification
+
     level = _approx_level(cfg)
     report = run_verification(
         cfg.substitution,
@@ -258,10 +277,12 @@ def cmd_roundtrip(cfg: RunConfig, pairing: str) -> int:
     except KeyError:
         known = ", ".join(ROUNDTRIP_PAIRINGS)
         raise InputError(f"unknown pairing {pairing!r}; available: {known}") from None
-    result = roundtrip_check(
+    from . import coding
+
+    result = coding.roundtrip_check(
         cfg.substitution,
-        make_iet(),
-        make_coding(),
+        getattr(coding, make_iet)(),
+        getattr(coding, make_coding)(),
         cfg.n_max,
         approximant_level=cfg.level,
         grid_size=cfg.grid_size,

@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 from .language import FactorTable
-from .partition import PartitionResult
+
+if TYPE_CHECKING:
+    from .partition import PartitionResult
 
 
 class AffinePiece(NamedTuple):

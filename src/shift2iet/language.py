@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, islice, pairwise
 from typing import Iterator
 
 from .errors import InputError
@@ -257,10 +257,19 @@ class FactorTable:
 
     def _level(self, n: int) -> _Level:
         self._check_level(n)
-        level = self._levels[n]
+        levels = self._levels
+        level = levels[n]
         if level is None:
-            heads = array("i", sorted(chain([0], *self._splits[:n])))
-            level = self._levels[n] = _Level(heads)
+            # Extend the heads of the nearest built level m below n by the
+            # splits in between; each is an ascending run, which timsort merges.
+            m = n - 1
+            while m and levels[m] is None:
+                m -= 1
+            heads = levels[m].heads.tolist() if m else [0]
+            for split in self._splits[m:n]:
+                heads += split
+            heads.sort()
+            level = levels[n] = _Level(array("i", heads))
         return level
 
     def _rank(self, n: int, word: str) -> int | None:

@@ -28,7 +28,7 @@ from .ietmap import (
     limit_intervals,
 )
 from .errors import InputError
-from .language import FactorTable, _window_levels, build_factor_table
+from .language import FactorTable, _legal_pairs, _window_levels, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
 from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
@@ -244,11 +244,17 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "left-extension-count-window", ok, detail))
 
+    # Once every sigma^k(c) has length >= cap, every factor of length <= cap
+    # lies in sigma^k(xy) for a legal two-letter word xy, the argument of
+    # `build_factor_table`, and each window of those images is a factor.
     cap = min(n_max, 30)
-    seed, power = table.substitution.fixed_point_seed()
-    prefix = table.substitution.power(power).fixed_point_prefix(seed, 10 * cap * cap)
+    sub = table.substitution
+    blocks = {a: a for a in alphabet}
+    while min(map(len, blocks.values())) < cap:
+        blocks = {a: sub.apply(w) for a, w in blocks.items()}
+    texts = [blocks[x] + blocks[y] for x, y in _legal_pairs(sub)]
     ok, detail = True, ""
-    for n, seen in enumerate(_window_levels([prefix], cap), 1):
+    for n, seen in enumerate(_window_levels(texts, cap), 1):
         if seen != set(table.factors(n)):
             ok, detail = False, f"level {n}: table and brute-force prefix scan differ"
             break

@@ -1,11 +1,15 @@
 """Command line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import shift2iet
+from shift2iet import build_factor_table, parse_substitution
 from shift2iet.cli import main
 
 FIB = ["--fixture", "fibonacci", "--nmax", "20", "--depth", "5", "--assert-aperiodic"]
@@ -216,3 +220,74 @@ def test_negative_epsilon_is_an_input_error_in_every_notation(tmp_path, capsys, 
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error: --epsilon must be positive")
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+from shift2iet.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "shift2iet" or m.startswith("shift2iet."))
+print("footprint", code, "json" in sys.modules, *loaded)
+"""
+
+_BASE = {"shift2iet", "_version", "cli", "errors", "fixtures", "language", "substitution"}
+
+
+def _footprint(argv, out_dir):
+    """Exit code, whether json loaded, and the shift2iet modules loaded by one
+    command in a fresh interpreter that reads this checkout's sources.  `-S`
+    keeps site's own imports out of sys.modules."""
+    src = Path(shift2iet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT_SCRIPT, *argv, "--out", str(out_dir)],
+        capture_output=True, text=True, env=env, cwd=out_dir,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, code, json_loaded, *modules = proc.stdout.splitlines()[-1].split()
+    names = {m.removeprefix("shift2iet.") for m in modules}
+    return int(code), json_loaded == "True", names
+
+
+# Command -> the layer modules it loads beyond parsing and `analyze`.
+COMMAND_LAYERS = {
+    "analyze": set(),
+    "partition": {"partition", "measure"},
+    "measures": {"partition", "measure"},
+    "approx": {"ietmap", "export"},
+    "plot": {"ietmap", "export"},
+    "verify": {"partition", "measure", "ietmap", "export", "coding", "verification"},
+    "roundtrip fibonacci": {"coding", "ietmap"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_imports_only_its_layers(tmp_path, command):
+    """`analyze` runs without verification, coding, ietmap, measure,
+    partition or export; `roundtrip` without verification, partition, measure
+    or export; and json loads only for --config."""
+    code, json_loaded, names = _footprint([*command.split(), *FIB], tmp_path)
+    assert code == 0
+    assert not json_loaded
+    assert names == _BASE | COMMAND_LAYERS[command]
+
+
+def test_config_input_alone_imports_json(tmp_path):
+    config = tmp_path / "sub.json"
+    config.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}))
+    argv = ["analyze", "--config", str(config), "--nmax", "10", "--assert-aperiodic"]
+    assert _footprint(argv, tmp_path) == (0, True, _BASE)
+
+
+def test_oracle_scan_holds_factors_a_fixed_point_prefix_misses(tmp_path, capsys):
+    """`abcbddac` is a length-8 factor that first occurs at offset 3303 of the
+    fixed point, past a 10*8*8-letter prefix scan; the oracle must still find
+    it.  `letter-estimates-settled` legitimately fails at this depth."""
+    spec = {"alphabet": ["a", "c", "b", "d"], "rules": {"a": "aadc", "b": "cd", "c": "bcbd", "d": "da"}}
+    assert build_factor_table(parse_substitution(spec), 8).is_factor("abcbddac")
+    config = tmp_path / "sub.json"
+    config.write_text(json.dumps(spec))
+    argv = ["verify", "--config", str(config), "--nmax", "8", "--assert-aperiodic"]
+    run_cli([*argv, "--out", str(tmp_path)], capsys)
+    log = (tmp_path / "verify.log").read_text().splitlines()
+    assert "ok language.oracle-equivalence" in log

@@ -1,5 +1,7 @@
 """Factor tables against sliding-window oracles and closed-form complexities."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,20 @@ def test_all_levels_match_window_oracle(name, shallow_tables, oracle_levels):
     table = shallow_tables[name]
     for n in range(1, ORACLE_DEPTH + 1):
         assert list(table.factors(n)) == oracle_levels[name][n]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_levels_built_in_any_order_match_window_oracle(name, oracle_levels):
+    """A level is built from the nearest level already built below it, so
+    the order of first use must not change any level."""
+    table = build_factor_table(get_fixture(name), ORACLE_DEPTH)
+    order = list(range(1, ORACLE_DEPTH + 1))
+    random.Random(name).shuffle(order)
+    for n in order:
+        assert list(table.factors(n)) == oracle_levels[name][n]
+    top = table.factors(ORACLE_DEPTH)
+    for n in order:
+        assert [top[r][:n] for r in table.level_ranks(n)] == oracle_levels[name][n]
 
 
 @pytest.mark.parametrize(

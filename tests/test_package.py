@@ -1,0 +1,57 @@
+"""The lazy public API of the package: every name in `__all__` resolves to
+its home module's object, and every module imports on its own."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import shift2iet
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(shift2iet.__path__))
+
+
+@pytest.mark.parametrize("name", shift2iet.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    value = getattr(shift2iet, name)
+    if name == "__version__":
+        assert value == importlib.import_module("shift2iet._version").__version__
+        return
+    home = importlib.import_module(f"shift2iet.{shift2iet._HOMES[name]}")
+    assert value is getattr(home, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from shift2iet import *", namespace)
+    assert set(shift2iet.__all__) <= set(namespace)
+    for name in shift2iet.__all__:
+        assert namespace[name] is getattr(shift2iet, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(shift2iet.__all__) <= set(dir(shift2iet))
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'shift2iet' has no attribute 'no_such_name'"):
+        shift2iet.no_such_name
+    with pytest.raises(ImportError):
+        exec("from shift2iet import no_such_name", {})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    """A fresh interpreter imports one module first; an import-order cycle
+    that an eager package `__init__` hid fails here."""
+    src = Path(shift2iet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import shift2iet.{module}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
