@@ -75,7 +75,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if grid < 1:
         raise InputError("--grid must be >= 1")
     epsilon = args.epsilon if args.epsilon is not None else 0.02
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InputError("--epsilon must be positive")
     return RunConfig(
         substitution=substitution,

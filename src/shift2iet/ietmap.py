@@ -74,10 +74,8 @@ def build_approximant(table: FactorTable, n: int) -> PiecewiseAffineMap:
     """Level-n approximant read off the sorted factor lists."""
     if not 2 <= n <= table.n_max:
         raise InputError(f"approximant level must be within 2..{table.n_max}")
-    pieces = [
-        AffinePiece(v, i, table.index_of(n - 1, v[1:]))
-        for i, v in enumerate(table.factors(n))
-    ]
+    targets = {w: i for i, w in enumerate(table.factors(n - 1))}
+    pieces = [AffinePiece(v, i, targets[v[1:]]) for i, v in enumerate(table.factors(n))]
     return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)
 
 
@@ -259,7 +257,7 @@ def accumulation_clusters(source, epsilon: float, min_size: int = 5) -> list[Clu
     discontinuity set, a finite-level stand-in for a set the limit theory
     only describes asymptotically.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InputError("epsilon must be positive")
     if min_size < 1:
         raise InputError("min_size must be >= 1")

@@ -9,23 +9,12 @@ measure estimates, affine approximants) reads from this table.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, islice, pairwise
 from typing import Iterator
 
 from .errors import InputError
 from .substitution import Substitution
-
-
-class _Level:
-    """Level n of the sorted windows: the window ranks where its factors
-    start (`heads`, in level order) and a word -> rank map, made by the first
-    per-word query."""
-
-    __slots__ = ("heads", "ranks")
-
-    def __init__(self, heads: array):
-        self.heads, self.ranks = heads, None
 
 
 class FactorTable:
@@ -64,13 +53,14 @@ class FactorTable:
     left to right, so each list is in level order.  Every special factor of
     length n adds at least one to p(n+1) - p(n), so all the lists together
     hold at most 2 p(n_max) entries, and the special queries cost their
-    output.  The inner nodes are kept by their run, which a per-word query
-    finds from the word's rank.
+    output.
 
-    Each level is one `_Level` view, built on first use.  Strings are kept only
-    in the word -> rank map of a level that a per-word query has read;
-    `factors(n)` and the special lists cut afresh.  Extension sets are shared
-    frozensets, one per letter mask.
+    A word is found as in a suffix array (Manber & Myers 1993): two bisects in
+    the sorted keyed windows give the run of windows that start with it, and
+    the inner nodes are kept by their run.  The window strings are cut once,
+    on the first search.  No level is kept as strings: `factors(n)` and the
+    special lists cut afresh from each level's heads, built on first use.
+    Extension sets are shared frozensets, one per letter mask.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
@@ -81,21 +71,20 @@ class FactorTable:
         self.substitution = substitution
         self.alphabet = substitution.alphabet
         self.n_max = n_max
-        letters = self.alphabet.letters
-        self._letter_key = {a: chr(i) for i, a in enumerate(letters)}
+        self._key, self._foreign = _letter_keys(self.alphabet.letters)
         self._text = text  # harvested text in the alphabet's letters
         self._keyed = keyed  # the same text with letter i written as chr(i)
         self._positions = positions  # start of each distinct window, sorted order
-        self._lcp = lcp  # common prefix with the previous window; lcp[0] = 0
+        self._windows: list[str] | None = None  # keyed windows, on first search
         self._left_masks = left_masks
-        # Ranks i >= 1 by lcp[i]: the heads of level n + 1 are those of level
-        # n plus splits[n].
+        # Ranks i >= 1 by lcp[i], the common prefix with the previous window:
+        # the heads of level n + 1 are those of level n plus splits[n].
         self._splits = [[] for _ in range(n_max)]
         for i, v in enumerate(islice(lcp, 1, None), 1):
             self._splits[v].append(i)
         self._p = list(accumulate(map(len, self._splits), initial=1))
         self._letter_sets: dict[int, frozenset[str]] = {}
-        self._levels: list[_Level | None] = [None] * (n_max + 1)
+        self._levels: list[array | None] = [None] * (n_max + 1)  # heads
         # Per level n < n_max: (window rank, number of extensions) of each
         # special factor, in level order.
         self._left_special = [[] for _ in range(n_max)]
@@ -118,10 +107,7 @@ class FactorTable:
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Sorted tuple of the length-n factors."""
-        level = self._level(n)
-        if level.ranks is not None:
-            return tuple(level.ranks)
-        return self._cut(level.heads, n)
+        return self._cut(self._heads(n), n)
 
     def level_ranks(self, n: int) -> array:
         """Window ranks where the length-n factors start, in level order.
@@ -129,7 +115,7 @@ class FactorTable:
         Factor i of length n is `factors(n_max)[level_ranks(n)[i]][:n]`.  The
         array is the table's own; callers must not change it.
         """
-        return self._level(n).heads
+        return self._heads(n)
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
@@ -142,15 +128,16 @@ class FactorTable:
         n = len(word)
         if n > self.n_max:
             raise InputError(f"word longer than table depth {self.n_max}")
-        lo, hi = self.prefix_range(word, n)
-        return hi > lo
+        a, b = self._window_range(word)
+        return b > a
 
     def index_of(self, n: int, word: str) -> int:
         """Position of a factor inside the sorted level n."""
-        i = self._rank(n, word)
-        if i is None:
+        heads = self._heads(n)
+        a, b = self._window_range(word)
+        if a == b or len(word) != n:
             raise InputError(f"{word!r} is not a length-{n} factor")
-        return i
+        return bisect_left(heads, a)
 
     def left_extensions(self, word: str) -> frozenset[str]:
         """Letters x with x+word a factor.  Known for len(word) < n_max."""
@@ -164,7 +151,7 @@ class FactorTable:
         """Numbers of left and of right extensions of the length-n factors,
         in level order.  Known for n < n_max."""
         self._check_extension_level(n)
-        heads = self._level(n).heads
+        heads = self._heads(n)
         out = []
         for special in (self._left_special[n], self._right_special[n]):
             counts = [1] * len(heads)
@@ -213,27 +200,13 @@ class FactorTable:
 
     def prefix_range(self, prefix: str, n: int) -> tuple[int, int]:
         """Index range [lo, hi) of the length-n factors starting with the prefix."""
-        self._check_level(n)
-        size = len(prefix)
-        if size > n:
+        heads = self._heads(n)
+        if len(prefix) > n:
             raise InputError("prefix longer than the requested length")
-        try:
-            needle = "".join([self._letter_key[c] for c in prefix])
-        except KeyError as e:
-            raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
-        keyed, positions = self._keyed, self._positions
-
-        def key(rank):
-            start = positions[rank]
-            return keyed[start : start + size]
-
-        ranks = range(len(positions))
-        lo = bisect_left(ranks, needle, key=key)
-        hi = bisect_right(ranks, needle, lo=lo, key=key)
-        # lo and hi each start a run of equal length-size prefixes (or are the
-        # end), so they are heads at level size and hence at level n >= size.
-        heads = self._level(n).heads
-        return bisect_left(heads, lo), bisect_left(heads, hi)
+        # a and b each start a run of equal length-|prefix| prefixes (or are
+        # the end), so they are heads at level |prefix| and at level n too.
+        a, b = self._window_range(prefix)
+        return bisect_left(heads, a), bisect_left(heads, b)
 
     def restricted_complexity(self, prefix: str, n: int) -> int:
         """Number of length-n factors that start with the given word.
@@ -255,28 +228,38 @@ class FactorTable:
                 f"extension data exists for lengths 1..{self.n_max - 1}, got {n}"
             )
 
-    def _level(self, n: int) -> _Level:
+    def _heads(self, n: int) -> array:
+        """Window ranks where the length-n factors start, built on first use."""
         self._check_level(n)
         levels = self._levels
-        level = levels[n]
-        if level is None:
+        heads = levels[n]
+        if heads is None:
             # Extend the heads of the nearest built level m below n by the
             # splits in between; each is an ascending run, which timsort merges.
             m = n - 1
             while m and levels[m] is None:
                 m -= 1
-            heads = levels[m].heads.tolist() if m else [0]
+            merged = levels[m].tolist() if m else [0]
             for split in self._splits[m:n]:
-                heads += split
-            heads.sort()
-            level = levels[n] = _Level(array("i", heads))
-        return level
+                merged += split
+            merged.sort()
+            heads = levels[n] = array("i", merged)
+        return heads
 
-    def _rank(self, n: int, word: str) -> int | None:
-        level = self._level(n)
-        if level.ranks is None:
-            level.ranks = {w: i for i, w in enumerate(self._cut(level.heads, n))}
-        return level.ranks.get(word)
+    def _window_range(self, prefix: str) -> tuple[int, int]:
+        """Ranks [a, b) of the windows that start with the prefix."""
+        foreign = prefix.translate(self._foreign)
+        if foreign:
+            raise InputError(f"letter {foreign[0]!r} is not in the alphabet")
+        windows = self._windows
+        if windows is None:
+            keyed, n_max = self._keyed, self.n_max
+            windows = self._windows = [keyed[p : p + n_max] for p in self._positions]
+        needle = prefix.translate(self._key)
+        a = bisect_left(windows, needle)
+        # Keyed letters are chr(i) for small i, so the windows that start with
+        # the needle sort below needle + chr(0x10ffff).
+        return a, bisect_left(windows, needle + "\U0010ffff", a)
 
     def _cut(self, window_ranks, n: int) -> tuple[str, ...]:
         text = self._text
@@ -299,12 +282,9 @@ class FactorTable:
     def _extensions(self, word: str, left: bool) -> frozenset[str]:
         n = len(word)
         self._check_extension_level(n)
-        i = self._rank(n, word)
-        if i is None:
+        a, b = self._window_range(word)
+        if a == b:
             raise InputError(f"{word!r} is not a factor")
-        heads = self._levels[n].heads
-        a = heads[i]
-        b = heads[i + 1] if i + 1 < len(heads) else len(self._lcp)
         if b - a == 1:
             hi, mask, branch = self.n_max, self._left_masks[a], 0
         else:
@@ -344,6 +324,13 @@ def _lcp_intervals(lcp, masks, branch, depth: int):
         else:
             stack.append([v, a, left, 0])
         stack[-1][3] |= branch(i, v)
+
+
+def _letter_keys(letters) -> tuple[dict, dict]:
+    """`str.translate` tables: one writes letter i as chr(i), so that keyed
+    words compare in alphabet order; the other deletes the letters, so that
+    only letters outside the alphabet remain."""
+    return {ord(a): i for i, a in enumerate(letters)}, dict.fromkeys(map(ord, letters))
 
 
 def _window_levels(texts: list[str], cap: int) -> Iterator[set[str]]:
@@ -424,7 +411,7 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
     while min(len(w) for w in blocks.values()) < n_max:
         blocks = {a: w.translate(apply_once) for a, w in blocks.items()}
 
-    key = str.maketrans({a: chr(i) for i, a in enumerate(letters)})
+    key, _ = _letter_keys(letters)
     pairs = sorted(_legal_pairs(substitution), key=lambda xy: xy.translate(key))
     text = "".join(blocks[x] + blocks[y] for x, y in pairs)
     keyed = text.translate(key)

@@ -28,7 +28,7 @@ from .ietmap import (
     limit_intervals,
 )
 from .errors import InputError
-from .language import FactorTable, _legal_pairs, _window_levels, build_factor_table
+from .language import FactorTable, _legal_pairs, _letter_keys, _window_levels, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
 from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
@@ -362,13 +362,6 @@ def _common_prefix(x: str, y: str) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _letter_keys(alphabet) -> tuple[dict, dict]:
-    """`str.translate` tables: one writes letter i as chr(i), so that keyed
-    words compare in alphabet order; the other deletes the letters, so that
-    only letters outside the alphabet remain."""
-    return {ord(a): i for i, a in enumerate(alphabet)}, dict.fromkeys(map(ord, alphabet))
 
 
 def _order_failure(table: FactorTable) -> str:

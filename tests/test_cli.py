@@ -213,7 +213,7 @@ def test_commands_never_import_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 7, "numpy": False}
 
 
-@pytest.mark.parametrize("value", ["-0.5", "-1e-05", "-2.5E+3"])
+@pytest.mark.parametrize("value", ["-0.5", "-1e-05", "-2.5E+3", "nan"])
 def test_negative_epsilon_is_an_input_error_in_every_notation(tmp_path, capsys, value):
     """A separate `-1e-05` token is the value of --epsilon, not an unknown option."""
     argv = ["plot", *FIB, "--epsilon", value, "--out", str(tmp_path)]

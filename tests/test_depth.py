@@ -1,6 +1,7 @@
 """Factor tables at depth 1000 against closed-form complexities, on a time budget."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -57,3 +58,19 @@ def test_language_and_partition_suites_at_depth_1000():
     elapsed = time.perf_counter() - start
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
     assert elapsed < budget_s, f"suites took {elapsed:.2f}s (budget {budget_s}s)"
+
+
+def test_refine_to_half_depth_keeps_no_level_of_strings():
+    """`verify --fixture thue-morse --nmax 1000` refines to depth 500, asking
+    the left extensions of words at every level up to it.  A word -> rank map
+    per level would keep about 160 MiB of strings here; the sorted windows
+    that the searches share take about 3 MiB."""
+    table = build_factor_table(get_fixture("thue-morse"), DEPTH)
+    tracemalloc.start()
+    try:
+        partition = refine(table, DEPTH // 2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert partition.cylinders
+    assert kept < 16 * 2**20, kept

@@ -253,6 +253,8 @@ def test_cluster_argument_validation(deep_tables):
     with pytest.raises(InputError):
         accumulation_clusters(amap, 0.0)
     with pytest.raises(InputError):
+        accumulation_clusters(amap, float("nan"))
+    with pytest.raises(InputError):
         accumulation_clusters(amap, 0.02, 0)
     with pytest.raises(InputError):
         accumulation_clusters("0.5", 0.02)

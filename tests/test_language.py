@@ -186,6 +186,46 @@ def test_is_factor_and_index_of(shallow_tables):
         table.index_of(5, "bbbbb")
 
 
+def test_per_word_queries_end_in_input_error():
+    """Alphabet order b < a is not code-point order.  A foreign letter, a
+    non-factor at either end of the order, and a word of the wrong length
+    end in InputError, never in KeyError or IndexError."""
+    table = build_factor_table(
+        parse_substitution({"alphabet": ["b", "a"], "rules": {"b": "ba", "a": "b"}}), 8
+    )
+    assert table.factors(2) == ("bb", "ba", "ab")
+    for n in range(1, 8):
+        for i, w in enumerate(table.factors(n)):
+            assert table.is_factor(w) and table.index_of(n, w) == i
+            assert table.prefix_range(w, n) == (i, i + 1)
+    assert table.left_extensions("b") == {"b", "a"}
+    assert table.right_extensions("a") == {"b"}
+    for word in ("z", "bz", "zab"):
+        queries = (
+            lambda: table.is_factor(word),
+            lambda: table.index_of(len(word), word),
+            lambda: table.prefix_range(word, 3),
+            lambda: table.restricted_complexity(word, 3),
+            lambda: table.left_extensions(word),
+            lambda: table.right_extensions(word),
+        )
+        for query in queries:
+            with pytest.raises(InputError, match="letter 'z' is not in the alphabet"):
+                query()
+    for word in ("bbb", "aa", "babbb"):  # first, last and inner spot in the order
+        assert not table.is_factor(word)
+        lo, hi = table.prefix_range(word, 7)
+        assert lo == hi and table.restricted_complexity(word, 7) == 0
+        with pytest.raises(InputError, match=f"{word!r} is not a length-{len(word)} factor"):
+            table.index_of(len(word), word)
+        for query in (table.left_extensions, table.right_extensions):
+            with pytest.raises(InputError, match=f"{word!r} is not a factor"):
+                query(word)
+    for n, word in ((2, "bab"), (3, "ba"), (8, "")):
+        with pytest.raises(InputError, match=f"{word!r} is not a length-{n} factor"):
+            table.index_of(n, word)
+
+
 def test_level_bounds_are_guarded(shallow_tables):
     table = shallow_tables["fibonacci"]
     with pytest.raises(InputError):
