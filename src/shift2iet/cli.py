@@ -272,11 +272,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_roundtrip(cfg: RunConfig, pairing: str) -> int:
-    try:
-        make_iet, make_coding = ROUNDTRIP_PAIRINGS[pairing]
-    except KeyError:
-        known = ", ".join(ROUNDTRIP_PAIRINGS)
-        raise InputError(f"unknown pairing {pairing!r}; available: {known}") from None
+    make_iet, make_coding = ROUNDTRIP_PAIRINGS[pairing]  # argparse checked the name
     from . import coding
 
     result = coding.roundtrip_check(

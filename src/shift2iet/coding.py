@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import InputError
 from .ietmap import _grid_sup, build_approximant
 from .language import FactorTable, _window_levels, build_factor_table
-from .substitution import Substitution
+from .substitution import Alphabet, Substitution
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -265,7 +265,8 @@ def golden_iet() -> FiniteIET:
 
 @dataclass
 class CodingPartition:
-    """Labelled right-open intervals of [0, 1) used to code orbits."""
+    """Labelled right-open intervals of [0, 1) used to code orbits; the
+    letters, in interval order, are the alphabet of the coded words."""
 
     breakpoints: list
     letters: list
@@ -274,20 +275,11 @@ class CodingPartition:
         self.breakpoints = [_as_quadratic(x) for x in self.breakpoints]
         if len(self.breakpoints) != len(self.letters) or not self.letters:
             raise InputError("need one letter per breakpoint")
-        if len(set(self.letters)) != len(self.letters):
-            raise InputError("coding letters must be distinct")
+        self.alphabet = Alphabet(self.letters)
         _check_breakpoints(self.breakpoints)
-        self._order = {c: i for i, c in enumerate(self.letters)}
 
     def letter_at(self, x) -> str:
         return self.letters[_piece_of(self.breakpoints, x)]
-
-    def sort_key(self, word: str):
-        order = self._order
-        try:
-            return tuple(order[c] for c in word)
-        except KeyError as e:
-            raise InputError(f"letter {e.args[0]!r} is not a coding letter") from None
 
 
 def golden_coding() -> CodingPartition:
@@ -340,9 +332,8 @@ def coded_factor_table(
     words = [
         code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
     ]
-    key = str.maketrans({c: chr(i) for i, c in enumerate(coding.letters)})
     levels = enumerate(_window_levels(words, n_max), 1)
-    return {n: tuple(sorted(level, key=lambda u: u.translate(key))) for n, level in levels}
+    return {n: tuple(sorted(level, key=coding.alphabet.key)) for n, level in levels}
 
 
 @dataclass
@@ -424,9 +415,11 @@ def roundtrip_check(
         shift_side = set(table.factors(n))
         coded_side = set(coded[n])
         if shift_side != coded_side:
-            extra = sorted(coded_side - shift_side) + sorted(shift_side - coded_side)
-            side = "coded-only" if coded_side - shift_side else "shift-only"
-            mismatch = (n, extra[0], side)
+            coded_only = coded_side - shift_side
+            if coded_only:
+                mismatch = (n, min(coded_only, key=coding.alphabet.key), "coded-only")
+            else:
+                mismatch = (n, min(shift_side - coded_side, key=table.alphabet.key), "shift-only")
             break
 
     amap = build_approximant(table, approximant_level)

@@ -71,7 +71,6 @@ class FactorTable:
         self.substitution = substitution
         self.alphabet = substitution.alphabet
         self.n_max = n_max
-        self._key, self._foreign = _letter_keys(self.alphabet.letters)
         self._text = text  # harvested text in the alphabet's letters
         self._keyed = keyed  # the same text with letter i written as chr(i)
         self._positions = positions  # start of each distinct window, sorted order
@@ -248,14 +247,14 @@ class FactorTable:
 
     def _window_range(self, prefix: str) -> tuple[int, int]:
         """Ranks [a, b) of the windows that start with the prefix."""
-        foreign = prefix.translate(self._foreign)
+        foreign = self.alphabet.foreign(prefix)
         if foreign:
             raise InputError(f"letter {foreign[0]!r} is not in the alphabet")
         windows = self._windows
         if windows is None:
             keyed, n_max = self._keyed, self.n_max
             windows = self._windows = [keyed[p : p + n_max] for p in self._positions]
-        needle = prefix.translate(self._key)
+        needle = self.alphabet.key(prefix)
         a = bisect_left(windows, needle)
         # Keyed letters are chr(i) for small i, so the windows that start with
         # the needle sort below needle + chr(0x10ffff).
@@ -324,13 +323,6 @@ def _lcp_intervals(lcp, masks, branch, depth: int):
         else:
             stack.append([v, a, left, 0])
         stack[-1][3] |= branch(i, v)
-
-
-def _letter_keys(letters) -> tuple[dict, dict]:
-    """`str.translate` tables: one writes letter i as chr(i), so that keyed
-    words compare in alphabet order; the other deletes the letters, so that
-    only letters outside the alphabet remain."""
-    return {ord(a): i for i, a in enumerate(letters)}, dict.fromkeys(map(ord, letters))
 
 
 def _window_levels(texts: list[str], cap: int) -> Iterator[set[str]]:
@@ -411,10 +403,10 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
     while min(len(w) for w in blocks.values()) < n_max:
         blocks = {a: w.translate(apply_once) for a, w in blocks.items()}
 
-    key, _ = _letter_keys(letters)
-    pairs = sorted(_legal_pairs(substitution), key=lambda xy: xy.translate(key))
+    key = substitution.alphabet.key
+    pairs = sorted(_legal_pairs(substitution), key=key)
     text = "".join(blocks[x] + blocks[y] for x, y in pairs)
-    keyed = text.translate(key)
+    keyed = key(text)
 
     first: dict[str, list[int]] = {}  # window -> [first start, left-letter mask]
     start = 0

@@ -92,5 +92,5 @@ def convergence_certificate(table: FactorTable, words, n: int, threshold: float 
         b = cylinder_measure_estimate(table, w, n // 2)
         gaps[w] = abs(a - b)
     worst = max(gaps.values(), default=Fraction(0))
-    offenders = sorted(w for w, g in gaps.items() if g > threshold)
+    offenders = sorted((w for w, g in gaps.items() if g > threshold), key=table.alphabet.key)
     return (worst <= threshold, worst, offenders)

@@ -94,7 +94,7 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
         raise InputError("depth_cap must stay below the table depth (extensions needed)")
 
     left = table.left_extensions
-    order = table.alphabet.index
+    key = table.alphabet.key
     cylinders: list[Cylinder] = []
     active = list(table.factors(2))
     for length in range(2, depth_cap + 1):
@@ -107,4 +107,4 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
                 cylinders.append(Cylinder(len(cylinders) + 1, word, step))
         yield PartitionResult(cylinders[:], survivors, length)
         if length < depth_cap:
-            active = [w + x for w in survivors for x in sorted(table.right_extensions(w), key=order)]
+            active = [w + x for w in survivors for x in sorted(table.right_extensions(w), key=key)]

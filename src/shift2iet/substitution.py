@@ -23,7 +23,8 @@ class Alphabet:
     """Ordered set of single-character letters.
 
     The declaration order of the letters defines lexicographic order for every
-    word comparison in the package; host string order is never used.
+    word comparison in the package; host string order is never used.  Every
+    layer reads that order from `key` and letter membership from `foreign`.
     """
 
     def __init__(self, letters):
@@ -40,6 +41,8 @@ class Alphabet:
             raise InputError("alphabet letters must be distinct")
         self.letters = letters
         self._index = {c: i for i, c in enumerate(letters)}
+        self._key = {ord(c): i for i, c in enumerate(letters)}  # letter i -> chr(i)
+        self._foreign = dict.fromkeys(map(ord, letters))  # deletes the letters
 
     def __len__(self):
         return len(self.letters)
@@ -69,6 +72,15 @@ class Alphabet:
         except KeyError as e:
             raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
 
+    def key(self, word: str) -> str:
+        """The word with letter i written as chr(i): keyed words compare in
+        the declared order.  Letters outside the alphabet are kept as they are."""
+        return word.translate(self._key)
+
+    def foreign(self, word: str) -> str:
+        """The letters of the word that are outside the alphabet, in order."""
+        return word.translate(self._foreign)
+
 
 class PrimitivityResult(NamedTuple):
     primitive: bool
@@ -93,12 +105,12 @@ class Substitution:
         for a, w in self.images.items():
             if not w:
                 raise InputError(f"image of {a!r} is empty; substitution must be non-erasing")
-            for c in w:
-                if c not in self.alphabet:
-                    raise InputError(f"image of {a!r} uses letter {c!r} outside the alphabet")
+            foreign = self.alphabet.foreign(w)
+            if foreign:
+                raise InputError(f"image of {a!r} uses letter {foreign[0]!r} outside the alphabet")
 
     def __repr__(self):
-        rules = ", ".join(f"{a}->{w}" for a, w in sorted(self.images.items(), key=lambda kv: self.alphabet.index(kv[0])))
+        rules = ", ".join(f"{a}->{self.images[a]}" for a in self.alphabet)
         return f"Substitution({rules})"
 
     def apply(self, word: str) -> str:

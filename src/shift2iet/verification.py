@@ -28,7 +28,7 @@ from .ietmap import (
     limit_intervals,
 )
 from .errors import InputError
-from .language import FactorTable, _legal_pairs, _letter_keys, _window_levels, build_factor_table
+from .language import FactorTable, _legal_pairs, _window_levels, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
 from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
@@ -311,12 +311,12 @@ def _certificate(table: FactorTable) -> tuple[int | None, int | None]:
     n_max = table.n_max
     top = table.factors(n_max)
     size = len(top)
-    key, delete = _letter_keys(table.alphabet.letters)
-    keyed = [w.translate(key) for w in top]
+    alphabet = table.alphabet
+    keyed = list(map(alphabet.key, top))
     shaped = all(len(w) == n_max for w in top)
     ordered = (
         shaped
-        and not any(w.translate(delete) for w in top)
+        and not any(map(alphabet.foreign, top))
         and all(map(str.__lt__, keyed, keyed[1:]))
     )
     del keyed
@@ -367,12 +367,12 @@ def _common_prefix(x: str, y: str) -> int:
 def _order_failure(table: FactorTable) -> str:
     """The first level with a letter outside the alphabet or out of order, as
     read from its strings; "" if there is none."""
-    key, delete = _letter_keys(table.alphabet.letters)
+    alphabet = table.alphabet
     for n in range(1, table.n_max + 1):
         level = table.factors(n)
-        if any(w.translate(delete) for w in level):
+        if any(map(alphabet.foreign, level)):
             return f"level {n} has a letter outside the alphabet"
-        keyed = [w.translate(key) for w in level]
+        keyed = list(map(alphabet.key, level))
         if not all(map(str.__lt__, keyed, keyed[1:])):
             return f"level {n} not sorted/unique"
     return ""
@@ -398,11 +398,11 @@ def _partition_checks(
     table: FactorTable, result: PartitionResult, mt: MeasureTable
 ) -> list[CheckResult]:
     out = []
-    code = table.alphabet.code
+    key = table.alphabet.key
     depth_cap = result.depth_cap
 
     ok = all(c.k == i + 1 for i, c in enumerate(result.cylinders))
-    steps = [(c.step, code(c.word)) for c in result.cylinders]
+    steps = [(c.step, key(c.word)) for c in result.cylinders]
     ok = ok and steps == sorted(steps)
     out.append(_check("partition", "emission-order", ok, "not ordered by (step, lex)"))
 
@@ -444,7 +444,8 @@ def _partition_checks(
         # each one is classified once.
         words = sorted(
             [w for w in stage.cylinder_words() if len(w) <= d]
-            + [u for u in stage.unresolved if len(u) == d]
+            + [u for u in stage.unresolved if len(u) == d],
+            key=key,
         )
         clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
         ranks = table.level_ranks(d)
@@ -488,7 +489,7 @@ def _partition_checks(
             ok, detail = False, f"classify({c.word!r}) != {c.k}"
             break
         if len(c.word) < table.n_max - 1:
-            ext = sorted(table.right_extensions(c.word), key=code)
+            ext = sorted(table.right_extensions(c.word), key=key)
             if any(result.classify(c.word + x) != c.k for x in ext):
                 ok, detail = False, f"extension of {c.word!r} classified differently"
                 break
@@ -754,7 +755,7 @@ def _coding_checks(sub: Substitution, n_max: int) -> list[CheckResult]:
     out.append(_check("coding", "shift-compatibility", ok, detail))
 
     points = [Fraction(j, 23) for j in range(23)]
-    codes = [coding.sort_key(code_orbit(iet, coding, x, 40)) for x in points]
+    codes = [coding.alphabet.key(code_orbit(iet, coding, x, 40)) for x in points]
     ok = all(a <= b for a, b in zip(codes, codes[1:]))
     out.append(_check("coding", "order-compatibility", ok, "coding not monotone in the point"))
 

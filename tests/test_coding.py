@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shift2iet import (
+    Alphabet,
     CodingPartition,
     FiniteIET,
     InputError,
     QuadraticNumber,
+    Substitution,
+    build_factor_table,
     code_orbit,
     coded_factor_table,
     get_fixture,
@@ -20,6 +23,7 @@ from shift2iet import (
     roundtrip_check,
 )
 from shift2iet.coding import GOLDEN_ROTATION
+from shift2iet.fixtures import FIXTURE_RULES
 import oracles
 
 SQRT5 = 5 ** 0.5
@@ -179,6 +183,8 @@ BAD_PIECEWISE = [
     (CodingPartition, [Fraction(0), Fraction(1, 2)], ["a"]),
     (CodingPartition, [Fraction(1, 4), Fraction(1, 2)], ["a", "b"]),
     (CodingPartition, [Fraction(0), Fraction(1, 2), Fraction(1, 3)], ["a", "b", "c"]),
+    (CodingPartition, [Fraction(0), Fraction(1, 2)], ["ab", "c"]),
+    (CodingPartition, [Fraction(0), Fraction(1, 2)], [1, 2]),
 ]
 
 
@@ -249,6 +255,19 @@ def test_roundtrip_rejects_an_empty_grid():
     fib = get_fixture("fibonacci")
     with pytest.raises(InputError, match="grid_size must be >= 1"):
         roundtrip_check(fib, golden_iet(), golden_coding(), 15, grid_size=0)
+
+
+def test_roundtrip_mismatch_follows_the_alphabet():
+    """The first mismatch is the least missing word in the declared letter
+    order: the period-2 coding misses aa and bb of Thue-Morse over [b, a],
+    and b comes before a there."""
+    _, rules = FIXTURE_RULES["thue-morse"]
+    sub = Substitution(Alphabet(["b", "a"]), dict(rules))
+    half = Fraction(1, 2)
+    rotation = FiniteIET([Fraction(0), half], [half, -half])
+    coding = CodingPartition([Fraction(0), half], ["b", "a"])
+    result = roundtrip_check(sub, rotation, coding, 4, table=build_factor_table(sub, 10))
+    assert result.first_mismatch == (2, "bb", "shift-only")
 
 
 def test_roundtrip_rejects_a_wrong_pairing():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shift2iet import (
+    Alphabet,
     InputError,
+    Substitution,
     build_factor_table,
     convergence_certificate,
     cylinder_measure_estimate,
@@ -16,6 +18,7 @@ from shift2iet import (
     measure_table,
     refine,
 )
+from shift2iet.fixtures import FIXTURE_RULES
 import oracles
 
 
@@ -134,6 +137,16 @@ def test_convergence_certificate(deep_tables):
     assert 0 <= worst <= Fraction(1, 50)
     with pytest.raises(InputError):
         convergence_certificate(table, ["a" * 60], 100)
+
+
+def test_convergence_offenders_follow_the_alphabet():
+    """Offenders are listed in the declared letter order, b before a here,
+    not in host string order."""
+    letters, rules = FIXTURE_RULES["thue-morse"]
+    assert list(letters) == ["a", "b"]
+    table = build_factor_table(Substitution(Alphabet(["b", "a"]), dict(rules)), 40)
+    _, _, offenders = convergence_certificate(table, ["a", "ab", "b", "ba"], 40, threshold=-1)
+    assert offenders == ["b", "ba", "a", "ab"]
 
 
 @settings(max_examples=50, deadline=None)

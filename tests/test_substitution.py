@@ -31,6 +31,9 @@ def test_alphabet_code_is_declaration_order():
     assert alpha.code("ab") == (1, 0)
     with pytest.raises(InputError):
         alpha.code("c")
+    assert sorted(["a", "ab", "b", "ba"], key=alpha.key) == ["b", "ba", "a", "ab"]
+    assert alpha.foreign("bcadc") == "cdc"
+    assert alpha.foreign("abba") == ""
 
 
 def test_substitution_validation():
