@@ -244,7 +244,7 @@ def cmd_plot(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     from .export import approximant_csv, approximant_svg
-    from .ietmap import accumulation_diagnostic
+    from .ietmap import accumulation_clusters
     from .verification import run_verification
 
     level = _approx_level(cfg)
@@ -265,7 +265,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     _write(cfg, "partition.tsv", partition_text(report.partition, report.measures))
     _write(cfg, "measures.tsv", measures_text(table, report.measures))
     _write(cfg, f"approx_{level}.csv", approximant_csv(amap))
-    clusters = accumulation_diagnostic(table, level, cfg.epsilon)
+    # The pair `accumulation_diagnostic` would build, as the suite built it.
+    clusters = accumulation_clusters([report.coarse_approximant, amap], cfg.epsilon)
     _write(cfg, f"approx_{level}.svg", approximant_svg(amap, clusters))
     print(f"wrote artifacts to {cfg.out_dir}")
     return 0 if report.passed else 1

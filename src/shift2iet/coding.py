@@ -299,19 +299,65 @@ def _check_monotone(iet: FiniteIET, coding: CodingPartition):
                 raise InputError("coding interval breaks monotonicity of the exchange")
 
 
+def _over(x: QuadraticNumber, d: int) -> tuple[int, int]:
+    """(A, B) with x = (A + B*sqrt(5)) / d, for d a multiple of x's denominators."""
+    a, b = x.a, x.b
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+
+
 def code_orbit(iet: FiniteIET, coding: CodingPartition, x, length: int) -> str:
-    """Letters of the coding intervals visited by the forward orbit of x."""
+    """Letters of the coding intervals visited by the forward orbit of x.
+
+    The orbit runs in integers.  The start point, every breakpoint and every
+    translation are put over one common denominator D, so each is a pair
+    (A, B) standing for (A + B*sqrt(5)) / D.  The exchange and coding
+    breakpoints together cut [0, 1) into right-open cells, on each of which
+    the letter and the translation are constant.  A step finds the point's
+    cell by exact signs of integer differences (`_sign_parts`), emits the
+    cell's letter and adds the cell's translation; after each step an integer
+    guard checks that the point is still in [0, 1).
+    """
     if length < 0:
         raise InputError("length must be >= 0")
     _check_monotone(iet, coding)
     x = _as_quadratic(x)
     if not (0 <= x and x < 1):
         raise InputError("point outside [0, 1)")
+    lefts = sorted(set(iet.breakpoints) | set(coding.breakpoints))
+    shifts = [iet.translations[iet.piece_index(c)] for c in lefts]
+    letters = [coding.letter_at(c) for c in lefts]
+    d = math.lcm(*(v.denominator for q in (x, *lefts, *shifts) for v in (q.a, q.b)))
+    edges = [_over(c, d) for c in lefts]
+    moves = [_over(t, d) for t in shifts]
+    a, b = _over(x, d)
+    top = len(edges)
     out = []
     for _ in range(length):
-        out.append(coding.letter_at(x))
-        x = iet.apply(x)
+        lo, hi = 0, top  # edges[lo] <= x < edges[hi], with edges[top] = 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            ea, eb = edges[mid]
+            if _sign_parts(a - ea, 1, b - eb, 1) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        out.append(letters[lo])
+        ta, tb = moves[lo]
+        a += ta
+        b += tb
+        if _sign_parts(a, 1, b, 1) < 0 or _sign_parts(a - d, 1, b, 1) >= 0:
+            raise InputError("orbit left [0, 1): the exchange does not tile it")
     return "".join(out)
+
+
+def _orbit_words(iet: FiniteIET, coding: CodingPartition, n_max: int, samples: int) -> list[str]:
+    """Codings of the orbits of j/(samples + 1), j < samples, 4*n_max + 64 steps each."""
+    if n_max < 1:
+        raise InputError("n_max must be >= 1")
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    length = 4 * n_max + 64
+    return [code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)]
 
 
 def coded_factor_table(
@@ -324,16 +370,51 @@ def coded_factor_table(
     Extra samples are cross-checks; for a minimal exchange one orbit already
     sees every factor.
     """
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    length = 4 * n_max + 64
-    words = [
-        code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
-    ]
+    words = _orbit_words(iet, coding, n_max, samples)
     levels = enumerate(_window_levels(words, n_max), 1)
     return {n: tuple(sorted(level, key=coding.alphabet.key)) for n, level in levels}
+
+
+def _same_language(table: FactorTable, words: list[str], n_max: int) -> bool:
+    """Do the windows of the words give table.factors(n) at every n <= n_max?
+
+    Checks one level.  A table level n is the set of n-prefixes of its level
+    n_max.  The length-n windows of a word w are the n-prefixes of its
+    length-n_max windows, plus, for the starts i past len(w) - n_max, the
+    n-prefixes of the tail suffixes w[i:], shorter than n_max.  So if the
+    length-n_max windows equal table.factors(n_max) and every tail suffix
+    starts some top-level factor, each coded level n is the table's level n.
+    Conversely, a tail suffix s that starts no top-level factor is a coded
+    window of length |s| missing from the table.  (For a shift language the
+    tail condition follows from the first, since s sits inside the word's last
+    top window; checking it keeps the argument to how the table stores its
+    levels.)
+    """
+    top = {w[i : i + n_max] for w in words for i in range(len(w) - n_max + 1)}
+    if top != set(table.factors(n_max)):
+        return False
+    for w in words:
+        tail = w[len(w) - n_max + 1 :]
+        if table.alphabet.foreign(tail):
+            return False
+        if any(table.restricted_complexity(tail[i:], n_max) == 0 for i in range(len(tail))):
+            return False
+    return True
+
+
+def _first_mismatch(
+    table: FactorTable, coding: CodingPartition, words: list[str], n_max: int
+) -> tuple[int, str, str] | None:
+    """The least length whose coded and shift factor sets differ, with the
+    least word in one set only, in its side's letter order."""
+    for n, coded_side in enumerate(_window_levels(words, n_max), 1):
+        shift_side = set(table.factors(n))
+        if shift_side != coded_side:
+            coded_only = coded_side - shift_side
+            if coded_only:
+                return n, min(coded_only, key=coding.alphabet.key), "coded-only"
+            return n, min(shift_side - coded_side, key=table.alphabet.key), "shift-only"
+    return None
 
 
 @dataclass
@@ -353,27 +434,35 @@ class RoundtripResult:
 
 
 def _grid_gap(amap, iet: FiniteIET, grid_size: int):
-    """|float(T(g/N)) - float(E(g/N))| for the approximant T and the exchange E,
-    as a function of the grid index g, in integers.
+    """Largest |float(T(g/N)) - float(E(g/N))| over a stretch [lo, hi) of grid
+    indices, for the approximant T and the exchange E, in integers.
 
     T(g/N) = ((j - i)*N + g*p) / (N*q) on piece i = g*p // N with target j,
     where p, q are the source and target counts.  E moves g/N by the
     translation of the last piece whose left end b has ceil(N*b) <= g.
     Int/int division rounds correctly, so both floats equal those of the
-    exact values, float(Fraction) and QuadraticNumber.__float__.
+    exact values, float(Fraction) and QuadraticNumber.__float__.  `_grid_sup`
+    hands over stretches that cross no jump of either map, so (j - i) and the
+    translation are read once, at lo, and every point of the stretch is
+    evaluated with the same float operations in the same order.
     """
     n = grid_size
     p, scale = amap.source_count, grid_size * amap.target_count
-    shifts = [(piece.target_index - i) * n for i, piece in enumerate(amap.pieces)]
+    pieces = amap.pieces
     thresholds = [math.ceil(n * b) for b in iet.breakpoints]
     moves = [
-        (t.a.numerator, t.a.denominator, float(t.b) * _SQRT5) for t in iet.translations
+        (t.a.denominator, t.a.numerator * n, n * t.a.denominator, float(t.b) * _SQRT5)
+        for t in iet.translations
     ]
 
-    def gap(g: int) -> float:
-        value = (shifts[g * p // n] + g * p) / scale
-        num, den, irrational = moves[bisect_right(thresholds, g) - 1]
-        return abs(value - ((g * den + num * n) / (n * den) + irrational))
+    def gap(lo: int, hi: int) -> float:
+        i = lo * p // n
+        shift = (pieces[i].target_index - i) * n
+        den, num_n, n_den, irrational = moves[bisect_right(thresholds, lo) - 1]
+        return max(
+            abs((shift + g * p) / scale - ((g * den + num_n) / n_den + irrational))
+            for g in range(lo, hi)
+        )
 
     return gap
 
@@ -394,7 +483,9 @@ def roundtrip_check(
 
     Compares every factor level up to n_max exactly, then measures how far the
     high-level affine approximant sits from the exchange on a grid that skips
-    the 1/p(level)-neighborhoods of the jump points of either map.
+    the 1/p(level)-neighborhoods of the jump points of either map.  The levels
+    are compared by a one-level certificate (`_same_language`); only when it
+    fails are they scanned one by one, to name the first mismatch.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -409,18 +500,10 @@ def roundtrip_check(
     if n_max > table.n_max:
         raise InputError("n_max outside the table range")
 
-    coded = coded_factor_table(iet, coding, n_max, samples)
+    words = _orbit_words(iet, coding, n_max, samples)
     mismatch = None
-    for n in range(1, n_max + 1):
-        shift_side = set(table.factors(n))
-        coded_side = set(coded[n])
-        if shift_side != coded_side:
-            coded_only = coded_side - shift_side
-            if coded_only:
-                mismatch = (n, min(coded_only, key=coding.alphabet.key), "coded-only")
-            else:
-                mismatch = (n, min(shift_side - coded_side, key=table.alphabet.key), "shift-only")
-            break
+    if not _same_language(table, words, n_max):
+        mismatch = _first_mismatch(table, coding, words, n_max)
 
     amap = build_approximant(table, approximant_level)
     sup, excluded = _grid_sup(

@@ -165,20 +165,27 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
         raise InputError("levels must satisfy 2 <= n1 <= n2 <= table depth")
     if grid_size < 1:
         raise InputError("grid_size must be >= 1")
-    coarse = build_approximant(table, n1)
-    fine = build_approximant(table, n2)
+    return _convergence(build_approximant(table, n1), build_approximant(table, n2), grid_size)
+
+
+def _convergence(
+    coarse: PiecewiseAffineMap, fine: PiecewiseAffineMap, grid_size: int
+) -> ConvergenceReport:
+    """`convergence_report` on two maps already built."""
     n = grid_size
     p1, q1 = coarse.source_count, coarse.target_count
     p2, q2 = fine.source_count, fine.target_count
-    shifts1 = [(piece.target_index - i) * n for i, piece in enumerate(coarse.pieces)]
-    shifts2 = [(piece.target_index - i) * n for i, piece in enumerate(fine.pieces)]
+    slope = p1 * q2 - p2 * q1
 
-    def gap(g):
+    def gap(lo, hi):
         # T(g/N) = ((t_i - i)*N + g*p) / (N*q) on piece i = g*p // N with
-        # target t_i; both maps over the common denominator N*q1*q2.
-        return abs(
-            (shifts1[g * p1 // n] + g * p1) * q2 - (shifts2[g * p2 // n] + g * p2) * q1
-        )
+        # target t_i; both maps over the common denominator N*q1*q2.  On a
+        # stretch off every jump t_i - i is fixed, so the difference is affine
+        # in g and its absolute value peaks at an end.
+        i1, i2 = lo * p1 // n, lo * p2 // n
+        c = (coarse.pieces[i1].target_index - i1) * n * q2
+        c -= (fine.pieces[i2].target_index - i2) * n * q1
+        return max(abs(c + lo * slope), abs(c + (hi - 1) * slope))
 
     top, excluded = _grid_sup(
         grid_size,
@@ -189,30 +196,51 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
     # Int/int division rounds correctly: the float of the exact sup.
     sup = top / (n * q1 * q2)
     return ConvergenceReport(
-        n1, n2, grid_size, sup, Fraction(excluded, grid_size), grid_size - excluded
+        coarse.level,
+        fine.level,
+        grid_size,
+        sup,
+        Fraction(excluded, grid_size),
+        grid_size - excluded,
     )
 
 
 def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple:
-    """Largest gap(g) over the grid points g/grid_size that sit off every jump.
+    """Largest gap over the grid points g/grid_size that sit off every jump.
 
     g/N lies closer than radius to a jump q exactly when
     floor(N(q - radius)) < g < ceil(N(q + radius)), so each jump excludes one
-    range of indices, found by exact floor and ceil (jumps may be Fractions or
-    quadratic numbers).  gap takes the grid index g.  Returns the sup (0 when
-    every point is excluded) and the number of excluded points.
+    range [lo, hi) of indices, found by exact floor and ceil (jumps may be
+    Fractions or quadratic numbers).  A map's formula changes only at its
+    jumps (an approximant's t_i - i and an exchange's translation hold
+    between them), and at the jump q it changes at ceil(N q), the first index
+    at or past q, with lo <= ceil(N q) <= hi.  So the kept indices, cut at
+    every lo and hi (an empty range still cuts), fall into stretches that
+    cross no jump: on each, every map is one affine expression in g.
+    gap(lo, hi) gives the largest gap over one such stretch.  For two
+    approximants in exact integers the gap is |affine| there and peaks at
+    g = lo or g = hi - 1, so two evaluations stand for the stretch; a float
+    gap is taken at every point.  Each jump must lie in (0, 1).  Returns the
+    sup (0 when every point is excluded) and the number of excluded points.
     """
-    excluded = bytearray(grid_size)
-    for q in jumps:
-        lo = max(math.floor(grid_size * (q - radius)) + 1, 0)
-        hi = min(math.ceil(grid_size * (q + radius)), grid_size)
-        if lo < hi:
-            excluded[lo:hi] = b"\1" * (hi - lo)
-    sup = 0
-    for g in range(grid_size):
-        if not excluded[g]:
-            sup = max(sup, gap(g))
-    return sup, excluded.count(1)
+    ranges = sorted(
+        (
+            max(math.floor(grid_size * (q - radius)) + 1, 0),
+            min(math.ceil(grid_size * (q + radius)), grid_size),
+        )
+        for q in jumps
+    )
+    sup = excluded = start = 0
+    for lo, hi in ranges:
+        if start < lo:
+            sup = max(sup, gap(start, lo))
+            start = lo
+        if start < hi:
+            excluded += hi - start
+            start = hi
+    if start < grid_size:
+        sup = max(sup, gap(start, grid_size))
+    return sup, excluded
 
 
 class Cluster(NamedTuple):
@@ -275,6 +303,11 @@ def accumulation_clusters(source, epsilon: float, min_size: int = 5) -> list[Clu
     return clusters
 
 
+def _coarse_level(n: int) -> int:
+    """The coarse level paired with level n: n // 2, but at least 2."""
+    return max(2, n // 2)
+
+
 def accumulation_diagnostic(
     table: FactorTable, n: int, epsilon: float, min_size: int = 5
 ) -> list[Cluster]:
@@ -289,7 +322,7 @@ def accumulation_diagnostic(
     """
     if not 2 <= n <= table.n_max:
         raise InputError(f"diagnostic level must be within 2..{table.n_max}")
-    levels = sorted({max(2, n // 2), n})
+    levels = sorted({_coarse_level(n), n})
     maps = [build_approximant(table, m) for m in levels]
     return accumulation_clusters(maps, epsilon, min_size)
 

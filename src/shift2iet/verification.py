@@ -20,11 +20,11 @@ from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, r
 from .fixtures import FIXTURE_RULES
 from .ietmap import (
     PiecewiseAffineMap,
+    _coarse_level,
+    _convergence,
     accumulation_clusters,
-    accumulation_diagnostic,
     block_affinity_check,
     build_approximant,
-    convergence_report,
     limit_intervals,
 )
 from .errors import InputError
@@ -50,6 +50,7 @@ class VerificationReport:
     partition: PartitionResult      # refined to the depth cap
     measures: MeasureTable          # partition cylinders at the measure level
     approximant: PiecewiseAffineMap  # T_n at the approximant level
+    coarse_approximant: PiecewiseAffineMap  # T_max(2, n//2), compared with T_n
 
     @property
     def passed(self) -> bool:
@@ -90,16 +91,17 @@ def run_verification(
     partition = refine(table, depth_cap)
     measures = measure_table(table, partition.cylinder_words(), measure_level)
     approximant = build_approximant(table, approximant_level)
+    coarse = build_approximant(table, _coarse_level(approximant_level))
 
     checks = [
         *_substitution_checks(substitution),
         *_language_checks(table),
         *_partition_checks(table, partition, measures),
         *_measure_checks(table, partition, measures),
-        *_ietmap_checks(table, partition, approximant, grid_size),
+        *_ietmap_checks(table, partition, approximant, coarse, grid_size),
         *_coding_checks(substitution, n_max),
     ]
-    return VerificationReport(checks, table, partition, measures, approximant)
+    return VerificationReport(checks, table, partition, measures, approximant, coarse)
 
 
 def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -620,7 +622,11 @@ def _measure_checks(
 
 
 def _ietmap_checks(
-    table: FactorTable, partition: PartitionResult, amap: PiecewiseAffineMap, grid_size: int
+    table: FactorTable,
+    partition: PartitionResult,
+    amap: PiecewiseAffineMap,
+    coarse: PiecewiseAffineMap,
+    grid_size: int,
 ) -> list[CheckResult]:
     out = []
     level = amap.level
@@ -696,8 +702,9 @@ def _ietmap_checks(
     ok = ok and all(iv.translation == iv.image_left - iv.left for iv in lis.intervals)
     out.append(_check("ietmap", "limit-intervals-disjoint", ok, "overlap or bad residual"))
 
-    report = convergence_report(table, max(2, level // 2), level, grid_size)
-    same = convergence_report(table, level, level, grid_size)
+    # T_n against a second, separately built T_n must give 0.
+    report = _convergence(coarse, amap, grid_size)
+    same = _convergence(amap, build_approximant(table, level), grid_size)
     ok = (
         report.sup_difference >= 0
         and 0 <= report.excluded_fraction <= 1
@@ -716,7 +723,7 @@ def _ietmap_checks(
     merged = accumulation_clusters(amap, 1.0, 1)
     total = sum(c.size for c in merged)
     ok = total == len(jumps) and len(merged) <= 1
-    diagnostic = accumulation_diagnostic(table, level, 0.02)
+    diagnostic = accumulation_clusters([coarse, amap], 0.02)
     ok = ok and all(c.size >= 5 and c.low <= c.center <= c.high for c in diagnostic)
     ok = ok and all(a.high < b.low for a, b in zip(diagnostic, diagnostic[1:]))
     out.append(

@@ -148,6 +148,31 @@ def orbit_levels(orbits: list[str], order: str, n_max: int) -> dict[int, tuple[s
     return levels
 
 
+def orbit_code(iet, coding, x, length: int) -> str:
+    """Coding of the forward orbit of x, one step at a time through the
+    exchange's own `apply` and the partition's own `letter_at`."""
+    out = []
+    for _ in range(length):
+        out.append(coding.letter_at(x))
+        x = iet.apply(x)
+    return "".join(out)
+
+
+def first_mismatch(coded: dict, shift: dict, coded_order: str, shift_order: str):
+    """(n, word, side) for the least n whose two factor sets differ, naming the
+    least word found on one side only in that side's letter order; None when
+    every level agrees."""
+    for n in sorted(coded):
+        a, b = set(coded[n]), set(shift[n])
+        if a != b:
+            if a - b:
+                rank = {c: i for i, c in enumerate(coded_order)}
+                return n, min(a - b, key=lambda u: [rank[c] for c in u]), "coded-only"
+            rank = {c: i for i, c in enumerate(shift_order)}
+            return n, min(b - a, key=lambda u: [rank[c] for c in u]), "shift-only"
+    return None
+
+
 GOLDEN_BETA = (5 ** 0.5 - 1) / 2
 
 

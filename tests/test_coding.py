@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shift2iet import (
@@ -207,6 +207,76 @@ def test_code_orbit_against_float_shadow():
         assert exact == shadow
 
 
+@st.composite
+def unit_points(draw, irrational=None):
+    """Points of [0, 1): rational, or with a nonzero sqrt(5) part."""
+    if irrational is None:
+        irrational = draw(st.booleans())
+    b = draw(rationals.filter(bool)) if irrational else Fraction(0)
+    q = QuadraticNumber(draw(rationals), b)
+    return q - math.floor(q)
+
+
+def _letters(k):
+    return list("abcdefgh"[:k])
+
+
+@st.composite
+def golden_with_cuts(draw):
+    """The golden exchange, coded by a partition cut at the golden point (the
+    exchange steps down there, so every coding must cut it) and at up to
+    three other points."""
+    cuts = draw(st.lists(unit_points(), max_size=3))
+    lefts = sorted({QuadraticNumber(0), GOLDEN_ROTATION, *cuts})
+    return golden_iet(), CodingPartition(lefts, _letters(len(lefts)))
+
+
+@st.composite
+def rational_three_pieces(draw):
+    """A three-piece exchange with rational lengths and any image order,
+    coded by its own pieces and a few extra cuts; a breakpoint where the
+    translation steps up may be left out of the coding."""
+    weights = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=3))
+    lengths = [Fraction(w, sum(weights)) for w in weights]
+    order = draw(st.permutations(range(3)))   # order[k]: the piece imaged k-th
+    lefts = [Fraction(0), lengths[0], lengths[0] + lengths[1]]
+    image_left, cursor = [None] * 3, Fraction(0)
+    for piece in order:
+        image_left[piece] = cursor
+        cursor += lengths[piece]
+    moves = [image_left[i] - lefts[i] for i in range(3)]
+    cuts = {Fraction(0), *draw(st.lists(unit_points(irrational=False), max_size=2))}
+    for i in (1, 2):
+        if not (moves[i - 1] < moves[i] and draw(st.booleans())):
+            cuts.add(lefts[i])
+    cuts = sorted(cuts)
+    return FiniteIET(lefts, moves), CodingPartition(cuts, _letters(len(cuts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(golden_with_cuts(), rational_three_pieces()), unit_points(), st.integers(0, 80))
+@example(
+    (
+        golden_iet(),
+        CodingPartition([0, Fraction(1, 3), GOLDEN_ROTATION, Fraction(4, 5)], _letters(4)),
+    ),
+    QuadraticNumber(Fraction(-3, 2), Fraction(3, 4)),
+    60,
+)
+@example(
+    (
+        FiniteIET([0, Fraction(1, 5), Fraction(1, 2)], [0, Fraction(1, 2), Fraction(-3, 10)]),
+        CodingPartition([0, Fraction(1, 2)], ["a", "b"]),
+    ),
+    QuadraticNumber(Fraction(-2), Fraction(1)),
+    60,
+)
+def test_code_orbit_matches_the_stepwise_oracle(pair, x, length):
+    """The integer orbit kernel against `apply` and `letter_at`, step by step."""
+    iet, coding = pair
+    assert code_orbit(iet, coding, x, length) == oracles.orbit_code(iet, coding, x, length)
+
+
 def test_code_orbit_validates_start():
     iet, coding = golden_iet(), golden_coding()
     with pytest.raises(InputError):
@@ -275,3 +345,81 @@ def test_roundtrip_rejects_a_wrong_pairing():
     assert not result.passed
     assert not result.factor_sets_equal
     assert result.first_mismatch is not None
+
+
+def _rational_golden_rotation(k):
+    """Rotation by F(k-2)/F(k), the k-th Fibonacci approximant of the golden
+    exchange; its period-F(k) coding shares the Fibonacci factors only up
+    to some length, so longer tables mismatch there."""
+    fib = [0, 1]
+    while len(fib) <= k:
+        fib.append(fib[-1] + fib[-2])
+    cut = Fraction(fib[k - 1], fib[k])
+    return FiniteIET([0, cut], [1 - cut, -cut]), CodingPartition([0, cut], ["a", "b"])
+
+
+def _pairing(kind):
+    if kind == "golden":
+        return golden_iet(), golden_coding()
+    if kind == "golden-swapped":
+        return golden_iet(), CodingPartition([0, GOLDEN_ROTATION], ["b", "a"])
+    if kind == "half":
+        half = Fraction(1, 2)
+        return FiniteIET([0, half], [half, -half]), CodingPartition([0, half], ["a", "b"])
+    if kind == "identity":   # one sample sees only a: shift-only at length 1
+        return FiniteIET([0], [0]), CodingPartition([0, Fraction(1, 2)], ["a", "b"])
+    if kind == "thirds":   # a letter outside the shift's alphabet: coded-only c
+        third = Fraction(1, 3)
+        return (
+            FiniteIET([0, 2 * third], [third, -2 * third]),
+            CodingPartition([0, third, 2 * third], ["a", "b", "c"]),
+        )
+    return _rational_golden_rotation(int(kind))
+
+
+@pytest.fixture(scope="module")
+def tables40():
+    out = {}
+    for name in ("fibonacci", "thue-morse"):
+        _, rules = FIXTURE_RULES[name]
+        for order in ("ab", "ba"):
+            sub = Substitution(Alphabet(list(order)), dict(rules))
+            out[name, order] = build_factor_table(sub, 40)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["fibonacci", "thue-morse"]),
+    order=st.sampled_from(["ab", "ba"]),
+    kind=st.sampled_from(
+        ["golden", "golden-swapped", "half", "identity", "thirds", *map(str, range(4, 11))]
+    ),
+    n_max=st.integers(min_value=1, max_value=40),
+    samples=st.integers(min_value=1, max_value=4),
+)
+@example(name="fibonacci", order="ab", kind="golden", n_max=40, samples=4)
+@example(name="fibonacci", order="ba", kind="9", n_max=40, samples=2)
+@example(name="thue-morse", order="ab", kind="identity", n_max=5, samples=1)
+@example(name="thue-morse", order="ba", kind="thirds", n_max=5, samples=3)
+def test_roundtrip_certificate_matches_a_per_level_scan(
+    tables40, name, order, kind, n_max, samples
+):
+    """The one-level certificate and its fallback give the verdict and the
+    first mismatch of a scan of every level, from orbits the oracle codes."""
+    table = tables40[name, order]
+    iet, coding = _pairing(kind)
+    length = 4 * n_max + 64
+    orbits = [
+        oracles.orbit_code(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
+    ]
+    coded_order = "".join(coding.letters)
+    coded = oracles.orbit_levels(orbits, coded_order, n_max)
+    shift = oracles.factor_levels(FIXTURE_RULES[name][1], n_max)
+    want = oracles.first_mismatch(coded, shift, coded_order, order)
+    result = roundtrip_check(
+        table.substitution, iet, coding, n_max,
+        table=table, approximant_level=2, grid_size=8, samples=samples,
+    )
+    assert result.first_mismatch == want
+    assert result.factor_sets_equal == (want is None)

@@ -1,5 +1,6 @@
 """Affine approximants: pieces, jumps, blocks, convergence, clusters."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from shift2iet import (
     AffinePiece,
+    CodingPartition,
+    FiniteIET,
     InputError,
     PiecewiseAffineMap,
     QuadraticNumber,
@@ -309,6 +312,11 @@ def test_non_injectivity_witnesses_need_two_clusters(deep_tables):
 def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
     """convergence_report(n1, n2) and the roundtrip at level n2 against the
     point-by-point sweep: bit-identical sups, equal excluded counts."""
+    _assert_convergence_sweep(table, n1, n2, grid_size)
+    _assert_roundtrip_sweep(table, golden_iet(), golden_coding(), n2, grid_size)
+
+
+def _assert_convergence_sweep(table, n1, n2, grid_size):
     coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
     sup, excluded = oracles.grid_sup(
         grid_size,
@@ -320,8 +328,11 @@ def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
     assert rep.sup_difference == sup
     assert rep.excluded_fraction == Fraction(excluded, grid_size)
     assert rep.compared_points == grid_size - excluded
+    return rep
 
-    iet = golden_iet()
+
+def _assert_roundtrip_sweep(table, iet, coding, n2, grid_size):
+    fine = build_approximant(table, n2)
     sup, excluded = oracles.grid_sup(
         grid_size,
         sorted({QuadraticNumber(d) for d in fine.discontinuities()} | set(iet.breakpoints[1:])),
@@ -329,11 +340,18 @@ def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
         lambda x: abs(float(fine.evaluate(x)) - float(iet.apply(x))),
     )
     result = roundtrip_check(
-        get_fixture(name), iet, golden_coding(), 1,
+        table.substitution, iet, coding, 1,
         table=table, approximant_level=n2, grid_size=grid_size,
     )
     assert result.sup_difference == sup
     assert result.excluded_fraction == Fraction(excluded, grid_size)
+    return result
+
+
+def _excluded_range(grid_size, q, radius):
+    """The grid indices g with |g/N - q| < radius, as the sweep cuts them."""
+    lo = max(math.floor(grid_size * (q - radius)) + 1, 0)
+    return lo, min(math.ceil(grid_size * (q + radius)), grid_size)
 
 
 @settings(max_examples=30, deadline=None)
@@ -362,3 +380,56 @@ def test_grid_sweeps_match_oracle_with_jump_ends_on_the_grid(deep_tables):
         for q in coarse.discontinuities():
             assert ((q - Fraction(1, p)) * grid_size).denominator == 1
         _assert_sweeps_match_oracle(table, name, n1, n2, grid_size)
+
+
+def test_grid_sweep_with_every_point_excluded(deep_tables):
+    """Sup 0 and every point excluded, with no stretch left to evaluate."""
+    table = deep_tables["thue-morse"]
+    rep = _assert_convergence_sweep(table, 2, 8, 50)
+    assert rep.compared_points == 0 and rep.sup_difference == 0
+    # T_2 jumps at 1/2 alone; with exchange breakpoints at 1/5 and 4/5 the
+    # radius 1/p(2) = 1/4 covers [0, 1).
+    fifth = Fraction(1, 5)
+    iet = FiniteIET([0, fifth, 4 * fifth], [4 * fifth, 0, -4 * fifth])
+    coding = CodingPartition([0, fifth, 4 * fifth], ["a", "b", "c"])
+    result = _assert_roundtrip_sweep(table, iet, coding, 2, 50)
+    assert result.excluded_fraction == 1 and result.sup_difference == 0
+
+
+def test_grid_sweep_on_a_one_point_grid(deep_tables):
+    for name, table in sorted(deep_tables.items()):
+        for n1, n2 in ((2, 2), (5, 40), (50, 100)):
+            _assert_sweeps_match_oracle(table, name, n1, n2, 1)
+
+
+@pytest.mark.parametrize(
+    "name, n2, grid_size",
+    [("fibonacci", 40, 3), ("rudin-shapiro", 10, 3), ("tetranacci", 100, 3), ("fibonacci", 10, 4)],
+)
+def test_grid_sweep_run_beginning_on_an_exchange_threshold(deep_tables, name, n2, grid_size):
+    """The golden breakpoint excludes no grid point here, so a run is cut at
+    ceil(N g), where the exchange's translation changes."""
+    table = deep_tables[name]
+    golden = golden_iet().breakpoints[1]
+    radius = Fraction(1, table.complexity(n2))
+    threshold = math.ceil(grid_size * golden)
+    assert _excluded_range(grid_size, golden, radius) == (threshold, threshold)
+    _assert_sweeps_match_oracle(table, name, 2, n2, grid_size)
+
+
+@pytest.mark.parametrize(
+    "name, n1, n2, grid_size",
+    [("thue-morse", 10, 100, 3), ("rudin-shapiro", 50, 100, 3), ("tetranacci", 50, 100, 12)],
+)
+def test_grid_sweep_cut_at_a_jump_inside_a_run(deep_tables, name, n1, n2, grid_size):
+    """Some jump q excludes no grid point, so the run around it is cut at
+    ceil(N q), the first index of the next piece; one affine expression
+    across the cut gives a different sup on each of these."""
+    table = deep_tables[name]
+    coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
+    radius = Fraction(1, coarse.source_count)
+    assert any(
+        _excluded_range(grid_size, q, radius) == (math.ceil(grid_size * q),) * 2
+        for q in coarse.discontinuities() + fine.discontinuities()
+    )
+    _assert_sweeps_match_oracle(table, name, n1, n2, grid_size)
