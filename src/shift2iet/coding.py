@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .ietmap import _grid_sup, build_approximant
-from .language import FactorTable, _window_levels, build_factor_table
+from .language import FactorTable, build_factor_table
 from .substitution import Alphabet, Substitution
 
 _SQRT5 = math.sqrt(5.0)
@@ -323,6 +323,12 @@ def code_orbit(iet: FiniteIET, coding: CodingPartition, x, length: int) -> str:
     x = _as_quadratic(x)
     if not (0 <= x and x < 1):
         raise InputError("point outside [0, 1)")
+    return _walk(iet, coding, x, length)
+
+
+def _walk(iet: FiniteIET, coding: CodingPartition, x: QuadraticNumber, length: int) -> str:
+    """`code_orbit` without its checks, so that it can also walk the inverse
+    exchange, which the coding need not keep monotone."""
     lefts = sorted(set(iet.breakpoints) | set(coding.breakpoints))
     shifts = [iet.translations[iet.piece_index(c)] for c in lefts]
     letters = [coding.letter_at(c) for c in lefts]
@@ -350,65 +356,58 @@ def code_orbit(iet: FiniteIET, coding: CodingPartition, x, length: int) -> str:
     return "".join(out)
 
 
-def _orbit_words(iet: FiniteIET, coding: CodingPartition, n_max: int, samples: int) -> list[str]:
-    """Codings of the orbits of j/(samples + 1), j < samples, 4*n_max + 64 steps each."""
+def _inverse(iet: FiniteIET) -> FiniteIET:
+    """The inverse exchange: the image pieces of `iet`, each moved back."""
+    pieces = sorted((lo + t, -t) for (lo, _), t in zip(iet.intervals(), iet.translations))
+    return FiniteIET([lo for lo, _ in pieces], [t for _, t in pieces])
+
+
+def _coded_top(iet: FiniteIET, coding: CodingPartition, n_max: int) -> set[str]:
+    """Every length-n_max word that codes a point of [0, 1), exactly.
+
+    Let B be the exchange and coding breakpoints (0 among them) and C_n the
+    points E^-i(c), c in B, 0 <= i < n, for the exchange E.  The length-n
+    code is constant on [p, q) for consecutive p < q in C_n: by induction on
+    i < n, E^i moves [p, q) by one translation into one cell of B, as a c in
+    B strictly inside E^i([p, q)) would put E^-i(c) in (p, q).  So the
+    length-n codes are those of C_n.  With N = n_max, the code of E^-i(c) is
+    the window at offset N-1-i of s_c, the letters of E^k(c) for -N < k < N:
+    the backward walk of c on the inverse exchange, reversed and without c's
+    letter, then the forward walk.  So the length-N codes are the N windows
+    of the s_c, and each shorter code is a prefix of its point's.
+    """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    length = 4 * n_max + 64
-    return [code_orbit(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)]
+    _check_monotone(iet, coding)
+    inverse = _inverse(iet)
+    top = set()
+    for c in set(iet.breakpoints) | set(coding.breakpoints):
+        s = _walk(inverse, coding, c, n_max)[:0:-1] + _walk(iet, coding, c, n_max)
+        top.update(s[i : i + n_max] for i in range(n_max))
+    return top
 
 
 def coded_factor_table(
-    iet: FiniteIET, coding: CodingPartition, n_max: int, samples: int = 3
+    iet: FiniteIET, coding: CodingPartition, n_max: int
 ) -> dict[int, tuple[str, ...]]:
-    """Factor sets of the coded orbits, per length up to n_max.
-
-    Samples a few exactly-representable starting points (rationals spread over
-    [0, 1)), codes each orbit for 4*n_max + 64 steps, and pools the factors.
-    Extra samples are cross-checks; for a minimal exchange one orbit already
-    sees every factor.
-    """
-    words = _orbit_words(iet, coding, n_max, samples)
-    levels = enumerate(_window_levels(words, n_max), 1)
+    """The codes of every point (`_coded_top`) per length, in the coding's letter order."""
+    top = _coded_top(iet, coding, n_max)
+    levels = enumerate(({u[:n] for u in top} for n in range(1, n_max + 1)), 1)
     return {n: tuple(sorted(level, key=coding.alphabet.key)) for n, level in levels}
 
 
-def _same_language(table: FactorTable, words: list[str], n_max: int) -> bool:
-    """Do the windows of the words give table.factors(n) at every n <= n_max?
-
-    Checks one level.  A table level n is the set of n-prefixes of its level
-    n_max.  The length-n windows of a word w are the n-prefixes of its
-    length-n_max windows, plus, for the starts i past len(w) - n_max, the
-    n-prefixes of the tail suffixes w[i:], shorter than n_max.  So if the
-    length-n_max windows equal table.factors(n_max) and every tail suffix
-    starts some top-level factor, each coded level n is the table's level n.
-    Conversely, a tail suffix s that starts no top-level factor is a coded
-    window of length |s| missing from the table.  (For a shift language the
-    tail condition follows from the first, since s sits inside the word's last
-    top window; checking it keeps the argument to how the table stores its
-    levels.)
-    """
-    top = {w[i : i + n_max] for w in words for i in range(len(w) - n_max + 1)}
-    if top != set(table.factors(n_max)):
-        return False
-    for w in words:
-        tail = w[len(w) - n_max + 1 :]
-        if table.alphabet.foreign(tail):
-            return False
-        if any(table.restricted_complexity(tail[i:], n_max) == 0 for i in range(len(tail))):
-            return False
-    return True
+def _same_language(table: FactorTable, top: set[str], n_max: int) -> bool:
+    """Equal at every n <= n_max: both sides' levels are prefixes of level n_max."""
+    return top == set(table.factors(n_max))
 
 
 def _first_mismatch(
-    table: FactorTable, coding: CodingPartition, words: list[str], n_max: int
+    table: FactorTable, coding: CodingPartition, top: set[str], n_max: int
 ) -> tuple[int, str, str] | None:
     """The least length whose coded and shift factor sets differ, with the
     least word in one set only, in its side's letter order."""
-    for n, coded_side in enumerate(_window_levels(words, n_max), 1):
-        shift_side = set(table.factors(n))
+    for n in range(1, n_max + 1):
+        coded_side, shift_side = {u[:n] for u in top}, set(table.factors(n))
         if shift_side != coded_side:
             coded_only = coded_side - shift_side
             if coded_only:
@@ -477,15 +476,14 @@ def roundtrip_check(
     approximant_level: int | None = None,
     grid_size: int = 1000,
     tolerance: float = 0.05,
-    samples: int = 3,
 ) -> RoundtripResult:
     """Does the coded exchange reproduce the substitution shift, and back?
 
     Compares every factor level up to n_max exactly, then measures how far the
     high-level affine approximant sits from the exchange on a grid that skips
     the 1/p(level)-neighborhoods of the jump points of either map.  The levels
-    are compared by a one-level certificate (`_same_language`); only when it
-    fails are they scanned one by one, to name the first mismatch.
+    are every point's codes (`_coded_top`), compared at n_max alone; only when
+    that fails are they scanned one by one, to name the first mismatch.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -500,10 +498,10 @@ def roundtrip_check(
     if n_max > table.n_max:
         raise InputError("n_max outside the table range")
 
-    words = _orbit_words(iet, coding, n_max, samples)
+    top = _coded_top(iet, coding, n_max)
     mismatch = None
-    if not _same_language(table, words, n_max):
-        mismatch = _first_mismatch(table, coding, words, n_max)
+    if not _same_language(table, top, n_max):
+        mismatch = _first_mismatch(table, coding, top, n_max)
 
     amap = build_approximant(table, approximant_level)
     sup, excluded = _grid_sup(

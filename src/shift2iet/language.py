@@ -210,7 +210,7 @@ class FactorTable:
     def restricted_complexity(self, prefix: str, n: int) -> int:
         """Number of length-n factors that start with the given word.
 
-        A word that is not a factor gives 0, not an error.
+        A non-factor gives 0; a letter outside the alphabet raises InputError.
         """
         lo, hi = self.prefix_range(prefix, n)
         return hi - lo

@@ -18,7 +18,8 @@ from .language import FactorTable
 def cylinder_measure_estimate(table: FactorTable, word: str, n: int) -> Fraction:
     """Share of length-n factors starting with the word, as an exact rational.
 
-    The empty word gives 1.  Words that are not factors give 0.
+    The empty word gives 1 and a non-factor 0; a letter outside the alphabet
+    raises InputError.
     """
     if n < len(word):
         raise InputError("estimate needs n >= len(word)")

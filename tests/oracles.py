@@ -137,17 +137,6 @@ def approximant_jumps(levels: dict, n: int) -> list[Fraction]:
     return [Fraction(i, p) for i in range(1, p) if targets[i] != targets[i - 1] + 1]
 
 
-def orbit_levels(orbits: list[str], order: str, n_max: int) -> dict[int, tuple[str, ...]]:
-    """Windows of every length 1..n_max over the given words, one scan per
-    length, each level sorted by the position of its letters in `order`."""
-    rank = {c: i for i, c in enumerate(order)}
-    levels = {}
-    for n in range(1, n_max + 1):
-        seen = {w[i : i + n] for w in orbits for i in range(len(w) - n + 1)}
-        levels[n] = tuple(sorted(seen, key=lambda u: [rank[c] for c in u]))
-    return levels
-
-
 def orbit_code(iet, coding, x, length: int) -> str:
     """Coding of the forward orbit of x, one step at a time through the
     exchange's own `apply` and the partition's own `letter_at`."""
@@ -156,6 +145,35 @@ def orbit_code(iet, coding, x, length: int) -> str:
         out.append(coding.letter_at(x))
         x = iet.apply(x)
     return "".join(out)
+
+
+def cut_levels(iet, coding, n_max: int) -> dict[int, tuple[str, ...]]:
+    """Codes of length n of the cut points E^-i(c), for every breakpoint c of
+    the exchange or the coding and 0 <= i < n, per n = 1..n_max, each level
+    sorted in the coding's letter order.
+
+    The length-n code of a point is constant between consecutive cut points,
+    so these are all the length-n codes.  Each preimage comes from the piece
+    whose image holds the point; each cut point is coded by `orbit_code`.
+    """
+    images = [(lo + t, hi + t, t) for (lo, hi), t in zip(iet.intervals(), iet.translations)]
+
+    def preimage(y):
+        (t,) = [t for lo, hi, t in images if lo <= y < hi]
+        return y - t
+
+    cuts = set(iet.breakpoints) | set(coding.breakpoints)
+    chains = []   # chains[i]: the points E^-i(c)
+    for _ in range(n_max):
+        chains.append(cuts)
+        cuts = {preimage(y) for y in cuts}
+    codes = [{orbit_code(iet, coding, x, n_max) for x in chain} for chain in chains]
+    rank = {c: i for i, c in enumerate(coding.letters)}
+    levels = {}
+    for n in range(1, n_max + 1):
+        seen = {w[:n] for i in range(n) for w in codes[i]}
+        levels[n] = tuple(sorted(seen, key=lambda u: [rank[c] for c in u]))
+    return levels
 
 
 def first_mismatch(coded: dict, shift: dict, coded_order: str, shift_order: str):

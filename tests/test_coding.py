@@ -22,6 +22,7 @@ from shift2iet import (
     golden_iet,
     roundtrip_check,
 )
+import shift2iet.coding as coding_layer
 from shift2iet.coding import GOLDEN_ROTATION
 from shift2iet.fixtures import FIXTURE_RULES
 import oracles
@@ -296,17 +297,68 @@ def test_coded_factors_match_substitution_language(fib100):
 
 @pytest.mark.parametrize("letters", ["ab", "ba"])
 def test_coded_factor_table_matches_per_level_scan(letters):
-    """Levels derived from one scan at n_max equal a scan at every length,
-    sorted in the coding's letter order (b before a in the second case)."""
+    """Levels read as prefixes of the top level equal the codes of the cut
+    points at every length, sorted in the coding's letter order (b before a
+    in the second case)."""
     iet = golden_iet()
     coding = CodingPartition([QuadraticNumber(0), GOLDEN_ROTATION], list(letters))
-    for n_max, samples in ((1, 1), (2, 2), (15, 3), (40, 5), (120, 3)):
-        orbits = [
-            code_orbit(iet, coding, Fraction(j, samples + 1), 4 * n_max + 64)
-            for j in range(samples)
-        ]
-        want = oracles.orbit_levels(orbits, letters, n_max)
-        assert coded_factor_table(iet, coding, n_max, samples) == want
+    for n_max in (1, 2, 5, 17, 40, 120):
+        assert coded_factor_table(iet, coding, n_max) == oracles.cut_levels(iet, coding, n_max)
+
+
+def test_identity_exchange_codes_every_interval():
+    """The identity is not minimal: every point of [0, 3/4) codes aaa... and
+    every point of [3/4, 1) codes bbb..., and no orbit sees both."""
+    iet = FiniteIET([0], [0])
+    coding = CodingPartition([0, Fraction(3, 4)], ["a", "b"])
+    assert coded_factor_table(iet, coding, 3) == {
+        1: ("a", "b"),
+        2: ("aa", "bb"),
+        3: ("aaa", "bbb"),
+    }
+    fib = get_fixture("fibonacci")
+    result = roundtrip_check(fib, iet, coding, 5, table=build_factor_table(fib, 10))
+    assert result.first_mismatch == (2, "bb", "coded-only")
+
+
+def test_non_monotone_coding_is_rejected():
+    """The golden exchange steps down at its inner breakpoint, so a coding
+    with one interval cannot be order compatible."""
+    iet, coding = golden_iet(), CodingPartition([0], ["a"])
+    with pytest.raises(InputError, match="breaks monotonicity"):
+        code_orbit(iet, coding, 0, 5)
+    with pytest.raises(InputError, match="breaks monotonicity"):
+        coded_factor_table(iet, coding, 5)
+    with pytest.raises(InputError, match="breaks monotonicity"):
+        roundtrip_check(get_fixture("fibonacci"), iet, coding, 5)
+
+
+def _broken_half_rotation():
+    """The rotation by 1/2 with its first translation changed to 3/4 after
+    construction: 0 -> 3/4 -> 1/4 -> 1 leaves [0, 1)."""
+    half = Fraction(1, 2)
+    iet = FiniteIET([0, half], [half, -half])
+    iet.translations[0] = QuadraticNumber(Fraction(3, 4))
+    return iet
+
+
+def test_orbit_guard_fires_on_the_forward_walk():
+    broken = _broken_half_rotation()
+    coding = CodingPartition([0, Fraction(1, 2)], ["a", "b"])
+    with pytest.raises(InputError, match="orbit left"):
+        code_orbit(broken, coding, 0, 5)
+    with pytest.raises(InputError, match="do not tile"):   # its inverse is validated
+        coded_factor_table(broken, coding, 5)
+
+
+def test_orbit_guard_fires_on_the_backward_walk(monkeypatch):
+    """The inverse of the rotation by 1/2 is itself; breaking it leaves the
+    forward walks intact and sends the backward walk of 0 out of [0, 1)."""
+    half = Fraction(1, 2)
+    iet = FiniteIET([0, half], [half, -half])
+    monkeypatch.setattr(coding_layer, "_inverse", lambda _: _broken_half_rotation())
+    with pytest.raises(InputError, match="orbit left"):
+        coded_factor_table(iet, CodingPartition([0, half], ["a", "b"]), 5)
 
 
 def test_roundtrip_accepts_the_golden_pairing():
@@ -366,7 +418,7 @@ def _pairing(kind):
     if kind == "half":
         half = Fraction(1, 2)
         return FiniteIET([0, half], [half, -half]), CodingPartition([0, half], ["a", "b"])
-    if kind == "identity":   # one sample sees only a: shift-only at length 1
+    if kind == "identity":   # codes a^n and b^n only
         return FiniteIET([0], [0]), CodingPartition([0, Fraction(1, 2)], ["a", "b"])
     if kind == "thirds":   # a letter outside the shift's alphabet: coded-only c
         third = Fraction(1, 3)
@@ -375,6 +427,9 @@ def _pairing(kind):
             CodingPartition([0, third, 2 * third], ["a", "b", "c"]),
         )
     return _rational_golden_rotation(int(kind))
+
+
+PAIRINGS = ["golden", "golden-swapped", "half", "identity", "thirds", *map(str, range(4, 11))]
 
 
 @pytest.fixture(scope="module")
@@ -392,34 +447,36 @@ def tables40():
 @given(
     name=st.sampled_from(["fibonacci", "thue-morse"]),
     order=st.sampled_from(["ab", "ba"]),
-    kind=st.sampled_from(
-        ["golden", "golden-swapped", "half", "identity", "thirds", *map(str, range(4, 11))]
-    ),
+    kind=st.sampled_from(PAIRINGS),
     n_max=st.integers(min_value=1, max_value=40),
-    samples=st.integers(min_value=1, max_value=4),
 )
-@example(name="fibonacci", order="ab", kind="golden", n_max=40, samples=4)
-@example(name="fibonacci", order="ba", kind="9", n_max=40, samples=2)
-@example(name="thue-morse", order="ab", kind="identity", n_max=5, samples=1)
-@example(name="thue-morse", order="ba", kind="thirds", n_max=5, samples=3)
-def test_roundtrip_certificate_matches_a_per_level_scan(
-    tables40, name, order, kind, n_max, samples
-):
+@example(name="fibonacci", order="ab", kind="golden", n_max=40)
+@example(name="fibonacci", order="ba", kind="9", n_max=40)
+@example(name="thue-morse", order="ab", kind="identity", n_max=5)
+@example(name="thue-morse", order="ba", kind="thirds", n_max=5)
+def test_roundtrip_certificate_matches_a_per_level_scan(tables40, name, order, kind, n_max):
     """The one-level certificate and its fallback give the verdict and the
-    first mismatch of a scan of every level, from orbits the oracle codes."""
+    first mismatch of a scan of every level of the cut-point oracle."""
     table = tables40[name, order]
     iet, coding = _pairing(kind)
-    length = 4 * n_max + 64
-    orbits = [
-        oracles.orbit_code(iet, coding, Fraction(j, samples + 1), length) for j in range(samples)
-    ]
     coded_order = "".join(coding.letters)
-    coded = oracles.orbit_levels(orbits, coded_order, n_max)
+    coded = oracles.cut_levels(iet, coding, n_max)
     shift = oracles.factor_levels(FIXTURE_RULES[name][1], n_max)
     want = oracles.first_mismatch(coded, shift, coded_order, order)
     result = roundtrip_check(
-        table.substitution, iet, coding, n_max,
-        table=table, approximant_level=2, grid_size=8, samples=samples,
+        table.substitution, iet, coding, n_max, table=table, approximant_level=2, grid_size=8
     )
     assert result.first_mismatch == want
     assert result.factor_sets_equal == (want is None)
+
+
+@pytest.mark.parametrize("kind", PAIRINGS)
+def test_coded_factor_table_matches_the_cut_point_oracle(kind):
+    """Every pairing's table equals the oracle's, and the code of every grid
+    point j/200 lies in its top level."""
+    iet, coding = _pairing(kind)
+    for n_max in (1, 2, 5, 17, 40):
+        levels = coded_factor_table(iet, coding, n_max)
+        assert levels == oracles.cut_levels(iet, coding, n_max)
+    for j in range(200):
+        assert oracles.orbit_code(iet, coding, Fraction(j, 200), 40) in levels[40]

@@ -40,6 +40,8 @@ def test_empty_word_and_non_factors(tm20):
     assert cylinder_measure_estimate(tm20, "bbb", 10) == 0
     with pytest.raises(InputError):
         cylinder_measure_estimate(tm20, "ababab", 3)
+    with pytest.raises(InputError, match="letter 'z' is not in the alphabet"):
+        cylinder_measure_estimate(tm20, "az", 10)
 
 
 def test_letter_estimates_sum_to_one(tm20):
