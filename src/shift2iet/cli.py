@@ -53,7 +53,7 @@ def _load_substitution(fixture: str | None, config: str | None) -> tuple[Substit
     path = Path(config)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read config {config!r}: {e}") from None
     try:
         obj = json.loads(text)
@@ -107,9 +107,12 @@ def _approx_level(cfg: RunConfig) -> int:
 
 
 def _write(cfg: RunConfig, name: str, text: str) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / name
-    path.write_text(text)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write {str(path)!r}: {e}") from None
     return path
 
 

@@ -20,8 +20,6 @@ from .ietmap import _grid_sup, build_approximant
 from .language import FactorTable, build_factor_table
 from .substitution import Alphabet, Substitution
 
-_SQRT5 = math.sqrt(5.0)
-
 
 def _sign_parts(x: int, xd: int, y: int, yd: int) -> int:
     """Sign of x/xd + (y/yd)*sqrt(5) for integers with positive denominators.
@@ -176,7 +174,17 @@ class QuadraticNumber:
         return -_floor_parts(-a.numerator, a.denominator, -b.numerator, b.denominator)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _SQRT5
+        """The correctly rounded float.  With m = floor(|x| * 2**k) of 55 bits,
+        an irrational x lies strictly inside (m, m + 1) / 2**k, which holds no
+        midpoint between floats, so x rounds as (m + 1/2) / 2**k does."""
+        if not self.b:
+            return float(self.a)
+        x, k = abs(self), 0
+        while True:
+            m = math.floor(x * Fraction(2) ** k)
+            if m.bit_length() == 55:
+                return self._sign() * float(Fraction(2 * m + 1, 2) / Fraction(2) ** k)
+            k += 55 - m.bit_length() if m else 64
 
     def __repr__(self):
         return f"QuadraticNumber({self.a}, {self.b})"
@@ -423,8 +431,8 @@ class RoundtripResult:
     passed: bool
     factor_sets_equal: bool
     first_mismatch: tuple[int, str, str] | None   # (length, word, side)
-    sup_difference: float | None
-    excluded_fraction: Fraction | None
+    sup_difference: float
+    excluded_fraction: Fraction
     approximant_level: int
     tolerance: float
 
@@ -432,38 +440,23 @@ class RoundtripResult:
         return self.passed
 
 
-def _grid_gap(amap, iet: FiniteIET, grid_size: int):
-    """Largest |float(T(g/N)) - float(E(g/N))| over a stretch [lo, hi) of grid
-    indices, for the approximant T and the exchange E, in integers.
+def _grid_difference(amap, iet: FiniteIET, grid_size: int):
+    """difference(g) = T(g/N) - E(g/N), exactly, for the approximant T and
+    the exchange E.
 
-    T(g/N) = ((j - i)*N + g*p) / (N*q) on piece i = g*p // N with target j,
-    where p, q are the source and target counts.  E moves g/N by the
-    translation of the last piece whose left end b has ceil(N*b) <= g.
-    Int/int division rounds correctly, so both floats equal those of the
-    exact values, float(Fraction) and QuadraticNumber.__float__.  `_grid_sup`
-    hands over stretches that cross no jump of either map, so (j - i) and the
-    translation are read once, at lo, and every point of the stretch is
-    evaluated with the same float operations in the same order.
+    T(g/N) - g/N = ((j - i)*N + g*(p - q)) / (N*q) on piece i = g*p // N with
+    target j, where p, q are the source and target counts.  E moves g/N by
+    the translation of the last piece whose left end b has ceil(N*b) <= g.
     """
-    n = grid_size
-    p, scale = amap.source_count, grid_size * amap.target_count
-    pieces = amap.pieces
+    n, p, q = grid_size, amap.source_count, amap.target_count
     thresholds = [math.ceil(n * b) for b in iet.breakpoints]
-    moves = [
-        (t.a.denominator, t.a.numerator * n, n * t.a.denominator, float(t.b) * _SQRT5)
-        for t in iet.translations
-    ]
 
-    def gap(lo: int, hi: int) -> float:
-        i = lo * p // n
-        shift = (pieces[i].target_index - i) * n
-        den, num_n, n_den, irrational = moves[bisect_right(thresholds, lo) - 1]
-        return max(
-            abs((shift + g * p) / scale - ((g * den + num_n) / n_den + irrational))
-            for g in range(lo, hi)
-        )
+    def difference(g):
+        i = g * p // n
+        shift = Fraction((amap.pieces[i].target_index - i) * n + g * (p - q), n * q)
+        return shift - iet.translations[bisect_right(thresholds, g) - 1]
 
-    return gap
+    return difference
 
 
 def roundtrip_check(
@@ -481,7 +474,8 @@ def roundtrip_check(
 
     Compares every factor level up to n_max exactly, then measures how far the
     high-level affine approximant sits from the exchange on a grid that skips
-    the 1/p(level)-neighborhoods of the jump points of either map.  The levels
+    the 1/p(level)-neighborhoods of the jump points of either map; that sup is
+    exact and is rounded to a float once.  The levels
     are every point's codes (`_coded_top`), compared at n_max alone; only when
     that fails are they scanned one by one, to name the first mismatch.
     """
@@ -508,14 +502,15 @@ def roundtrip_check(
         grid_size,
         amap.discontinuities() + iet.breakpoints[1:],
         Fraction(1, amap.source_count),
-        _grid_gap(amap, iet, grid_size),
+        _grid_difference(amap, iet, grid_size),
     )
+    sup = float(sup)
     passed = mismatch is None and sup < tolerance
     return RoundtripResult(
         passed,
         mismatch is None,
         mismatch,
-        float(sup),
+        sup,
         Fraction(excluded, grid_size),
         approximant_level,
         tolerance,

@@ -177,21 +177,19 @@ def _convergence(
     p2, q2 = fine.source_count, fine.target_count
     slope = p1 * q2 - p2 * q1
 
-    def gap(lo, hi):
+    def difference(g):
         # T(g/N) = ((t_i - i)*N + g*p) / (N*q) on piece i = g*p // N with
-        # target t_i; both maps over the common denominator N*q1*q2.  On a
-        # stretch off every jump t_i - i is fixed, so the difference is affine
-        # in g and its absolute value peaks at an end.
-        i1, i2 = lo * p1 // n, lo * p2 // n
+        # target t_i; both maps over the common denominator N*q1*q2.
+        i1, i2 = g * p1 // n, g * p2 // n
         c = (coarse.pieces[i1].target_index - i1) * n * q2
         c -= (fine.pieces[i2].target_index - i2) * n * q1
-        return max(abs(c + lo * slope), abs(c + (hi - 1) * slope))
+        return c + g * slope
 
     top, excluded = _grid_sup(
         grid_size,
         coarse.discontinuities() + fine.discontinuities(),
         Fraction(1, p1),
-        gap,
+        difference,
     )
     # Int/int division rounds correctly: the float of the exact sup.
     sup = top / (n * q1 * q2)
@@ -205,23 +203,23 @@ def _convergence(
     )
 
 
-def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple:
-    """Largest gap over the grid points g/grid_size that sit off every jump.
+def _grid_sup(grid_size: int, jumps, radius, difference) -> tuple:
+    """Largest |difference(g)| over the grid points g/grid_size off every jump.
 
-    g/N lies closer than radius to a jump q exactly when
+    difference(g) is the exact signed difference of two maps at g/N.  g/N
+    lies closer than radius to a jump q exactly when
     floor(N(q - radius)) < g < ceil(N(q + radius)), so each jump excludes one
     range [lo, hi) of indices, found by exact floor and ceil (jumps may be
     Fractions or quadratic numbers).  A map's formula changes only at its
     jumps (an approximant's t_i - i and an exchange's translation hold
     between them), and at the jump q it changes at ceil(N q), the first index
     at or past q, with lo <= ceil(N q) <= hi.  So the kept indices, cut at
-    every lo and hi (an empty range still cuts), fall into stretches that
-    cross no jump: on each, every map is one affine expression in g.
-    gap(lo, hi) gives the largest gap over one such stretch.  For two
-    approximants in exact integers the gap is |affine| there and peaks at
-    g = lo or g = hi - 1, so two evaluations stand for the stretch; a float
-    gap is taken at every point.  Each jump must lie in (0, 1).  Returns the
-    sup (0 when every point is excluded) and the number of excluded points.
+    every lo and hi (an empty range still cuts), fall into runs that cross no
+    jump: on each, both maps are affine in g, so is their difference, and its
+    absolute value peaks at an end.  The one rule: |difference| is read at
+    the two ends of each run.  Each jump must lie in (0, 1).  Returns the
+    exact sup (0 when every point is excluded) and the number of excluded
+    points.
     """
     ranges = sorted(
         (
@@ -230,17 +228,17 @@ def _grid_sup(grid_size: int, jumps, radius, gap) -> tuple:
         )
         for q in jumps
     )
-    sup = excluded = start = 0
+    ends, excluded, start = [], 0, 0
     for lo, hi in ranges:
         if start < lo:
-            sup = max(sup, gap(start, lo))
+            ends += (start, lo - 1)
             start = lo
         if start < hi:
             excluded += hi - start
             start = hi
     if start < grid_size:
-        sup = max(sup, gap(start, grid_size))
-    return sup, excluded
+        ends += (start, grid_size - 1)
+    return max((abs(difference(g)) for g in ends), default=0), excluded
 
 
 class Cluster(NamedTuple):

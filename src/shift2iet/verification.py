@@ -16,7 +16,6 @@ from itertools import islice, pairwise, product
 from operator import lt
 from typing import NamedTuple
 
-from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, roundtrip_check
 from .fixtures import FIXTURE_RULES
 from .ietmap import (
     PiecewiseAffineMap,
@@ -744,6 +743,8 @@ def _coding_checks(sub: Substitution, n_max: int) -> list[CheckResult]:
     fib_letters, fib_rules = FIXTURE_RULES["fibonacci"]
     if sub.alphabet.letters != tuple(fib_letters) or sub.images != fib_rules:
         return []
+    from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, roundtrip_check
+
     out = []
     iet = golden_iet()
     coding = golden_coding()

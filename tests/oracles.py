@@ -9,6 +9,7 @@ meaningful.
 
 import math
 from bisect import bisect_left
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -244,6 +245,17 @@ def quadratic_floor(a: Fraction, b: Fraction) -> int:
         else:
             hi = mid
     return lo
+
+
+def golden_decimal(a: Fraction, b: Fraction, digits: int = 80) -> Decimal:
+    """a + b*sqrt(5) in decimal arithmetic to `digits` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        root5 = Decimal(5).sqrt()
+        return (
+            Decimal(a.numerator) / a.denominator
+            + Decimal(b.numerator) / b.denominator * root5
+        )
 
 
 def grid_sup(grid_size: int, jumps, radius, gap) -> tuple[float, int]:

@@ -201,7 +201,7 @@ def test_criterion_12_benchmark_roundtrip_pinned():
         )
         assert result.passed
         assert result.approximant_level == 100
-        assert result.sup_difference == 0.008033488749895012
+        assert result.sup_difference == 0.008033488749894848
         assert result.excluded_fraction == Fraction(479, 20000)
 
 

@@ -158,6 +158,29 @@ def test_broken_config_reports_position(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "{tmp}/undecodable.json"],
+        ["analyze", "--fixture", "fibonacci", "--nmax", "10", "--out", "{tmp}/taken"],
+        ["verify", "--fixture", "fibonacci", "--nmax", "10", "--out", "{tmp}/taken/sub"],
+    ],
+)
+def test_unreadable_config_and_unwritable_out_are_input_errors(tmp_path, argv):
+    """A config that is not UTF-8, and an --out that is a file or lies below
+    one, end in exit code 2 with an error line, in a fresh interpreter."""
+    (tmp_path / "undecodable.json").write_bytes(b"\xff{}")
+    (tmp_path / "taken").write_text("")
+    src = Path(shift2iet.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "shift2iet.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_fixture_and_config_are_exclusive(tmp_path, capsys):
     config = tmp_path / "sub.json"
     config.write_text(json.dumps({"alphabet": ["a"], "rules": {"a": "aa"}}))
@@ -258,6 +281,8 @@ COMMAND_LAYERS = {
     "plot": {"ietmap", "export"},
     "verify": {"partition", "measure", "ietmap", "export", "coding", "verification"},
     "roundtrip fibonacci": {"coding", "ietmap"},
+    # Only the Fibonacci suite pairs the shift with the golden exchange.
+    "verify --fixture thue-morse": {"partition", "measure", "ietmap", "export", "verification"},
 }
 
 
@@ -265,8 +290,10 @@ COMMAND_LAYERS = {
 def test_each_command_imports_only_its_layers(tmp_path, command):
     """`analyze` runs without verification, coding, ietmap, measure,
     partition or export; `roundtrip` without verification, partition, measure
-    or export; and json loads only for --config."""
-    code, json_loaded, names = _footprint([*command.split(), *FIB], tmp_path)
+    or export; `verify` loads coding for Fibonacci alone; and json loads only
+    for --config."""
+    name, *rest = command.split()   # the command's own flags override FIB's
+    code, json_loaded, names = _footprint([name, *FIB, *rest], tmp_path)
     assert code == 0
     assert not json_loaded
     assert names == _BASE | COMMAND_LAYERS[command]

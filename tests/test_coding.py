@@ -1,6 +1,7 @@
 """Exact quadratic arithmetic, the golden exchange, and the roundtrip gate."""
 
 import math
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from shift2iet import (
     InputError,
     QuadraticNumber,
     Substitution,
+    build_approximant,
     build_factor_table,
     code_orbit,
     coded_factor_table,
@@ -57,6 +59,27 @@ def test_quadratic_comparisons_are_exact(a, b, c, d):
         assert (x < y) == (fx < fy)
         assert (x > y) == (fx > fy)
     assert (x == y) == (a == c and b == d)
+
+
+@st.composite
+def golden_pairs(draw):
+    """(a, b) with b != 0: a any rational, or -b*sqrt(5) rounded to e
+    decimals, so that about e leading digits of a + b*sqrt(5) cancel."""
+    b = Fraction(draw(st.integers(-10**6, 10**6).filter(bool)), draw(st.integers(1, 10**6)))
+    if draw(st.booleans()):
+        return draw(st.fractions(-10**6, 10**6, max_denominator=10**6)), b
+    scale = 10 ** draw(st.integers(0, 30))
+    return Fraction(round(Fraction(oracles.golden_decimal(Fraction(0), -b)) * scale), scale), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(golden_pairs())
+@example((Fraction(-2220001, 2000000), Fraction(1, 2)))
+def test_float_is_correctly_rounded(pair):
+    """float(a + b*sqrt(5)) against an 80-digit decimal evaluation; the
+    example is the golden roundtrip's exact sup at the benchmark's size."""
+    a, b = pair
+    assert float(QuadraticNumber(a, b)) == float(oracles.golden_decimal(a, b))
 
 
 def test_quadratic_hash_respects_equality():
@@ -369,8 +392,38 @@ def test_roundtrip_accepts_the_golden_pairing():
     assert result.first_mismatch is None
     assert result.sup_difference < 0.05
     assert result.approximant_level == 100
-    assert result.sup_difference == 0.008023988749894795
+    assert result.sup_difference == 0.008023988749894849
     assert result.excluded_fraction == Fraction(3, 125)
+
+
+@pytest.mark.parametrize(
+    "n_max, grid_size, pinned",
+    [(120, 20000, 0.008033488749894848), (15, 1000, 0.008023988749894849)],
+)
+def test_roundtrip_sup_is_the_correctly_rounded_exact_sup(n_max, grid_size, pinned):
+    """The pinned golden roundtrip sups against a point-by-point sweep of
+    |T_100(x) - E(x)|, with E(x) = x + 1 - g below g and x - g above it, all
+    in 80-digit decimals."""
+    fib = get_fixture("fibonacci")
+    fine = build_approximant(build_factor_table(fib, max(n_max, 100)), 100)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        g = oracles.golden_decimal(GOLDEN_ROTATION.a, GOLDEN_ROTATION.b)
+
+        def gap(x):
+            x_dec = oracles.golden_decimal(x, Fraction(0))
+            exchange = x_dec + 1 - g if x_dec < g else x_dec - g
+            return abs(oracles.golden_decimal(fine.evaluate(x), Fraction(0)) - exchange)
+
+        sup, excluded = oracles.grid_sup(
+            grid_size,
+            sorted({QuadraticNumber(d) for d in fine.discontinuities()} | {GOLDEN_ROTATION}),
+            Fraction(1, fine.source_count),
+            gap,
+        )
+    result = roundtrip_check(fib, golden_iet(), golden_coding(), n_max, grid_size=grid_size)
+    assert result.sup_difference == sup == pinned
+    assert result.excluded_fraction == Fraction(excluded, grid_size)
 
 
 def test_roundtrip_rejects_an_empty_grid():

@@ -30,6 +30,7 @@ from shift2iet import (
     roundtrip_check,
 )
 import oracles
+from test_coding import rational_three_pieces
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +338,7 @@ def _assert_roundtrip_sweep(table, iet, coding, n2, grid_size):
         grid_size,
         sorted({QuadraticNumber(d) for d in fine.discontinuities()} | set(iet.breakpoints[1:])),
         Fraction(1, fine.source_count),
-        lambda x: abs(float(fine.evaluate(x)) - float(iet.apply(x))),
+        lambda x: abs(QuadraticNumber(fine.evaluate(x)) - iet.apply(x)),
     )
     result = roundtrip_check(
         table.substitution, iet, coding, 1,
@@ -357,12 +358,18 @@ def _excluded_range(grid_size, q, radius):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_grid_sweeps_match_pointwise_oracle(deep_tables, data):
+    """The roundtrip half draws the golden exchange or a rational one, whose
+    translations have no sqrt(5) part and whose jumps may sit on T_n's."""
     name = data.draw(st.sampled_from(sorted(deep_tables)))
     table = deep_tables[name]
     n2 = data.draw(st.integers(min_value=2, max_value=100))
     n1 = data.draw(st.integers(min_value=2, max_value=n2))
     grid_size = data.draw(st.integers(min_value=1, max_value=3000))
-    _assert_sweeps_match_oracle(table, name, n1, n2, grid_size)
+    iet, coding = data.draw(
+        st.one_of(st.just((golden_iet(), golden_coding())), rational_three_pieces())
+    )
+    _assert_convergence_sweep(table, n1, n2, grid_size)
+    _assert_roundtrip_sweep(table, iet, coding, n2, grid_size)
 
 
 def test_grid_sweeps_match_oracle_with_jump_ends_on_the_grid(deep_tables):
