@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,24 +25,11 @@ if TYPE_CHECKING:
     from .measure import MeasureTable
     from .partition import PartitionResult
 
-# Pairing -> the `coding` functions that make its exchange and its coding.
-ROUNDTRIP_PAIRINGS = {"fibonacci": ("golden_iet", "golden_coding")}
 
-
-@dataclass
-class RunConfig:
-    substitution: Substitution
-    source: str
-    n_max: int
-    depth_cap: int
-    level: int | None
-    out_dir: Path
-    grid_size: int
-    epsilon: float
-    assert_aperiodic: bool
-
-
-def _load_substitution(fixture: str | None, config: str | None) -> tuple[Substitution, str]:
+def _load_substitution(args: argparse.Namespace) -> tuple[Substitution, str]:
+    fixture, config = args.fixture, args.config
+    if fixture is None and config is None:
+        fixture = getattr(args, "pairing", None)  # roundtrip's shift defaults to its pairing's
     if (fixture is None) == (config is None):
         raise InputError("exactly one of --fixture or --config is required")
     if fixture is not None:
@@ -52,7 +38,7 @@ def _load_substitution(fixture: str | None, config: str | None) -> tuple[Substit
 
     path = Path(config)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read config {config!r}: {e}") from None
     try:
@@ -64,53 +50,31 @@ def _load_substitution(fixture: str | None, config: str | None) -> tuple[Substit
     return parse_substitution(obj), str(path)
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve flags into a full run configuration with defaults filled in."""
-    substitution, source = _load_substitution(args.fixture, args.config)
-    n_max = args.nmax if args.nmax is not None else 120
-    if n_max < 1:
+def parse_config(args: argparse.Namespace) -> None:
+    """Check the parsed flags and fill in the substitution, its source and the depth cap."""
+    args.substitution, args.source = _load_substitution(args)
+    if args.nmax < 1:
         raise InputError("--nmax must be >= 1")
-    depth_cap = args.depth if args.depth is not None else max(2, n_max // 2)
-    grid = args.grid if args.grid is not None else 1000
-    if grid < 1:
+    if args.depth is None:
+        args.depth = max(2, args.nmax // 2)
+    if args.grid < 1:
         raise InputError("--grid must be >= 1")
-    epsilon = args.epsilon if args.epsilon is not None else 0.02
-    if not epsilon > 0:
+    if not args.epsilon > 0:
         raise InputError("--epsilon must be positive")
-    return RunConfig(
-        substitution=substitution,
-        source=source,
-        n_max=n_max,
-        depth_cap=depth_cap,
-        level=args.n,
-        out_dir=Path(args.out) if args.out is not None else Path("."),
-        grid_size=grid,
-        epsilon=epsilon,
-        assert_aperiodic=args.assert_aperiodic,
-    )
 
 
-def _warn_aperiodicity(cfg: RunConfig):
-    if not cfg.assert_aperiodic:
-        print(
-            "warning: aperiodicity not asserted (--assert-aperiodic); "
-            "results assume an infinite minimal shift",
-            file=sys.stderr,
-        )
-
-
-def _approx_level(cfg: RunConfig) -> int:
-    level = cfg.level if cfg.level is not None else min(100, cfg.n_max)
-    if not 2 <= level <= cfg.n_max:
-        raise InputError(f"--n must be within 2..{cfg.n_max}")
+def _approx_level(args: argparse.Namespace) -> int:
+    level = args.n if args.n is not None else min(100, args.nmax)
+    if not 2 <= level <= args.nmax:
+        raise InputError(f"--n must be within 2..{args.nmax}")
     return level
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
-    path = cfg.out_dir / name
+def _write(args: argparse.Namespace, name: str, text: str) -> Path:
+    path = args.out / name
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        args.out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot write {str(path)!r}: {e}") from None
     return path
@@ -171,28 +135,28 @@ def measures_text(table: FactorTable, mt: MeasureTable) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.n_max < 2:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.nmax < 2:
         raise InputError("analyze needs --nmax >= 2: it lists lengths 1..nmax-1")
-    table = build_factor_table(cfg.substitution, cfg.n_max)
-    path = _write(cfg, "analyze.tsv", analyze_text(table))
-    print(f"wrote {path} ({cfg.source}, lengths 1..{cfg.n_max - 1})")
+    table = build_factor_table(args.substitution, args.nmax)
+    path = _write(args, "analyze.tsv", analyze_text(table))
+    print(f"wrote {path} ({args.source}, lengths 1..{args.nmax - 1})")
     return 0
 
 
-def cmd_partition(cfg: RunConfig) -> int:
+def cmd_partition(args: argparse.Namespace) -> int:
     from .measure import measure_table
     from .partition import refine
 
-    table = build_factor_table(cfg.substitution, cfg.n_max)
-    result = refine(table, cfg.depth_cap)
+    table = build_factor_table(args.substitution, args.nmax)
+    result = refine(table, args.depth)
     mt = None
-    if cfg.level is not None:
-        mt = measure_table(table, result.cylinder_words(), cfg.level)
-    path = _write(cfg, "partition.tsv", partition_text(result, mt))
+    if args.n is not None:
+        mt = measure_table(table, result.cylinder_words(), args.n)
+    path = _write(args, "partition.tsv", partition_text(result, mt))
     print(
         f"wrote {path} ({len(result.cylinders)} cylinders, "
-        f"{len(result.unresolved)} unresolved at depth {cfg.depth_cap})"
+        f"{len(result.unresolved)} unresolved at depth {args.depth})"
     )
     if result.unresolved:
         print("unresolved: " + " ".join(result.unresolved))
@@ -201,105 +165,106 @@ def cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_measures(cfg: RunConfig) -> int:
+def cmd_measures(args: argparse.Namespace) -> int:
     from .measure import measure_table
     from .partition import refine
 
-    table = build_factor_table(cfg.substitution, cfg.n_max)
-    result = refine(table, cfg.depth_cap)
-    level = cfg.level if cfg.level is not None else cfg.n_max
+    table = build_factor_table(args.substitution, args.nmax)
+    result = refine(table, args.depth)
+    level = args.n if args.n is not None else args.nmax
     mt = measure_table(table, result.cylinder_words(), level)
-    path = _write(cfg, "measures.tsv", measures_text(table, mt))
+    path = _write(args, "measures.tsv", measures_text(table, mt))
     print(f"wrote {path} (counting length {level})")
     print(f"normalized invariance defect: {float(mt.normalized_defect):.12f}")
     return 0
 
 
-def cmd_approx(cfg: RunConfig) -> int:
+def cmd_approx(args: argparse.Namespace) -> int:
     from .export import approximant_csv
     from .ietmap import build_approximant
 
-    level = _approx_level(cfg)
-    table = build_factor_table(cfg.substitution, cfg.n_max)
+    level = _approx_level(args)
+    table = build_factor_table(args.substitution, args.nmax)
     amap = build_approximant(table, level)
-    path = _write(cfg, f"approx_{level}.csv", approximant_csv(amap))
+    path = _write(args, f"approx_{level}.csv", approximant_csv(amap))
     print(f"wrote {path} ({len(amap.pieces)} pieces, slope {amap.slope})")
     return 0
 
 
-def cmd_plot(cfg: RunConfig) -> int:
+def cmd_plot(args: argparse.Namespace) -> int:
     from .export import approximant_svg
-    from .ietmap import accumulation_diagnostic, build_approximant, non_injectivity_witnesses
+    from .ietmap import _coarse_level, accumulation_clusters, build_approximant, non_injectivity_witnesses
 
-    level = _approx_level(cfg)
-    table = build_factor_table(cfg.substitution, cfg.n_max)
+    level = _approx_level(args)
+    table = build_factor_table(args.substitution, args.nmax)
     amap = build_approximant(table, level)
-    clusters = accumulation_diagnostic(table, level, cfg.epsilon)
-    witnesses = non_injectivity_witnesses(amap, clusters, grid_size=cfg.grid_size)
-    path = _write(cfg, f"approx_{level}.svg", approximant_svg(amap, clusters))
+    # The pair `accumulation_diagnostic` pools, with T_N built once.
+    coarse = build_approximant(table, _coarse_level(level))
+    clusters = accumulation_clusters([coarse, amap], args.epsilon)
+    witnesses = non_injectivity_witnesses(amap, clusters, grid_size=args.grid)
+    path = _write(args, f"approx_{level}.svg", approximant_svg(amap, clusters))
     print(
         f"wrote {path} ({len(amap.pieces)} segments, "
-        f"{len(clusters)} clusters at epsilon {cfg.epsilon}, "
+        f"{len(clusters)} clusters at epsilon {args.epsilon}, "
         f"{len(witnesses)} non-injectivity witness pairs)"
     )
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .export import approximant_csv, approximant_svg
     from .ietmap import accumulation_clusters
     from .verification import run_verification
 
-    level = _approx_level(cfg)
+    level = _approx_level(args)
     report = run_verification(
-        cfg.substitution,
-        cfg.n_max,
-        cfg.depth_cap,
-        measure_level=cfg.level,
+        args.substitution,
+        args.nmax,
+        args.depth,
+        measure_level=args.n,
         approximant_level=level,
-        grid_size=cfg.grid_size,
+        grid_size=args.grid,
     )
     log = report.log_text()
-    _write(cfg, "verify.log", log)
+    _write(args, "verify.log", log)
     sys.stdout.write(log)
 
     table, amap = report.table, report.approximant
-    _write(cfg, "analyze.tsv", analyze_text(table))
-    _write(cfg, "partition.tsv", partition_text(report.partition, report.measures))
-    _write(cfg, "measures.tsv", measures_text(table, report.measures))
-    _write(cfg, f"approx_{level}.csv", approximant_csv(amap))
+    _write(args, "analyze.tsv", analyze_text(table))
+    _write(args, "partition.tsv", partition_text(report.partition, report.measures))
+    _write(args, "measures.tsv", measures_text(table, report.measures))
+    _write(args, f"approx_{level}.csv", approximant_csv(amap))
     # The pair `accumulation_diagnostic` would build, as the suite built it.
-    clusters = accumulation_clusters([report.coarse_approximant, amap], cfg.epsilon)
-    _write(cfg, f"approx_{level}.svg", approximant_svg(amap, clusters))
-    print(f"wrote artifacts to {cfg.out_dir}")
+    clusters = accumulation_clusters([report.coarse_approximant, amap], args.epsilon)
+    _write(args, f"approx_{level}.svg", approximant_svg(amap, clusters))
+    print(f"wrote artifacts to {args.out}")
     return 0 if report.passed else 1
 
 
-def cmd_roundtrip(cfg: RunConfig, pairing: str) -> int:
-    make_iet, make_coding = ROUNDTRIP_PAIRINGS[pairing]  # argparse checked the name
-    from . import coding
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    from .coding import golden_coding, golden_iet, roundtrip_check
 
-    result = coding.roundtrip_check(
-        cfg.substitution,
-        getattr(coding, make_iet)(),
-        getattr(coding, make_coding)(),
-        cfg.n_max,
-        approximant_level=cfg.level,
-        grid_size=cfg.grid_size,
+    result = roundtrip_check(
+        args.substitution,
+        golden_iet(),
+        golden_coding(),
+        args.nmax,
+        approximant_level=args.n,
+        grid_size=args.grid,
     )
     if result.passed:
         print(
-            f"PASS roundtrip {pairing}: factor sets equal up to length {cfg.n_max}, "
+            f"PASS roundtrip {args.pairing}: factor sets equal up to length {args.nmax}, "
             f"sup difference {result.sup_difference:.6f} < {result.tolerance} "
             f"at level {result.approximant_level}"
         )
         return 0
     if result.first_mismatch is not None:
         n, word, side = result.first_mismatch
-        print(f"FAIL roundtrip {pairing}: first mismatching factor {word!r} (length {n}, {side})")
+        print(f"FAIL roundtrip {args.pairing}: first mismatching factor {word!r} (length {n}, {side})")
     else:
         print(
-            f"FAIL roundtrip {pairing}: sup difference {result.sup_difference:.6f} "
+            f"FAIL roundtrip {args.pairing}: sup difference {result.sup_difference:.6f} "
             f">= {result.tolerance} at level {result.approximant_level}"
         )
     return 1
@@ -321,12 +286,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--fixture", choices=fixture_names(), help="built-in substitution")
     common.add_argument("--config", help="path to a JSON substitution config")
-    common.add_argument("--nmax", type=int, help="factor table depth (default 120)")
+    common.add_argument(
+        "--nmax", type=int, default=120, help="factor table depth (default %(default)s)"
+    )
     common.add_argument("--depth", type=int, help="partition depth cap (default nmax/2)")
     common.add_argument("--n", type=int, help="level for measures/approximants")
-    common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--grid", type=int, help="grid size for sup comparisons (default 1000)")
-    common.add_argument("--epsilon", type=float, help="clustering width (default 0.02)")
+    common.add_argument(
+        "--out", type=Path, default=".", help="output directory (default %(default)s)"
+    )
+    common.add_argument(
+        "--grid", type=int, default=1000, help="grid size for sup comparisons (default %(default)s)"
+    )
+    common.add_argument(
+        "--epsilon", type=float, default=0.02, help="clustering width (default %(default)s)"
+    )
     common.add_argument(
         "--assert-aperiodic",
         action="store_true",
@@ -340,45 +313,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"shift2iet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "factor counts and special factors per length (analyze.tsv)"),
-        ("partition", "refine the cylinder partition (partition.tsv)"),
-        ("measures", "cylinder measure estimates and defects (measures.tsv)"),
-        ("approx", "piecewise-affine approximant rows (approx_N.csv)"),
-        ("plot", "approximant graph with cluster marks (approx_N.svg)"),
-        ("verify", "run every invariant suite and write artifacts (verify.log)"),
+    for name, run, help_text in (
+        ("analyze", cmd_analyze, "factor counts and special factors per length (analyze.tsv)"),
+        ("partition", cmd_partition, "refine the cylinder partition (partition.tsv)"),
+        ("measures", cmd_measures, "cylinder measure estimates and defects (measures.tsv)"),
+        ("approx", cmd_approx, "piecewise-affine approximant rows (approx_N.csv)"),
+        ("plot", cmd_plot, "approximant graph with cluster marks (approx_N.svg)"),
+        ("verify", cmd_verify, "run every invariant suite and write artifacts (verify.log)"),
     ):
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(run=run)
     rt = sub.add_parser(
         "roundtrip",
         parents=[common],
         help="code a known exchange and compare with the substitution shift",
     )
-    rt.add_argument("pairing", choices=sorted(ROUNDTRIP_PAIRINGS), help="which pairing to test")
+    rt.add_argument("pairing", choices=["fibonacci"], help="which pairing to test")
+    rt.set_defaults(run=cmd_roundtrip)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "roundtrip":
-            if args.fixture is None and args.config is None:
-                args.fixture = args.pairing
-            cfg = parse_config(args)
-            _warn_aperiodicity(cfg)
-            return cmd_roundtrip(cfg, args.pairing)
-        cfg = parse_config(args)
-        _warn_aperiodicity(cfg)
-        handler = {
-            "analyze": cmd_analyze,
-            "partition": cmd_partition,
-            "measures": cmd_measures,
-            "approx": cmd_approx,
-            "plot": cmd_plot,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(cfg)
+        parse_config(args)
+        if not args.assert_aperiodic:
+            print(
+                "warning: aperiodicity not asserted (--assert-aperiodic); "
+                "results assume an infinite minimal shift",
+                file=sys.stderr,
+            )
+        return args.run(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

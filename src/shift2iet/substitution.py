@@ -8,7 +8,6 @@ produces fixed-point prefixes, and computes Perron letter frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul, or_
 from typing import TYPE_CHECKING, NamedTuple
@@ -37,6 +36,8 @@ class Alphabet:
         for c in letters:
             if not isinstance(c, str) or len(c) != 1:
                 raise InputError("alphabet letters must be single characters")
+            if "\ud800" <= c <= "\udfff":
+                raise InputError(f"alphabet letter {c!r} is a surrogate, which UTF-8 cannot encode")
         if len(set(letters)) != len(letters):
             raise InputError("alphabet letters must be distinct")
         self.letters = letters
@@ -92,22 +93,26 @@ class FixedPointSeed(NamedTuple):
     power: int
 
 
-@dataclass(frozen=True)
 class Substitution:
     """Non-erasing morphism letter -> word over a fixed alphabet."""
 
-    alphabet: Alphabet
-    images: dict[str, str]
-
-    def __post_init__(self):
-        if set(self.images) != set(self.alphabet.letters):
+    def __init__(self, alphabet: Alphabet, images: dict[str, str]):
+        if set(images) != set(alphabet.letters):
             raise InputError("substitution must define exactly one image per letter")
-        for a, w in self.images.items():
+        for a, w in images.items():
             if not w:
                 raise InputError(f"image of {a!r} is empty; substitution must be non-erasing")
-            foreign = self.alphabet.foreign(w)
+            foreign = alphabet.foreign(w)
             if foreign:
                 raise InputError(f"image of {a!r} uses letter {foreign[0]!r} outside the alphabet")
+        self.alphabet = alphabet
+        self.images = images
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Substitution)
+            and (self.alphabet, self.images) == (other.alphabet, other.images)
+        )
 
     def __repr__(self):
         rules = ", ".join(f"{a}->{self.images[a]}" for a in self.alphabet)

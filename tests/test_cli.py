@@ -74,6 +74,18 @@ def test_plot_svg(tmp_path, capsys):
     assert "clusters" in out
 
 
+def test_plot_builds_each_approximant_once(tmp_path, capsys, monkeypatch):
+    """`plot` pools T_N with T_{N/2}, as `verify` does, without building T_N twice."""
+    import shift2iet.ietmap as ietmap
+
+    levels = []
+    build = ietmap.build_approximant
+    monkeypatch.setattr(ietmap, "build_approximant", lambda table, n: levels.append(n) or build(table, n))
+    code, _, _ = run_cli(["plot", *FIB, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(levels) == [10, 20]
+
+
 def test_verify_exit_code_and_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(["verify", *FIB, "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -164,12 +176,17 @@ def test_broken_config_reports_position(tmp_path, capsys):
         ["analyze", "--config", "{tmp}/undecodable.json"],
         ["analyze", "--fixture", "fibonacci", "--nmax", "10", "--out", "{tmp}/taken"],
         ["verify", "--fixture", "fibonacci", "--nmax", "10", "--out", "{tmp}/taken/sub"],
+        *[[command, "--config", "{tmp}/surrogate.json", "--nmax", "10", "--out", "{tmp}/out"]
+          for command in ("analyze", "partition", "verify")],
     ],
 )
 def test_unreadable_config_and_unwritable_out_are_input_errors(tmp_path, argv):
-    """A config that is not UTF-8, and an --out that is a file or lies below
-    one, end in exit code 2 with an error line, in a fresh interpreter."""
+    """A config that is not UTF-8, a config whose letter is a lone surrogate
+    (valid JSON that UTF-8 cannot encode), and an --out that is a file or lies
+    below one, end in exit code 2 with an error line, in a fresh interpreter."""
     (tmp_path / "undecodable.json").write_bytes(b"\xff{}")
+    surrogate = {"alphabet": ["\ud800", "b"], "rules": {"\ud800": "\ud800b", "b": "\ud800"}}
+    (tmp_path / "surrogate.json").write_text(json.dumps(surrogate))
     (tmp_path / "taken").write_text("")
     src = Path(shift2iet.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -179,6 +196,28 @@ def test_unreadable_config_and_unwritable_out_are_input_errors(tmp_path, argv):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    """A non-ASCII letter writes the same analyze.tsv under an ASCII locale,
+    with UTF-8 mode off, as under UTF-8 mode."""
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps({"alphabet": ["\u03b1", "b"], "rules": {"\u03b1": "\u03b1b", "b": "\u03b1"}}))
+    src = Path(shift2iet.__file__).resolve().parents[1]
+    locales = {
+        "utf8": {"PYTHONUTF8": "1"},
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+    for name, env in locales.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "shift2iet.cli", "analyze", "--config", str(config),
+             "--nmax", "12", "--assert-aperiodic", "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src), **env),
+        )
+        assert proc.returncode == 0, proc.stderr
+    utf8 = (tmp_path / "utf8" / "analyze.tsv").read_bytes()
+    assert "\u03b1".encode() in utf8
+    assert (tmp_path / "ascii" / "analyze.tsv").read_bytes() == utf8
 
 
 def test_fixture_and_config_are_exclusive(tmp_path, capsys):
@@ -249,17 +288,18 @@ _FOOTPRINT_SCRIPT = """
 import sys
 from shift2iet.cli import main
 code = main(sys.argv[1:])
+stdlib = ",".join(m for m in ("json", "dataclasses", "inspect") if m in sys.modules) or "-"
 loaded = sorted(m for m in sys.modules if m == "shift2iet" or m.startswith("shift2iet."))
-print("footprint", code, "json" in sys.modules, *loaded)
+print("footprint", code, stdlib, *loaded)
 """
 
 _BASE = {"shift2iet", "_version", "cli", "errors", "fixtures", "language", "substitution"}
 
 
 def _footprint(argv, out_dir):
-    """Exit code, whether json loaded, and the shift2iet modules loaded by one
-    command in a fresh interpreter that reads this checkout's sources.  `-S`
-    keeps site's own imports out of sys.modules."""
+    """Exit code, which of json, dataclasses and inspect loaded, and the
+    shift2iet modules loaded by one command in a fresh interpreter that reads
+    this checkout's sources.  `-S` keeps site's own imports out of sys.modules."""
     src = Path(shift2iet.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -267,9 +307,9 @@ def _footprint(argv, out_dir):
         capture_output=True, text=True, env=env, cwd=out_dir,
     )
     assert proc.returncode == 0, proc.stderr
-    _, code, json_loaded, *modules = proc.stdout.splitlines()[-1].split()
+    _, code, stdlib, *modules = proc.stdout.splitlines()[-1].split()
     names = {m.removeprefix("shift2iet.") for m in modules}
-    return int(code), json_loaded == "True", names
+    return int(code), set(stdlib.split(",")) - {"-"}, names
 
 
 # Command -> the layer modules it loads beyond parsing and `analyze`.
@@ -290,20 +330,23 @@ COMMAND_LAYERS = {
 def test_each_command_imports_only_its_layers(tmp_path, command):
     """`analyze` runs without verification, coding, ietmap, measure,
     partition or export; `roundtrip` without verification, partition, measure
-    or export; `verify` loads coding for Fibonacci alone; and json loads only
-    for --config."""
+    or export; `verify` loads coding for Fibonacci alone; json loads only
+    for --config; and parsing and `analyze` load neither dataclasses nor
+    inspect."""
     name, *rest = command.split()   # the command's own flags override FIB's
-    code, json_loaded, names = _footprint([name, *FIB, *rest], tmp_path)
+    code, stdlib, names = _footprint([name, *FIB, *rest], tmp_path)
     assert code == 0
-    assert not json_loaded
+    assert "json" not in stdlib
     assert names == _BASE | COMMAND_LAYERS[command]
+    if name == "analyze":
+        assert not stdlib
 
 
 def test_config_input_alone_imports_json(tmp_path):
     config = tmp_path / "sub.json"
     config.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}))
     argv = ["analyze", "--config", str(config), "--nmax", "10", "--assert-aperiodic"]
-    assert _footprint(argv, tmp_path) == (0, True, _BASE)
+    assert _footprint(argv, tmp_path) == (0, {"json"}, _BASE)
 
 
 def test_oracle_scan_holds_factors_a_fixed_point_prefix_misses(tmp_path, capsys):

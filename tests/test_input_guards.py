@@ -1,0 +1,128 @@
+"""Every library guard on a caller's arguments raises InputError with its message."""
+
+import re
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from shift2iet import (
+    Alphabet,
+    FiniteIET,
+    InputError,
+    Substitution,
+    accumulation_clusters,
+    accumulation_diagnostic,
+    build_approximant,
+    build_factor_table,
+    code_orbit,
+    coded_factor_table,
+    convergence_report,
+    get_fixture,
+    golden_coding,
+    golden_iet,
+    limit_intervals,
+    non_injectivity_witnesses,
+    refine,
+    roundtrip_check,
+)
+
+AB = Alphabet(["a", "b"])
+STILL = Substitution(Alphabet(["a"]), {"a": "a"})  # primitive, but no image grows
+
+
+@cache
+def _table(name: str, n_max: int):
+    return build_factor_table(get_fixture(name), n_max)
+
+
+def _tm():
+    return _table("thue-morse", 12)
+
+
+GUARDS = [
+    pytest.param(lambda: FiniteIET([0, 1], [0, 0]), "breakpoints must stay below 1", id="iet-breakpoint-1"),
+    pytest.param(
+        lambda: FiniteIET([0, Fraction(1, 2)], [Fraction(1, 2)]),
+        "need one translation per breakpoint",
+        id="iet-translation-count",
+    ),
+    pytest.param(
+        lambda: code_orbit(golden_iet(), golden_coding(), 0, length=-1),
+        "length must be >= 0",
+        id="code-orbit-length",
+    ),
+    pytest.param(
+        lambda: coded_factor_table(golden_iet(), golden_coding(), 0),
+        "n_max must be >= 1",
+        id="coded-table-depth",
+    ),
+    pytest.param(
+        lambda: roundtrip_check(get_fixture("fibonacci"), golden_iet(), golden_coding(), 0),
+        "n_max must be >= 1",
+        id="roundtrip-nmax-0",
+    ),
+    pytest.param(
+        lambda: roundtrip_check(
+            get_fixture("fibonacci"), golden_iet(), golden_coding(), 11, table=_table("fibonacci", 10)
+        ),
+        "n_max outside the table range",
+        id="roundtrip-nmax-above-table",
+    ),
+    pytest.param(lambda: get_fixture("nope"), "unknown fixture 'nope'", id="fixture-name"),
+    pytest.param(
+        lambda: limit_intervals(_tm(), refine(_tm(), 5), 1),
+        "counting length must be within 2..12",
+        id="limit-intervals-level-1",
+    ),
+    pytest.param(
+        lambda: limit_intervals(_tm(), refine(_tm(), 5), 2),
+        "counting length smaller than the longest cylinder word",
+        id="limit-intervals-below-cylinders",
+    ),
+    pytest.param(
+        lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"
+    ),
+    pytest.param(
+        lambda: accumulation_clusters(object(), 0.02),
+        "cannot read discontinuity points from this input",
+        id="clusters-source",
+    ),
+    pytest.param(
+        lambda: accumulation_diagnostic(_tm(), 1, 0.02),
+        "diagnostic level must be within 2..12",
+        id="diagnostic-level",
+    ),
+    pytest.param(
+        lambda: non_injectivity_witnesses(build_approximant(_tm(), 4), [], grid_size=0),
+        "grid_size must be >= 1",
+        id="witness-grid",
+    ),
+    pytest.param(lambda: _tm().is_factor("a" * 13), "word longer than table depth 12", id="is-factor-depth"),
+    pytest.param(lambda: _tm().persistent_left_special(2, 0), "margin must be >= 1", id="persistent-margin"),
+    pytest.param(
+        lambda: _tm().prefix_range("abb", 2), "prefix longer than the requested length", id="prefix-range"
+    ),
+    pytest.param(
+        lambda: build_factor_table(get_fixture("thue-morse"), 0), "n_max must be >= 1", id="table-depth"
+    ),
+    pytest.param(lambda: build_factor_table(STILL, 5), "images never grow", id="table-still"),
+    pytest.param(lambda: AB.index("z"), "letter 'z' is not in the alphabet", id="alphabet-index"),
+    pytest.param(
+        lambda: Substitution(AB, {"a": "ab", "b": "a"}).apply("az"),
+        "letter 'z' is not in the alphabet",
+        id="apply-foreign",
+    ),
+    pytest.param(
+        lambda: Substitution(AB, {"a": "ab", "b": "a"}).fixed_point_prefix("a", 0),
+        "min_len must be >= 1",
+        id="fixed-point-length",
+    ),
+    pytest.param(lambda: STILL.fixed_point_seed(), "images never grow", id="fixed-point-still"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS)
+def test_guard_raises_input_error(call, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
