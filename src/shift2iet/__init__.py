@@ -27,7 +27,6 @@ _HOMES = {
     "cylinder_measure_estimate": "measure",
     "invariance_defect": "measure",
     "measure_table": "measure",
-    "convergence_certificate": "measure",
     "AffinePiece": "ietmap",
     "PiecewiseAffineMap": "ietmap",
     "build_approximant": "ietmap",

@@ -333,6 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Printed words are UTF-8, as the artifacts are, whatever the locale.  A
+    # stream without `reconfigure`, such as a StringIO, is left as it is.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8")
     args = _build_parser().parse_args(argv)
     try:
         parse_config(args)

@@ -121,23 +121,6 @@ class FactorTable:
         self._check_level(n)
         return self._p[n]
 
-    def is_factor(self, word: str) -> bool:
-        if word == "":
-            return True
-        n = len(word)
-        if n > self.n_max:
-            raise InputError(f"word longer than table depth {self.n_max}")
-        a, b = self._window_range(word)
-        return b > a
-
-    def index_of(self, n: int, word: str) -> int:
-        """Position of a factor inside the sorted level n."""
-        heads = self._heads(n)
-        a, b = self._window_range(word)
-        if a == b or len(word) != n:
-            raise InputError(f"{word!r} is not a length-{n} factor")
-        return bisect_left(heads, a)
-
     def left_extensions(self, word: str) -> frozenset[str]:
         """Letters x with x+word a factor.  Known for len(word) < n_max."""
         return self._extensions(word, left=True)
@@ -163,11 +146,8 @@ class FactorTable:
 
     def left_special(self, n: int) -> tuple[str, ...]:
         """Length-n factors with at least two left extensions, sorted."""
-        return self._cut(self._special_heads(n, left=True), n)
-
-    def right_special(self, n: int) -> tuple[str, ...]:
-        """Length-n factors with at least two right extensions, sorted."""
-        return self._cut(self._special_heads(n, left=False), n)
+        self._check_extension_level(n)
+        return self._cut([a for a, _ in self._left_special[n]], n)
 
     def left_special_count(self, n: int) -> int:
         self._check_extension_level(n)
@@ -263,11 +243,6 @@ class FactorTable:
     def _cut(self, window_ranks, n: int) -> tuple[str, ...]:
         text = self._text
         return tuple([text[p : p + n] for p in map(self._positions.__getitem__, window_ranks)])
-
-    def _special_heads(self, n: int, left: bool) -> list[int]:
-        """Window ranks of the level-n factors with two or more extensions."""
-        self._check_extension_level(n)
-        return [a for a, _ in (self._left_special if left else self._right_special)[n]]
 
     def _letter_set(self, mask: int) -> frozenset[str]:
         found = self._letter_sets.get(mask)

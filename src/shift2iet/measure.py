@@ -76,22 +76,3 @@ def measure_table(table: FactorTable, words, n: int) -> MeasureTable:
     normalized = Fraction(worst, table.complexity(n - 1))
     letters = {a: entries[a] for a in table.alphabet.letters}
     return MeasureTable(n, entries, defects, normalized, letters)
-
-
-def convergence_certificate(table: FactorTable, words, n: int, threshold: float = 0.02):
-    """Compare estimates at n and n//2 and flag words that moved too much.
-
-    Returns (certified, worst_gap, offenders).  For a primitive substitution the
-    estimates converge, so the gap shrinking below the threshold certifies that
-    the counting length is deep enough for the requested words.
-    """
-    if n // 2 < max((len(w) for w in words), default=1):
-        raise InputError("n//2 too small for the requested words")
-    gaps = {}
-    for w in words:
-        a = cylinder_measure_estimate(table, w, n)
-        b = cylinder_measure_estimate(table, w, n // 2)
-        gaps[w] = abs(a - b)
-    worst = max(gaps.values(), default=Fraction(0))
-    offenders = sorted((w for w, g in gaps.items() if g > threshold), key=table.alphabet.key)
-    return (worst <= threshold, worst, offenders)

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul, or_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class Alphabet:
@@ -146,14 +143,6 @@ class Substitution:
             for c in self.images[a]:
                 rows[index(c)][j] += 1
         return rows
-
-    def incidence_matrix(self) -> np.ndarray:
-        """`incidence_rows` as an int64 numpy array; the one numpy consumer of
-        the package.  numpy is not an install dependency (the `test` extra
-        brings it), so this raises ImportError without it."""
-        import numpy as np
-
-        return np.array(self.incidence_rows(), dtype=np.int64)
 
     def primitivity(self) -> PrimitivityResult:
         """Decide primitivity: some power of the incidence matrix is entrywise positive.

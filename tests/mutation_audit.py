@@ -1,0 +1,324 @@
+"""Mutant audit of the `verify` check suite.
+
+Which faults of the program does each check catch, and which check catches
+a fault that no other check sees?  This script answers both on a fixed
+catalogue of textual mutants.  Run it from anywhere:
+
+    python tests/mutation_audit.py
+
+It copies `src/` into a fresh directory under the system temp directory and
+changes only that copy.  Each mutant replaces one text, which must occur
+exactly once in its file.  For each mutant in turn, one child process runs
+`run_verification` on the five fixtures at n_max 40 and depth 12, and the
+script prints the checks that fail; the file is then restored before the
+next mutant.  Mutants run one after another, never in parallel.  A mutant
+that raises or runs past the time limit is reported as such, not as a
+failing check.
+
+The file name keeps pytest from collecting it, and CI does not run it.  It
+exits 1 when a mutant's text does not occur exactly once or when the
+unmutated copy fails a check, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+N_MAX, DEPTH = 40, 12
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # path under src/shift2iet
+    old: str
+    new: str
+    aim: str  # the check it is aimed at, or the removal proof whose premise it breaks
+
+
+_ESTIMATE = "return Fraction(table.restricted_complexity(word, n), table.complexity(n))"
+_MAP = "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)"
+_EXTEND = "sorted(table.right_extensions(w), key=key)]"
+_STAGE = "yield PartitionResult(cylinders[:], survivors, length)"
+_FACTORS = "return self._cut(self._heads(n), n)"
+_RANGE = "return bisect_left(heads, a), bisect_left(heads, b)"
+
+MUTANTS = [
+    # -- substitution
+    Mutant("apply-sorts-letters", "substitution.py",
+           'return "".join(images[c] for c in word)',
+           'return "".join(images[c] for c in sorted(word))',
+           "substitution.morphism-law"),
+    Mutant("incidence-transposed", "substitution.py",
+           "rows[index(c)][j] += 1", "rows[j][index(c)] += 1",
+           "substitution.incidence-column-sums"),
+    Mutant("witness-power-minus-one", "substitution.py",
+           "return PrimitivityResult(True, k)", "return PrimitivityResult(True, k - 1)",
+           "substitution.primitivity-witness"),
+    Mutant("primitivity-counts-only-ones", "substitution.py",
+           "for l, count in enumerate(row) if count]", "for l, count in enumerate(row) if count == 1]",
+           "substitution.primitivity-power-stable"),
+    Mutant("fixed-point-prefix-reversed", "substitution.py",
+           "            word = self.apply(word)\n        return word\n",
+           "            word = self.apply(word)\n        return word[::-1]\n",
+           "substitution.fixed-point-prefix-nested"),
+    Mutant("perron-not-normalized", "substitution.py",
+           "w = [x / total for x in w]", "w = [x / (total + 1e-9) for x in w]",
+           "substitution.perron-normalized"),
+    # -- language
+    Mutant("top-level-reversed", "language.py",
+           _FACTORS, "return self._cut(self._heads(n), n)[:: -1 if n == self.n_max else 1]",
+           "language.levels-sorted-unique"),
+    Mutant("level-five-ranks-drop-first", "language.py",
+           "        return self._heads(n)\n\n",
+           "        return self._heads(n)[1:] if n == 5 else self._heads(n)\n\n",
+           "language.prefix-suffix-closure"),
+    Mutant("complexity-dips-at-7", "language.py",
+           "return self._p[n]", "return self._p[n] - 3 * (n == 7)",
+           "p(n) <= p(n+1), which prolongable and extension-totals imply"),
+    Mutant("complexity-of-letters-too-big", "language.py",
+           "return self._p[n]", "return self._p[n] + 5 * (n == 1)",
+           "premise of p(n) <= p(n+1): extension_counts(n) has p(n) entries"),
+    Mutant("plain-extension-count-zero", "language.py",
+           "counts = [1] * len(heads)", "counts = [0] * len(heads)",
+           "language.prolongable"),
+    Mutant("right-counts-capped-at-two", "language.py",
+           "self._right_special[hi].append((a, right.bit_count()))",
+           "self._right_special[hi].append((a, min(right.bit_count(), 2)))",
+           "language.extension-totals"),
+    Mutant("every-node-left-special", "language.py",
+           "if count > 1:", "if count > 0:",
+           "language.left-special-prefix-closure"),
+    Mutant("left-special-count-minus-one", "language.py",
+           "return len(self._left_special[n])", "return len(self._left_special[n]) - 1",
+           "language.left-extension-count-window; premise of complexity-growth-bound"),
+    Mutant("left-special-count-needs-three", "language.py",
+           "return len(self._left_special[n])",
+           "return sum(count > 2 for _, count in self._left_special[n])",
+           "premise of complexity-growth-bound: sp counts the entries >= 2"),
+    Mutant("left-special-count-off-at-30", "language.py",
+           "return len(self._left_special[n])", "return len(self._left_special[n]) - (n == 30)",
+           "premise of complexity-growth-bound, at one level between 20 and n - 2"),
+    Mutant("blocks-built-backwards", "language.py",
+           "blocks = {a: w.translate(apply_once) for a, w in blocks.items()}",
+           "blocks = {a: w[::-1].translate(apply_once) for a, w in blocks.items()}",
+           "language.oracle-equivalence"),
+    Mutant("restricted-plus-one-at-top", "language.py",
+           "return hi - lo", "return hi - lo + (n == self.n_max)",
+           "the letters' counts at n_max sum to p(n_max), which the index certificate implies"),
+    Mutant("prefix-range-starts-a-window-early", "language.py",
+           _RANGE, "return bisect_left(heads, max(a - 1, 0)), bisect_left(heads, b)",
+           "premise of that sum: the count reads the run of windows that start with the word"),
+    Mutant("prefix-range-drops-last-window", "language.py",
+           _RANGE, "return bisect_left(heads, a), bisect_left(heads, b - 1)",
+           "premise of the letter and level-2 sums: prefix_range counts the heads in the run"),
+    Mutant("level-two-drops-a-word", "language.py",
+           _FACTORS,
+           "return self._cut(self._heads(n), n)[: -1 if n == 2 else None]",
+           "premise of the level-2 sum: factors(2) splits the top into runs"),
+    # -- partition
+    Mutant("extensions-in-reverse", "partition.py",
+           _EXTEND, "sorted(table.right_extensions(w), key=key, reverse=True)]",
+           "partition.emission-order"),
+    Mutant("emit-with-two-left-extensions", "partition.py",
+           "if len(left(word[1:])) >= 2:", "if len(left(word[1:])) >= 3:",
+           "partition.emitted-shape; ietmap.block-affinity"),
+    Mutant("emitted-words-keep-growing", "partition.py",
+           "                cylinders.append(Cylinder(len(cylinders) + 1, word, step))\n",
+           "                cylinders.append(Cylinder(len(cylinders) + 1, word, step))\n"
+           "                survivors.append(word)\n",
+           "partition.pairwise-non-prefix"),
+    Mutant("unresolved-one-letter-short", "partition.py",
+           _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w in survivors], length)",
+           "partition.unresolved-shape"),
+    Mutant("stage-five-drops-a-cylinder", "partition.py",
+           _STAGE, "yield PartitionResult(cylinders[: -1 if length == 5 else None], survivors, length)",
+           "partition.cover-at-each-depth"),
+    Mutant("extension-order-follows-depth", "partition.py",
+           _EXTEND, "sorted(table.right_extensions(w), key=key, reverse=depth_cap < 10)]",
+           "partition.monotone-in-depth"),
+    Mutant("residual-adds-the-mass", "partition.py",
+           "total += measures.entries[cyl.word]", "total -= measures.entries[cyl.word]",
+           "partition.residual-nonincreasing"),
+    Mutant("unresolved-classified-too-short", "partition.py",
+           'return "unresolved"', 'return "too-short"',
+           "partition.classify-roundtrip"),
+    # -- measure
+    Mutant("empty-word-half", "measure.py",
+           'entries: dict[str, Fraction] = {"": Fraction(1)}',
+           'entries: dict[str, Fraction] = {"": Fraction(1, 2)}',
+           "measure.empty-word-unity"),
+    Mutant("letter-frequencies-drop-one", "measure.py",
+           "for a in table.alphabet.letters}", "for a in table.alphabet.letters[1:]}",
+           "measure.letters-sum-one"),
+    Mutant("estimate-of-pairs-plus-one", "measure.py",
+           _ESTIMATE,
+           "return Fraction(table.restricted_complexity(word, n) + (len(word) == 2), table.complexity(n))",
+           "the level-2 estimates sum to 1, which letters-sum-one and the certificate imply"),
+    Mutant("estimate-of-triples-minus-one", "measure.py",
+           _ESTIMATE,
+           "return Fraction(table.restricted_complexity(word, n) - (len(word) == 3), table.complexity(n))",
+           "measure.splitting-identity"),
+    Mutant("defect-reads-level-n", "measure.py",
+           "return extended - table.restricted_complexity(word, n - 1)",
+           "return extended - table.restricted_complexity(word, n)",
+           "measure.defect-window"),
+    Mutant("normalized-defect-sums", "measure.py",
+           "worst = max(defects.values(), default=0)", "worst = sum(defects.values())",
+           "measure.normalized-defect-bound"),
+    Mutant("estimate-one-below-top-plus-one", "measure.py",
+           _ESTIMATE,
+           "return Fraction(table.restricted_complexity(word, n) + (n == table.n_max - 1), table.complexity(n))",
+           "measure.shifted-estimate-window"),
+    Mutant("estimate-below-30-diluted", "measure.py",
+           _ESTIMATE,
+           "return Fraction(table.restricted_complexity(word, n), table.complexity(n) + 5 * (n < 30))",
+           "measure.letter-estimates-settled"),
+    # -- ietmap
+    Mutant("last-piece-twice", "ietmap.py",
+           _MAP,
+           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces + pieces[-1:])",
+           "ietmap.piece-count"),
+    Mutant("pieces-target-the-prefix", "ietmap.py",
+           "targets[v[1:]]", "targets[v[:-1]]",
+           "ietmap.target-coverage"),
+    Mutant("target-count-too-large", "ietmap.py",
+           _MAP,
+           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1) + table.complexity(n), pieces)",
+           "ietmap.slope-window"),
+    Mutant("target-count-one-short", "ietmap.py",
+           _MAP,
+           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1) - 1, pieces)",
+           "ietmap.slope-window; premise of its growth half: target_count is p(n-1)"),
+    Mutant("evaluate-one-cell-up", "ietmap.py",
+           "return Fraction(piece.target_index, self.target_count) + (",
+           "return Fraction(piece.target_index + 1, self.target_count) + (",
+           "ietmap.evaluate-affine"),
+    Mutant("first-junction-skipped", "ietmap.py",
+           "for i in range(1, self.source_count):", "for i in range(2, self.source_count):",
+           "ietmap.discontinuity-definition"),
+    Mutant("blocks-step-by-two", "ietmap.py",
+           "amap.pieces[i + 1].target_index == amap.pieces[i].target_index + 1",
+           "amap.pieces[i + 1].target_index == amap.pieces[i].target_index + 2",
+           "ietmap.block-affinity"),
+    Mutant("limit-interval-one-cell-long", "ietmap.py",
+           "length = Fraction(hi - lo, table.complexity(n))",
+           "length = Fraction(hi - lo + 1, table.complexity(n))",
+           "ietmap.limit-intervals-disjoint"),
+    Mutant("compared-points-plus-one", "ietmap.py",
+           "        grid_size - excluded,\n", "        grid_size - excluded + 1,\n",
+           "ietmap.convergence-report-accounting"),
+    Mutant("grid-difference-off-by-one", "ietmap.py",
+           "return c + g * slope", "return c + g * slope + 1",
+           "ietmap.convergence-report-accounting"),
+    Mutant("cluster-hull-swapped", "ietmap.py",
+           "len(chunk), chunk[0], chunk[-1])", "len(chunk), chunk[-1], chunk[0])",
+           "ietmap.cluster-accounting"),
+    # -- coding (the Fibonacci fixture alone)
+    Mutant("golden-exchange-is-identity", "coding.py",
+           "return FiniteIET([QuadraticNumber(0), g], [1 - g, -g])",
+           "return FiniteIET([QuadraticNumber(0), g], [0, 0])",
+           "coding.golden-endpoints"),
+    Mutant("orbit-code-reversed", "coding.py",
+           "return _walk(iet, coding, x, length)", "return _walk(iet, coding, x, length)[::-1]",
+           "coding.shift-compatibility"),
+    Mutant("orbit-letters-rotated", "coding.py",
+           "out.append(letters[lo])", "out.append(letters[lo - 1])",
+           "coding.order-compatibility"),
+    Mutant("coded-levels-misnumbered", "coding.py",
+           "for n in range(1, n_max + 1)), 1)", "for n in range(1, n_max + 1)), 2)",
+           "coding.sturmian-complexity"),
+    Mutant("exchange-difference-sign", "coding.py",
+           "return shift - iet.translations[", "return shift + iet.translations[",
+           "coding.roundtrip"),
+]
+
+_CHILD = f"""
+import json
+from shift2iet import fixture_names, get_fixture, run_verification
+
+names, failing = [], set()
+for fixture in fixture_names():
+    try:
+        report = run_verification(get_fixture(fixture), {N_MAX}, {DEPTH})
+    except Exception as e:
+        failing.add(f"raises {{type(e).__name__}} on {{fixture}}")
+        continue
+    for c in report.checks:
+        key = f"{{c.module}}.{{c.name}}"
+        if key not in names:
+            names.append(key)
+        if not c.ok:
+            failing.add(key)
+print(json.dumps({{"names": names, "failing": sorted(failing)}}))
+"""
+
+
+def _run(src: Path) -> tuple[list[str], list[str]]:
+    """All check names and the failing ones, from one child process."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", _CHILD],
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    except subprocess.TimeoutExpired:
+        return [], [f"timeout after {TIMEOUT_S} s"]
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return [], [f"child exit {proc.returncode}: {last}"]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["names"], result["failing"]
+
+
+def main() -> int:
+    source = Path(__file__).resolve().parents[1] / "src"
+    with tempfile.TemporaryDirectory(prefix="shift2iet-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(source, src, ignore=shutil.ignore_patterns("__pycache__"))
+        package = src / "shift2iet"
+
+        found = {m.name: (package / m.file).read_text("utf-8").count(m.old) for m in MUTANTS}
+        bad = [f"{name}: its text occurs {k} times" for name, k in found.items() if k != 1]
+        if bad:
+            print("catalogue does not match the sources:", *bad, sep="\n  ")
+            return 1
+
+        names, failing = _run(src)
+        if failing or not names:
+            print(f"the unmutated copy fails: {failing}")
+            return 1
+
+        caught = {}
+        for m in MUTANTS:
+            path = package / m.file
+            original = path.read_text("utf-8")
+            path.write_text(original.replace(m.old, m.new), "utf-8")
+            try:
+                caught[m.name] = _run(src)[1]
+            finally:
+                path.write_text(original, "utf-8")
+
+    print(f"{len(MUTANTS)} mutants, {len(names)} checks, five fixtures at n_max {N_MAX}, depth {DEPTH}\n")
+    print("| mutant | aimed at | failing checks |")
+    print("|---|---|---|")
+    for m in MUTANTS:
+        print(f"| `{m.name}` | {m.aim} | {', '.join(caught[m.name]) or '**none**'} |")
+    alone = {found[0] for found in caught.values() if len(found) == 1}
+    print("\nchecks that no mutant catches alone:", ", ".join(n for n in names if n not in alone) or "none")
+    escaped = [m.name for m in MUTANTS if not any(f in names for f in caught[m.name])]
+    print("mutants that no check catches:", ", ".join(escaped) or "none")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

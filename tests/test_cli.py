@@ -199,8 +199,9 @@ def test_unreadable_config_and_unwritable_out_are_input_errors(tmp_path, argv):
 
 
 def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
-    """A non-ASCII letter writes the same analyze.tsv under an ASCII locale,
-    with UTF-8 mode off, as under UTF-8 mode."""
+    """A non-ASCII letter writes the same analyze.tsv and partition.tsv, and
+    prints the same stdout, under an ASCII locale with UTF-8 mode off as
+    under UTF-8 mode.  `partition` prints the unresolved words."""
     config = tmp_path / "alpha.json"
     config.write_text(json.dumps({"alphabet": ["\u03b1", "b"], "rules": {"\u03b1": "\u03b1b", "b": "\u03b1"}}))
     src = Path(shift2iet.__file__).resolve().parents[1]
@@ -208,16 +209,22 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
         "utf8": {"PYTHONUTF8": "1"},
         "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
     }
+    seen = {}
     for name, env in locales.items():
-        proc = subprocess.run(
-            [sys.executable, "-m", "shift2iet.cli", "analyze", "--config", str(config),
-             "--nmax", "12", "--assert-aperiodic", "--out", str(tmp_path / name)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src), **env),
-        )
-        assert proc.returncode == 0, proc.stderr
-    utf8 = (tmp_path / "utf8" / "analyze.tsv").read_bytes()
-    assert "\u03b1".encode() in utf8
-    assert (tmp_path / "ascii" / "analyze.tsv").read_bytes() == utf8
+        out = tmp_path / name
+        out.mkdir()
+        for command in ("analyze", "partition"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "shift2iet.cli", command, "--config", str(config),
+                 "--nmax", "12", "--assert-aperiodic", "--out", "."],
+                capture_output=True, cwd=out, env=dict(os.environ, PYTHONPATH=str(src), **env),
+            )
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            seen[name, command] = proc.stdout, (out / f"{command}.tsv").read_bytes()
+    for command in ("analyze", "partition"):
+        assert "\u03b1".encode() in seen["utf8", command][1]
+        assert seen["ascii", command] == seen["utf8", command]
+    assert "unresolved: \u03b1".encode() in seen["utf8", "partition"][0]
 
 
 def test_fixture_and_config_are_exclusive(tmp_path, capsys):
@@ -266,8 +273,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 
 def test_commands_never_import_numpy(tmp_path):
-    """numpy serves `Substitution.incidence_matrix` alone, so no command pays
-    for loading it."""
+    """numpy is a test dependency alone, so no command pays for loading it."""
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
@@ -354,7 +360,7 @@ def test_oracle_scan_holds_factors_a_fixed_point_prefix_misses(tmp_path, capsys)
     fixed point, past a 10*8*8-letter prefix scan; the oracle must still find
     it.  `letter-estimates-settled` legitimately fails at this depth."""
     spec = {"alphabet": ["a", "c", "b", "d"], "rules": {"a": "aadc", "b": "cd", "c": "bcbd", "d": "da"}}
-    assert build_factor_table(parse_substitution(spec), 8).is_factor("abcbddac")
+    assert build_factor_table(parse_substitution(spec), 8).restricted_complexity("abcbddac", 8) == 1
     config = tmp_path / "sub.json"
     config.write_text(json.dumps(spec))
     argv = ["verify", "--config", str(config), "--nmax", "8", "--assert-aperiodic"]

@@ -36,7 +36,7 @@ def test_oracle_finds_factors_a_doubling_prefix_missed():
     assert "bccaa" in levels[5]
     table = build_factor_table(parse_substitution({"alphabet": list("abc"), "rules": rules}), 6)
     assert list(table.factors(5)) == levels[5]
-    assert table.is_factor("bccaa")
+    assert table.restricted_complexity("bccaa", 5) == 1
 
 
 @st.composite
@@ -71,7 +71,7 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
         assert renamed(top[r][:n] for r in table.level_ranks(n)) == level
         assert table.complexity(n) == len(level)
         for i, w in enumerate(table.factors(n)):
-            assert table.index_of(n, w) == i
+            assert table.prefix_range(w, n) == (i, i + 1)
         for prefix in short + list(table.factors(max(1, n // 2))):
             if len(prefix) > n:
                 continue
@@ -81,7 +81,10 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
         if n == n_max:
             break
         assert renamed(table.left_special(n)) == oracles.left_special(levels, n)
-        assert renamed(table.right_special(n)) == oracles.right_special(levels, n)
+        rights = table.extension_counts(n)[1]
+        right_special = [w for w, r in zip(table.factors(n), rights) if r >= 2]
+        assert renamed(right_special) == oracles.right_special(levels, n)
+        assert table.right_special_count(n) == len(right_special)
         assert table.extension_counts(n) == (
             [len(oracles.left_extensions(levels, w)) for w in level],
             [len(oracles.right_extensions(levels, w)) for w in level],

@@ -68,7 +68,7 @@ def test_first_piece_anchors_origin(name):
         first = amap.pieces[0]
         p_prev = table.complexity(n - 1)
         assert amap.evaluate(0) == Fraction(first.target_index, p_prev)
-        suffix_rank = table.index_of(n - 1, table.factors(n)[0][1:])
+        suffix_rank = table.factors(n - 1).index(table.factors(n)[0][1:])
         assert first.target_index == suffix_rank
         if suffix_rank == 0:
             assert amap.evaluate(0) == 0

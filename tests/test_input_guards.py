@@ -98,7 +98,6 @@ GUARDS = [
         "grid_size must be >= 1",
         id="witness-grid",
     ),
-    pytest.param(lambda: _tm().is_factor("a" * 13), "word longer than table depth 12", id="is-factor-depth"),
     pytest.param(lambda: _tm().persistent_left_special(2, 0), "margin must be >= 1", id="persistent-margin"),
     pytest.param(
         lambda: _tm().prefix_range("abb", 2), "prefix longer than the requested length", id="prefix-range"

@@ -107,7 +107,14 @@ def test_left_and_right_special_match_oracle(shallow_tables, oracle_levels):
         levels = oracle_levels[name]
         for n in range(1, 13):
             assert list(table.left_special(n)) == oracles.left_special(levels, n)
-            assert list(table.right_special(n)) == oracles.right_special(levels, n)
+            assert _right_special(table, n) == oracles.right_special(levels, n)
+            assert table.right_special_count(n) == len(oracles.right_special(levels, n))
+
+
+def _right_special(table, n):
+    """The length-n factors with two or more right extensions, as the
+    extension counts give them."""
+    return [w for w, r in zip(table.factors(n), table.extension_counts(n)[1]) if r >= 2]
 
 
 def test_thue_morse_left_special_lists(shallow_tables):
@@ -176,34 +183,34 @@ def test_restricted_complexity_totals(shallow_tables):
         assert total == table.complexity(n)
 
 
-def test_is_factor_and_index_of(shallow_tables):
+def test_factor_positions_by_prefix_range(shallow_tables):
+    """A factor's range at its own length is its one position in the level;
+    a non-factor's range is empty."""
     table = shallow_tables["fibonacci"]
-    assert table.is_factor("abaab")
-    assert not table.is_factor("bb")
-    idx = table.index_of(5, "abaab")
-    assert table.factors(5)[idx] == "abaab"
-    with pytest.raises(InputError):
-        table.index_of(5, "bbbbb")
+    lo, hi = table.prefix_range("abaab", 5)
+    assert hi == lo + 1 and table.factors(5)[lo] == "abaab"
+    assert table.restricted_complexity("bb", 2) == 0
+    lo, hi = table.prefix_range("bbbbb", 5)
+    assert lo == hi
 
 
 def test_per_word_queries_end_in_input_error():
-    """Alphabet order b < a is not code-point order.  A foreign letter, a
-    non-factor at either end of the order, and a word of the wrong length
-    end in InputError, never in KeyError or IndexError."""
+    """Alphabet order b < a is not code-point order.  A foreign letter ends
+    in InputError, never in KeyError; a non-factor at either end of the order
+    or inside it gets an empty range, and InputError from the extension
+    queries, never IndexError."""
     table = build_factor_table(
         parse_substitution({"alphabet": ["b", "a"], "rules": {"b": "ba", "a": "b"}}), 8
     )
     assert table.factors(2) == ("bb", "ba", "ab")
     for n in range(1, 8):
         for i, w in enumerate(table.factors(n)):
-            assert table.is_factor(w) and table.index_of(n, w) == i
             assert table.prefix_range(w, n) == (i, i + 1)
+            assert table.restricted_complexity(w, n) == 1
     assert table.left_extensions("b") == {"b", "a"}
     assert table.right_extensions("a") == {"b"}
     for word in ("z", "bz", "zab"):
         queries = (
-            lambda: table.is_factor(word),
-            lambda: table.index_of(len(word), word),
             lambda: table.prefix_range(word, 3),
             lambda: table.restricted_complexity(word, 3),
             lambda: table.left_extensions(word),
@@ -213,17 +220,12 @@ def test_per_word_queries_end_in_input_error():
             with pytest.raises(InputError, match="letter 'z' is not in the alphabet"):
                 query()
     for word in ("bbb", "aa", "babbb"):  # first, last and inner spot in the order
-        assert not table.is_factor(word)
-        lo, hi = table.prefix_range(word, 7)
-        assert lo == hi and table.restricted_complexity(word, 7) == 0
-        with pytest.raises(InputError, match=f"{word!r} is not a length-{len(word)} factor"):
-            table.index_of(len(word), word)
+        for n in (len(word), 7):
+            lo, hi = table.prefix_range(word, n)
+            assert lo == hi and table.restricted_complexity(word, n) == 0
         for query in (table.left_extensions, table.right_extensions):
             with pytest.raises(InputError, match=f"{word!r} is not a factor"):
                 query(word)
-    for n, word in ((2, "bab"), (3, "ba"), (8, "")):
-        with pytest.raises(InputError, match=f"{word!r} is not a length-{n} factor"):
-            table.index_of(n, word)
 
 
 def test_level_bounds_are_guarded(shallow_tables):
@@ -289,7 +291,7 @@ def test_large_alphabets_match_oracle(m):
         if n == depth:
             break
         assert list(table.left_special(n)) == oracles.left_special(levels, n)
-        assert list(table.right_special(n)) == oracles.right_special(levels, n)
+        assert _right_special(table, n) == oracles.right_special(levels, n)
         lefts, rights = oracles.extension_sets(levels, n)
         assert table.extension_counts(n) == ([len(x) for x in lefts], [len(x) for x in rights])
         assert [sorted(table.left_extensions(w)) for w in levels[n]] == lefts
