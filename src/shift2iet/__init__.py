@@ -38,7 +38,6 @@ _HOMES = {
     "convergence_report": "ietmap",
     "Cluster": "ietmap",
     "accumulation_clusters": "ietmap",
-    "accumulation_diagnostic": "ietmap",
     "non_injectivity_witnesses": "ietmap",
     "QuadraticNumber": "coding",
     "FiniteIET": "coding",

@@ -198,7 +198,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     level = _approx_level(args)
     table = build_factor_table(args.substitution, args.nmax)
     amap = build_approximant(table, level)
-    # The pair `accumulation_diagnostic` pools, with T_N built once.
+    # The coarse/fine pair `verify` clusters, with T_N built once.
     coarse = build_approximant(table, _coarse_level(level))
     clusters = accumulation_clusters([coarse, amap], args.epsilon)
     witnesses = non_injectivity_witnesses(amap, clusters, grid_size=args.grid)
@@ -213,7 +213,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .export import approximant_csv, approximant_svg
-    from .ietmap import accumulation_clusters
     from .verification import run_verification
 
     level = _approx_level(args)
@@ -224,6 +223,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         measure_level=args.n,
         approximant_level=level,
         grid_size=args.grid,
+        epsilon=args.epsilon,
     )
     log = report.log_text()
     _write(args, "verify.log", log)
@@ -234,9 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _write(args, "partition.tsv", partition_text(report.partition, report.measures))
     _write(args, "measures.tsv", measures_text(table, report.measures))
     _write(args, f"approx_{level}.csv", approximant_csv(amap))
-    # The pair `accumulation_diagnostic` would build, as the suite built it.
-    clusters = accumulation_clusters([report.coarse_approximant, amap], args.epsilon)
-    _write(args, f"approx_{level}.svg", approximant_svg(amap, clusters))
+    _write(args, f"approx_{level}.svg", approximant_svg(amap, report.clusters))
     print(f"wrote artifacts to {args.out}")
     return 0 if report.passed else 1
 

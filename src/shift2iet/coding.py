@@ -424,6 +424,10 @@ def _first_mismatch(
     return None
 
 
+#: The roundtrip passes when the grid sup difference stays below this.
+ROUNDTRIP_TOLERANCE = 0.05
+
+
 @dataclass
 class RoundtripResult:
     """Outcome of the shift -> exchange -> shift comparison."""
@@ -468,16 +472,16 @@ def roundtrip_check(
     table: FactorTable | None = None,
     approximant_level: int | None = None,
     grid_size: int = 1000,
-    tolerance: float = 0.05,
 ) -> RoundtripResult:
     """Does the coded exchange reproduce the substitution shift, and back?
 
     Compares every factor level up to n_max exactly, then measures how far the
     high-level affine approximant sits from the exchange on a grid that skips
     the 1/p(level)-neighborhoods of the jump points of either map; that sup is
-    exact and is rounded to a float once.  The levels
-    are every point's codes (`_coded_top`), compared at n_max alone; only when
-    that fails are they scanned one by one, to name the first mismatch.
+    exact and is rounded to a float once.  It passes when the factor sets are
+    equal and that sup is below `ROUNDTRIP_TOLERANCE`.  The levels are every
+    point's codes (`_coded_top`), compared at n_max alone; only when that
+    fails are they scanned one by one, to name the first mismatch.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -505,7 +509,7 @@ def roundtrip_check(
         _grid_difference(amap, iet, grid_size),
     )
     sup = float(sup)
-    passed = mismatch is None and sup < tolerance
+    passed = mismatch is None and sup < ROUNDTRIP_TOLERANCE
     return RoundtripResult(
         passed,
         mismatch is None,
@@ -513,5 +517,5 @@ def roundtrip_check(
         sup,
         Fraction(excluded, grid_size),
         approximant_level,
-        tolerance,
+        ROUNDTRIP_TOLERANCE,
     )

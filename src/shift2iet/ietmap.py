@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
@@ -71,11 +70,16 @@ class PiecewiseAffineMap:
 
 
 def build_approximant(table: FactorTable, n: int) -> PiecewiseAffineMap:
-    """Level-n approximant read off the sorted factor lists."""
+    """Level-n approximant read off the sorted factor lists.
+
+    A factor whose suffix is missing from level n-1, in a table that fails
+    suffix closure, gets target index -1: the build does not raise, and
+    `verify` reports the table's fault through its checks.
+    """
     if not 2 <= n <= table.n_max:
         raise InputError(f"approximant level must be within 2..{table.n_max}")
     targets = {w: i for i, w in enumerate(table.factors(n - 1))}
-    pieces = [AffinePiece(v, i, targets[v[1:]]) for i, v in enumerate(table.factors(n))]
+    pieces = [AffinePiece(v, i, targets.get(v[1:], -1)) for i, v in enumerate(table.factors(n))]
     return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)
 
 
@@ -248,46 +252,29 @@ class Cluster(NamedTuple):
     high: float
 
 
-def _cluster_points(source) -> list:
-    """Flatten maps, limit-interval sets, or bare numbers into one point list."""
-    if isinstance(source, PiecewiseAffineMap):
-        return list(source.discontinuities())
-    if isinstance(source, LimitIntervalSet):
-        points = []
-        for iv in source.intervals:
-            points.append(iv.left)
-            points.append(iv.left + iv.length)
-        return points
-    if isinstance(source, Real):
-        return [source]
-    if isinstance(source, str):
-        raise InputError("cannot read discontinuity points from a string")
-    try:
-        items = list(source)
-    except TypeError:
-        raise InputError("cannot read discontinuity points from this input") from None
-    points = []
-    for item in items:
-        points.extend(_cluster_points(item))
-    return points
+def accumulation_clusters(maps, epsilon: float, min_size: int = 5) -> list[Cluster]:
+    """Single-linkage clusters of the approximants' discontinuity points at
+    scale epsilon.
 
+    The jumps of every map are pooled into one set and exact duplicates
+    collapse.  Sorted points are chained while consecutive gaps stay within
+    epsilon, and chains shorter than min_size are dropped.  Dense chains that
+    survive mark accumulation points of the limit map's discontinuity set, a
+    finite-level stand-in for a set the limit theory only describes
+    asymptotically.
 
-def accumulation_clusters(source, epsilon: float, min_size: int = 5) -> list[Cluster]:
-    """Single-linkage clusters of discontinuity points at scale epsilon.
-
-    The input may be one approximant, several of them, a limit-interval set,
-    or bare points; jump locations are pooled into one set and exact
-    duplicates collapse.  Sorted points are chained while consecutive gaps
-    stay within epsilon, and chains shorter than min_size are dropped.  Dense
-    chains that survive mark accumulation points of the limit map's
-    discontinuity set, a finite-level stand-in for a set the limit theory
-    only describes asymptotically.
+    A single level cannot separate an accumulation point from a handful of
+    nearby jumps: each junction contributes one point and the chains stay
+    short.  So callers pool the coarse/fine pair the convergence report
+    compares (T_max(2, n//2) and T_n): that doubles up the chains that shrink
+    toward an accumulation point, while persistent isolated jumps contribute
+    only one point per level and stay below min_size.
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     if min_size < 1:
         raise InputError("min_size must be >= 1")
-    values = sorted(float(p) for p in set(_cluster_points(source)))
+    values = sorted(float(p) for p in {q for m in maps for q in m.discontinuities()})
     clusters: list[Cluster] = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -306,38 +293,23 @@ def _coarse_level(n: int) -> int:
     return max(2, n // 2)
 
 
-def accumulation_diagnostic(
-    table: FactorTable, n: int, epsilon: float, min_size: int = 5
-) -> list[Cluster]:
-    """Accumulation clusters at level n, pooling the coarse/fine level pair.
-
-    A single level cannot separate an accumulation point from a handful of
-    nearby jumps: each junction contributes one point and the chains stay
-    short.  Pooling the discontinuities of the same coarse/fine pair the
-    convergence report compares (n//2 against n) doubles up the chains that
-    shrink toward an accumulation point while persistent isolated jumps
-    contribute only one point per level and stay below min_size.
-    """
-    if not 2 <= n <= table.n_max:
-        raise InputError(f"diagnostic level must be within 2..{table.n_max}")
-    levels = sorted({_coarse_level(n), n})
-    maps = [build_approximant(table, m) for m in levels]
-    return accumulation_clusters(maps, epsilon, min_size)
+# A witness point lies within this distance of its cluster's hull, and at
+# most this many witness pairs are returned.
+_FLANK = 0.02
+_WITNESS_LIMIT = 32
 
 
 def non_injectivity_witnesses(
     amap: PiecewiseAffineMap,
     clusters: list[Cluster],
     grid_size: int = 1000,
-    flank: float = 0.02,
-    limit: int = 32,
 ) -> list[tuple[float, float]]:
     """Grid point pairs near different clusters yet mapped almost together.
 
     A pair x < x' with |T(x) - T(x')| below one target cell, where x and x'
-    sit within `flank` of different clusters' hulls, is numeric evidence that
+    sit within `_FLANK` of different clusters' hulls, is numeric evidence that
     the limit map glues the two accumulation regions together and so fails
-    injectivity there.  At most `limit` pairs are returned, ordered by
+    injectivity there.  At most `_WITNESS_LIMIT` pairs are returned, ordered by
     position; this is an observation aid, not a proof.
     """
     if grid_size < 1:
@@ -347,8 +319,8 @@ def non_injectivity_witnesses(
     tol = Fraction(1, amap.target_count)
     samples = []
     for cl in clusters:
-        lo = cl.low - flank
-        hi = cl.high + flank
+        lo = cl.low - _FLANK
+        hi = cl.high + _FLANK
         pts = [
             (x, amap.evaluate(x))
             for g in range(grid_size)
@@ -363,4 +335,4 @@ def non_injectivity_witnesses(
                     if abs(y - y2) < tol:
                         pairs.append((float(min(x, x2)), float(max(x, x2))))
     pairs.sort()
-    return pairs[:limit]
+    return pairs[:_WITNESS_LIMIT]

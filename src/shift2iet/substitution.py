@@ -63,13 +63,6 @@ class Alphabet:
         except KeyError:
             raise InputError(f"letter {letter!r} is not in the alphabet") from None
 
-    def code(self, word: str) -> tuple[int, ...]:
-        """Integer code of a word, usable as a lexicographic sort key."""
-        try:
-            return tuple(map(self._index.__getitem__, word))
-        except KeyError as e:
-            raise InputError(f"letter {e.args[0]!r} is not in the alphabet") from None
-
     def key(self, word: str) -> str:
         """The word with letter i written as chr(i): keyed words compare in
         the declared order.  Letters outside the alphabet are kept as they are."""

@@ -15,9 +15,10 @@ next mutant.  Mutants run one after another, never in parallel.  A mutant
 that raises or runs past the time limit is reported as such, not as a
 failing check.
 
-The file name keeps pytest from collecting it, and CI does not run it.  It
-exits 1 when a mutant's text does not occur exactly once or when the
-unmutated copy fails a check, and 0 otherwise.
+The file name keeps pytest from collecting it; CI runs it after the tier-1
+tests.  It exits 1 when a mutant's text does not occur exactly once, when
+the unmutated copy fails a check, when a mutant fails no check, or when a
+mutant raises or times out on any fixture, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ MUTANTS = [
     Mutant("prefix-range-drops-last-window", "language.py",
            _RANGE, "return bisect_left(heads, a), bisect_left(heads, b - 1)",
            "premise of the letter and level-2 sums: prefix_range counts the heads in the run"),
+    Mutant("harvest-skips-the-last-start", "language.py",
+           "range(start + 1, start + len(blocks[x]) + 1)",
+           "range(start + 1, start + len(blocks[x]))",
+           "language.prefix-suffix-closure; the approximant build must not raise on it"),
     Mutant("level-two-drops-a-word", "language.py",
            _FACTORS,
            "return self._cut(self._heads(n), n)[: -1 if n == 2 else None]",
@@ -187,7 +192,7 @@ MUTANTS = [
            "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces + pieces[-1:])",
            "ietmap.piece-count"),
     Mutant("pieces-target-the-prefix", "ietmap.py",
-           "targets[v[1:]]", "targets[v[:-1]]",
+           "targets.get(v[1:], -1)", "targets.get(v[:-1], -1)",
            "ietmap.target-coverage"),
     Mutant("target-count-too-large", "ietmap.py",
            _MAP,
@@ -317,7 +322,9 @@ def main() -> int:
     print("\nchecks that no mutant catches alone:", ", ".join(n for n in names if n not in alone) or "none")
     escaped = [m.name for m in MUTANTS if not any(f in names for f in caught[m.name])]
     print("mutants that no check catches:", ", ".join(escaped) or "none")
-    return 0
+    broke = [m.name for m in MUTANTS if any(f not in names for f in caught[m.name])]
+    print("mutants that raise or time out:", ", ".join(broke) or "none")
+    return 1 if escaped or broke else 0
 
 
 if __name__ == "__main__":

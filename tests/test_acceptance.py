@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from shift2iet import (
-    accumulation_diagnostic,
+    accumulation_clusters,
     block_affinity_check,
     build_approximant,
     convergence_report,
@@ -92,10 +92,10 @@ def test_criterion_04_golden_roundtrip(fib100):
             table=fib100,
             approximant_level=100,
             grid_size=1000,
-            tolerance=0.05,
         )
         assert result.factor_sets_equal
         assert result.first_mismatch is None
+        assert result.tolerance == 0.05
         assert result.sup_difference < 0.05
         assert result.passed
 
@@ -165,11 +165,12 @@ def test_criterion_09_tiling_invariants(deep_tables):
 
 
 def test_criterion_10_accumulation_diagnostic(tm100):
-    """Level-100 diagnostic: the clustering op pools the discontinuities of the
-    coarse/fine map pair it also compares for convergence (50 with 100); the
+    """Level-100 diagnostic: the clustering pools the discontinuities of the
+    coarse/fine map pair the convergence report compares (50 with 100); the
     pooled jump set forms exactly two dense chains."""
     with _budget("criterion 10 accumulation diagnostic", 20):
-        clusters = accumulation_diagnostic(tm100, 100, 0.02, 5)
+        pair = [build_approximant(tm100, 50), build_approximant(tm100, 100)]
+        clusters = accumulation_clusters(pair, 0.02, 5)
         assert len(clusters) == 2
         assert all(c.size >= 5 for c in clusters)
         report = convergence_report(tm100, 50, 100, 1000)

@@ -3,7 +3,7 @@
 import pytest
 
 from shift2iet import (
-    accumulation_diagnostic,
+    accumulation_clusters,
     approximant_csv,
     approximant_svg,
     build_approximant,
@@ -45,7 +45,7 @@ def test_svg_has_one_segment_per_piece(fib_map):
 def test_svg_marks_clusters(deep_tables):
     table = deep_tables["thue-morse"]
     amap = build_approximant(table, 100)
-    clusters = accumulation_diagnostic(table, 100, 0.02)
+    clusters = accumulation_clusters([build_approximant(table, 50), amap], 0.02)
     svg = approximant_svg(amap, clusters)
     assert svg.count("<circle") == len(clusters) == 2
     bare = approximant_svg(amap)

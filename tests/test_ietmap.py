@@ -15,7 +15,6 @@ from shift2iet import (
     PiecewiseAffineMap,
     QuadraticNumber,
     accumulation_clusters,
-    accumulation_diagnostic,
     block_affinity_check,
     build_approximant,
     build_factor_table,
@@ -227,7 +226,7 @@ def test_cluster_inputs_pool_and_dedupe(deep_tables):
     table = deep_tables["thue-morse"]
     t100 = build_approximant(table, 100)
     t50 = build_approximant(table, 50)
-    single = accumulation_clusters(t100, 1.0, 1)
+    single = accumulation_clusters([t100], 1.0, 1)
     assert sum(c.size for c in single) == len(t100.discontinuities())
     pooled = accumulation_clusters([t50, t100], 1.0, 1)
     want = len(set(t50.discontinuities()) | set(t100.discontinuities()))
@@ -236,18 +235,9 @@ def test_cluster_inputs_pool_and_dedupe(deep_tables):
     assert sum(c.size for c in doubled) == len(t100.discontinuities())
 
 
-def test_cluster_limit_set_input(deep_tables):
-    table = deep_tables["thue-morse"]
-    lis = limit_intervals(table, refine(table, 50), 100)
-    clusters = accumulation_clusters(lis, 0.02, 5)
-    assert len(clusters) == 2
-    assert abs(clusters[0].center - 0.169) < 0.01
-    assert abs(clusters[1].center - 0.831) < 0.01
-
-
 def test_cluster_scale_one_merges_everything(deep_tables):
     amap = build_approximant(deep_tables["thue-morse"], 100)
-    clusters = accumulation_clusters(amap, 1.0, 5)
+    clusters = accumulation_clusters([amap], 1.0, 5)
     assert len(clusters) == 1
     assert clusters[0].size == 13
 
@@ -255,17 +245,20 @@ def test_cluster_scale_one_merges_everything(deep_tables):
 def test_cluster_argument_validation(deep_tables):
     amap = build_approximant(deep_tables["thue-morse"], 50)
     with pytest.raises(InputError):
-        accumulation_clusters(amap, 0.0)
+        accumulation_clusters([amap], 0.0)
     with pytest.raises(InputError):
-        accumulation_clusters(amap, float("nan"))
+        accumulation_clusters([amap], float("nan"))
     with pytest.raises(InputError):
-        accumulation_clusters(amap, 0.02, 0)
-    with pytest.raises(InputError):
-        accumulation_clusters("0.5", 0.02)
+        accumulation_clusters([amap], 0.02, 0)
+
+
+def _pair_clusters(table, epsilon=0.02):
+    """The clusters `verify` draws at level 100: T_50's jumps pooled with T_100's."""
+    return accumulation_clusters([build_approximant(table, 50), build_approximant(table, 100)], epsilon)
 
 
 def test_thue_morse_diagnostic_finds_two_clusters(deep_tables):
-    clusters = accumulation_diagnostic(deep_tables["thue-morse"], 100, 0.02)
+    clusters = _pair_clusters(deep_tables["thue-morse"])
     assert len(clusters) == 2
     assert clusters[0].size >= 5 and clusters[1].size >= 5
     assert abs(clusters[0].center - 0.172) < 0.01
@@ -277,12 +270,12 @@ def test_fibonacci_diagnostic_stays_small(deep_tables):
     table = deep_tables["fibonacci"]
     for n in (20, 60, 100):
         assert len(build_approximant(table, n).discontinuities()) <= 2
-    assert len(accumulation_diagnostic(table, 100, 0.02)) <= 2
+    assert len(_pair_clusters(table)) <= 2
 
 
 def test_diagnostic_cluster_shapes(deep_tables):
     for name in fixture_names():
-        clusters = accumulation_diagnostic(deep_tables[name], 100, 0.02)
+        clusters = _pair_clusters(deep_tables[name])
         for c in clusters:
             assert c.size >= 5
             assert c.low <= c.center <= c.high
@@ -293,7 +286,7 @@ def test_diagnostic_cluster_shapes(deep_tables):
 def test_non_injectivity_witnesses_thue_morse(deep_tables):
     table = deep_tables["thue-morse"]
     amap = build_approximant(table, 100)
-    clusters = accumulation_diagnostic(table, 100, 0.02)
+    clusters = _pair_clusters(table)
     pairs = non_injectivity_witnesses(amap, clusters)
     assert pairs
     assert len(pairs) <= 32

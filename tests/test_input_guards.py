@@ -11,8 +11,6 @@ from shift2iet import (
     FiniteIET,
     InputError,
     Substitution,
-    accumulation_clusters,
-    accumulation_diagnostic,
     build_approximant,
     build_factor_table,
     code_orbit,
@@ -82,16 +80,6 @@ GUARDS = [
     ),
     pytest.param(
         lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"
-    ),
-    pytest.param(
-        lambda: accumulation_clusters(object(), 0.02),
-        "cannot read discontinuity points from this input",
-        id="clusters-source",
-    ),
-    pytest.param(
-        lambda: accumulation_diagnostic(_tm(), 1, 0.02),
-        "diagnostic level must be within 2..12",
-        id="diagnostic-level",
     ),
     pytest.param(
         lambda: non_injectivity_witnesses(build_approximant(_tm(), 4), [], grid_size=0),

@@ -27,10 +27,11 @@ def test_alphabet_rejects_bad_letter_sets():
 
 def test_alphabet_code_is_declaration_order():
     alpha = Alphabet(["b", "a"])
-    assert alpha.code("ba") == (0, 1)
-    assert alpha.code("ab") == (1, 0)
+    assert alpha.key("ba") == "\x00\x01"
+    assert alpha.key("ab") == "\x01\x00"
+    assert alpha.key("ba") < alpha.key("ab")
     with pytest.raises(InputError):
-        alpha.code("c")
+        alpha.index("c")
     assert sorted(["a", "ab", "b", "ba"], key=alpha.key) == ["b", "ba", "a", "ab"]
     assert alpha.foreign("bcadc") == "cdc"
     assert alpha.foreign("abba") == ""

@@ -1,11 +1,15 @@
 """The aggregated invariant suites and their report format."""
 
+import re
 import tracemalloc
 from array import array
 
 import pytest
 
+import shift2iet.partition
+import shift2iet.verification
 from shift2iet import (
+    build_approximant,
     build_factor_table,
     fixture_names,
     get_fixture,
@@ -14,6 +18,7 @@ from shift2iet import (
     refine_stages,
     run_verification,
 )
+from shift2iet.cli import main as cli_main
 from shift2iet.partition import Cylinder, PartitionResult
 from shift2iet.verification import _language_checks, _partition_checks
 
@@ -325,46 +330,117 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     cylinders = result.cylinders + [Cylinder(len(result.cylinders) + 1, "baab", 3)]
     bad = PartitionResult(cylinders, ["a" * 8] + result.unresolved[1:], 8)
     mt = measure_table(tm30, bad.cylinder_words(), 30)
-    checks = {c.name: c for c in _partition_checks(tm30, bad, mt)}
+    checks = {c.name: c for c in _partition_checks(tm30, [bad], mt)}
     shape = checks["emitted-shape"]
     assert (shape.ok, shape.detail) == (False, "'baab': inner prefix 'aa' not left special")
     assert not checks["unresolved-shape"].ok
 
 
-def _cover(table, monkeypatch, cylinders):
-    """cover-at-each-depth when the depth-8 stage holds the given cylinders."""
-    result = refine(table, 8)
-    mt = measure_table(table, result.cylinder_words(), 30)
-
-    def stages(table, depth_cap):
-        for stage in refine_stages(table, depth_cap):
-            if stage.depth_cap == 8:
-                stage = PartitionResult(cylinders(stage.cylinders), stage.unresolved, 8)
-            yield stage
-
-    monkeypatch.setattr("shift2iet.verification.refine_stages", stages)
-    return {c.name: c for c in _partition_checks(table, result, mt)}["cover-at-each-depth"]
+def _cover(table, cylinders):
+    """cover-at-each-depth on the pass to depth 10 when its depth-8 stage
+    holds the given cylinders."""
+    stages = list(refine_stages(table, 10))
+    stage = stages[8 - 2]
+    stages[8 - 2] = PartitionResult(cylinders(stage.cylinders), stage.unresolved, 8)
+    mt = measure_table(table, stages[-1].cylinder_words(), 30)
+    return {c.name: c for c in _partition_checks(table, stages, mt)}["cover-at-each-depth"]
 
 
-def test_cover_fails_a_stage_that_drops_a_cylinder(tm30, monkeypatch):
+def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
     dropped = refine(tm30, 8).cylinders[-1].word
-    check = _cover(tm30, monkeypatch, lambda cylinders: cylinders[:-1])
+    check = _cover(tm30, lambda cylinders: cylinders[:-1])
     first = next(f for f in tm30.factors(8) if f.startswith(dropped))
     assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 0 times")
 
 
-def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30, monkeypatch):
+def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30):
     """Every factor still has one classifying word, so only the pairwise
     comparison of the stage's words sees the repeat."""
     word = refine(tm30, 8).cylinders[0].word
-    check = _cover(tm30, monkeypatch, lambda cylinders: cylinders + [cylinders[0]])
+    check = _cover(tm30, lambda cylinders: cylinders + [cylinders[0]])
     assert (check.ok, check.detail) == (False, f"depth 8: {word!r} and {word!r} overlap")
 
 
-def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30, monkeypatch):
+def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30):
     short = refine(tm30, 8).cylinders[-1].word[:-1]
-    check = _cover(
-        tm30, monkeypatch, lambda cylinders: cylinders + [Cylinder(len(cylinders) + 1, short, 7)]
-    )
+    check = _cover(tm30, lambda cylinders: cylinders + [Cylinder(len(cylinders) + 1, short, 7)])
     first = next(f for f in tm30.factors(8) if f.startswith(short))
     assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 2 times")
+
+
+def test_each_stage_is_built_once(monkeypatch):
+    """At the `verify` benchmark's configuration: one refinement pass at the
+    depth cap and the independent one at half of it, T_100 and T_50 once
+    each, and one clustering at the run's epsilon next to the scale-1.0
+    accounting pass."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    stages = counted("refine_stages", refine_stages)
+    # `refine` runs its pass through the partition module's own name.
+    monkeypatch.setattr(shift2iet.partition, "refine_stages", stages)
+    monkeypatch.setattr(shift2iet.verification, "refine_stages", stages)
+    for name in ("build_approximant", "accumulation_clusters"):
+        fn = getattr(shift2iet.verification, name)
+        monkeypatch.setattr(shift2iet.verification, name, counted(name, fn))
+    report = run_verification(get_fixture("thue-morse"), 160, 80)
+    assert report.passed
+    assert sorted(calls) == [
+        ("accumulation_clusters", 0.02),
+        ("accumulation_clusters", 1.0),
+        ("build_approximant", 50),
+        ("build_approximant", 100),
+        ("refine_stages", 40),
+        ("refine_stages", 80),
+    ]
+
+
+def test_verify_draws_the_clusters_it_judged(tmp_path, monkeypatch, capsys):
+    """`verify --epsilon 0.3` clusters T_50 and T_100 once, at 0.3, and both
+    `cluster-accounting` and the SVG read that one set: at 0.3 the two
+    Thue-Morse clusters merge into one, and a fault planted in the set shows
+    in the check and in the drawing alike."""
+    argv = ["verify", "--fixture", "thue-morse", "--nmax", "160", "--epsilon", "0.3"]
+    real = shift2iet.verification.accumulation_clusters
+    made = []
+
+    def planted(maps, epsilon, min_size=5):
+        clusters = real(maps, epsilon, min_size)
+        if epsilon == 0.3:
+            made.append(clusters)
+            if fault:
+                clusters = [c._replace(center=c.high + 0.01) for c in clusters]
+        return clusters
+
+    monkeypatch.setattr(shift2iet.verification, "accumulation_clusters", planted)
+    for fault in (False, True):
+        made.clear()
+        out = tmp_path / str(fault)
+        assert cli_main([*argv, "--assert-aperiodic", "--out", str(out)]) == (1 if fault else 0)
+        [clusters] = made
+        assert len(clusters) == 1
+        centers = [c.high + 0.01 if fault else c.center for c in clusters]
+        svg = (out / "approx_100.svg").read_text(encoding="utf-8")
+        assert re.findall(r'<circle cx="([^"]+)"', svg) == [f"{x:.6f}" for x in centers]
+        log = (out / "verify.log").read_text(encoding="utf-8")
+        assert ("FAIL ietmap.cluster-accounting" in log) == fault
+    capsys.readouterr()
+
+
+def test_table_without_suffix_closure_gets_verdicts_not_a_crash(tm30):
+    """A level-9 word dropped: `build_approximant` at level 10 gives its
+    extensions target -1 instead of raising KeyError, and the language suite
+    reports the fault."""
+    level = tm30.factors(9)
+    dropped = level[4]
+    served = _Served(tm30, {9: level[:4] + level[5:]})
+    amap = build_approximant(served, 10)
+    orphans = [piece.factor for piece in amap.pieces if piece.target_index == -1]
+    assert orphans == [v for v in tm30.factors(10) if v[1:] == dropped]
+    assert not _language(served)["prefix-suffix-closure"].ok
