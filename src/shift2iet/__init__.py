@@ -36,9 +36,6 @@ _HOMES = {
     "limit_intervals": "ietmap",
     "ConvergenceReport": "ietmap",
     "convergence_report": "ietmap",
-    "Cluster": "ietmap",
-    "accumulation_clusters": "ietmap",
-    "non_injectivity_witnesses": "ietmap",
     "QuadraticNumber": "coding",
     "FiniteIET": "coding",
     "CodingPartition": "coding",

@@ -8,7 +8,6 @@ verification or roundtrip failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -59,8 +58,6 @@ def parse_config(args: argparse.Namespace) -> None:
         args.depth = max(2, args.nmax // 2)
     if args.grid < 1:
         raise InputError("--grid must be >= 1")
-    if not args.epsilon > 0:
-        raise InputError("--epsilon must be positive")
 
 
 def _approx_level(args: argparse.Namespace) -> int:
@@ -193,26 +190,24 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     from .export import approximant_svg
-    from .ietmap import _coarse_level, accumulation_clusters, build_approximant, non_injectivity_witnesses
+    from .ietmap import _marks, build_approximant
+    from .partition import refine
 
     level = _approx_level(args)
     table = build_factor_table(args.substitution, args.nmax)
+    unresolved = refine(table, args.depth).unresolved
     amap = build_approximant(table, level)
-    # The coarse/fine pair `verify` clusters, with T_N built once.
-    coarse = build_approximant(table, _coarse_level(level))
-    clusters = accumulation_clusters([coarse, amap], args.epsilon)
-    witnesses = non_injectivity_witnesses(amap, clusters, grid_size=args.grid)
-    path = _write(args, f"approx_{level}.svg", approximant_svg(amap, clusters))
+    path = _write(args, f"approx_{level}.svg", approximant_svg(amap, _marks(table, unresolved)))
     print(
         f"wrote {path} ({len(amap.pieces)} segments, "
-        f"{len(clusters)} clusters at epsilon {args.epsilon}, "
-        f"{len(witnesses)} non-injectivity witness pairs)"
+        f"{len(unresolved)} unresolved words marked at depth {args.depth})"
     )
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .export import approximant_csv, approximant_svg
+    from .ietmap import _marks
     from .verification import run_verification
 
     level = _approx_level(args)
@@ -223,7 +218,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         measure_level=args.n,
         approximant_level=level,
         grid_size=args.grid,
-        epsilon=args.epsilon,
     )
     log = report.log_text()
     _write(args, "verify.log", log)
@@ -234,7 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _write(args, "partition.tsv", partition_text(report.partition, report.measures))
     _write(args, "measures.tsv", measures_text(table, report.measures))
     _write(args, f"approx_{level}.csv", approximant_csv(amap))
-    _write(args, f"approx_{level}.svg", approximant_svg(amap, report.clusters))
+    marks = _marks(table, report.partition.unresolved)
+    _write(args, f"approx_{level}.svg", approximant_svg(amap, marks))
     print(f"wrote artifacts to {args.out}")
     return 0 if report.passed else 1
 
@@ -271,17 +266,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a negative number in exponent form, `-1e-05`, as a value, as
-    argparse already reads `-0.5`, so the range checks can reject it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fixture", choices=fixture_names(), help="built-in substitution")
     common.add_argument("--config", help="path to a JSON substitution config")
     common.add_argument(
@@ -296,15 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid", type=int, default=1000, help="grid size for sup comparisons (default %(default)s)"
     )
     common.add_argument(
-        "--epsilon", type=float, default=0.02, help="clustering width (default %(default)s)"
-    )
-    common.add_argument(
         "--assert-aperiodic",
         action="store_true",
         help="caller asserts the shift is aperiodic; silences the warning",
     )
 
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="shift2iet",
         description="Factor languages, cylinder partitions, and affine approximants "
         "of interval exchanges for primitive substitution shifts",
@@ -316,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("partition", cmd_partition, "refine the cylinder partition (partition.tsv)"),
         ("measures", cmd_measures, "cylinder measure estimates and defects (measures.tsv)"),
         ("approx", cmd_approx, "piecewise-affine approximant rows (approx_N.csv)"),
-        ("plot", cmd_plot, "approximant graph with cluster marks (approx_N.svg)"),
+        ("plot", cmd_plot, "approximant graph with the unresolved words marked (approx_N.svg)"),
         ("verify", cmd_verify, "run every invariant suite and write artifacts (verify.log)"),
     ):
         sub.add_parser(name, parents=[common], help=help_text).set_defaults(run=run)

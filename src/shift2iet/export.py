@@ -8,7 +8,7 @@ locales, or dict iteration order of unordered inputs.
 from __future__ import annotations
 
 from ._version import __version__
-from .ietmap import Cluster, PiecewiseAffineMap
+from .ietmap import PiecewiseAffineMap
 
 
 def _f15(x) -> str:
@@ -31,8 +31,9 @@ def _c(x) -> str:
     return f"{float(x):.6f}"
 
 
-def approximant_svg(amap: PiecewiseAffineMap, clusters: list[Cluster] | None = None) -> str:
-    """Unit-square graph with one segment per piece and optional cluster marks.
+def approximant_svg(amap: PiecewiseAffineMap, marks=()) -> str:
+    """Unit-square graph with one segment per piece and a dot on the x axis
+    at each mark position.
 
     The y axis is flipped into SVG screen coordinates.  Layout is fixed so the
     file diffs cleanly; only the version comment may vary between releases.
@@ -53,10 +54,10 @@ def approximant_svg(amap: PiecewiseAffineMap, clusters: list[Cluster] | None = N
             f'x2="{_c(x_right)}" y2="{_c(1 - y_right)}"/>'
         )
     out.append("</g>")
-    if clusters:
+    if marks:
         out.append('<g fill="#c0392b">')
-        for cl in clusters:
-            out.append(f'<circle cx="{_c(cl.center)}" cy="1" r="0.012"/>')
+        for x in marks:
+            out.append(f'<circle cx="{_c(x)}" cy="1" r="0.012"/>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -149,6 +149,20 @@ def limit_intervals(table: FactorTable, partition: PartitionResult, n: int) -> L
     return LimitIntervalSet(n, intervals)
 
 
+def _marks(table: FactorTable, words: list[str]) -> list[Fraction]:
+    """Estimated positions of the limit map's accumulation points, one per word.
+
+    The words are a refinement's unresolved ones, a+u with u left special of
+    length d-1 and a a left extension of u.  As d grows they narrow to the
+    words a+x, x an infinite left special branch, at whose positions the
+    discontinuities of the limit map accumulate.  Each position is the left
+    end `limit_intervals` estimates for a cylinder, counted at the table
+    depth.
+    """
+    p = table.complexity(table.n_max)
+    return [Fraction(table.prefix_range(u, table.n_max)[0], p) for u in words]
+
+
 @dataclass
 class ConvergenceReport:
     coarse_level: int
@@ -243,96 +257,3 @@ def _grid_sup(grid_size: int, jumps, radius, difference) -> tuple:
     if start < grid_size:
         ends += (start, grid_size - 1)
     return max((abs(difference(g)) for g in ends), default=0), excluded
-
-
-class Cluster(NamedTuple):
-    center: float
-    size: int
-    low: float
-    high: float
-
-
-def accumulation_clusters(maps, epsilon: float, min_size: int = 5) -> list[Cluster]:
-    """Single-linkage clusters of the approximants' discontinuity points at
-    scale epsilon.
-
-    The jumps of every map are pooled into one set and exact duplicates
-    collapse.  Sorted points are chained while consecutive gaps stay within
-    epsilon, and chains shorter than min_size are dropped.  Dense chains that
-    survive mark accumulation points of the limit map's discontinuity set, a
-    finite-level stand-in for a set the limit theory only describes
-    asymptotically.
-
-    A single level cannot separate an accumulation point from a handful of
-    nearby jumps: each junction contributes one point and the chains stay
-    short.  So callers pool the coarse/fine pair the convergence report
-    compares (T_max(2, n//2) and T_n): that doubles up the chains that shrink
-    toward an accumulation point, while persistent isolated jumps contribute
-    only one point per level and stay below min_size.
-    """
-    if not epsilon > 0:
-        raise InputError("epsilon must be positive")
-    if min_size < 1:
-        raise InputError("min_size must be >= 1")
-    values = sorted(float(p) for p in {q for m in maps for q in m.discontinuities()})
-    clusters: list[Cluster] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > epsilon:
-            chunk = values[start:i]
-            if len(chunk) >= min_size:
-                clusters.append(
-                    Cluster(sum(chunk) / len(chunk), len(chunk), chunk[0], chunk[-1])
-                )
-            start = i
-    return clusters
-
-
-def _coarse_level(n: int) -> int:
-    """The coarse level paired with level n: n // 2, but at least 2."""
-    return max(2, n // 2)
-
-
-# A witness point lies within this distance of its cluster's hull, and at
-# most this many witness pairs are returned.
-_FLANK = 0.02
-_WITNESS_LIMIT = 32
-
-
-def non_injectivity_witnesses(
-    amap: PiecewiseAffineMap,
-    clusters: list[Cluster],
-    grid_size: int = 1000,
-) -> list[tuple[float, float]]:
-    """Grid point pairs near different clusters yet mapped almost together.
-
-    A pair x < x' with |T(x) - T(x')| below one target cell, where x and x'
-    sit within `_FLANK` of different clusters' hulls, is numeric evidence that
-    the limit map glues the two accumulation regions together and so fails
-    injectivity there.  At most `_WITNESS_LIMIT` pairs are returned, ordered by
-    position; this is an observation aid, not a proof.
-    """
-    if grid_size < 1:
-        raise InputError("grid_size must be >= 1")
-    if len(clusters) < 2:
-        return []
-    tol = Fraction(1, amap.target_count)
-    samples = []
-    for cl in clusters:
-        lo = cl.low - _FLANK
-        hi = cl.high + _FLANK
-        pts = [
-            (x, amap.evaluate(x))
-            for g in range(grid_size)
-            if lo <= (x := Fraction(g, grid_size)) <= hi
-        ]
-        samples.append(pts)
-    pairs = []
-    for a in range(len(samples)):
-        for b in range(a + 1, len(samples)):
-            for x, y in samples[a]:
-                for x2, y2 in samples[b]:
-                    if abs(y - y2) < tol:
-                        pairs.append((float(min(x, x2)), float(max(x, x2))))
-    pairs.sort()
-    return pairs[:_WITNESS_LIMIT]

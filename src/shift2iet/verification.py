@@ -18,11 +18,8 @@ from typing import NamedTuple
 
 from .fixtures import FIXTURE_RULES
 from .ietmap import (
-    Cluster,
     PiecewiseAffineMap,
-    _coarse_level,
     _convergence,
-    accumulation_clusters,
     block_affinity_check,
     build_approximant,
     limit_intervals,
@@ -50,7 +47,6 @@ class VerificationReport:
     partition: PartitionResult      # refined to the depth cap
     measures: MeasureTable          # partition cylinders at the measure level
     approximant: PiecewiseAffineMap  # T_n at the approximant level
-    clusters: list[Cluster]         # T_max(2, n//2) and T_n's jumps at epsilon
 
     @property
     def passed(self) -> bool:
@@ -75,16 +71,15 @@ def run_verification(
     measure_level: int | None = None,
     approximant_level: int | None = None,
     grid_size: int = 1000,
-    epsilon: float = 0.02,
 ) -> VerificationReport:
     """Run every module's invariant suite on one substitution.
 
     Each stage is computed once and handed to every suite that reads it; the
     report carries those same objects so callers can write what was checked.
     One refinement pass gives the partition at the depth cap and every
-    shallower stage, T_n and T_max(2, n//2) are built once, and their pooled
-    jumps are clustered once at scale epsilon.  The measure level defaults to
-    n_max and the approximant level to min(100, n_max).
+    shallower stage, and T_n and the coarse map T_max(2, n//2) it is compared
+    with are built once.  The measure level defaults to n_max and the
+    approximant level to min(100, n_max).
     """
     table = build_factor_table(substitution, n_max)
     if measure_level is None:
@@ -95,18 +90,17 @@ def run_verification(
     partition = stages[-1]
     measures = measure_table(table, partition.cylinder_words(), measure_level)
     approximant = build_approximant(table, approximant_level)
-    coarse = build_approximant(table, _coarse_level(approximant_level))
-    clusters = accumulation_clusters([coarse, approximant], epsilon)
+    coarse = build_approximant(table, max(2, approximant_level // 2))
 
     checks = [
         *_substitution_checks(substitution),
         *_language_checks(table),
         *_partition_checks(table, stages, measures),
         *_measure_checks(table, partition, measures),
-        *_ietmap_checks(table, partition, approximant, coarse, clusters, grid_size),
+        *_ietmap_checks(table, partition, approximant, coarse, grid_size),
         *_coding_checks(substitution, n_max),
     ]
-    return VerificationReport(checks, table, partition, measures, approximant, clusters)
+    return VerificationReport(checks, table, partition, measures, approximant)
 
 
 def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -578,11 +572,17 @@ def _measure_checks(
         )
     )
 
+    # The shift of a primitive substitution is minimal, and a minimal shift
+    # is aperiodic exactly when p strictly increases (Morse-Hedlund 1938):
+    # growth below 1 is a periodicity verdict.
     ok, detail = True, ""
     for m in range(2, n + 1):
         grow = table.complexity(m) - table.complexity(m - 1)
         limit = (len(letters) - 1) * table.left_special_count(m - 1)
-        if not 0 <= grow <= limit:
+        if grow < 1:
+            ok, detail = False, f"p({m})-p({m - 1}) = {grow} < 1: the shift is periodic"
+            break
+        if grow > limit:
             ok, detail = False, f"p({m})-p({m - 1}) = {grow} > {limit}"
             break
     out.append(_check("measure", "complexity-growth-bound", ok, detail))
@@ -622,7 +622,6 @@ def _ietmap_checks(
     partition: PartitionResult,
     amap: PiecewiseAffineMap,
     coarse: PiecewiseAffineMap,
-    clusters: list[Cluster],
     grid_size: int,
 ) -> list[CheckResult]:
     out = []
@@ -715,21 +714,6 @@ def _ietmap_checks(
             "convergence-report-accounting",
             ok,
             f"sup {report.sup_difference:.4f}, excluded {float(report.excluded_fraction):.3f}",
-        )
-    )
-
-    # The clusters judged here are the ones `verify` draws.
-    merged = accumulation_clusters([amap], 1.0, 1)
-    total = sum(c.size for c in merged)
-    ok = total == len(jumps) and len(merged) <= 1
-    ok = ok and all(c.size >= 5 and c.low <= c.center <= c.high for c in clusters)
-    ok = ok and all(a.high < b.low for a, b in zip(clusters, clusters[1:]))
-    out.append(
-        _check(
-            "ietmap",
-            "cluster-accounting",
-            ok,
-            f"{total} jumps, {len(merged)} merged, {len(clusters)} diagnostic clusters",
         )
     )
     return out

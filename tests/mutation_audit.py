@@ -223,9 +223,6 @@ MUTANTS = [
     Mutant("grid-difference-off-by-one", "ietmap.py",
            "return c + g * slope", "return c + g * slope + 1",
            "ietmap.convergence-report-accounting"),
-    Mutant("cluster-hull-swapped", "ietmap.py",
-           "len(chunk), chunk[0], chunk[-1])", "len(chunk), chunk[-1], chunk[0])",
-           "ietmap.cluster-accounting"),
     # -- coding (the Fibonacci fixture alone)
     Mutant("golden-exchange-is-identity", "coding.py",
            "return FiniteIET([QuadraticNumber(0), g], [1 - g, -g])",

@@ -71,11 +71,21 @@ def test_plot_svg(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / "approx_20.svg").read_text()
     assert svg.count("<line") == 21
-    assert "clusters" in out
+    assert svg.count("<circle") == 2
+    assert out == f"wrote {tmp_path / 'approx_20.svg'} (21 segments, 2 unresolved words marked at depth 5)\n"
+
+
+def test_plot_needs_depth_below_nmax(tmp_path, capsys):
+    """`plot` refines as `partition` does, so depth must stay below --nmax."""
+    argv = ["plot", "--fixture", "fibonacci", "--nmax", "2", "--assert-aperiodic", "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: depth_cap must stay below the table depth")
+    assert not (tmp_path / "approx_2.svg").exists()
 
 
 def test_plot_builds_each_approximant_once(tmp_path, capsys, monkeypatch):
-    """`plot` pools T_N with T_{N/2}, as `verify` does, without building T_N twice."""
+    """`plot` builds T_N alone, once."""
     import shift2iet.ietmap as ietmap
 
     levels = []
@@ -83,7 +93,7 @@ def test_plot_builds_each_approximant_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ietmap, "build_approximant", lambda table, n: levels.append(n) or build(table, n))
     code, _, _ = run_cli(["plot", *FIB, "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert sorted(levels) == [10, 20]
+    assert levels == [20]
 
 
 def test_verify_exit_code_and_artifacts(tmp_path, capsys):
@@ -281,13 +291,12 @@ def test_commands_never_import_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 7, "numpy": False}
 
 
-@pytest.mark.parametrize("value", ["-0.5", "-1e-05", "-2.5E+3", "nan"])
-def test_negative_epsilon_is_an_input_error_in_every_notation(tmp_path, capsys, value):
-    """A separate `-1e-05` token is the value of --epsilon, not an unknown option."""
-    argv = ["plot", *FIB, "--epsilon", value, "--out", str(tmp_path)]
-    code, _, err = run_cli(argv, capsys)
-    assert code == 2
-    assert err.startswith("error: --epsilon must be positive")
+def test_epsilon_flag_is_rejected(tmp_path, capsys):
+    """No command reads a clustering width: `--epsilon` is an unknown option."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plot", *FIB, "--epsilon", "0.02", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.02" in capsys.readouterr().err
 
 
 _FOOTPRINT_SCRIPT = """
@@ -324,7 +333,7 @@ COMMAND_LAYERS = {
     "partition": {"partition", "measure"},
     "measures": {"partition", "measure"},
     "approx": {"ietmap", "export"},
-    "plot": {"ietmap", "export"},
+    "plot": {"partition", "ietmap", "export"},
     "verify": {"partition", "measure", "ietmap", "export", "coding", "verification"},
     "roundtrip fibonacci": {"coding", "ietmap"},
     # Only the Fibonacci suite pairs the shift with the golden exchange.

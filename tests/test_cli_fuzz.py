@@ -77,7 +77,7 @@ def test_analyze_random_config_exits_cleanly(config, n_max):
 
 def _flag(name, values):
     """An absent flag, or the flag with a drawn value, joined with `=` or as
-    a separate token (argparse must read `-1e-05` there as a value)."""
+    a separate token (argparse must read a negative `-1` there as a value)."""
     return st.one_of(
         st.just([]),
         values.map(lambda v: [f"{name}={v}"]),
@@ -93,7 +93,6 @@ def level_flags(draw):
         *draw(_flag("--depth", st.integers(min_value=-1, max_value=14))),
         *draw(_flag("--n", st.integers(min_value=-1, max_value=14))),
         *draw(_flag("--grid", st.integers(min_value=-2, max_value=60))),
-        *draw(_flag("--epsilon", st.floats(min_value=-1, max_value=1, allow_nan=False))),
     ]
 
 
@@ -103,7 +102,6 @@ COMMANDS = [["verify"], ["partition"], ["measures"], ["approx"], ["plot"], ["rou
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(COMMANDS), st.sampled_from(fixture_names()), level_flags())
 @example(["verify"], "fibonacci", ["--nmax=4", "--depth=2"])
-@example(["plot"], "thue-morse", ["--epsilon", "-1e-05"])
 def test_verify_and_partition_random_flags_exit_cleanly(command, fixture, flags):
     """Every subcommand but analyze (fuzzed above with random configs).
 

@@ -1,15 +1,16 @@
-"""CSV and SVG emission: exact layout, determinism, cluster markers."""
+"""CSV and SVG emission: exact layout, determinism, accumulation marks."""
 
 import pytest
 
 from shift2iet import (
-    accumulation_clusters,
     approximant_csv,
     approximant_svg,
     build_approximant,
     build_factor_table,
     get_fixture,
+    refine,
 )
+from shift2iet.ietmap import _marks
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +43,16 @@ def test_svg_has_one_segment_per_piece(fib_map):
     assert "viewBox" in svg
 
 
-def test_svg_marks_clusters(deep_tables):
+def test_svg_marks_unresolved_words(deep_tables):
+    """One dot on the x axis per unresolved word, at its mark position."""
     table = deep_tables["thue-morse"]
     amap = build_approximant(table, 100)
-    clusters = accumulation_clusters([build_approximant(table, 50), amap], 0.02)
-    svg = approximant_svg(amap, clusters)
-    assert svg.count("<circle") == len(clusters) == 2
+    unresolved = refine(table, 50).unresolved
+    marks = _marks(table, unresolved)
+    svg = approximant_svg(amap, marks)
+    assert svg.count("<circle") == len(unresolved) == 4
+    for x in marks:
+        assert f'<circle cx="{float(x):.6f}" cy="1" r="0.012"/>' in svg
     bare = approximant_svg(amap)
     assert bare.count("<circle") == 0
     assert bare.count("<line") == len(amap.pieces)

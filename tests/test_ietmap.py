@@ -1,4 +1,4 @@
-"""Affine approximants: pieces, jumps, blocks, convergence, clusters."""
+"""Affine approximants: pieces, jumps, blocks, convergence, accumulation marks."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,6 @@ from shift2iet import (
     InputError,
     PiecewiseAffineMap,
     QuadraticNumber,
-    accumulation_clusters,
     block_affinity_check,
     build_approximant,
     build_factor_table,
@@ -24,10 +23,10 @@ from shift2iet import (
     golden_coding,
     golden_iet,
     limit_intervals,
-    non_injectivity_witnesses,
     refine,
     roundtrip_check,
 )
+from shift2iet.ietmap import _marks
 import oracles
 from test_coding import rational_three_pieces
 
@@ -222,85 +221,52 @@ def test_convergence_level_guards(deep_tables):
         convergence_report(deep_tables["fibonacci"], 2, 101)
 
 
-def test_cluster_inputs_pool_and_dedupe(deep_tables):
-    table = deep_tables["thue-morse"]
-    t100 = build_approximant(table, 100)
-    t50 = build_approximant(table, 50)
-    single = accumulation_clusters([t100], 1.0, 1)
-    assert sum(c.size for c in single) == len(t100.discontinuities())
-    pooled = accumulation_clusters([t50, t100], 1.0, 1)
-    want = len(set(t50.discontinuities()) | set(t100.discontinuities()))
-    assert sum(c.size for c in pooled) == want
-    doubled = accumulation_clusters([t100, t100], 1.0, 1)
-    assert sum(c.size for c in doubled) == len(t100.discontinuities())
+@pytest.mark.parametrize(
+    "name, n_max, depth, points, tol",
+    [
+        pytest.param(
+            "thue-morse", 160, 80, (Fraction(1, 6), Fraction(5, 6)), Fraction(1, 100), id="thue-morse"
+        ),
+        pytest.param(
+            "rudin-shapiro",
+            100,
+            50,
+            (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+            Fraction(2, 100),
+            id="rudin-shapiro",
+        ),
+    ],
+)
+def test_marks_sit_at_the_accumulation_points(name, n_max, depth, points, tol):
+    """Every mark lies near one of the points a·x the limit map's jumps
+    accumulate at, and every such point gets a mark."""
+    table = build_factor_table(get_fixture(name), n_max)
+    marks = _marks(table, refine(table, depth).unresolved)
+    nearest = [min(points, key=lambda q: abs(x - q)) for x in marks]
+    assert all(abs(x - q) < tol for x, q in zip(marks, nearest))
+    assert set(nearest) == set(points)
 
 
-def test_cluster_scale_one_merges_everything(deep_tables):
-    amap = build_approximant(deep_tables["thue-morse"], 100)
-    clusters = accumulation_clusters([amap], 1.0, 5)
-    assert len(clusters) == 1
-    assert clusters[0].size == 13
-
-
-def test_cluster_argument_validation(deep_tables):
-    amap = build_approximant(deep_tables["thue-morse"], 50)
-    with pytest.raises(InputError):
-        accumulation_clusters([amap], 0.0)
-    with pytest.raises(InputError):
-        accumulation_clusters([amap], float("nan"))
-    with pytest.raises(InputError):
-        accumulation_clusters([amap], 0.02, 0)
-
-
-def _pair_clusters(table, epsilon=0.02):
-    """The clusters `verify` draws at level 100: T_50's jumps pooled with T_100's."""
-    return accumulation_clusters([build_approximant(table, 50), build_approximant(table, 100)], epsilon)
-
-
-def test_thue_morse_diagnostic_finds_two_clusters(deep_tables):
-    clusters = _pair_clusters(deep_tables["thue-morse"])
-    assert len(clusters) == 2
-    assert clusters[0].size >= 5 and clusters[1].size >= 5
-    assert abs(clusters[0].center - 0.172) < 0.01
-    assert abs(clusters[1].center - 0.828) < 0.01
+def test_marks_are_the_unresolved_words_left_ends(deep_tables):
+    """The mark of u is the share of length-n_max factors sorted before u's."""
+    table = deep_tables["tribonacci"]
+    unresolved = refine(table, 30).unresolved
+    p = table.complexity(100)
+    for u, x in zip(unresolved, _marks(table, unresolved), strict=True):
+        i = int(x * p)
+        assert x == Fraction(i, p)
+        assert table.factors(100)[i].startswith(u)
+        assert i == 0 or not table.factors(100)[i - 1].startswith(u)
 
 
 def test_fibonacci_diagnostic_stays_small(deep_tables):
-    """Two-interval exchanges keep a bounded jump set and no dense cluster."""
+    """Two-interval exchanges keep a bounded jump set, and their two marks
+    run to the ends of the interval."""
     table = deep_tables["fibonacci"]
     for n in (20, 60, 100):
         assert len(build_approximant(table, n).discontinuities()) <= 2
-    assert len(_pair_clusters(table)) <= 2
-
-
-def test_diagnostic_cluster_shapes(deep_tables):
-    for name in fixture_names():
-        clusters = _pair_clusters(deep_tables[name])
-        for c in clusters:
-            assert c.size >= 5
-            assert c.low <= c.center <= c.high
-        for a, b in zip(clusters, clusters[1:]):
-            assert a.high < b.low
-
-
-def test_non_injectivity_witnesses_thue_morse(deep_tables):
-    table = deep_tables["thue-morse"]
-    amap = build_approximant(table, 100)
-    clusters = _pair_clusters(table)
-    pairs = non_injectivity_witnesses(amap, clusters)
-    assert pairs
-    assert len(pairs) <= 32
-    tol = Fraction(1, amap.target_count)
-    for x, x2 in pairs:
-        assert x < x2
-        a = Fraction(round(x * 1000), 1000)
-        b = Fraction(round(x2 * 1000), 1000)
-        assert abs(amap.evaluate(a) - amap.evaluate(b)) < tol
-
-
-def test_non_injectivity_witnesses_need_two_clusters(deep_tables):
-    amap = build_approximant(deep_tables["fibonacci"], 100)
-    assert non_injectivity_witnesses(amap, []) == []
+    first, last = _marks(table, refine(table, 50).unresolved)
+    assert first == 0 and 1 - last < Fraction(2, 100)
 
 
 def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):

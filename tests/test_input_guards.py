@@ -11,7 +11,6 @@ from shift2iet import (
     FiniteIET,
     InputError,
     Substitution,
-    build_approximant,
     build_factor_table,
     code_orbit,
     coded_factor_table,
@@ -20,7 +19,6 @@ from shift2iet import (
     golden_coding,
     golden_iet,
     limit_intervals,
-    non_injectivity_witnesses,
     refine,
     roundtrip_check,
 )
@@ -80,11 +78,6 @@ GUARDS = [
     ),
     pytest.param(
         lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"
-    ),
-    pytest.param(
-        lambda: non_injectivity_witnesses(build_approximant(_tm(), 4), [], grid_size=0),
-        "grid_size must be >= 1",
-        id="witness-grid",
     ),
     pytest.param(lambda: _tm().persistent_left_special(2, 0), "margin must be >= 1", id="persistent-margin"),
     pytest.param(

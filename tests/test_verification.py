@@ -1,5 +1,6 @@
 """The aggregated invariant suites and their report format."""
 
+import json
 import re
 import tracemalloc
 from array import array
@@ -19,6 +20,7 @@ from shift2iet import (
     run_verification,
 )
 from shift2iet.cli import main as cli_main
+from shift2iet.ietmap import _marks
 from shift2iet.partition import Cylinder, PartitionResult
 from shift2iet.verification import _language_checks, _partition_checks
 
@@ -68,7 +70,6 @@ CHECKS = (
     "ietmap.block-affinity",
     "ietmap.limit-intervals-disjoint",
     "ietmap.convergence-report-accounting",
-    "ietmap.cluster-accounting",
 )
 # Only the Fibonacci fixture is paired with the golden exchange.
 CODING_CHECKS = (
@@ -370,9 +371,8 @@ def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30):
 
 def test_each_stage_is_built_once(monkeypatch):
     """At the `verify` benchmark's configuration: one refinement pass at the
-    depth cap and the independent one at half of it, T_100 and T_50 once
-    each, and one clustering at the run's epsilon next to the scale-1.0
-    accounting pass."""
+    depth cap and the independent one at half of it, and T_100 and T_50 once
+    each."""
     calls = []
 
     def counted(name, fn):
@@ -386,14 +386,14 @@ def test_each_stage_is_built_once(monkeypatch):
     # `refine` runs its pass through the partition module's own name.
     monkeypatch.setattr(shift2iet.partition, "refine_stages", stages)
     monkeypatch.setattr(shift2iet.verification, "refine_stages", stages)
-    for name in ("build_approximant", "accumulation_clusters"):
-        fn = getattr(shift2iet.verification, name)
-        monkeypatch.setattr(shift2iet.verification, name, counted(name, fn))
+    monkeypatch.setattr(
+        shift2iet.verification,
+        "build_approximant",
+        counted("build_approximant", shift2iet.verification.build_approximant),
+    )
     report = run_verification(get_fixture("thue-morse"), 160, 80)
     assert report.passed
     assert sorted(calls) == [
-        ("accumulation_clusters", 0.02),
-        ("accumulation_clusters", 1.0),
         ("build_approximant", 50),
         ("build_approximant", 100),
         ("refine_stages", 40),
@@ -401,36 +401,34 @@ def test_each_stage_is_built_once(monkeypatch):
     ]
 
 
-def test_verify_draws_the_clusters_it_judged(tmp_path, monkeypatch, capsys):
-    """`verify --epsilon 0.3` clusters T_50 and T_100 once, at 0.3, and both
-    `cluster-accounting` and the SVG read that one set: at 0.3 the two
-    Thue-Morse clusters merge into one, and a fault planted in the set shows
-    in the check and in the drawing alike."""
-    argv = ["verify", "--fixture", "thue-morse", "--nmax", "160", "--epsilon", "0.3"]
-    real = shift2iet.verification.accumulation_clusters
-    made = []
-
-    def planted(maps, epsilon, min_size=5):
-        clusters = real(maps, epsilon, min_size)
-        if epsilon == 0.3:
-            made.append(clusters)
-            if fault:
-                clusters = [c._replace(center=c.high + 0.01) for c in clusters]
-        return clusters
-
-    monkeypatch.setattr(shift2iet.verification, "accumulation_clusters", planted)
-    for fault in (False, True):
-        made.clear()
-        out = tmp_path / str(fault)
-        assert cli_main([*argv, "--assert-aperiodic", "--out", str(out)]) == (1 if fault else 0)
-        [clusters] = made
-        assert len(clusters) == 1
-        centers = [c.high + 0.01 if fault else c.center for c in clusters]
-        svg = (out / "approx_100.svg").read_text(encoding="utf-8")
-        assert re.findall(r'<circle cx="([^"]+)"', svg) == [f"{x:.6f}" for x in centers]
-        log = (out / "verify.log").read_text(encoding="utf-8")
-        assert ("FAIL ietmap.cluster-accounting" in log) == fault
+def test_verify_draws_the_unresolved_words(tmp_path, capsys):
+    """`verify` marks each unresolved word of its depth-80 partition once,
+    at the word's position: eight marks, four near 1/6 and four near 5/6."""
+    argv = ["verify", "--fixture", "thue-morse", "--nmax", "160", "--assert-aperiodic"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+    table = build_factor_table(get_fixture("thue-morse"), 160)
+    marks = _marks(table, refine(table, 80).unresolved)
+    assert len(marks) == 8
+    svg = (tmp_path / "approx_100.svg").read_text(encoding="utf-8")
+    assert re.findall(r'<circle cx="([^"]+)"', svg) == [f"{float(x):.6f}" for x in marks]
+
+
+@pytest.mark.parametrize("rules", [{"a": "ab", "b": "ab"}, {"a": "aba", "b": "bab"}])
+def test_periodic_configs_fail_the_growth_check(tmp_path, capsys, rules):
+    """Both shifts are periodic, with p(n) = 2 at every n: `verify` exits 1
+    on the growth check's lower bound, which every fixture passes
+    (`test_all_fixtures_pass_every_suite`)."""
+    config = tmp_path / "periodic.json"
+    config.write_text(json.dumps({"alphabet": ["a", "b"], "rules": rules}))
+    argv = ["verify", "--config", str(config), "--nmax", "40", "--depth", "10", "--assert-aperiodic"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    log = (tmp_path / "verify.log").read_text(encoding="utf-8").splitlines()
+    assert [line for line in log if not line.startswith("ok ")] == [
+        "FAIL measure.complexity-growth-bound: p(2)-p(1) = 0 < 1: the shift is periodic",
+        "passed 36/37",
+    ]
 
 
 def test_table_without_suffix_closure_gets_verdicts_not_a_crash(tm30):
