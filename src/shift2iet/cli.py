@@ -50,12 +50,10 @@ def _load_substitution(args: argparse.Namespace) -> tuple[Substitution, str]:
 
 
 def parse_config(args: argparse.Namespace) -> None:
-    """Check the parsed flags and fill in the substitution, its source and the depth cap."""
+    """Check the parsed flags and fill in the substitution and its source."""
     args.substitution, args.source = _load_substitution(args)
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1")
-    if args.depth is None:
-        args.depth = max(2, args.nmax // 2)
     if args.grid < 1:
         raise InputError("--grid must be >= 1")
 
@@ -65,6 +63,22 @@ def _approx_level(args: argparse.Namespace) -> int:
     if not 2 <= level <= args.nmax:
         raise InputError(f"--n must be within 2..{args.nmax}")
     return level
+
+
+def _depth_cap(args: argparse.Namespace) -> int:
+    """The partition depth cap of the commands that refine: --depth, by
+    default max(2, nmax // 2).  Refining a word reads its one-letter
+    extensions, so the cap stays below --nmax."""
+    depth = args.depth if args.depth is not None else max(2, args.nmax // 2)
+    if depth < 2:
+        raise InputError(f"--depth must be >= 2, got {depth}")
+    if depth >= args.nmax:
+        default = "" if args.depth is not None else " (the default, max(2, nmax // 2))"
+        raise InputError(
+            f"--depth {depth}{default} needs --nmax >= {depth + 1}, got --nmax {args.nmax}: "
+            "refining a word reads its one-letter extensions"
+        )
+    return depth
 
 
 def _write(args: argparse.Namespace, name: str, text: str) -> Path:
@@ -145,15 +159,16 @@ def cmd_partition(args: argparse.Namespace) -> int:
     from .measure import measure_table
     from .partition import refine
 
+    depth = _depth_cap(args)
     table = build_factor_table(args.substitution, args.nmax)
-    result = refine(table, args.depth)
+    result = refine(table, depth)
     mt = None
     if args.n is not None:
         mt = measure_table(table, result.cylinder_words(), args.n)
     path = _write(args, "partition.tsv", partition_text(result, mt))
     print(
         f"wrote {path} ({len(result.cylinders)} cylinders, "
-        f"{len(result.unresolved)} unresolved at depth {args.depth})"
+        f"{len(result.unresolved)} unresolved at depth {depth})"
     )
     if result.unresolved:
         print("unresolved: " + " ".join(result.unresolved))
@@ -166,8 +181,9 @@ def cmd_measures(args: argparse.Namespace) -> int:
     from .measure import measure_table
     from .partition import refine
 
+    depth = _depth_cap(args)
     table = build_factor_table(args.substitution, args.nmax)
-    result = refine(table, args.depth)
+    result = refine(table, depth)
     level = args.n if args.n is not None else args.nmax
     mt = measure_table(table, result.cylinder_words(), level)
     path = _write(args, "measures.tsv", measures_text(table, mt))
@@ -193,14 +209,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .ietmap import _marks, build_approximant
     from .partition import refine
 
-    level = _approx_level(args)
+    level, depth = _approx_level(args), _depth_cap(args)
     table = build_factor_table(args.substitution, args.nmax)
-    unresolved = refine(table, args.depth).unresolved
+    unresolved = refine(table, depth).unresolved
     amap = build_approximant(table, level)
     path = _write(args, f"approx_{level}.svg", approximant_svg(amap, _marks(table, unresolved)))
     print(
         f"wrote {path} ({len(amap.pieces)} segments, "
-        f"{len(unresolved)} unresolved words marked at depth {args.depth})"
+        f"{len(unresolved)} unresolved words marked at depth {depth})"
     )
     return 0
 
@@ -210,11 +226,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .ietmap import _marks
     from .verification import run_verification
 
-    level = _approx_level(args)
+    level, depth = _approx_level(args), _depth_cap(args)
     report = run_verification(
         args.substitution,
         args.nmax,
-        args.depth,
+        depth,
         measure_level=args.n,
         approximant_level=level,
         grid_size=args.grid,

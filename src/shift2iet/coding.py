@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .ietmap import _grid_sup, build_approximant
@@ -221,7 +221,6 @@ def _piece_of(breakpoints: list, x) -> int:
     return bisect_right(breakpoints, x) - 1
 
 
-@dataclass
 class FiniteIET:
     """Interval exchange on [0, 1): finitely many pieces, each translated.
 
@@ -229,12 +228,9 @@ class FiniteIET:
     piece so that the images tile [0, 1) exactly (checked at construction).
     """
 
-    breakpoints: list
-    translations: list
-
-    def __post_init__(self):
-        self.breakpoints = [_as_quadratic(x) for x in self.breakpoints]
-        self.translations = [_as_quadratic(t) for t in self.translations]
+    def __init__(self, breakpoints: list, translations: list):
+        self.breakpoints = [_as_quadratic(x) for x in breakpoints]
+        self.translations = [_as_quadratic(t) for t in translations]
         if len(self.breakpoints) != len(self.translations) or not self.breakpoints:
             raise InputError("need one translation per breakpoint")
         _check_breakpoints(self.breakpoints)
@@ -249,6 +245,15 @@ class FiniteIET:
             cursor = hi
         if cursor != 1:
             raise InputError("image intervals do not reach 1")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FiniteIET)
+            and (self.breakpoints, self.translations) == (other.breakpoints, other.translations)
+        )
+
+    def __repr__(self):
+        return f"FiniteIET(breakpoints={self.breakpoints!r}, translations={self.translations!r})"
 
     def intervals(self) -> list[tuple[QuadraticNumber, QuadraticNumber]]:
         rights = self.breakpoints[1:] + [QuadraticNumber(1)]
@@ -271,20 +276,26 @@ def golden_iet() -> FiniteIET:
     return FiniteIET([QuadraticNumber(0), g], [1 - g, -g])
 
 
-@dataclass
 class CodingPartition:
     """Labelled right-open intervals of [0, 1) used to code orbits; the
     letters, in interval order, are the alphabet of the coded words."""
 
-    breakpoints: list
-    letters: list
-
-    def __post_init__(self):
-        self.breakpoints = [_as_quadratic(x) for x in self.breakpoints]
-        if len(self.breakpoints) != len(self.letters) or not self.letters:
+    def __init__(self, breakpoints: list, letters: list):
+        self.breakpoints = [_as_quadratic(x) for x in breakpoints]
+        self.letters = letters
+        if len(self.breakpoints) != len(letters) or not letters:
             raise InputError("need one letter per breakpoint")
-        self.alphabet = Alphabet(self.letters)
+        self.alphabet = Alphabet(letters)
         _check_breakpoints(self.breakpoints)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CodingPartition)
+            and (self.breakpoints, self.letters) == (other.breakpoints, other.letters)
+        )
+
+    def __repr__(self):
+        return f"CodingPartition(breakpoints={self.breakpoints!r}, letters={self.letters!r})"
 
     def letter_at(self, x) -> str:
         return self.letters[_piece_of(self.breakpoints, x)]
@@ -428,8 +439,7 @@ def _first_mismatch(
 ROUNDTRIP_TOLERANCE = 0.05
 
 
-@dataclass
-class RoundtripResult:
+class RoundtripResult(NamedTuple):
     """Outcome of the shift -> exchange -> shift comparison."""
 
     passed: bool

@@ -11,24 +11,18 @@ from ._version import __version__
 from .ietmap import PiecewiseAffineMap
 
 
-def _f15(x) -> str:
-    return f"{float(x):.15f}"
-
-
 def approximant_csv(amap: PiecewiseAffineMap) -> str:
-    """One row per affine piece: factor, source span, image span (15 digits)."""
+    """One row per affine piece: factor, source span, image span (15 digits).
+
+    Each end is printed from its integer ratio, such as i / p(n).  Int/int
+    division rounds correctly, so it is the float of the exact rational,
+    `float(Fraction(i, p))`, without building one.
+    """
+    p, q = amap.source_count, amap.target_count
     lines = ["v,x_left,x_right,y_left,y_right"]
-    for piece in amap.pieces:
-        x_left, x_right = amap.source_interval(piece.source_index)
-        y_left, y_right = amap.target_interval(piece.target_index)
-        lines.append(
-            ",".join((piece.factor, _f15(x_left), _f15(x_right), _f15(y_left), _f15(y_right)))
-        )
+    for v, i, j in amap.pieces:
+        lines.append(f"{v},{i / p:.15f},{(i + 1) / p:.15f},{j / q:.15f},{(j + 1) / q:.15f}")
     return "\n".join(lines) + "\n"
-
-
-def _c(x) -> str:
-    return f"{float(x):.6f}"
 
 
 def approximant_svg(amap: PiecewiseAffineMap, marks=()) -> str:
@@ -46,18 +40,18 @@ def approximant_svg(amap: PiecewiseAffineMap, marks=()) -> str:
         '<path d="M 0.5 1 L 0.5 1.02 M 1 1 L 1 1.02 M 0 1 L -0.02 1 M 0 0.5 L -0.02 0.5 M 0 0 L -0.02 0" stroke="black" stroke-width="0.002" fill="none"/>',
         '<g stroke="#1f4e8c" stroke-width="0.005" stroke-linecap="round">',
     ]
-    for piece in amap.pieces:
-        x_left, x_right = amap.source_interval(piece.source_index)
-        y_left, y_right = amap.target_interval(piece.target_index)
+    p, q = amap.source_count, amap.target_count
+    for _, i, j in amap.pieces:
+        # 1 - j/q is (q - j)/q: the ends are integer ratios, as in the CSV.
         out.append(
-            f'<line x1="{_c(x_left)}" y1="{_c(1 - y_left)}" '
-            f'x2="{_c(x_right)}" y2="{_c(1 - y_right)}"/>'
+            f'<line x1="{i / p:.6f}" y1="{(q - j) / q:.6f}" '
+            f'x2="{(i + 1) / p:.6f}" y2="{(q - j - 1) / q:.6f}"/>'
         )
     out.append("</g>")
     if marks:
         out.append('<g fill="#c0392b">')
         for x in marks:
-            out.append(f'<circle cx="{_c(x)}" cy="1" r="0.012"/>')
+            out.append(f'<circle cx="{float(x):.6f}" cy="1" r="0.012"/>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

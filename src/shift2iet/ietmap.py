@@ -11,7 +11,6 @@ the shift codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -28,8 +27,7 @@ class AffinePiece(NamedTuple):
     target_index: int   # j: image is [j/p(n-1), (j+1)/p(n-1))
 
 
-@dataclass
-class PiecewiseAffineMap:
+class PiecewiseAffineMap(NamedTuple):
     level: int
     source_count: int   # p(n)
     target_count: int   # p(n-1)
@@ -115,8 +113,7 @@ class LimitInterval(NamedTuple):
     translation: Fraction   # image_left - left
 
 
-@dataclass
-class LimitIntervalSet:
+class LimitIntervalSet(NamedTuple):
     level: int
     intervals: list[LimitInterval]
 
@@ -163,8 +160,7 @@ def _marks(table: FactorTable, words: list[str]) -> list[Fraction]:
     return [Fraction(table.prefix_range(u, table.n_max)[0], p) for u in words]
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     coarse_level: int
     fine_level: int
     grid_size: int

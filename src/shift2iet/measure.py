@@ -8,8 +8,8 @@ defect is reported alongside the values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .language import FactorTable
@@ -44,15 +44,14 @@ def invariance_defect(table: FactorTable, word: str, n: int) -> int:
     return extended - table.restricted_complexity(word, n - 1)
 
 
-@dataclass
-class MeasureTable:
+class MeasureTable(NamedTuple):
     """Estimates for a set of cylinder words at a fixed counting length."""
 
     n_used: int
     entries: dict[str, Fraction]
     defects: dict[str, int]
     normalized_defect: Fraction
-    letter_frequencies: dict[str, Fraction] = field(default_factory=dict)
+    letter_frequencies: dict[str, Fraction]
 
 
 def measure_table(table: FactorTable, words, n: int) -> MeasureTable:

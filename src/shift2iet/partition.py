@@ -9,7 +9,6 @@ the depth cap approximate the preimages of the infinite left special words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -23,8 +22,7 @@ class Cylinder(NamedTuple):
     step: int       # refinement step at which it was emitted (|word| - 1)
 
 
-@dataclass
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Outcome of refining to a depth cap: emitted cylinders plus unresolved words."""
 
     cylinders: list[Cylinder]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise, product
 from operator import lt
@@ -38,8 +37,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Check verdicts plus the shared stage results every suite inspected."""
 
     checks: list[CheckResult]

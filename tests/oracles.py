@@ -281,3 +281,20 @@ def _near(sorted_points, x, radius) -> bool:
         if abs(x - q) < radius:
             return True
     return False
+
+
+def approximant_csv_row(factor: str, i: int, j: int, p: int, q: int) -> str:
+    """The CSV row of the piece of `factor` with source index i of p and
+    target index j of q: each end an exact Fraction, printed as a float with
+    15 digits."""
+    ends = (Fraction(i, p), Fraction(i + 1, p), Fraction(j, q), Fraction(j + 1, q))
+    return ",".join((factor, *(f"{float(x):.15f}" for x in ends)))
+
+
+def approximant_svg_line(i: int, j: int, p: int, q: int) -> str:
+    """The SVG segment of that piece, the y axis flipped as 1 - y, each
+    coordinate an exact Fraction printed with 6 digits."""
+    x_left, x_right = Fraction(i, p), Fraction(i + 1, p)
+    y_left, y_right = Fraction(j, q), Fraction(j + 1, q)
+    c = [f"{float(v):.6f}" for v in (x_left, 1 - y_left, x_right, 1 - y_right)]
+    return f'<line x1="{c[0]}" y1="{c[1]}" x2="{c[2]}" y2="{c[3]}"/>'

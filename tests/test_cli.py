@@ -75,13 +75,49 @@ def test_plot_svg(tmp_path, capsys):
     assert out == f"wrote {tmp_path / 'approx_20.svg'} (21 segments, 2 unresolved words marked at depth 5)\n"
 
 
+# What a refining command says at --nmax 2 when --depth is not given.
+_DEFAULT_DEPTH_AT_NMAX_2 = "--depth 2 (the default, max(2, nmax // 2)) needs --nmax >= 3, got --nmax 2"
+
+
 def test_plot_needs_depth_below_nmax(tmp_path, capsys):
     """`plot` refines as `partition` does, so depth must stay below --nmax."""
     argv = ["plot", "--fixture", "fibonacci", "--nmax", "2", "--assert-aperiodic", "--out", str(tmp_path)]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert err.startswith("error: depth_cap must stay below the table depth")
+    assert err.startswith(f"error: {_DEFAULT_DEPTH_AT_NMAX_2}")
     assert not (tmp_path / "approx_2.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "--nmax", "2"], _DEFAULT_DEPTH_AT_NMAX_2),
+        (["measures", "--nmax", "2"], _DEFAULT_DEPTH_AT_NMAX_2),
+        (["verify", "--nmax", "2"], _DEFAULT_DEPTH_AT_NMAX_2),
+        (["partition", "--nmax", "10", "--depth", "10"], "--depth 10 needs --nmax >= 11, got --nmax 10"),
+        (["plot", "--nmax", "10", "--depth", "12"], "--depth 12 needs --nmax >= 13, got --nmax 10"),
+        (["verify", "--nmax", "10", "--depth", "1"], "--depth must be >= 2, got 1"),
+    ],
+    ids=["partition", "measures", "verify", "explicit-equal", "explicit-above", "below-two"],
+)
+def test_refining_commands_name_depth_and_nmax(tmp_path, capsys, argv, message):
+    """Every command that refines checks the depth cap against --nmax, and
+    its error names the flags to change; nothing is written."""
+    name, *flags = argv
+    argv = [name, "--fixture", "fibonacci", *flags, "--assert-aperiodic", "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--fixture", "fibonacci", "--nmax", "2"], ["roundtrip", "fibonacci", "--nmax", "2"]]
+)
+def test_commands_that_do_not_refine_ignore_the_depth_cap(tmp_path, capsys, argv):
+    """`analyze` and `roundtrip` read no depth, so --nmax 2 runs."""
+    code, _, err = run_cli([*argv, "--assert-aperiodic", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
 
 
 def test_plot_builds_each_approximant_once(tmp_path, capsys, monkeypatch):
@@ -346,15 +382,12 @@ def test_each_command_imports_only_its_layers(tmp_path, command):
     """`analyze` runs without verification, coding, ietmap, measure,
     partition or export; `roundtrip` without verification, partition, measure
     or export; `verify` loads coding for Fibonacci alone; json loads only
-    for --config; and parsing and `analyze` load neither dataclasses nor
-    inspect."""
+    for --config; and no command loads dataclasses or inspect."""
     name, *rest = command.split()   # the command's own flags override FIB's
     code, stdlib, names = _footprint([name, *FIB, *rest], tmp_path)
     assert code == 0
-    assert "json" not in stdlib
+    assert not stdlib
     assert names == _BASE | COMMAND_LAYERS[command]
-    if name == "analyze":
-        assert not stdlib
 
 
 def test_config_input_alone_imports_json(tmp_path):

@@ -1,6 +1,7 @@
 """Exact quadratic arithmetic, the golden exchange, and the roundtrip gate."""
 
 import math
+import re
 from decimal import localcontext
 from fractions import Fraction
 
@@ -223,6 +224,77 @@ def test_finite_iet_validation():
         coding.letter_at(1)
 
 
+HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
+FLOAT = "expected an exact field element, got float"
+
+# (id, class, breakpoints, translations or letters, message)
+CONSTRUCTION_ERRORS = [
+    ("iet-float", FiniteIET, [0, 0.5], [HALF, -HALF], FLOAT),
+    ("iet-float-shift", FiniteIET, [0, HALF], [HALF, -0.5], FLOAT),
+    ("iet-empty", FiniteIET, [], [], "need one translation per breakpoint"),
+    ("iet-count", FiniteIET, [0, HALF], [0], "need one translation per breakpoint"),
+    ("iet-first", FiniteIET, [QUARTER], [0], "first breakpoint must be 0"),
+    ("iet-order", FiniteIET, [0, 0], [HALF, -HALF], "breakpoints must increase strictly"),
+    ("iet-below-1", FiniteIET, [0, 1], [0, 0], "breakpoints must stay below 1"),
+    ("iet-tile", FiniteIET, [0, HALF], [QUARTER, -QUARTER], "image intervals do not tile [0, 1)"),
+    ("coding-float", CodingPartition, [0, 0.5], ["a", "b"], FLOAT),
+    ("coding-empty", CodingPartition, [], [], "need one letter per breakpoint"),
+    ("coding-count", CodingPartition, [0, HALF], ["a"], "need one letter per breakpoint"),
+    ("coding-repeat", CodingPartition, [0, HALF], ["a", "a"], "alphabet letters must be distinct"),
+    ("coding-long", CodingPartition, [0, HALF], ["ab", "c"], "alphabet letters must be single characters"),
+    ("coding-surrogate", CodingPartition, [0, HALF], ["a", "\ud800"], "is a surrogate"),
+    ("coding-first", CodingPartition, [HALF], ["a"], "first breakpoint must be 0"),
+    ("coding-order", CodingPartition, [0, HALF, HALF], ["a", "b", "c"], "breakpoints must increase strictly"),
+    ("coding-below-1", CodingPartition, [0, 1], ["a", "b"], "breakpoints must stay below 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, breakpoints, labels, message",
+    [row[1:] for row in CONSTRUCTION_ERRORS],
+    ids=[row[0] for row in CONSTRUCTION_ERRORS],
+)
+def test_construction_errors_name_the_fault(cls, breakpoints, labels, message):
+    """Each construction check of the exchange and the coding, by its message.
+    `FiniteIET`'s "do not reach 1" cannot fire after the tiling check: the
+    images keep the pieces' lengths, which sum to 1."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        cls(breakpoints, labels)
+
+
+def test_exchange_and_coding_compare_and_print_by_value():
+    """Equal after the exact conversion, whatever type a point was given in;
+    unequal to a changed field or another type; printed field by field."""
+    iet, coding = golden_iet(), golden_coding()
+    assert iet == FiniteIET(list(iet.breakpoints), list(iet.translations))
+    rotation = FiniteIET([0, HALF], [HALF, -HALF])
+    assert rotation == FiniteIET([QuadraticNumber(0), HALF], [HALF, QuadraticNumber(-HALF)])
+    assert iet != rotation
+    assert iet != coding and iet != (iet.breakpoints, iet.translations)
+    assert coding == CodingPartition([Fraction(0), GOLDEN_ROTATION], ["a", "b"])
+    assert coding != CodingPartition(coding.breakpoints, ["b", "a"])
+    assert coding != CodingPartition([0, HALF], ["a", "b"])
+    assert repr(iet) == (
+        "FiniteIET(breakpoints=[QuadraticNumber(0, 0), QuadraticNumber(-1/2, 1/2)], "
+        "translations=[QuadraticNumber(3/2, -1/2), QuadraticNumber(1/2, -1/2)])"
+    )
+    assert repr(coding) == (
+        "CodingPartition(breakpoints=[QuadraticNumber(0, 0), QuadraticNumber(-1/2, 1/2)], "
+        "letters=['a', 'b'])"
+    )
+
+
+def test_an_exchange_changed_after_construction_reaches_the_orbit_guard():
+    """The fields stay assignable, and a new value is not checked again: a
+    rotation by 1/2 given the translations (3/4, -1/2) sends 0 to 3/4, then
+    to 1/4, then to 1, outside [0, 1), which the orbit guard reports."""
+    iet = FiniteIET([0, HALF], [HALF, -HALF])
+    iet.translations = [QuadraticNumber(Fraction(3, 4)), QuadraticNumber(-HALF)]
+    with pytest.raises(InputError, match=re.escape("orbit left [0, 1)")):
+        code_orbit(iet, CodingPartition([0, HALF], ["a", "b"]), 0, 5)
+
+
 def test_code_orbit_against_float_shadow():
     iet, coding = golden_iet(), golden_coding()
     for start in (Fraction(1, 7), Fraction(2, 5), Fraction(9, 11)):
@@ -394,6 +466,15 @@ def test_roundtrip_accepts_the_golden_pairing():
     assert result.approximant_level == 100
     assert result.sup_difference == 0.008023988749894849
     assert result.excluded_fraction == Fraction(3, 125)
+
+
+def test_a_failed_roundtrip_is_false():
+    """The result is a record of seven fields, yet its truth value is the
+    verdict alone."""
+    result = roundtrip_check(get_fixture("thue-morse"), golden_iet(), golden_coding(), 12)
+    assert not result.passed
+    assert not result
+    assert len(result) == 7
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,20 @@
 """CSV and SVG emission: exact layout, determinism, accumulation marks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import approximant_csv_row, approximant_svg_line
 from shift2iet import (
     approximant_csv,
     approximant_svg,
     build_approximant,
     build_factor_table,
+    fixture_names,
     get_fixture,
     refine,
 )
-from shift2iet.ietmap import _marks
+from shift2iet.ietmap import AffinePiece, PiecewiseAffineMap, _marks
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +66,45 @@ def test_svg_carries_version_comment(fib_map):
     from shift2iet import __version__
 
     assert f"<!-- shift2iet {__version__} -->" in approximant_svg(fib_map)
+
+
+def _assert_matches_oracle(amap, marks=()):
+    """The emitters' bytes against the exact-Fraction oracle, row by row and
+    segment by segment, with the marks after the segments."""
+    p, q = amap.source_count, amap.target_count
+    rows = [approximant_csv_row(v, i, j, p, q) for v, i, j in amap.pieces]
+    assert approximant_csv(amap) == "\n".join(["v,x_left,x_right,y_left,y_right", *rows]) + "\n"
+    svg = approximant_svg(amap, marks)
+    drawn = [line for line in svg.splitlines() if line.startswith(("<line", "<circle"))]
+    segments = [approximant_svg_line(i, j, p, q) for _, i, j in amap.pieces]
+    dots = [f'<circle cx="{float(x):.6f}" cy="1" r="0.012"/>' for x in marks]
+    assert drawn == segments + dots
+
+
+@st.composite
+def _maps(draw):
+    """Maps with counts up to 10**9; a target index may be -1, what
+    `build_approximant` gives a factor whose suffix is missing."""
+    p, q = draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9))
+    sources = st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+    targets = st.one_of(st.sampled_from([-1, 0, q - 1]), st.integers(-1, q - 1))
+    words = st.text(alphabet="abα", min_size=1, max_size=4)
+    pieces = draw(st.lists(st.builds(AffinePiece, words, sources, targets), max_size=12))
+    return PiecewiseAffineMap(2, p, q, pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps(), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**9), max_size=4))
+def test_emitters_match_the_fraction_oracle_on_random_maps(amap, marks):
+    """Printing i / p rather than float(Fraction(i, p)) changes no byte:
+    int/int division rounds the exact ratio correctly, as the Fraction does."""
+    _assert_matches_oracle(amap, marks)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_emitters_match_the_fraction_oracle_on_the_fixtures(deep_tables, name):
+    """Every level 2..min(100, n_max) of each fixture, marks included."""
+    table = deep_tables[name]
+    marks = _marks(table, refine(table, 20).unresolved)
+    for n in range(2, min(100, table.n_max) + 1):
+        _assert_matches_oracle(build_approximant(table, n), marks)

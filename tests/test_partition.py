@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shift2iet import InputError, build_factor_table, fixture_names, get_fixture, measure_table, refine
+from shift2iet.partition import PartitionResult
 import oracles
 
 
@@ -25,6 +26,18 @@ def test_thue_morse_depth_five_partition(tm30):
     ]
     assert result.unresolved == ["aabba", "abaab", "babba", "bbaab"]
     assert result.depth_cap == 5
+
+
+def test_partition_results_compare_by_value(tm30):
+    """Two refinements to one depth are equal though built apart, which the
+    stage-by-stage differential relies on; a changed field breaks equality."""
+    first, second = refine(tm30, 5), refine(tm30, 5)
+    assert first is not second
+    assert first == second
+    assert first == PartitionResult(list(first.cylinders), list(first.unresolved), 5)
+    assert first != refine(tm30, 6)
+    assert first != PartitionResult(first.cylinders, first.unresolved[1:], 5)
+    assert first != PartitionResult(first.cylinders[1:], first.unresolved, 5)
 
 
 def test_fibonacci_depth_three_partition():
