@@ -127,8 +127,6 @@ def measures_text(table: FactorTable, mt: MeasureTable) -> str:
     lines = ["u\tp_u\tp_n\testimate\tdefect"]
     p_n = table.complexity(mt.n_used)
     for u, est in mt.entries.items():
-        if u == "":
-            continue
         lines.append(
             "\t".join(
                 (

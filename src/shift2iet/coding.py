@@ -238,13 +238,13 @@ class FiniteIET:
             (lo + t, hi + t)
             for (lo, hi), t in zip(self.intervals(), self.translations)
         )
+        # The images keep their pieces' lengths, which sum to 1, so tiled
+        # from 0 they end at 1.
         cursor = QuadraticNumber(0)
         for lo, hi in images:
             if lo != cursor:
                 raise InputError("image intervals do not tile [0, 1)")
             cursor = hi
-        if cursor != 1:
-            raise InputError("image intervals do not reach 1")
 
     def __eq__(self, other):
         return (
@@ -415,11 +415,6 @@ def coded_factor_table(
     return {n: tuple(sorted(level, key=coding.alphabet.key)) for n, level in levels}
 
 
-def _same_language(table: FactorTable, top: set[str], n_max: int) -> bool:
-    """Equal at every n <= n_max: both sides' levels are prefixes of level n_max."""
-    return top == set(table.factors(n_max))
-
-
 def _first_mismatch(
     table: FactorTable, coding: CodingPartition, top: set[str], n_max: int
 ) -> tuple[int, str, str] | None:
@@ -508,7 +503,9 @@ def roundtrip_check(
 
     top = _coded_top(iet, coding, n_max)
     mismatch = None
-    if not _same_language(table, top, n_max):
+    # Both sides' levels are prefixes of level n_max, so equal there is equal
+    # at every n <= n_max.
+    if top != set(table.factors(n_max)):
         mismatch = _first_mismatch(table, coding, top, n_max)
 
     amap = build_approximant(table, approximant_level)

@@ -63,7 +63,7 @@ def measure_table(table: FactorTable, words, n: int) -> MeasureTable:
     if not 2 <= n <= table.n_max:
         raise InputError(f"counting length must be within 2..{table.n_max}")
     wanted = list(dict.fromkeys(list(words) + list(table.alphabet.letters)))
-    entries: dict[str, Fraction] = {"": Fraction(1)}
+    entries: dict[str, Fraction] = {}
     defects: dict[str, int] = {}
     for w in wanted:
         if len(w) > n:

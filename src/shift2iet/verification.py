@@ -15,7 +15,6 @@ from itertools import islice, pairwise, product
 from operator import lt
 from typing import NamedTuple
 
-from .fixtures import FIXTURE_RULES
 from .ietmap import (
     PiecewiseAffineMap,
     _convergence,
@@ -96,7 +95,6 @@ def run_verification(
         *_partition_checks(table, stages, measures),
         *_measure_checks(table, partition, measures),
         *_ietmap_checks(table, partition, approximant, coarse, grid_size),
-        *_coding_checks(substitution, n_max),
     ]
     return VerificationReport(checks, table, partition, measures, approximant)
 
@@ -525,10 +523,6 @@ def _measure_checks(
     n = mt.n_used
     letters = table.alphabet.letters
 
-    out.append(
-        _check("measure", "empty-word-unity", mt.entries[""] == 1, f'entry("") = {mt.entries[""]}')
-    )
-
     # The index certificate splits each letter's run of windows into the runs
     # of its two-letter factors, so this sum is also the level-2 one; at
     # n = n_max it is the letters' restricted-complexity total.
@@ -712,57 +706,6 @@ def _ietmap_checks(
             "convergence-report-accounting",
             ok,
             f"sup {report.sup_difference:.4f}, excluded {float(report.excluded_fraction):.3f}",
-        )
-    )
-    return out
-
-
-# -- coding ----------------------------------------------------------------------
-
-
-def _coding_checks(sub: Substitution, n_max: int) -> list[CheckResult]:
-    fib_letters, fib_rules = FIXTURE_RULES["fibonacci"]
-    if sub.alphabet.letters != tuple(fib_letters) or sub.images != fib_rules:
-        return []
-    from .coding import code_orbit, coded_factor_table, golden_coding, golden_iet, roundtrip_check
-
-    out = []
-    iet = golden_iet()
-    coding = golden_coding()
-
-    golden = iet.breakpoints[1]
-    ok = iet.apply(0) == 1 - golden and iet.apply(golden) == 0
-    out.append(_check("coding", "golden-endpoints", ok, "exchange moves endpoints wrongly"))
-
-    ok, detail = True, ""
-    for j in range(5):
-        x = Fraction(j, 7)
-        big = code_orbit(iet, coding, x, 31)
-        if code_orbit(iet, coding, iet.apply(x), 30) != big[1:]:
-            ok, detail = False, f"shift compatibility broken at {x}"
-            break
-    out.append(_check("coding", "shift-compatibility", ok, detail))
-
-    points = [Fraction(j, 23) for j in range(23)]
-    codes = [coding.alphabet.key(code_orbit(iet, coding, x, 40)) for x in points]
-    ok = all(a <= b for a, b in zip(codes, codes[1:]))
-    out.append(_check("coding", "order-compatibility", ok, "coding not monotone in the point"))
-
-    levels = coded_factor_table(iet, coding, min(15, n_max))
-    ok, detail = True, ""
-    for n, words in levels.items():
-        if len(words) != n + 1:
-            ok, detail = False, f"coded complexity at {n} is {len(words)}, want {n + 1}"
-            break
-    out.append(_check("coding", "sturmian-complexity", ok, detail))
-
-    result = roundtrip_check(sub, iet, coding, min(15, n_max))
-    out.append(
-        _check(
-            "coding",
-            "roundtrip",
-            result.passed,
-            f"mismatch {result.first_mismatch}, sup {result.sup_difference}",
         )
     )
     return out

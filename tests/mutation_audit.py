@@ -156,10 +156,6 @@ MUTANTS = [
            'return "unresolved"', 'return "too-short"',
            "partition.classify-roundtrip"),
     # -- measure
-    Mutant("empty-word-half", "measure.py",
-           'entries: dict[str, Fraction] = {"": Fraction(1)}',
-           'entries: dict[str, Fraction] = {"": Fraction(1, 2)}',
-           "measure.empty-word-unity"),
     Mutant("letter-frequencies-drop-one", "measure.py",
            "for a in table.alphabet.letters}", "for a in table.alphabet.letters[1:]}",
            "measure.letters-sum-one"),
@@ -223,23 +219,6 @@ MUTANTS = [
     Mutant("grid-difference-off-by-one", "ietmap.py",
            "return c + g * slope", "return c + g * slope + 1",
            "ietmap.convergence-report-accounting"),
-    # -- coding (the Fibonacci fixture alone)
-    Mutant("golden-exchange-is-identity", "coding.py",
-           "return FiniteIET([QuadraticNumber(0), g], [1 - g, -g])",
-           "return FiniteIET([QuadraticNumber(0), g], [0, 0])",
-           "coding.golden-endpoints"),
-    Mutant("orbit-code-reversed", "coding.py",
-           "return _walk(iet, coding, x, length)", "return _walk(iet, coding, x, length)[::-1]",
-           "coding.shift-compatibility"),
-    Mutant("orbit-letters-rotated", "coding.py",
-           "out.append(letters[lo])", "out.append(letters[lo - 1])",
-           "coding.order-compatibility"),
-    Mutant("coded-levels-misnumbered", "coding.py",
-           "for n in range(1, n_max + 1)), 1)", "for n in range(1, n_max + 1)), 2)",
-           "coding.sturmian-complexity"),
-    Mutant("exchange-difference-sign", "coding.py",
-           "return shift - iet.translations[", "return shift + iet.translations[",
-           "coding.roundtrip"),
 ]
 
 _CHILD = f"""

@@ -370,9 +370,8 @@ COMMAND_LAYERS = {
     "measures": {"partition", "measure"},
     "approx": {"ietmap", "export"},
     "plot": {"partition", "ietmap", "export"},
-    "verify": {"partition", "measure", "ietmap", "export", "coding", "verification"},
+    "verify": {"partition", "measure", "ietmap", "export", "verification"},
     "roundtrip fibonacci": {"coding", "ietmap"},
-    # Only the Fibonacci suite pairs the shift with the golden exchange.
     "verify --fixture thue-morse": {"partition", "measure", "ietmap", "export", "verification"},
 }
 
@@ -381,8 +380,8 @@ COMMAND_LAYERS = {
 def test_each_command_imports_only_its_layers(tmp_path, command):
     """`analyze` runs without verification, coding, ietmap, measure,
     partition or export; `roundtrip` without verification, partition, measure
-    or export; `verify` loads coding for Fibonacci alone; json loads only
-    for --config; and no command loads dataclasses or inspect."""
+    or export; `verify` without coding, on Fibonacci as on Thue-Morse; json
+    loads only for --config; and no command loads dataclasses or inspect."""
     name, *rest = command.split()   # the command's own flags override FIB's
     code, stdlib, names = _footprint([name, *FIB, *rest], tmp_path)
     assert code == 0

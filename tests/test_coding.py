@@ -256,9 +256,7 @@ CONSTRUCTION_ERRORS = [
     ids=[row[0] for row in CONSTRUCTION_ERRORS],
 )
 def test_construction_errors_name_the_fault(cls, breakpoints, labels, message):
-    """Each construction check of the exchange and the coding, by its message.
-    `FiniteIET`'s "do not reach 1" cannot fire after the tiling check: the
-    images keep the pieces' lengths, which sum to 1."""
+    """Each construction check of the exchange and the coding, by its message."""
     with pytest.raises(InputError, match=re.escape(message)):
         cls(breakpoints, labels)
 

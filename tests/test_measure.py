@@ -95,7 +95,6 @@ def test_measure_table_contents(tm20):
     result = refine(tm20, 5)
     mt = measure_table(tm20, result.cylinder_words(), 20)
     assert mt.n_used == 20
-    assert mt.entries[""] == 1
     assert set(result.cylinder_words()) <= set(mt.entries)
     assert set(mt.letter_frequencies) == {"a", "b"}
     assert sum(mt.letter_frequencies.values()) == 1

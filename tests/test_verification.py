@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+import shift2iet.language
 import shift2iet.partition
 import shift2iet.verification
 from shift2iet import (
@@ -54,7 +55,6 @@ CHECKS = (
     "partition.monotone-in-depth",
     "partition.residual-nonincreasing",
     "partition.classify-roundtrip",
-    "measure.empty-word-unity",
     "measure.letters-sum-one",
     "measure.splitting-identity",
     "measure.defect-window",
@@ -71,21 +71,16 @@ CHECKS = (
     "ietmap.limit-intervals-disjoint",
     "ietmap.convergence-report-accounting",
 )
-# Only the Fibonacci fixture is paired with the golden exchange.
-CODING_CHECKS = (
-    "coding.golden-endpoints",
-    "coding.shift-compatibility",
-    "coding.order-compatibility",
-    "coding.sturmian-complexity",
-    "coding.roundtrip",
-)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_check_names_are_pinned(name):
+    """Every fixture runs the same checks: `verify` checks the configured
+    shift, and the golden exchange is `roundtrip`'s, whatever the input."""
     report = run_verification(get_fixture(name), 30, 8)
     names = tuple(f"{c.module}.{c.name}" for c in report.checks)
-    assert names == CHECKS + (CODING_CHECKS if name == "fibonacci" else ())
+    assert names == CHECKS
+    assert report.passed
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -102,13 +97,6 @@ def test_report_log_format(fib_report):
         assert line == f"ok {check.module}.{check.name}"
     modules = [c.module for c in fib_report.checks]
     assert modules == sorted(modules, key=modules.index)
-    assert "coding" in modules
-
-
-def test_coding_suite_only_runs_for_the_golden_pairing():
-    report = run_verification(get_fixture("thue-morse"), 30, 8)
-    assert all(c.module != "coding" for c in report.checks)
-    assert report.passed
 
 
 def test_reports_are_deterministic():
@@ -401,6 +389,21 @@ def test_each_stage_is_built_once(monkeypatch):
     ]
 
 
+def test_verify_builds_one_factor_table(monkeypatch):
+    """On Fibonacci too: every suite reads the table built at n_max."""
+    built = []
+    init = shift2iet.language.FactorTable.__init__
+
+    def counted(self, substitution, n_max, *args):
+        built.append(n_max)
+        init(self, substitution, n_max, *args)
+
+    monkeypatch.setattr(shift2iet.language.FactorTable, "__init__", counted)
+    report = run_verification(get_fixture("fibonacci"), 40, 12)
+    assert report.passed
+    assert built == [40]
+
+
 def test_verify_draws_the_unresolved_words(tmp_path, capsys):
     """`verify` marks each unresolved word of its depth-80 partition once,
     at the word's position: eight marks, four near 1/6 and four near 5/6."""
@@ -427,7 +430,7 @@ def test_periodic_configs_fail_the_growth_check(tmp_path, capsys, rules):
     log = (tmp_path / "verify.log").read_text(encoding="utf-8").splitlines()
     assert [line for line in log if not line.startswith("ok ")] == [
         "FAIL measure.complexity-growth-bound: p(2)-p(1) = 0 < 1: the shift is periodic",
-        "passed 36/37",
+        "passed 35/36",
     ]
 
 
