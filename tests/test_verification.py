@@ -83,6 +83,14 @@ def test_check_names_are_pinned(name):
     assert report.passed
 
 
+def test_coding_suite_only_runs_for_the_golden_pairing():
+    """The golden pairing is checked by `roundtrip`; `verify` on another
+    shift runs no coding check and still passes."""
+    report = run_verification(get_fixture("thue-morse"), 30, 8)
+    assert all(c.module != "coding" for c in report.checks)
+    assert report.passed
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_all_fixtures_pass_every_suite(name):
     report = run_verification(get_fixture(name), 40, 12)
