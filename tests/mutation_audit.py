@@ -74,6 +74,11 @@ MUTANTS = [
            "w = [x / total for x in w]", "w = [x / (total + 1e-9) for x in w]",
            "substitution.perron-normalized"),
     # -- language
+    Mutant("ranks-swapped-two-below-the-top", "language.py",
+           "        return self._heads(n)\n\n",
+           "        h = self._heads(n)\n"
+           "        return h if n != self.n_max - 2 else h[:1] + h[2:3] + h[1:2] + h[3:]\n\n",
+           "language.levels-sorted-unique: the certificate reads the rank arrays of every level"),
     Mutant("top-level-reversed", "language.py",
            _FACTORS, "return self._cut(self._heads(n), n)[:: -1 if n == self.n_max else 1]",
            "language.levels-sorted-unique"),
