@@ -87,19 +87,26 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
     The block of a cylinder word is the run of pieces whose factors extend it.
     One affine function over the whole block means: contiguous run and target
     index stepping by one at every internal junction (exact rational check).
+    One pass over the pieces puts each in the block of every cylinder word it
+    starts with, looked up by the word lengths the cylinders have.
     """
     longest = max((len(c.word) for c in partition.cylinders), default=0)
     if amap.level < longest:
         raise InputError("approximant level smaller than the longest cylinder word")
+    blocks: dict[str, list[int]] = {c.word: [] for c in partition.cylinders}
+    lengths = sorted({len(word) for word in blocks})
+    for i, piece in enumerate(amap.pieces):
+        for m in lengths:
+            block = blocks.get(piece.factor[:m])
+            if block is not None:
+                block.append(i)
+    targets = [piece.target_index for piece in amap.pieces]
     verdict: dict[int, bool] = {}
     for cyl in partition.cylinders:
-        indices = [i for i, piece in enumerate(amap.pieces) if piece.factor.startswith(cyl.word)]
+        indices = blocks[cyl.word]
         ok = bool(indices)
         ok = ok and indices == list(range(indices[0], indices[0] + len(indices)))
-        ok = ok and all(
-            amap.pieces[i + 1].target_index == amap.pieces[i].target_index + 1
-            for i in indices[:-1]
-        )
+        ok = ok and all(targets[i + 1] == targets[i] + 1 for i in indices[:-1])
         verdict[cyl.k] = ok
     return verdict
 

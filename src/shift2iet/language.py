@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, islice, pairwise
-from typing import Iterator
+from itertools import accumulate, chain, islice, pairwise
 
 from .errors import InputError
 from .substitution import Substitution
@@ -83,7 +82,9 @@ class FactorTable:
             self._splits[v].append(i)
         self._p = list(accumulate(map(len, self._splits), initial=1))
         self._letter_sets: dict[int, frozenset[str]] = {}
-        self._levels: list[array | None] = [None] * (n_max + 1)  # heads
+        # Heads per level; below 2^16 windows every rank fits in two bytes.
+        rank_type = "H" if len(positions) <= 1 << 16 else "i"
+        self._levels: list[array | None] = [array(rank_type, [0])] + [None] * n_max
         # Per level n < n_max: (window rank, number of extensions) of each
         # special factor, in level order.
         self._left_special = [[] for _ in range(n_max)]
@@ -115,6 +116,10 @@ class FactorTable:
         array is the table's own; callers must not change it.
         """
         return self._heads(n)
+
+    def window_letter(self, rank: int, offset: int) -> str:
+        """The letter at that offset (below n_max) of the window at that rank."""
+        return self._text[self._positions[rank] + offset]
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
@@ -213,16 +218,13 @@ class FactorTable:
         levels = self._levels
         heads = levels[n]
         if heads is None:
-            # Extend the heads of the nearest built level m below n by the
-            # splits in between; each is an ascending run, which timsort merges.
+            # Insert the splits between the nearest built level m below n and
+            # n into level m.  Up a sweep m is n - 1: a few ranks, each placed
+            # by a bisect, and the slices between them copied.
             m = n - 1
-            while m and levels[m] is None:
+            while levels[m] is None:
                 m -= 1
-            merged = levels[m].tolist() if m else [0]
-            for split in self._splits[m:n]:
-                merged += split
-            merged.sort()
-            heads = levels[n] = array("i", merged)
+            heads = levels[n] = _inserted(levels[m], sorted(chain.from_iterable(self._splits[m:n])))
         return heads
 
     def _window_range(self, prefix: str) -> tuple[int, int]:
@@ -268,6 +270,21 @@ class FactorTable:
         return self._letter_set(mask)
 
 
+def _inserted(heads: array, ranks: list[int]) -> array:
+    """The ascending array `heads` with the ascending ranks, none of them in
+    it, put in their places.  The array is allocated at its final size, as
+    the table keeps it."""
+    out = array(heads.typecode, [0]) * (len(heads) + len(ranks))
+    start = 0
+    for j, r in enumerate(ranks):
+        i = bisect_left(heads, r, start)
+        out[start + j : i + j] = heads[start:i]
+        out[i + j] = r
+        start = i
+    out[start + len(ranks) :] = heads[start:]
+    return out
+
+
 def _lcp_intervals(lcp, masks, branch, depth: int):
     """The nodes of the lcp-interval tree of the sorted windows, bottom up.
 
@@ -300,17 +317,17 @@ def _lcp_intervals(lcp, masks, branch, depth: int):
         stack[-1][3] |= branch(i, v)
 
 
-def _window_levels(texts: list[str], cap: int) -> Iterator[set[str]]:
+def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
     """The sets of length-n windows of the texts, for n = 1..cap in turn.
 
-    One scan at length cap: a length-n window is the prefix of the length-cap
-    window at the same start, except in the last cap - n starts of a text.
+    One scan at length cap, then down the lengths: a length-n window is a
+    length-(n+1) window less its last letter, except the last n letters of a
+    text.
     """
-    top = {w[i : i + cap] for w in texts for i in range(len(w) - cap + 1)}
-    for n in range(1, cap + 1):
-        level = {u[:n] for u in top}
-        level.update(w[i : i + n] for w in texts for i in range(len(w) - cap + 1, len(w) - n + 1))
-        yield level
+    levels = [{w[i : i + cap] for w in texts for i in range(len(w) - cap + 1)}]
+    for n in range(cap - 1, 0, -1):
+        levels.append({u[:-1] for u in levels[-1]} | {w[-n:] for w in texts if len(w) >= n})
+    return levels[::-1]
 
 
 def _legal_pairs(substitution: Substitution) -> set[str]:

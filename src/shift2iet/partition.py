@@ -9,6 +9,7 @@ the depth cap approximate the preimages of the infinite left special words.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -83,26 +84,37 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
 
     The stage of depth d is what `refine(table, d)` returns: the cylinders
     emitted up to step d-1 and the words still active at length d.  A word u
-    is left special when it has at least two left extensions, the definition
-    `FactorTable.left_special` uses.
+    is left special when it is in `FactorTable.left_special(len(u))`, the
+    factors with at least two left extensions: one set per level.
     """
     if depth_cap < 2:
         raise InputError("depth_cap must be >= 2")
     if depth_cap > table.n_max - 1:
         raise InputError("depth_cap must stay below the table depth (extensions needed)")
 
-    left = table.left_extensions
-    key = table.alphabet.key
+    # Each active word carries the run [lo, hi) of windows that start with
+    # it.  Its one-letter extensions are the factors whose heads one level up
+    # lie in that run, in alphabet order, and their runs split it there.
+    heads = table.level_ranks(2)
+    ends = [*heads[1:], table.complexity(table.n_max)]
+    active = list(zip(table.factors(2), heads, ends))
     cylinders: list[Cylinder] = []
-    active = list(table.factors(2))
     for length in range(2, depth_cap + 1):
-        survivors: list[str] = []
+        special = set(table.left_special(length - 1))
+        survivors: list[tuple[str, int, int]] = []
         step = length - 1
-        for word in active:
-            if len(left(word[1:])) >= 2:
-                survivors.append(word)
+        for run in active:
+            if run[0][1:] in special:
+                survivors.append(run)
             else:
-                cylinders.append(Cylinder(len(cylinders) + 1, word, step))
-        yield PartitionResult(cylinders[:], survivors, length)
+                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))
+        yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)
         if length < depth_cap:
-            active = [w + x for w in survivors for x in sorted(table.right_extensions(w), key=key)]
+            heads = table.level_ranks(length + 1)
+            active = []
+            for word, lo, hi in survivors:
+                starts = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
+                active += [
+                    (word + table.window_letter(a, length), a, b)
+                    for a, b in zip(starts, [*starts[1:], hi])
+                ]

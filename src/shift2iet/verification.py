@@ -8,6 +8,7 @@ enumerations).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -79,6 +80,10 @@ def run_verification(
     approximant level to min(100, n_max).
     """
     table = build_factor_table(substitution, n_max)
+    # The language suite runs first: its sweep holds the top level twice as
+    # strings, which then stacks on no level and no window list built for
+    # the stages below.
+    language = _language_checks(table)
     if measure_level is None:
         measure_level = n_max
     if approximant_level is None:
@@ -91,7 +96,7 @@ def run_verification(
 
     checks = [
         *_substitution_checks(substitution),
-        *_language_checks(table),
+        *language,
         *_partition_checks(table, stages, measures),
         *_measure_checks(table, partition, measures),
         *_ietmap_checks(table, partition, approximant, coarse, grid_size),
@@ -176,9 +181,10 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     n_max = table.n_max
     alphabet = table.alphabet.letters
 
-    # The index certificate proves both checks at once.  Where it fails, the
-    # levels are read again as strings for the first failing word or level.
-    order_at, closure_at = _certificate(table)
+    # One sweep up the levels feeds the index certificate and the extension
+    # counts.  Where the certificate fails, the levels are read again as
+    # strings for the first failing word or level.
+    order_at, closure_at, prolongable, totals = _level_sweep(table)
     ok, detail = True, ""
     if order_at is not None:
         ok = False
@@ -190,23 +196,8 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
         ok = False
         detail = _closure_failure(table) or f"level {closure_at} fails the index certificate"
     out.append(_check("language", "prefix-suffix-closure", ok, detail))
-
-    # prolongable and extension-totals read the same extension counts: one
-    # pass.  Together they prove p(n) <= p(n+1), a sum of p(n) counts >= 1.
-    prolongable, prolongable_detail = True, ""
-    totals, totals_detail = True, ""
-    for n in range(1, n_max):
-        lefts, rights = table.extension_counts(n)
-        if prolongable and not (all(lefts) and all(rights)):
-            w = next(w for w, l, r in zip(table.factors(n), lefts, rights) if not l or not r)
-            prolongable, prolongable_detail = False, f"{w!r} is not prolongable"
-        total_l, total_r = sum(lefts), sum(rights)
-        if totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
-            totals, totals_detail = False, f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
-        if not (prolongable or totals):
-            break
-    out.append(_check("language", "prolongable", prolongable, prolongable_detail))
-    out.append(_check("language", "extension-totals", totals, totals_detail))
+    out.append(_check("language", "prolongable", not prolongable, prolongable))
+    out.append(_check("language", "extension-totals", not totals, totals))
 
     ok, detail = True, ""
     for n in range(2, min(n_max - 1, 40) + 1):
@@ -216,27 +207,32 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "left-special-prefix-closure", ok, detail))
 
-    # prefixes[n][v]: the number of length-n factors that start with v, for
-    # |v| <= 7, which is restricted_complexity(v, n).
-    prefixes = [Counter()] + [
-        Counter(w[:k] for w in table.factors(n) for k in range(1, min(7, n) + 1))
-        for n in range(1, min(20, n_max) + 1)
-    ]
-    ok, detail = True, ""
-    for m in range(1, min(6, n_max - 1) + 1):
-        for u in table.factors(m):
-            for n in range(m + 1, min(20, n_max) + 1):
-                spread = sum(prefixes[n][a + u] for a in alphabet)
-                base = prefixes[n - 1][u]
-                bound = len(alphabet) * table.left_special_count(n - 1)
-                if not 0 <= spread - base <= bound:
-                    ok, detail = False, f"u={u!r} n={n}: {spread}-{base} outside [0,{bound}]"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    out.append(_check("language", "left-extension-count-window", ok, detail))
+    # For |u| <= 6: the length-n factors a+v with v starting with u, less the
+    # length-(n-1) factors starting with u.  Both sides count whole words, so
+    # this is the sum, over the words w that start with u, of the length-n
+    # factors ending in w less the copies of w at n - 1; only the few words
+    # where these differ add to it.
+    key = table.alphabet.key
+    failures = []
+    lower = table.factors(1)
+    for n in range(2, min(20, n_max) + 1):
+        level = table.factors(n)
+        excess = Counter(v[1:] for v in level)
+        excess.subtract(lower)
+        spread = Counter()
+        for w, count in excess.items():
+            if count:
+                for k in range(1, min(6, n - 1) + 1):
+                    spread[w[:k]] += count
+        bound = len(alphabet) * table.left_special_count(n - 1)
+        for u, d in spread.items():
+            if not 0 <= d <= bound:
+                base = sum(w.startswith(u) for w in lower)
+                detail = f"u={u!r} n={n}: {base + d}-{base} outside [0,{bound}]"
+                failures.append(((len(u), key(u), n), detail))
+        lower = level
+    first = min(failures, default=None)
+    out.append(_check("language", "left-extension-count-window", not first, first and first[1]))
 
     # Once every sigma^k(c) has length >= cap, every factor of length <= cap
     # lies in sigma^k(xy) for a legal two-letter word xy, the argument of
@@ -256,20 +252,35 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     return out
 
 
-def _certificate(table: FactorTable) -> tuple[int | None, int | None]:
-    """The first level whose order the table's index does not prove, and the
-    first whose closure it does not prove; None where it proves them all.
+def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
+    """The checks that read every level, in one pass up n = 1..n_max - 1.
+
+    Returns the first level whose order the table's index does not prove and
+    the first whose closure it does not prove (None where it proves them
+    all), then the failure details of `prolongable` and `extension-totals`
+    ("" where they pass), which read `extension_counts(n)` level by level.
 
     Write w_0, ..., w_(W-1) for the top level `factors(n_max)`, and lcp[i] for
-    the length of the common prefix of w_(i-1) and w_i, recomputed here from
-    those strings (lcp[0] = 0).  Level n is the list of w_r[:n] over the ranks
-    r of `level_ranks(n)`: `FactorTable.factors(n)` cuts its windows there.
-    Let H_n = {0} u {i : lcp[i] < n}.  The certificate is
+    the length of the common prefix of w_(i-1) and w_i (lcp[0] = 0),
+    recomputed here pair by pair: the two keyed words read as big-endian
+    integers, one byte per letter (four past 256 letters or with a letter
+    outside the alphabet), differ first in the letter that holds the top set
+    bit of their xor.  Only the previous word's integer is held.  Level n is
+    the list of w_r[:n] over the ranks r of `level_ranks(n)`:
+    `FactorTable.factors(n)` cuts its windows there.  Let
+    H_n = {0} u {i : lcp[i] < n}, built here by inserting the ranks with
+    lcp[i] = n - 1 into H_(n-1) one by one.  The certificate is
 
     (T) the top words have length n_max, letters of the alphabet only, and
         increase strictly in alphabet order;
     (S) every top word w has w[1:] = w_t[:n_max - 1] for some t;
-    (R) for each n < n_max the ranks of level n are H_n, in increasing order.
+    (R) for each n < n_max the ranks of level n are H_n, in increasing order,
+        which one comparison of the two arrays shows.
+
+    For top words of length n_max the integers have the same length and
+    compare as the keyed words do, so they show the order of (T), and the
+    lcp they give is the common prefix the proof below reads.  (T) fails on
+    words of another length, whatever lcp the xor then gives.
 
     Lemma: if the ranks of level m include H_m, then w_t[:m] is a word of
     level m for every t.  Take the greatest r <= t in H_m (0 is one); every i
@@ -289,63 +300,62 @@ def _certificate(table: FactorTable) -> tuple[int | None, int | None]:
     needs the lengths of (T), (S), and ranks that are H_n; the closure check
     asks that.
 
-    So one level of strings and integer rank lists prove what the string scans
-    (`_order_failure`, `_closure_failure`) check level by level.
+    So one level of strings and integer rank arrays prove what the string
+    scans (`_order_failure`, `_closure_failure`) check level by level.
     """
     n_max = table.n_max
+    alphabet = table.alphabet
     top = table.factors(n_max)
     size = len(top)
-    alphabet = table.alphabet
-    keyed = list(map(alphabet.key, top))
     shaped = all(len(w) == n_max for w in top)
-    ordered = (
-        shaped
-        and not any(map(alphabet.foreign, top))
-        and all(map(str.__lt__, keyed, keyed[1:]))
-    )
-    del keyed
+    foreign = any(map(alphabet.foreign, top))
+    encoding, width = ("latin-1", 8) if len(alphabet.letters) <= 256 and not foreign else ("utf-32-be", 32)
+    ordered = shaped and not foreign
+    lcp = array("i", [0])
+    by_lcp = [[] for _ in range(n_max + 1)]
+    x = None
+    for i, w in enumerate(top):
+        y = int.from_bytes(alphabet.key(w).encode(encoding, "surrogatepass"), "big")
+        if i:
+            ordered = ordered and x < y
+            common = min(max(n_max - 1 - ((x ^ y).bit_length() - 1) // width, 0), n_max)
+            lcp.append(common)
+            by_lcp[common].append(i)
+        x = y
     stems = {w[:-1] for w in top}
     closed = shaped and all(w[1:] in stems for w in top)
-    lcp = [0, *map(_common_prefix, top, top[1:])]
     del top, stems
 
-    by_lcp = [[] for _ in range(n_max + 1)]
-    for i in range(1, size):
-        by_lcp[min(lcp[i], n_max)].append(i)
     order_at = closure_at = None
-    expected = [0] if size else []
+    prolongable = totals = ""
+    # H_n, in the table's array type so that the comparison is one memcmp.
+    expected = array(table.level_ranks(1).typecode, [0] if size else [])
     for n in range(1, n_max):
-        expected += by_lcp[n - 1]
-        expected.sort()  # H_n: two sorted runs, merged in one pass
+        for i in by_lcp[n - 1]:
+            expected.insert(bisect_left(expected, i), i)  # H_n
         ranks = table.level_ranks(n)
-        if ranks.tolist() == expected:
-            continue
-        if order_at is None and not (
-            all(map(lt, ranks, islice(ranks, 1, None)))
-            and all(0 <= r < size and lcp[r] < n for r in ranks)
-        ):
-            order_at = n
-        if closure_at is None and set(ranks) != set(expected):
-            closure_at = n
-        if order_at is not None and closure_at is not None:
-            break
+        if ranks != expected:
+            if order_at is None and not (
+                all(map(lt, ranks, islice(ranks, 1, None)))
+                and all(0 <= r < size and lcp[r] < n for r in ranks)
+            ):
+                order_at = n
+            if closure_at is None and set(ranks) != set(expected):
+                closure_at = n
+        # prolongable and extension-totals read the same counts.  Together
+        # they prove p(n) <= p(n+1), a sum of p(n) counts >= 1.
+        lefts, rights = table.extension_counts(n)
+        if not prolongable and not (all(lefts) and all(rights)):
+            w = next(w for w, l, r in zip(table.factors(n), lefts, rights) if not l or not r)
+            prolongable = f"{w!r} is not prolongable"
+        total_l, total_r = sum(lefts), sum(rights)
+        if not totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
+            totals = f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
     if order_at is None and not ordered:
         order_at = n_max
     if closure_at is None and not closed:
         closure_at = n_max
-    return order_at, closure_at
-
-
-def _common_prefix(x: str, y: str) -> int:
-    """Length of the common prefix of two strings, by bisection on slices."""
-    lo, hi = 0, min(len(x), len(y))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if x[:mid] == y[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return order_at, closure_at, prolongable, totals
 
 
 def _order_failure(table: FactorTable) -> str:
@@ -394,12 +404,16 @@ def _partition_checks(
     out.append(_check("partition", "emission-order", ok, "not ordered by (step, lex)"))
 
     ok, detail = True, ""
+    special = {}  # inner prefix -> left special, as its extension mask says
     for c in result.cylinders:
         u = c.word[1:]
         if table.left_extensions(u) != frozenset(c.word[0]):
             ok, detail = False, f"{c.word!r}: tail has extensions {set(table.left_extensions(u))}"
             break
-        inner = next((u[:j] for j in range(1, len(u)) if not _left_special(table, u[:j])), None)
+        for j in range(1, len(u)):
+            if u[:j] not in special:
+                special[u[:j]] = _left_special(table, u[:j])
+        inner = next((u[:j] for j in range(1, len(u)) if not special[u[:j]]), None)
         if inner is not None:
             ok, detail = False, f"{c.word!r}: inner prefix {inner!r} not left special"
             break
@@ -420,37 +434,38 @@ def _partition_checks(
     ok = all(len(u) == depth_cap and _left_special(table, u[1:]) for u in result.unresolved)
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
+    # The words that can classify a length-d factor are the cylinders no
+    # longer than d and the unresolved words of length d; each word's window
+    # span is read once for every stage.  A word of length <= d starts a
+    # length-d factor exactly when its span holds the factor's windows.  So
+    # when the nonempty spans tile the W windows, each factor is classified
+    # once, and the level-d ranks in the tiles, counted as the old sum over
+    # the words telescopes, number p(d); a window in no span or in two has a
+    # length-d prefix classified other than once.
     ok, detail = True, ""
     spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
+    size = table.complexity(table.n_max)
     for stage in stages:
         d = stage.depth_cap
-        # The words that can classify a length-d factor.  Any letter order
-        # puts each word right before the words it prefixes, so comparing
-        # neighbours shows them pairwise non-prefix; then no factor is
-        # classified twice, and the counts below sum to p(d) exactly when
-        # each one is classified once.
-        words = sorted(
-            [w for w in stage.cylinder_words() if len(w) <= d]
-            + [u for u in stage.unresolved if len(u) == d],
-            key=key,
-        )
-        clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
-        ranks = table.level_ranks(d)
-        covered = 0
+        words = [w for w in stage.cylinder_words() if len(w) <= d]
+        words += [u for u in stage.unresolved if len(u) == d]
         for w in words:
-            span = spans.get(w)
-            if span is None:
-                span = spans[w] = _window_span(table, w)
-            # The first window of the span starts a new length-|w| factor,
-            # hence a new length-d one, so the length-d factors that start
-            # with w are the level-d ranks inside the span.
-            covered += bisect_left(ranks, span[1]) - bisect_left(ranks, span[0])
-        if clash is None and covered == table.complexity(d):
+            if w not in spans:
+                spans[w] = _window_span(table, w)
+        tiles = sorted(span for span in map(spans.__getitem__, words) if span[0] < span[1])
+        ends = [0, *(x for span in tiles for x in span), size]
+        ranks = table.level_ranks(d)
+        covered = bisect_left(ranks, size) - bisect_left(ranks, 0)
+        if ends[::2] == ends[1::2] and covered == table.complexity(d):
             continue
         ok, detail = False, _cover_failure(table, stage)
         # Every factor classified once as read from the strings: a clash, such
         # as a cylinder listed twice, or an index at odds with the strings.
+        # Any letter order puts each word right before the words it prefixes.
         if not detail:
+            words.sort(key=key)
+            clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
+            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in map(spans.get, words))
             detail = (
                 f"depth {d}: {clash[0]!r} and {clash[1]!r} overlap"
                 if clash
@@ -663,16 +678,19 @@ def _ietmap_checks(
             break
     out.append(_check("ietmap", "evaluate-affine", ok, detail))
 
-    jumps = set(amap.discontinuities())
-    ok, detail = True, ""
-    for i in range(1, p_n):
-        x = Fraction(i, p_n)
-        left_limit = Fraction(amap.pieces[i - 1].target_index + 1, p_n1)
-        value = Fraction(amap.pieces[i].target_index, p_n1)
-        if (left_limit != value) != (x in jumps):
-            ok, detail = False, f"junction {x} misclassified"
-            break
-    out.append(_check("ietmap", "discontinuity-definition", ok, detail))
+    # Junction i/p(n) joins the left limit (t_(i-1) + 1)/p(n-1) to the value
+    # t_i/p(n-1): a jump exactly when the target indices do not step by one.
+    targets = [piece.target_index for piece in amap.pieces]
+    want = {Fraction(i, p_n) for i in range(1, p_n) if targets[i - 1] + 1 != targets[i]}
+    wrong = want.symmetric_difference(amap.discontinuities())
+    out.append(
+        _check(
+            "ietmap",
+            "discontinuity-definition",
+            not wrong,
+            wrong and f"junction {min(wrong)} misclassified",
+        )
+    )
 
     block_level = max(level, min(partition.depth_cap, table.n_max))
     block_map = amap if block_level == level else build_approximant(table, block_level)

@@ -46,8 +46,8 @@ class Mutant(NamedTuple):
 
 _ESTIMATE = "return Fraction(table.restricted_complexity(word, n), table.complexity(n))"
 _MAP = "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)"
-_EXTEND = "sorted(table.right_extensions(w), key=key)]"
-_STAGE = "yield PartitionResult(cylinders[:], survivors, length)"
+_EXTEND = "for a, b in zip(starts, [*starts[1:], hi])"
+_STAGE = "yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)"
 _FACTORS = "return self._cut(self._heads(n), n)"
 _RANGE = "return bisect_left(heads, a), bisect_left(heads, b)"
 
@@ -135,24 +135,25 @@ MUTANTS = [
            "premise of the level-2 sum: factors(2) splits the top into runs"),
     # -- partition
     Mutant("extensions-in-reverse", "partition.py",
-           _EXTEND, "sorted(table.right_extensions(w), key=key, reverse=True)]",
+           _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][::-1]",
            "partition.emission-order"),
     Mutant("emit-with-two-left-extensions", "partition.py",
-           "if len(left(word[1:])) >= 2:", "if len(left(word[1:])) >= 3:",
+           "special = set(table.left_special(length - 1))",
+           "special = {u for u in table.left_special(length - 1) if len(table.left_extensions(u)) >= 3}",
            "partition.emitted-shape; ietmap.block-affinity"),
     Mutant("emitted-words-keep-growing", "partition.py",
-           "                cylinders.append(Cylinder(len(cylinders) + 1, word, step))\n",
-           "                cylinders.append(Cylinder(len(cylinders) + 1, word, step))\n"
-           "                survivors.append(word)\n",
+           "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n",
+           "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n"
+           "                survivors.append(run)\n",
            "partition.pairwise-non-prefix"),
     Mutant("unresolved-one-letter-short", "partition.py",
-           _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w in survivors], length)",
+           _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w, _, _ in survivors], length)",
            "partition.unresolved-shape"),
     Mutant("stage-five-drops-a-cylinder", "partition.py",
-           _STAGE, "yield PartitionResult(cylinders[: -1 if length == 5 else None], survivors, length)",
+           _STAGE, "yield PartitionResult(cylinders[: -1 if length == 5 else None], [w for w, _, _ in survivors], length)",
            "partition.cover-at-each-depth"),
     Mutant("extension-order-follows-depth", "partition.py",
-           _EXTEND, "sorted(table.right_extensions(w), key=key, reverse=depth_cap < 10)]",
+           _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][:: -1 if depth_cap < 10 else 1]",
            "partition.monotone-in-depth"),
     Mutant("residual-adds-the-mass", "partition.py",
            "total += measures.entries[cyl.word]", "total -= measures.entries[cyl.word]",
@@ -211,8 +212,7 @@ MUTANTS = [
            "for i in range(1, self.source_count):", "for i in range(2, self.source_count):",
            "ietmap.discontinuity-definition"),
     Mutant("blocks-step-by-two", "ietmap.py",
-           "amap.pieces[i + 1].target_index == amap.pieces[i].target_index + 1",
-           "amap.pieces[i + 1].target_index == amap.pieces[i].target_index + 2",
+           "targets[i + 1] == targets[i] + 1", "targets[i + 1] == targets[i] + 2",
            "ietmap.block-affinity"),
     Mutant("limit-interval-one-cell-long", "ietmap.py",
            "length = Fraction(hi - lo, table.complexity(n))",
