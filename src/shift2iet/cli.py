@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 # Module level holds what parsing and `analyze` need; every other command
 # imports its own layers, so a process compiles only the modules it runs.
 from ._version import __version__
-from .errors import InputError
+from .errors import CountingLengthError, InputError
 from .fixtures import fixture_names, get_fixture
 from .language import FactorTable, build_factor_table
 from .substitution import Substitution, parse_substitution
@@ -58,11 +58,23 @@ def parse_config(args: argparse.Namespace) -> None:
         raise InputError("--grid must be >= 1")
 
 
-def _approx_level(args: argparse.Namespace) -> int:
-    level = args.n if args.n is not None else min(100, args.nmax)
+def _level(args: argparse.Namespace, default: int) -> int:
+    """--n, by default the given level; a level reads factors one letter
+    shorter, so it lies within 2..nmax."""
+    level = args.n if args.n is not None else default
     if not 2 <= level <= args.nmax:
-        raise InputError(f"--n must be within 2..{args.nmax}")
+        raise InputError(f"--n must be within 2..{args.nmax}, got --n {level}")
     return level
+
+
+def _short_level(args: argparse.Namespace, least: int) -> str:
+    """The error of a --n below the longest cylinder word, which the measures
+    count at length --n; the refining commands' --depth sets that word."""
+    default = "" if args.depth is not None else " (the default, max(2, nmax // 2))"
+    return (
+        f"--n {args.n} is shorter than the longest cylinder word at --depth {_depth_cap(args)}"
+        f"{default}: the measures need --n >= {least}"
+    )
 
 
 def _depth_cap(args: argparse.Namespace) -> int:
@@ -158,11 +170,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     from .partition import refine
 
     depth = _depth_cap(args)
+    level = _level(args, args.nmax) if args.n is not None else None
     table = build_factor_table(args.substitution, args.nmax)
     result = refine(table, depth)
     mt = None
-    if args.n is not None:
-        mt = measure_table(table, result.cylinder_words(), args.n)
+    if level is not None:
+        mt = measure_table(table, result.cylinder_words(), level)
     path = _write(args, "partition.tsv", partition_text(result, mt))
     print(
         f"wrote {path} ({len(result.cylinders)} cylinders, "
@@ -180,9 +193,9 @@ def cmd_measures(args: argparse.Namespace) -> int:
     from .partition import refine
 
     depth = _depth_cap(args)
+    level = _level(args, args.nmax)
     table = build_factor_table(args.substitution, args.nmax)
     result = refine(table, depth)
-    level = args.n if args.n is not None else args.nmax
     mt = measure_table(table, result.cylinder_words(), level)
     path = _write(args, "measures.tsv", measures_text(table, mt))
     print(f"wrote {path} (counting length {level})")
@@ -194,7 +207,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     from .export import approximant_csv
     from .ietmap import build_approximant
 
-    level = _approx_level(args)
+    level = _level(args, min(100, args.nmax))
     table = build_factor_table(args.substitution, args.nmax)
     amap = build_approximant(table, level)
     path = _write(args, f"approx_{level}.csv", approximant_csv(amap))
@@ -207,7 +220,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .ietmap import _marks, build_approximant
     from .partition import refine
 
-    level, depth = _approx_level(args), _depth_cap(args)
+    level, depth = _level(args, min(100, args.nmax)), _depth_cap(args)
     table = build_factor_table(args.substitution, args.nmax)
     unresolved = refine(table, depth).unresolved
     amap = build_approximant(table, level)
@@ -224,7 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .ietmap import _marks
     from .verification import run_verification
 
-    level, depth = _approx_level(args), _depth_cap(args)
+    level, depth = _level(args, min(100, args.nmax)), _depth_cap(args)
     report = run_verification(
         args.substitution,
         args.nmax,
@@ -344,6 +357,9 @@ def main(argv=None) -> int:
             )
         return args.run(args)
     except InputError as e:
+        if isinstance(e, CountingLengthError):
+            # The default counting level, --nmax, exceeds every cylinder word.
+            e = _short_level(args, e.least)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,3 +6,12 @@ class InputError(ValueError):
 
     The CLI maps this to exit code 2; everything else that goes wrong is a bug.
     """
+
+
+class CountingLengthError(InputError):
+    """A counting length below the longest word it has to count; `least` is
+    the shortest one that counts them all."""
+
+    def __init__(self, message: str, least: int):
+        super().__init__(message)
+        self.least = least

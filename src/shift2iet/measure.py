@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import CountingLengthError, InputError
 from .language import FactorTable
 
 
@@ -67,7 +67,9 @@ def measure_table(table: FactorTable, words, n: int) -> MeasureTable:
     defects: dict[str, int] = {}
     for w in wanted:
         if len(w) > n:
-            raise InputError(f"word {w!r} longer than counting length {n}")
+            raise CountingLengthError(
+                f"word {w!r} longer than counting length {n}", max(map(len, wanted))
+            )
         entries[w] = cylinder_measure_estimate(table, w, n)
         if 1 <= len(w) < n:
             defects[w] = invariance_defect(table, w, n)

@@ -138,6 +138,18 @@ def approximant_jumps(levels: dict, n: int) -> list[Fraction]:
     return [Fraction(i, p) for i in range(1, p) if targets[i] != targets[i - 1] + 1]
 
 
+def block_affinity(pieces, words) -> list[bool]:
+    """For each cylinder word in turn: do the pieces whose factors start with
+    it form one contiguous run whose targets step by one?  `pieces` are
+    (factor, target index) pairs in source order; one scan per word."""
+    out = []
+    for word in words:
+        run = [i for i, (factor, _) in enumerate(pieces) if factor.startswith(word)]
+        ok = bool(run) and run == list(range(run[0], run[0] + len(run)))
+        out.append(ok and all(pieces[i + 1][1] == pieces[i][1] + 1 for i in run[:-1]))
+    return out
+
+
 def orbit_code(iet, coding, x, length: int) -> str:
     """Coding of the forward orbit of x, one step at a time through the
     exchange's own `apply` and the partition's own `letter_at`."""

@@ -111,6 +111,52 @@ def test_refining_commands_name_depth_and_nmax(tmp_path, capsys, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+# At --nmax 40 and the default --depth 20 the longest Fibonacci cylinder word
+# has 13 letters, so the measures need --n >= 13.
+_SHORT_N = (
+    "--n 10 is shorter than the longest cylinder word at --depth 20 "
+    "(the default, max(2, nmax // 2)): the measures need --n >= 13"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "--n", "41"], "--n must be within 2..40, got --n 41"),
+        (["measures", "--n", "1"], "--n must be within 2..40, got --n 1"),
+        (["verify", "--n", "41"], "--n must be within 2..40, got --n 41"),
+        (["partition", "--n", "10"], _SHORT_N),
+        (["measures", "--n", "10"], _SHORT_N),
+        (["verify", "--n", "10"], _SHORT_N),
+        (
+            ["measures", "--n", "10", "--depth", "20"],
+            "--n 10 is shorter than the longest cylinder word at --depth 20: the measures need --n >= 13",
+        ),
+    ],
+    ids=["partition-above", "measures-below", "verify-above", "partition-short", "measures-short",
+         "verify-short", "explicit-depth"],
+)
+def test_counting_commands_name_n_and_depth(tmp_path, capsys, argv, message):
+    """A counting level out of range, or shorter than a cylinder word, is
+    named by --n, its value, --depth and the least --n that works; nothing
+    is written."""
+    name, *flags = argv
+    argv = [name, "--fixture", "fibonacci", "--nmax", "40", *flags, "--assert-aperiodic", "--out", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_least_n_named_works(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["measures", "--fixture", "fibonacci", "--nmax", "40", "--n", "13", "--assert-aperiodic", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, err
+    assert (tmp_path / "measures.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["analyze", "--fixture", "fibonacci", "--nmax", "2"], ["roundtrip", "fibonacci", "--nmax", "2"]]
 )

@@ -145,6 +145,35 @@ def test_fibonacci_block_affinity(fib12):
     assert all(verdict.values())
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_block_affinity_matches_the_scan_per_cylinder(deep_tables, name):
+    """The one pass over the pieces gives the verdicts of one scan per
+    cylinder word, on the true map and on maps with pieces swapped, targets
+    moved or a cylinder word listed twice."""
+    import random
+
+    table = deep_tables[name]
+    partition = refine(table, 10)
+    amap = build_approximant(table, 14)
+    rng = random.Random(name)
+    maps = [amap]
+    for _ in range(20):
+        pieces = list(amap.pieces)
+        i, j = rng.randrange(len(pieces)), rng.randrange(len(pieces))
+        if rng.random() < 0.5:
+            pieces[i], pieces[j] = pieces[i]._replace(factor=pieces[j].factor), pieces[j]._replace(factor=pieces[i].factor)
+        else:
+            pieces[i] = pieces[i]._replace(target_index=pieces[i].target_index + rng.choice((-1, 1)))
+        maps.append(amap._replace(pieces=pieces))
+    twice = partition._replace(cylinders=partition.cylinders + partition.cylinders[:1])
+    for part in (partition, twice):
+        words = part.cylinder_words()
+        for m in maps:
+            want = oracles.block_affinity([(p.factor, p.target_index) for p in m.pieces], words)
+            verdict = block_affinity_check(m, part)
+            assert [verdict[c.k] for c in part.cylinders] == want
+
+
 def test_limit_intervals_fibonacci(deep_tables):
     table = deep_tables["fibonacci"]
     partition = refine(table, 5)

@@ -19,6 +19,7 @@ from shift2iet import (
     golden_coding,
     golden_iet,
     limit_intervals,
+    measure_table,
     refine,
     roundtrip_check,
 )
@@ -75,6 +76,14 @@ GUARDS = [
         lambda: limit_intervals(_tm(), refine(_tm(), 5), 2),
         "counting length smaller than the longest cylinder word",
         id="limit-intervals-below-cylinders",
+    ),
+    pytest.param(
+        lambda: measure_table(_tm(), [], 13), "counting length must be within 2..12", id="measure-table-level"
+    ),
+    pytest.param(
+        lambda: measure_table(_tm(), ["abaab"], 4),
+        "word 'abaab' longer than counting length 4",
+        id="measure-table-below-words",
     ),
     pytest.param(
         lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"

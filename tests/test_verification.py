@@ -22,8 +22,9 @@ from shift2iet import (
 )
 from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
+from shift2iet.ietmap import PiecewiseAffineMap
 from shift2iet.partition import Cylinder, PartitionResult
-from shift2iet.verification import _language_checks, _partition_checks
+from shift2iet.verification import _ietmap_checks, _language_checks, _partition_checks
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,18 @@ def test_served_rank_lists_fail_closure(tm30):
         assert (check.ok, check.detail) == (False, "level 5 fails the index certificate")
 
 
+def test_ranks_swapped_two_below_the_top_fail_sorted_unique(tm30):
+    """Two ranks of level n_max - 2 swapped in the array the certificate
+    reads, and nothing else: every level reads right as strings, so the
+    detail names the level."""
+    ranks = tm30.level_ranks(28)
+    swapped = ranks[:1] + ranks[2:3] + ranks[1:2] + ranks[3:]
+    checks = _language(_Served(tm30, ranks={28: swapped}))
+    check = checks["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, "level 28 fails the index certificate")
+    assert [name for name, c in checks.items() if not c.ok] == ["levels-sorted-unique"]
+
+
 def test_language_checks_keep_no_level_of_strings():
     """The suite holds at most two levels as strings.  At Thue-Morse depth 160
     every level together is sum n*p(n) = 4.28M characters, and a suite that
@@ -453,3 +466,48 @@ def test_table_without_suffix_closure_gets_verdicts_not_a_crash(tm30):
     orphans = [piece.factor for piece in amap.pieces if piece.target_index == -1]
     assert orphans == [v for v in tm30.factors(10) if v[1:] == dropped]
     assert not _language(served)["prefix-suffix-closure"].ok
+
+
+@pytest.fixture(scope="module")
+def tm30_maps(tm30):
+    """The depth-8 partition of Thue-Morse at n_max 30, T_12 (at least the
+    depth, so block-affinity reads T_12 itself) and T_6."""
+    return refine(tm30, 8), build_approximant(tm30, 12), build_approximant(tm30, 6)
+
+
+def _ietmap(table, partition, amap, coarse) -> dict:
+    return {c.name: c for c in _ietmap_checks(table, partition, amap, coarse, 200)}
+
+
+class _DropsTheFirstJump(PiecewiseAffineMap):
+    def discontinuities(self):
+        return super().discontinuities()[1:]
+
+
+def test_ietmap_checks_pass_on_the_real_maps(tm30, tm30_maps):
+    checks = _ietmap(tm30, *tm30_maps)
+    assert all(c.ok for c in checks.values()), checks
+
+
+def test_a_map_that_drops_a_jump_fails_the_discontinuity_definition(tm30, tm30_maps):
+    partition, amap, coarse = tm30_maps
+    first = amap.discontinuities()[0]
+    check = _ietmap(tm30, partition, _DropsTheFirstJump(*amap), coarse)["discontinuity-definition"]
+    assert (check.ok, check.detail) == (False, f"junction {first} misclassified")
+
+
+@pytest.mark.parametrize("fault", ["split", "steps-by-two"])
+def test_a_cylinder_block_split_or_stepping_by_two_fails_block_affinity(tm30, tm30_maps, fault):
+    """The block of a cylinder with at least three pieces: its middle piece
+    gets a factor no cylinder word starts, or a target one too far."""
+    partition, amap, coarse = tm30_maps
+    blocks = {c.k: [i for i, p in enumerate(amap.pieces) if p.factor.startswith(c.word)] for c in partition.cylinders}
+    k = next(k for k, block in blocks.items() if len(block) >= 3)
+    pieces = list(amap.pieces)
+    i = blocks[k][1]
+    if fault == "split":
+        pieces[i] = pieces[i]._replace(factor="")
+    else:
+        pieces[i] = pieces[i]._replace(target_index=pieces[i].target_index + 1)
+    check = _ietmap(tm30, partition, amap._replace(pieces=pieces), coarse)["block-affinity"]
+    assert (check.ok, check.detail) == (False, f"cylinders [{k}] not affine blocks")
