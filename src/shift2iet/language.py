@@ -57,9 +57,17 @@ class FactorTable:
     A word is found as in a suffix array (Manber & Myers 1993): two bisects in
     the sorted keyed windows give the run of windows that start with it, and
     the inner nodes are kept by their run.  The window strings are cut once,
-    on the first search.  No level is kept as strings: `factors(n)` and the
-    special lists cut afresh from each level's heads, built on first use.
-    Extension sets are shared frozensets, one per letter mask.
+    on the first search.  Extension sets are shared frozensets, one per letter
+    mask.
+
+    Levels are kept as the ranks of their heads, never as strings:
+    `factors(n)` and the special lists cut afresh from them.  The heads of
+    level n are those of level n - 1 plus the ranks i with lcp[i] = n - 1, so
+    a level is built on first use from the nearest level built below it, by
+    placing those ranks with one bisect each and copying the slices between
+    them; a sweep up the levels costs one array copy per level.  Every level
+    built is kept, each rank in two bytes below 2^16 windows (four above),
+    so `level_ranks(n)` hands out the same array on every call.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
@@ -117,9 +125,11 @@ class FactorTable:
         """
         return self._heads(n)
 
-    def window_letter(self, rank: int, offset: int) -> str:
-        """The letter at that offset (below n_max) of the window at that rank."""
-        return self._text[self._positions[rank] + offset]
+    def window(self, rank: int, n: int) -> str:
+        """The first n letters of the window at that rank: the length-n
+        factor it starts, when the rank is a head of level n."""
+        start = self._positions[rank]
+        return self._text[start : start + n]
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""

@@ -112,9 +112,6 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
         if length < depth_cap:
             heads = table.level_ranks(length + 1)
             active = []
-            for word, lo, hi in survivors:
+            for _, lo, hi in survivors:
                 starts = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
-                active += [
-                    (word + table.window_letter(a, length), a, b)
-                    for a, b in zip(starts, [*starts[1:], hi])
-                ]
+                active += [(table.window(a, length + 1), a, b) for a, b in zip(starts, [*starts[1:], hi])]

@@ -12,8 +12,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, pairwise, product
-from operator import lt
+from itertools import chain, islice, pairwise, product
+from operator import le, lt
 from typing import NamedTuple
 
 from .ietmap import (
@@ -211,7 +211,8 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     # length-(n-1) factors starting with u.  Both sides count whole words, so
     # this is the sum, over the words w that start with u, of the length-n
     # factors ending in w less the copies of w at n - 1; only the few words
-    # where these differ add to it.
+    # where these differ add to it.  The failure named is the least by |u|,
+    # then u in alphabet order, then n.
     key = table.alphabet.key
     failures = []
     lower = table.factors(1)
@@ -231,8 +232,9 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
                 detail = f"u={u!r} n={n}: {base + d}-{base} outside [0,{bound}]"
                 failures.append(((len(u), key(u), n), detail))
         lower = level
-    first = min(failures, default=None)
-    out.append(_check("language", "left-extension-count-window", not first, first and first[1]))
+    failures.sort()
+    detail = failures[0][1] if failures else ""
+    out.append(_check("language", "left-extension-count-window", not failures, detail))
 
     # Once every sigma^k(c) has length >= cap, every factor of length <= cap
     # lies in sigma^k(xy) for a legal two-letter word xy, the argument of
@@ -435,37 +437,43 @@ def _partition_checks(
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
     # The words that can classify a length-d factor are the cylinders no
-    # longer than d and the unresolved words of length d; each word's window
-    # span is read once for every stage.  A word of length <= d starts a
-    # length-d factor exactly when its span holds the factor's windows.  So
-    # when the nonempty spans tile the W windows, each factor is classified
-    # once, and the level-d ranks in the tiles, counted as the old sum over
-    # the words telescopes, number p(d); a window in no span or in two has a
-    # length-d prefix classified other than once.
+    # longer than d and the unresolved words of length d.  A cylinder
+    # classifies the factors whose windows lie in its run of windows, read
+    # once for all stages.  So when the nonempty runs are disjoint, each
+    # factor is classified once exactly when the unresolved words are the
+    # factors whose first windows lie between the runs, each listed once;
+    # the level-d ranks in [0, W), which the old sum over the words counted
+    # once the runs tile, must number p(d).
     ok, detail = True, ""
     spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
     size = table.complexity(table.n_max)
     for stage in stages:
         d = stage.depth_cap
-        words = [w for w in stage.cylinder_words() if len(w) <= d]
-        words += [u for u in stage.unresolved if len(u) == d]
-        for w in words:
+        cylinders = [w for w in stage.cylinder_words() if len(w) <= d]
+        for w in cylinders:
             if w not in spans:
                 spans[w] = _window_span(table, w)
-        tiles = sorted(span for span in map(spans.__getitem__, words) if span[0] < span[1])
-        ends = [0, *(x for span in tiles for x in span), size]
+        tiles = sorted(span for span in map(spans.__getitem__, cylinders) if span[0] < span[1])
+        ends = [0, *chain.from_iterable(tiles), size]
         ranks = table.level_ranks(d)
+        between = sorted(
+            table.window(r, d)
+            for a, b in zip(ends[::2], ends[1::2])
+            if a < b
+            for r in ranks[bisect_left(ranks, a) : bisect_left(ranks, b)]
+        )
+        unresolved = sorted(u for u in stage.unresolved if len(u) == d)
         covered = bisect_left(ranks, size) - bisect_left(ranks, 0)
-        if ends[::2] == ends[1::2] and covered == table.complexity(d):
+        if all(map(le, ends[::2], ends[1::2])) and between == unresolved and covered == table.complexity(d):
             continue
         ok, detail = False, _cover_failure(table, stage)
         # Every factor classified once as read from the strings: a clash, such
         # as a cylinder listed twice, or an index at odds with the strings.
         # Any letter order puts each word right before the words it prefixes.
         if not detail:
-            words.sort(key=key)
+            words = sorted(cylinders + unresolved, key=key)
             clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
-            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in map(spans.get, words))
+            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in (_window_span(table, w) for w in words))
             detail = (
                 f"depth {d}: {clash[0]!r} and {clash[1]!r} overlap"
                 if clash

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 import tracemalloc
 from array import array
 
@@ -303,6 +304,49 @@ def test_served_rank_lists_fail_closure(tm30):
     for name in ("prefix-suffix-closure", "levels-sorted-unique"):
         check = added[name]
         assert (check.ok, check.detail) == (False, "level 5 fails the index certificate")
+
+
+class _NoSpecialsAt(_Served):
+    """A real factor table that counts no left special factor at one length."""
+
+    def __init__(self, table, level):
+        super().__init__(table)
+        self._level = level
+
+    def left_special_count(self, n):
+        return 0 if n == self._level else self._table.left_special_count(n)
+
+
+def _count_window_reference(table) -> str:
+    """left-extension-count-window as first written: the prefix counts of
+    every level up to 20, each u and n in turn; its first failure or ""."""
+    letters = table.alphabet.letters
+    top = min(20, table.n_max)
+    prefixes = [Counter()] + [
+        Counter(w[:k] for w in table.factors(n) for k in range(1, min(7, n) + 1)) for n in range(1, top + 1)
+    ]
+    for m in range(1, min(6, table.n_max - 1) + 1):
+        for u in table.factors(m):
+            for n in range(m + 1, top + 1):
+                spread = sum(prefixes[n][a + u] for a in letters)
+                base = prefixes[n - 1][u]
+                bound = len(letters) * table.left_special_count(n - 1)
+                if not 0 <= spread - base <= bound:
+                    return f"u={u!r} n={n}: {spread}-{base} outside [0,{bound}]"
+    return ""
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("level", [1, 4, 11, 19])
+def test_count_window_names_the_failure_the_prefix_scan_names(name, level):
+    """The whole-word count finds the first failure that counting every
+    short prefix at every level finds, when the special count it is bounded
+    by drops to 0 at one length."""
+    served = _NoSpecialsAt(build_factor_table(get_fixture(name), 24), level)
+    check = _language(served)["left-extension-count-window"]
+    want = _count_window_reference(served)
+    assert want
+    assert (check.ok, check.detail) == (False, want)
 
 
 def test_ranks_swapped_two_below_the_top_fail_sorted_unique(tm30):
