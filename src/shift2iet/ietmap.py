@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
@@ -87,26 +89,28 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
     The block of a cylinder word is the run of pieces whose factors extend it.
     One affine function over the whole block means: contiguous run and target
     index stepping by one at every internal junction (exact rational check).
-    One pass over the pieces puts each in the block of every cylinder word it
-    starts with, looked up by the word lengths the cylinders have.
+    The pieces are put in the block of every cylinder word they start with by
+    one pass over their prefixes per word length the cylinders have, not by
+    one scan per cylinder.
     """
     longest = max((len(c.word) for c in partition.cylinders), default=0)
     if amap.level < longest:
         raise InputError("approximant level smaller than the longest cylinder word")
     blocks: dict[str, list[int]] = {c.word: [] for c in partition.cylinders}
-    lengths = sorted({len(word) for word in blocks})
-    for i, piece in enumerate(amap.pieces):
-        for m in lengths:
-            block = blocks.get(piece.factor[:m])
-            if block is not None:
-                block.append(i)
+    factors = [piece.factor for piece in amap.pieces]
+    for m in sorted({len(word) for word in blocks}):
+        prefixes = list(map(itemgetter(slice(m)), factors))
+        for i in compress(count(), map(blocks.__contains__, prefixes)):
+            blocks[prefixes[i]].append(i)
     targets = [piece.target_index for piece in amap.pieces]
     verdict: dict[int, bool] = {}
     for cyl in partition.cylinders:
         indices = blocks[cyl.word]
         ok = bool(indices)
-        ok = ok and indices == list(range(indices[0], indices[0] + len(indices)))
-        ok = ok and all(targets[i + 1] == targets[i] + 1 for i in indices[:-1])
+        if ok:
+            a, size = indices[0], len(indices)
+            ok = indices == list(range(a, a + size))
+            ok = ok and targets[a : a + size] == list(range(targets[a], targets[a] + size))
         verdict[cyl.k] = ok
     return verdict
 

@@ -234,7 +234,8 @@ class FactorTable:
             m = n - 1
             while levels[m] is None:
                 m -= 1
-            heads = levels[n] = _inserted(levels[m], sorted(chain.from_iterable(self._splits[m:n])))
+            splits = self._splits[m] if m == n - 1 else sorted(chain.from_iterable(self._splits[m:n]))
+            heads = levels[n] = _inserted(levels[m], splits)
         return heads
 
     def _window_range(self, prefix: str) -> tuple[int, int]:

@@ -113,5 +113,9 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
             heads = table.level_ranks(length + 1)
             active = []
             for _, lo, hi in survivors:
-                starts = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
+                i, j = bisect_left(heads, lo), bisect_left(heads, hi)
+                if j - i == 1:  # one extension, with the word's own run
+                    active.append((table.window(lo, length + 1), lo, hi))
+                    continue
+                starts = heads[i:j]
                 active += [(table.window(a, length + 1), a, b) for a, b in zip(starts, [*starts[1:], hi])]

@@ -350,8 +350,8 @@ def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
         if not prolongable and not (all(lefts) and all(rights)):
             w = next(w for w, l, r in zip(table.factors(n), lefts, rights) if not l or not r)
             prolongable = f"{w!r} is not prolongable"
-        total_l, total_r = sum(lefts), sum(rights)
-        if not totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
+        total_l, total_r, p_next = sum(lefts), sum(rights), table.complexity(n + 1)
+        if not totals and (total_l != p_next or total_r != p_next):
             totals = f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
     if order_at is None and not ordered:
         order_at = n_max

@@ -212,7 +212,8 @@ MUTANTS = [
            "for i in range(1, self.source_count):", "for i in range(2, self.source_count):",
            "ietmap.discontinuity-definition"),
     Mutant("blocks-step-by-two", "ietmap.py",
-           "targets[i + 1] == targets[i] + 1", "targets[i + 1] == targets[i] + 2",
+           "list(range(targets[a], targets[a] + size))",
+           "list(range(targets[a], targets[a] + 2 * size, 2))",
            "ietmap.block-affinity"),
     Mutant("limit-interval-one-cell-long", "ietmap.py",
            "length = Fraction(hi - lo, table.complexity(n))",
