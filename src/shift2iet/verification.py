@@ -438,12 +438,12 @@ def _partition_checks(
 
     # The words that can classify a length-d factor are the cylinders no
     # longer than d and the unresolved words of length d.  A cylinder
-    # classifies the factors whose windows lie in its run of windows, read
-    # once for all stages.  So when the nonempty runs are disjoint, each
+    # classifies the factors whose first windows lie in its run of windows,
+    # read once for all stages.  So when the nonempty runs are disjoint, each
     # factor is classified once exactly when the unresolved words are the
-    # factors whose first windows lie between the runs, each listed once;
-    # the level-d ranks in [0, W), which the old sum over the words counted
-    # once the runs tile, must number p(d).
+    # factors whose first windows lie between the runs, each listed once.
+    # The classified factors are then the level-d ranks, which must number
+    # p(d).
     ok, detail = True, ""
     spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
     size = table.complexity(table.n_max)
@@ -464,7 +464,8 @@ def _partition_checks(
         )
         unresolved = sorted(u for u in stage.unresolved if len(u) == d)
         covered = bisect_left(ranks, size) - bisect_left(ranks, 0)
-        if all(map(le, ends[::2], ends[1::2])) and between == unresolved and covered == table.complexity(d):
+        disjoint = all(map(le, ends[::2], ends[1::2]))
+        if disjoint and between == unresolved and covered == table.complexity(d):
             continue
         ok, detail = False, _cover_failure(table, stage)
         # Every factor classified once as read from the strings: a clash, such
@@ -473,7 +474,8 @@ def _partition_checks(
         if not detail:
             words = sorted(cylinders + unresolved, key=key)
             clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
-            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in (_window_span(table, w) for w in words))
+            runs = map(_window_span, [table] * len(words), words)
+            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in runs)
             detail = (
                 f"depth {d}: {clash[0]!r} and {clash[1]!r} overlap"
                 if clash
@@ -691,14 +693,8 @@ def _ietmap_checks(
     targets = [piece.target_index for piece in amap.pieces]
     want = {Fraction(i, p_n) for i in range(1, p_n) if targets[i - 1] + 1 != targets[i]}
     wrong = want.symmetric_difference(amap.discontinuities())
-    out.append(
-        _check(
-            "ietmap",
-            "discontinuity-definition",
-            not wrong,
-            wrong and f"junction {min(wrong)} misclassified",
-        )
-    )
+    detail = f"junction {min(wrong)} misclassified" if wrong else ""
+    out.append(_check("ietmap", "discontinuity-definition", not wrong, detail))
 
     block_level = max(level, min(partition.depth_cap, table.n_max))
     block_map = amap if block_level == level else build_approximant(table, block_level)

@@ -150,7 +150,8 @@ MUTANTS = [
            _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w, _, _ in survivors], length)",
            "partition.unresolved-shape"),
     Mutant("stage-five-drops-a-cylinder", "partition.py",
-           _STAGE, "yield PartitionResult(cylinders[: -1 if length == 5 else None], [w for w, _, _ in survivors], length)",
+           _STAGE,
+           "yield PartitionResult(cylinders[: -1 if length == 5 else None], [w for w, _, _ in survivors], length)",
            "partition.cover-at-each-depth"),
     Mutant("extension-order-follows-depth", "partition.py",
            _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][:: -1 if depth_cap < 10 else 1]",

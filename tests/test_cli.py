@@ -141,18 +141,17 @@ def test_counting_commands_name_n_and_depth(tmp_path, capsys, argv, message):
     named by --n, its value, --depth and the least --n that works; nothing
     is written."""
     name, *flags = argv
-    argv = [name, "--fixture", "fibonacci", "--nmax", "40", *flags, "--assert-aperiodic", "--out", str(tmp_path)]
-    code, _, err = run_cli(argv, capsys)
+    argv = [name, "--fixture", "fibonacci", "--nmax", "40", *flags, "--assert-aperiodic"]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
 
 
 def test_the_least_n_named_works(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["measures", "--fixture", "fibonacci", "--nmax", "40", "--n", "13", "--assert-aperiodic", "--out", str(tmp_path)],
-        capsys,
-    )
+    """The --n that the errors above name runs."""
+    argv = ["measures", "--fixture", "fibonacci", "--nmax", "40", "--n", "13", "--assert-aperiodic"]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
     assert code == 0, err
     assert (tmp_path / "measures.tsv").exists()
 

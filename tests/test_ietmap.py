@@ -161,7 +161,8 @@ def test_block_affinity_matches_the_scan_per_cylinder(deep_tables, name):
         pieces = list(amap.pieces)
         i, j = rng.randrange(len(pieces)), rng.randrange(len(pieces))
         if rng.random() < 0.5:
-            pieces[i], pieces[j] = pieces[i]._replace(factor=pieces[j].factor), pieces[j]._replace(factor=pieces[i].factor)
+            swapped = pieces[i]._replace(factor=pieces[j].factor), pieces[j]._replace(factor=pieces[i].factor)
+            pieces[i], pieces[j] = swapped
         else:
             pieces[i] = pieces[i]._replace(target_index=pieces[i].target_index + rng.choice((-1, 1)))
         maps.append(amap._replace(pieces=pieces))

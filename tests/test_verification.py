@@ -545,7 +545,9 @@ def test_a_cylinder_block_split_or_stepping_by_two_fails_block_affinity(tm30, tm
     """The block of a cylinder with at least three pieces: its middle piece
     gets a factor no cylinder word starts, or a target one too far."""
     partition, amap, coarse = tm30_maps
-    blocks = {c.k: [i for i, p in enumerate(amap.pieces) if p.factor.startswith(c.word)] for c in partition.cylinders}
+    blocks = {
+        c.k: [i for i, p in enumerate(amap.pieces) if p.factor.startswith(c.word)] for c in partition.cylinders
+    }
     k = next(k for k, block in blocks.items() if len(block) >= 3)
     pieces = list(amap.pieces)
     i = blocks[k][1]
