@@ -328,19 +328,6 @@ def _lcp_intervals(lcp, masks, branch, depth: int):
         stack[-1][3] |= branch(i, v)
 
 
-def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
-    """The sets of length-n windows of the texts, for n = 1..cap in turn.
-
-    One scan at length cap, then down the lengths: a length-n window is a
-    length-(n+1) window less its last letter, except the last n letters of a
-    text.
-    """
-    levels = [{w[i : i + cap] for w in texts for i in range(len(w) - cap + 1)}]
-    for n in range(cap - 1, 0, -1):
-        levels.append({u[:-1] for u in levels[-1]} | {w[-n:] for w in texts if len(w) >= n})
-    return levels[::-1]
-
-
 def _legal_pairs(substitution: Substitution) -> set[str]:
     """Two-letter factors of the shift, as a closure fixpoint.
 

@@ -24,7 +24,7 @@ from .ietmap import (
     limit_intervals,
 )
 from .errors import InputError
-from .language import FactorTable, _legal_pairs, _window_levels, build_factor_table
+from .language import FactorTable, _legal_pairs, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, invariance_defect, measure_table
 from .partition import PartitionResult, refine, refine_stages
 from .substitution import Substitution
@@ -252,6 +252,19 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
             break
     out.append(_check("language", "oracle-equivalence", ok, detail))
     return out
+
+
+def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
+    """The sets of length-n windows of the texts, for n = 1..cap in turn.
+
+    One scan at length cap, then down the lengths: a length-n window is a
+    length-(n+1) window less its last letter, except the last n letters of a
+    text.
+    """
+    levels = [{w[i : i + cap] for w in texts for i in range(len(w) - cap + 1)}]
+    for n in range(cap - 1, 0, -1):
+        levels.append({u[:-1] for u in levels[-1]} | {w[-n:] for w in texts if len(w) >= n})
+    return levels[::-1]
 
 
 def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
