@@ -89,9 +89,8 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
     The block of a cylinder word is the run of pieces whose factors extend it.
     One affine function over the whole block means: contiguous run and target
     index stepping by one at every internal junction (exact rational check).
-    The pieces are put in the block of every cylinder word they start with by
-    one pass over their prefixes per word length the cylinders have, not by
-    one scan per cylinder.
+    The pieces go to the block of every cylinder word they start with in one
+    pass over their prefixes per word length the cylinders have.
     """
     longest = max((len(c.word) for c in partition.cylinders), default=0)
     if amap.level < longest:

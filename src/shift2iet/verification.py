@@ -109,7 +109,8 @@ def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
 
 
 def _left_special(table: FactorTable, word: str) -> bool:
-    """Two or more left extensions, as in `refine_stages`; False for a non-factor."""
+    """Two or more left extensions, read from the word's extension mask and
+    not from the special lists `refine_stages` reads; False for a non-factor."""
     try:
         return len(table.left_extensions(word)) >= 2
     except InputError:
