@@ -102,6 +102,10 @@ MUTANTS = [
     Mutant("every-node-left-special", "language.py",
            "if count > 1:", "if count > 0:",
            "language.left-special-prefix-closure"),
+    Mutant("level-30-lists-rank-0-as-left-special", "language.py",
+           "return self._cut([a for a, _ in self._left_special[n]], n)",
+           "return self._cut([a for a, _ in self._left_special[n]] + [0] * (n == 30), n)",
+           "language.left-special-prefix-closure, at a level above the refinement's"),
     Mutant("left-special-count-minus-one", "language.py",
            "return len(self._left_special[n])", "return len(self._left_special[n]) - 1",
            "language.left-extension-count-window; premise of complexity-growth-bound"),
