@@ -1,6 +1,7 @@
 """Affine approximants: pieces, jumps, blocks, convergence, accumulation marks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,11 +148,9 @@ def test_fibonacci_block_affinity(fib12):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_block_affinity_matches_the_scan_per_cylinder(deep_tables, name):
-    """The one pass over the pieces gives the verdicts of one scan per
+    """The passes over the pieces' prefixes give the verdicts of one scan per
     cylinder word, on the true map and on maps with pieces swapped, targets
     moved or a cylinder word listed twice."""
-    import random
-
     table = deep_tables[name]
     partition = refine(table, 10)
     amap = build_approximant(table, 14)
