@@ -108,13 +108,18 @@ def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(module, name, bool(ok), "" if ok else detail)
 
 
-def _left_special(table: FactorTable, word: str) -> bool:
-    """Two or more left extensions, read from the word's extension mask and
-    not from the special lists `refine_stages` reads; False for a non-factor."""
+def _extensions(table: FactorTable, word: str, left: bool) -> frozenset[str] | None:
+    """The word's left or right extensions, read from its extension mask and
+    not from the special lists `refine_stages` reads; None for a non-factor."""
     try:
-        return len(table.left_extensions(word)) >= 2
+        return table.left_extensions(word) if left else table.right_extensions(word)
     except InputError:
-        return False
+        return None
+
+
+def _left_special(table: FactorTable, word: str) -> bool:
+    """Two or more left extensions; False for a non-factor."""
+    return len(_extensions(table, word, left=True) or ()) >= 2
 
 
 # -- substitution ------------------------------------------------------------
@@ -414,17 +419,24 @@ def _partition_checks(
     result = stages[-1]
     depth_cap = result.depth_cap
 
-    ok = all(c.k == i + 1 for i, c in enumerate(result.cylinders))
+    # Each word is emitted at step |word| - 1 < depth_cap, so no cylinder is
+    # longer than the depth cap, and cover-at-each-depth reads every one.
+    ok = all(
+        c.k == i + 1 and c.step == len(c.word) - 1 < depth_cap for i, c in enumerate(result.cylinders)
+    )
     steps = [(c.step, key(c.word)) for c in result.cylinders]
     ok = ok and steps == sorted(steps)
-    out.append(_check("partition", "emission-order", ok, "not ordered by (step, lex)"))
+    detail = "not ordered by (step, lex), or a step other than |word| - 1 < depth cap"
+    out.append(_check("partition", "emission-order", ok, detail))
 
     ok, detail = True, ""
     special = {}  # inner prefix -> left special, as its extension mask says
     for c in result.cylinders:
         u = c.word[1:]
-        if table.left_extensions(u) != frozenset(c.word[0]):
-            ok, detail = False, f"{c.word!r}: tail has extensions {set(table.left_extensions(u))}"
+        lefts = _extensions(table, u, left=True)
+        if lefts != frozenset(c.word[:1]):
+            tail = "is not a factor" if lefts is None else f"has extensions {sorted(lefts)}"
+            ok, detail = False, f"{c.word!r}: tail {tail}"
             break
         for j in range(1, len(u)):
             if u[:j] not in special:
@@ -435,21 +447,11 @@ def _partition_checks(
             break
     out.append(_check("partition", "emitted-shape", ok, detail))
 
-    words = result.cylinder_words() + result.unresolved
-    clash = next(
-        (
-            (w, v)
-            for i, w in enumerate(words)
-            for v in words[i + 1 :]
-            if w.startswith(v) or v.startswith(w)
-        ),
-        None,
-    )
-    out.append(_check("partition", "pairwise-non-prefix", clash is None, f"prefix pair {clash}"))
-
     ok = all(len(u) == depth_cap and _left_special(table, u[1:]) for u in result.unresolved)
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
+    # This also proves that no word of the last stage prefixes another: they
+    # are factors no longer than the depth cap, so a prefix pair overlaps.
     # The words that can classify a length-d factor are the cylinders no
     # longer than d and the unresolved words of length d.  A cylinder
     # classifies the factors whose first windows lie in its run of windows,
@@ -516,8 +518,11 @@ def _partition_checks(
             ok, detail = False, f"classify({c.word!r}) != {c.k}"
             break
         if len(c.word) < table.n_max - 1:
-            ext = sorted(table.right_extensions(c.word), key=key)
-            if any(result.classify(c.word + x) != c.k for x in ext):
+            rights = _extensions(table, c.word, left=False)
+            if rights is None:
+                ok, detail = False, f"{c.word!r} is not a factor"
+                break
+            if any(result.classify(c.word + x) != c.k for x in rights):
                 ok, detail = False, f"extension of {c.word!r} classified differently"
                 break
     for u in result.unresolved:
@@ -572,9 +577,11 @@ def _measure_checks(
     for u in list(letters) + partition.cylinder_words():
         if len(u) + 1 > min(n, table.n_max - 1):
             continue
-        split = sum(
-            cylinder_measure_estimate(table, u + x, n) for x in table.right_extensions(u)
-        )
+        rights = _extensions(table, u, left=False)
+        if rights is None:
+            ok, detail = False, f"{u!r} is not a factor"
+            break
+        split = sum(cylinder_measure_estimate(table, u + x, n) for x in rights)
         whole = cylinder_measure_estimate(table, u, n)
         if split != whole:
             ok, detail = False, f"{u!r}: {whole} != sum of children {split}"
@@ -659,23 +666,15 @@ def _ietmap_checks(
     level = amap.level
     p_n, p_n1 = amap.source_count, amap.target_count
 
-    out.append(
-        _check(
-            "ietmap",
-            "piece-count",
-            len(amap.pieces) == table.complexity(level),
-            f"{len(amap.pieces)} pieces != p({level})",
-        )
-    )
-
+    # The hits sum to the number of pieces, so this counts the pieces too.
     hits = Counter(piece.target_index for piece in amap.pieces)
-    ok, detail = True, ""
+    ok = len(amap.pieces) == table.complexity(level)
+    detail = f"{len(amap.pieces)} pieces != p({level})"
     for j, want in enumerate(table.extension_counts(level - 1)[0]):
         if hits[j] != want:
             u = table.factors(level - 1)[j]
             ok, detail = False, f"target {u!r} covered {hits[j]} times, expected {want}"
             break
-    ok = ok and sum(hits.values()) == p_n
     out.append(_check("ietmap", "target-coverage", ok, detail))
 
     grow_ok = p_n - p_n1 <= (len(table.alphabet) - 1) * table.left_special_count(level - 1)

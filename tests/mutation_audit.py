@@ -17,8 +17,10 @@ failing check.
 
 The file name keeps pytest from collecting it; CI runs it after the tier-1
 tests.  It exits 1 when a mutant's text does not occur exactly once, when
-the unmutated copy fails a check, when a mutant fails no check, or when a
-mutant raises or times out on any fixture, and 0 otherwise.
+the unmutated copy fails a check, when a mutant fails no check, when a
+mutant raises or times out on any fixture, or when some check is the one
+failing check of no mutant, and 0 otherwise.  So every check in `verify`
+catches a fault that no other check sees, or it has to go.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ MUTANTS = [
            'return "".join(images[c] for c in word)',
            'return "".join(images[c] for c in sorted(word))',
            "substitution.morphism-law"),
+    Mutant("apply-of-the-empty-word-is-a-letter", "substitution.py",
+           'return "".join(images[c] for c in word)',
+           'return "".join(images[c] for c in word) or self.alphabet.letters[0]',
+           "substitution.morphism-law: sigma of the empty word, which no other check applies"),
     Mutant("incidence-transposed", "substitution.py",
            "rows[index(c)][j] += 1", "rows[j][index(c)] += 1",
            "substitution.incidence-column-sums"),
@@ -86,6 +92,11 @@ MUTANTS = [
            "        return self._heads(n)\n\n",
            "        return self._heads(n)[1:] if n == 5 else self._heads(n)\n\n",
            "language.prefix-suffix-closure"),
+    Mutant("ranks-two-below-the-top-drop-the-second", "language.py",
+           "        return self._heads(n)\n\n",
+           "        h = self._heads(n)\n"
+           "        return h[:1] + h[2:] if n == self.n_max - 2 else h\n\n",
+           "language.prefix-suffix-closure, at a level where the ranks stay in order"),
     Mutant("complexity-dips-at-7", "language.py",
            "return self._p[n]", "return self._p[n] - 3 * (n == 7)",
            "p(n) <= p(n+1), which prolongable and extension-totals imply"),
@@ -95,6 +106,13 @@ MUTANTS = [
     Mutant("plain-extension-count-zero", "language.py",
            "counts = [1] * len(heads)", "counts = [0] * len(heads)",
            "language.prolongable"),
+    Mutant("left-extension-moved-to-the-last-word", "language.py",
+           "            out.append(counts)\n",
+           "            if n == self.n_max - 2 and not out:\n"
+           "                counts[0] -= 1\n"
+           "                counts[-1] += 1\n"
+           "            out.append(counts)\n",
+           "language.prolongable, with the totals kept"),
     Mutant("right-counts-capped-at-two", "language.py",
            "self._right_special[hi].append((a, right.bit_count()))",
            "self._right_special[hi].append((a, min(right.bit_count(), 2)))",
@@ -116,6 +134,10 @@ MUTANTS = [
     Mutant("left-special-count-off-at-30", "language.py",
            "return len(self._left_special[n])", "return len(self._left_special[n]) - (n == 30)",
            "premise of complexity-growth-bound, at one level between 20 and n - 2"),
+    Mutant("level-ten-lists-its-first-word-twice", "language.py",
+           _FACTORS, "return self._cut(self._heads(n) + self._heads(n)[:1] * (n == 10), n)",
+           "language.left-extension-count-window: the one check that counts factors(n) "
+           "as a multiset"),
     Mutant("blocks-built-backwards", "language.py",
            "blocks = {a: w.translate(apply_once) for a, w in blocks.items()}",
            "blocks = {a: w[::-1].translate(apply_once) for a, w in blocks.items()}",
@@ -145,14 +167,23 @@ MUTANTS = [
            "special = set(table.left_special(length - 1))",
            "special = {u for u in table.left_special(length - 1) if len(table.left_extensions(u)) >= 3}",
            "partition.emitted-shape; ietmap.block-affinity"),
+    Mutant("emission-waits-past-step-two", "partition.py",
+           "            if run[0][1:] in special:",
+           "            if run[0][1:] in special or length == 3:",
+           "partition.emitted-shape: a cylinder emitted a step late still tiles"),
     Mutant("emitted-words-keep-growing", "partition.py",
            "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n",
            "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n"
            "                survivors.append(run)\n",
-           "partition.pairwise-non-prefix"),
+           "premise of deleting pairwise-non-prefix: cover-at-each-depth fails on a "
+           "prefix pair of factors no longer than the depth"),
     Mutant("unresolved-one-letter-short", "partition.py",
            _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w, _, _ in survivors], length)",
            "partition.unresolved-shape"),
+    Mutant("emission-stops-three-steps-before-the-cap", "partition.py",
+           "            if run[0][1:] in special:",
+           "            if run[0][1:] in special or length > depth_cap - 3:",
+           "partition.unresolved-shape: the words kept past their emission still tile"),
     Mutant("stage-five-drops-a-cylinder", "partition.py",
            _STAGE,
            "yield PartitionResult(cylinders[: -1 if length == 5 else None], [w for w, _, _ in survivors], length)",
@@ -197,10 +228,13 @@ MUTANTS = [
     Mutant("last-piece-twice", "ietmap.py",
            _MAP,
            "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces + pieces[-1:])",
-           "ietmap.piece-count"),
+           "premise of deleting piece-count: target-coverage's hits sum to the piece count"),
     Mutant("pieces-target-the-prefix", "ietmap.py",
            "targets.get(v[1:], -1)", "targets.get(v[:-1], -1)",
            "ietmap.target-coverage"),
+    Mutant("targets-one-up", "ietmap.py",
+           "targets.get(v[1:], -1)", "targets.get(v[1:], -1) + 1",
+           "ietmap.target-coverage: every block still steps by one"),
     Mutant("target-count-too-large", "ietmap.py",
            _MAP,
            "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1) + table.complexity(n), pieces)",
@@ -306,12 +340,13 @@ def main() -> int:
     for m in MUTANTS:
         print(f"| `{m.name}` | {m.aim} | {', '.join(caught[m.name]) or '**none**'} |")
     alone = {found[0] for found in caught.values() if len(found) == 1}
-    print("\nchecks that no mutant catches alone:", ", ".join(n for n in names if n not in alone) or "none")
+    lonely = [n for n in names if n not in alone]
+    print("\nchecks that no mutant catches alone:", ", ".join(lonely) or "none")
     escaped = [m.name for m in MUTANTS if not any(f in names for f in caught[m.name])]
     print("mutants that no check catches:", ", ".join(escaped) or "none")
     broke = [m.name for m in MUTANTS if any(f not in names for f in caught[m.name])]
     print("mutants that raise or time out:", ", ".join(broke) or "none")
-    return 1 if escaped or broke else 0
+    return 1 if lonely or escaped or broke else 0
 
 
 if __name__ == "__main__":

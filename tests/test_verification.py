@@ -25,7 +25,7 @@ from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
 from shift2iet.ietmap import PiecewiseAffineMap
 from shift2iet.partition import Cylinder, PartitionResult
-from shift2iet.verification import _ietmap_checks, _language_checks, _partition_checks
+from shift2iet.verification import _ietmap_checks, _language_checks, _measure_checks, _partition_checks
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,6 @@ CHECKS = (
     "language.oracle-equivalence",
     "partition.emission-order",
     "partition.emitted-shape",
-    "partition.pairwise-non-prefix",
     "partition.unresolved-shape",
     "partition.cover-at-each-depth",
     "partition.monotone-in-depth",
@@ -64,7 +63,6 @@ CHECKS = (
     "measure.complexity-growth-bound",
     "measure.shifted-estimate-window",
     "measure.letter-estimates-settled",
-    "ietmap.piece-count",
     "ietmap.target-coverage",
     "ietmap.slope-window",
     "ietmap.evaluate-affine",
@@ -390,6 +388,73 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     assert not checks["unresolved-shape"].ok
 
 
+@pytest.fixture(scope="module")
+def depth12_passes():
+    """Each fixture's table at n_max 40 and its refinement pass to depth 12."""
+    tables = {name: build_factor_table(get_fixture(name), 40) for name in fixture_names()}
+    return {name: (table, list(refine_stages(table, 12))) for name, table in tables.items()}
+
+
+def _partition_failures(table, stages, last) -> dict:
+    """The failing partition and measure checks when the last stage of the
+    pass is replaced."""
+    stages = stages[:-1] + [last]
+    mt = measure_table(table, last.cylinder_words(), 40)
+    checks = _partition_checks(table, stages, mt) + _measure_checks(table, last, mt)
+    return {c.name: c.detail for c in checks if not c.ok}
+
+
+@pytest.mark.parametrize("word", ["baaabbab", "bbbabbab"])
+def test_a_non_factor_cylinder_fails_its_checks_instead_of_raising(depth12_passes, word):
+    """The last Thue-Morse cylinder `bbaabbab` turned into a non-factor: each
+    check that reads its extensions reports it.  `baaabbab` starts with the
+    cylinder `baa`, so classify-roundtrip stops at it; no cylinder prefixes
+    `bbbabbab`, so the extension test reaches it."""
+    table, stages = depth12_passes["thue-morse"]
+    last = stages[-1]
+    assert last.cylinders[-1].word == "bbaabbab"
+    bad = last._replace(cylinders=last.cylinders[:-1] + [last.cylinders[-1]._replace(word=word)])
+    failures = _partition_failures(table, stages, bad)
+    assert failures["emitted-shape"] == f"{word!r}: tail is not a factor"
+    assert failures["splitting-identity"] == f"{word!r} is not a factor"
+    assert failures["classify-roundtrip"] == (
+        "classify('baaabbab') != 10" if word == "baaabbab" else "'bbbabbab' is not a factor"
+    )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("pair", ["cylinder-and-its-extension", "unresolved-inside-a-cylinder"])
+def test_prefix_pairs_at_the_depth_cap_fail_cover(depth12_passes, name, pair):
+    """What the deleted pairwise-non-prefix check caught: a cylinder plus its
+    first one-letter extension as a cylinder, or an unresolved word that
+    extends the last cylinder.  Both are factors no longer than the depth
+    cap, so their runs overlap in cover-at-each-depth."""
+    table, stages = depth12_passes[name]
+    last = stages[-1]
+    word = last.cylinders[-1].word
+    if pair == "cylinder-and-its-extension":
+        longer = word + min(table.right_extensions(word), key=table.alphabet.key)
+        cylinder = Cylinder(len(last.cylinders) + 1, longer, len(word))
+        bad = last._replace(cylinders=last.cylinders + [cylinder])
+    else:
+        inside = next(f for f in table.factors(12) if f.startswith(word))
+        bad = last._replace(unresolved=last.unresolved + [inside])
+    assert "cover-at-each-depth" in _partition_failures(table, stages, bad)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_cylinder_past_the_depth_cap_fails_emission_order(depth12_passes, name):
+    """A cylinder of the deeper refinement extends an unresolved word and has
+    the emitted shape.  cover-at-each-depth reads no word longer than the
+    depth, so emission-order's step bound is what catches it."""
+    table, stages = depth12_passes[name]
+    last = stages[-1]
+    deeper = next(c.word for c in refine(table, 30).cylinders if len(c.word) > 12)
+    cylinder = Cylinder(len(last.cylinders) + 1, deeper, len(deeper) - 1)
+    bad = last._replace(cylinders=last.cylinders + [cylinder])
+    assert list(_partition_failures(table, stages, bad)) == ["emission-order"]
+
+
 def _cover(table, cylinders):
     """cover-at-each-depth on the pass to depth 10 when its depth-8 stage
     holds the given cylinders."""
@@ -495,7 +560,7 @@ def test_periodic_configs_fail_the_growth_check(tmp_path, capsys, rules):
     log = (tmp_path / "verify.log").read_text(encoding="utf-8").splitlines()
     assert [line for line in log if not line.startswith("ok ")] == [
         "FAIL measure.complexity-growth-bound: p(2)-p(1) = 0 < 1: the shift is periodic",
-        "passed 35/36",
+        "passed 33/34",
     ]
 
 
@@ -538,6 +603,23 @@ def test_a_map_that_drops_a_jump_fails_the_discontinuity_definition(tm30, tm30_m
     first = amap.discontinuities()[0]
     check = _ietmap(tm30, partition, _DropsTheFirstJump(*amap), coarse)["discontinuity-definition"]
     assert (check.ok, check.detail) == (False, f"junction {first} misclassified")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("extra", ["last-piece-twice", "piece-without-target"])
+def test_a_map_with_one_piece_too_many_fails_target_coverage(depth12_passes, name, extra):
+    """What the deleted piece-count check caught.  A repeated last piece
+    covers its target once too often; a piece with target -1 covers none,
+    and the count of pieces against p(n) sees it."""
+    table, stages = depth12_passes[name]
+    amap = build_approximant(table, 40)
+    last = amap.pieces[-1]
+    piece = last if extra == "last-piece-twice" else last._replace(target_index=-1)
+    bad = amap._replace(pieces=amap.pieces + [piece])
+    check = _ietmap(table, stages[-1], bad, build_approximant(table, 20))["target-coverage"]
+    assert not check.ok
+    if extra == "piece-without-target":
+        assert check.detail == f"{table.complexity(40) + 1} pieces != p(40)"
 
 
 @pytest.mark.parametrize("fault", ["split", "steps-by-two"])
