@@ -19,7 +19,6 @@ _HOMES = {
     "parse_substitution": "substitution",
     "FactorTable": "language",
     "build_factor_table": "language",
-    "Cylinder": "partition",
     "PartitionResult": "partition",
     "refine": "partition",
     "refine_stages": "partition",

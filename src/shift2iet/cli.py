@@ -127,10 +127,10 @@ def analyze_text(table: FactorTable) -> str:
 def partition_text(result: PartitionResult, measures: MeasureTable | None = None) -> str:
     header = "k\tword\tstep" + ("\tmeasure" if measures is not None else "")
     lines = [header]
-    for cyl in result.cylinders:
-        row = [str(cyl.k), cyl.word, str(cyl.step)]
+    for k, word in enumerate(result.cylinders, 1):
+        row = [str(k), word, str(len(word) - 1)]
         if measures is not None:
-            row.append(f"{float(measures.entries[cyl.word]):.12f}")
+            row.append(f"{float(measures.entries[word]):.12f}")
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
@@ -175,7 +175,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     result = refine(table, depth)
     mt = None
     if level is not None:
-        mt = measure_table(table, result.cylinder_words(), level)
+        mt = measure_table(table, result.cylinders, level)
     path = _write(args, "partition.tsv", partition_text(result, mt))
     print(
         f"wrote {path} ({len(result.cylinders)} cylinders, "
@@ -196,7 +196,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
     level = _level(args, args.nmax)
     table = build_factor_table(args.substitution, args.nmax)
     result = refine(table, depth)
-    mt = measure_table(table, result.cylinder_words(), level)
+    mt = measure_table(table, result.cylinders, level)
     path = _write(args, "measures.tsv", measures_text(table, mt))
     print(f"wrote {path} (counting length {level})")
     print(f"normalized invariance defect: {float(mt.normalized_defect):.12f}")

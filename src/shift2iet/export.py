@@ -20,7 +20,7 @@ def approximant_csv(amap: PiecewiseAffineMap) -> str:
     """
     p, q = amap.source_count, amap.target_count
     lines = ["v,x_left,x_right,y_left,y_right"]
-    for v, i, j in amap.pieces:
+    for i, (v, j) in enumerate(amap.pieces):
         lines.append(f"{v},{i / p:.15f},{(i + 1) / p:.15f},{j / q:.15f},{(j + 1) / q:.15f}")
     return "\n".join(lines) + "\n"
 
@@ -41,7 +41,7 @@ def approximant_svg(amap: PiecewiseAffineMap, marks=()) -> str:
         '<g stroke="#1f4e8c" stroke-width="0.005" stroke-linecap="round">',
     ]
     p, q = amap.source_count, amap.target_count
-    for _, i, j in amap.pieces:
+    for i, (_, j) in enumerate(amap.pieces):
         # 1 - j/q is (q - j)/q: the ends are integer ratios, as in the CSV.
         out.append(
             f'<line x1="{i / p:.6f}" y1="{(q - j) / q:.6f}" '

@@ -25,15 +25,20 @@ if TYPE_CHECKING:
 
 class AffinePiece(NamedTuple):
     factor: str
-    source_index: int   # i: source is [i/p(n), (i+1)/p(n))
     target_index: int   # j: image is [j/p(n-1), (j+1)/p(n-1))
 
 
 class PiecewiseAffineMap(NamedTuple):
+    """T_n: piece i has source [i/p(n), (i+1)/p(n)), and p(n) is the number
+    of pieces."""
+
     level: int
-    source_count: int   # p(n)
     target_count: int   # p(n-1)
     pieces: list[AffinePiece]
+
+    @property
+    def source_count(self) -> int:
+        return len(self.pieces)
 
     @property
     def slope(self) -> Fraction:
@@ -79,8 +84,8 @@ def build_approximant(table: FactorTable, n: int) -> PiecewiseAffineMap:
     if not 2 <= n <= table.n_max:
         raise InputError(f"approximant level must be within 2..{table.n_max}")
     targets = {w: i for i, w in enumerate(table.factors(n - 1))}
-    pieces = [AffinePiece(v, i, targets.get(v[1:], -1)) for i, v in enumerate(table.factors(n))]
-    return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)
+    pieces = [AffinePiece(v, targets.get(v[1:], -1)) for v in table.factors(n)]
+    return PiecewiseAffineMap(n, table.complexity(n - 1), pieces)
 
 
 def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -> dict[int, bool]:
@@ -92,10 +97,10 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
     The pieces go to the block of every cylinder word they start with in one
     pass over their prefixes per word length the cylinders have.
     """
-    longest = max((len(c.word) for c in partition.cylinders), default=0)
+    longest = max(map(len, partition.cylinders), default=0)
     if amap.level < longest:
         raise InputError("approximant level smaller than the longest cylinder word")
-    blocks: dict[str, list[int]] = {c.word: [] for c in partition.cylinders}
+    blocks: dict[str, list[int]] = {word: [] for word in partition.cylinders}
     factors = [piece.factor for piece in amap.pieces]
     for m in sorted({len(word) for word in blocks}):
         prefixes = list(map(itemgetter(slice(m)), factors))
@@ -103,27 +108,31 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
             blocks[prefixes[i]].append(i)
     targets = [piece.target_index for piece in amap.pieces]
     verdict: dict[int, bool] = {}
-    for cyl in partition.cylinders:
-        indices = blocks[cyl.word]
+    for k, word in enumerate(partition.cylinders, 1):
+        indices = blocks[word]
         ok = bool(indices)
         if ok:
             a, size = indices[0], len(indices)
             ok = indices == list(range(a, a + size))
             ok = ok and targets[a : a + size] == list(range(targets[a], targets[a] + size))
-        verdict[cyl.k] = ok
+        verdict[k] = ok
     return verdict
 
 
 class LimitInterval(NamedTuple):
-    k: int
     word: str
     left: Fraction          # estimated left endpoint of the cylinder's interval
     length: Fraction        # estimated mass of the cylinder
     image_left: Fraction    # estimated left endpoint of the shifted cylinder
-    translation: Fraction   # image_left - left
+
+    @property
+    def translation(self) -> Fraction:
+        return self.image_left - self.left
 
 
 class LimitIntervalSet(NamedTuple):
+    """Cylinder k's interval is `intervals[k - 1]`."""
+
     level: int
     intervals: list[LimitInterval]
 
@@ -142,17 +151,17 @@ def limit_intervals(table: FactorTable, partition: PartitionResult, n: int) -> L
     """
     if not 2 <= n <= table.n_max:
         raise InputError(f"counting length must be within 2..{table.n_max}")
-    longest = max((len(c.word) for c in partition.cylinders), default=0)
+    longest = max(map(len, partition.cylinders), default=0)
     if n < longest:
         raise InputError("counting length smaller than the longest cylinder word")
     intervals = []
-    for cyl in partition.cylinders:
-        lo, hi = table.prefix_range(cyl.word, n)
+    for word in partition.cylinders:
+        lo, hi = table.prefix_range(word, n)
         left = Fraction(lo, table.complexity(n))
         length = Fraction(hi - lo, table.complexity(n))
-        lo2, _ = table.prefix_range(cyl.word[1:], n - 1)
+        lo2, _ = table.prefix_range(word[1:], n - 1)
         image_left = Fraction(lo2, table.complexity(n - 1))
-        intervals.append(LimitInterval(cyl.k, cyl.word, left, length, image_left, image_left - left))
+        intervals.append(LimitInterval(word, left, length, image_left))
     return LimitIntervalSet(n, intervals)
 
 
@@ -176,7 +185,11 @@ class ConvergenceReport(NamedTuple):
     grid_size: int
     sup_difference: float
     excluded_fraction: Fraction
-    compared_points: int
+
+    @property
+    def compared_points(self) -> int:
+        """The grid points not excluded."""
+        return self.grid_size - int(self.excluded_fraction * self.grid_size)
 
 
 def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 1000) -> ConvergenceReport:
@@ -218,12 +231,7 @@ def _convergence(
     # Int/int division rounds correctly: the float of the exact sup.
     sup = top / (n * q1 * q2)
     return ConvergenceReport(
-        coarse.level,
-        fine.level,
-        grid_size,
-        sup,
-        Fraction(excluded, grid_size),
-        grid_size - excluded,
+        coarse.level, fine.level, grid_size, sup, Fraction(excluded, grid_size)
     )
 
 

@@ -17,21 +17,17 @@ from .errors import InputError
 from .language import FactorTable
 
 
-class Cylinder(NamedTuple):
-    k: int          # 1-based emission index
-    word: str       # a + u with u not left special, every shorter suffix special
-    step: int       # refinement step at which it was emitted (|word| - 1)
-
-
 class PartitionResult(NamedTuple):
-    """Outcome of refining to a depth cap: emitted cylinders plus unresolved words."""
+    """Outcome of refining to a depth cap: emitted cylinders plus unresolved words.
 
-    cylinders: list[Cylinder]
+    The cylinders are the emitted words in emission order.  Cylinder k is
+    `cylinders[k - 1]`, a word a+u with u not left special and every shorter
+    prefix of u left special, emitted at step |word| - 1.
+    """
+
+    cylinders: list[str]
     unresolved: list[str]
     depth_cap: int
-
-    def cylinder_words(self) -> list[str]:
-        return [c.word for c in self.cylinders]
 
     def classify(self, word: str):
         """Locate a word relative to the partition.
@@ -41,13 +37,13 @@ class PartitionResult(NamedTuple):
         unresolved word, and "too-short" when the argument is a proper prefix
         of emitted or unresolved words (so both outcomes are still possible).
         """
-        for cyl in self.cylinders:
-            if word.startswith(cyl.word):
-                return cyl.k
+        for k, cylinder in enumerate(self.cylinders, 1):
+            if word.startswith(cylinder):
+                return k
         for u in self.unresolved:
             if word.startswith(u):
                 return "unresolved"
-        if any(w.startswith(word) and w != word for w in self.cylinder_words() + self.unresolved):
+        if any(w.startswith(word) and w != word for w in self.cylinders + self.unresolved):
             return "too-short"
         raise InputError(f"{word!r} does not occur in the shift at this depth")
 
@@ -57,11 +53,11 @@ class PartitionResult(NamedTuple):
         Expects a measure table holding an estimate for every cylinder word.
         """
         total = Fraction(0)
-        for cyl in self.cylinders:
+        for word in self.cylinders:
             try:
-                total += measures.entries[cyl.word]
+                total += measures.entries[word]
             except KeyError:
-                raise InputError(f"measure table has no entry for {cyl.word!r}") from None
+                raise InputError(f"measure table has no entry for {word!r}") from None
         return 1 - total
 
 
@@ -98,16 +94,15 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
     heads = table.level_ranks(2)
     ends = [*heads[1:], table.complexity(table.n_max)]
     active = list(zip(table.factors(2), heads, ends))
-    cylinders: list[Cylinder] = []
+    cylinders: list[str] = []
     for length in range(2, depth_cap + 1):
         special = set(table.left_special(length - 1))
         survivors: list[tuple[str, int, int]] = []
-        step = length - 1
         for run in active:
             if run[0][1:] in special:
                 survivors.append(run)
             else:
-                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))
+                cylinders.append(run[0])
         yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)
         if length < depth_cap:
             heads = table.level_ranks(length + 1)

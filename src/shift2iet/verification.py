@@ -90,7 +90,7 @@ def run_verification(
         approximant_level = min(100, n_max)
     stages = list(refine_stages(table, depth_cap))
     partition = stages[-1]
-    measures = measure_table(table, partition.cylinder_words(), measure_level)
+    measures = measure_table(table, partition.cylinders, measure_level)
     approximant = build_approximant(table, approximant_level)
     coarse = build_approximant(table, max(2, approximant_level // 2))
 
@@ -421,29 +421,26 @@ def _partition_checks(
 
     # Each word is emitted at step |word| - 1 < depth_cap, so no cylinder is
     # longer than the depth cap, and cover-at-each-depth reads every one.
-    ok = all(
-        c.k == i + 1 and c.step == len(c.word) - 1 < depth_cap for i, c in enumerate(result.cylinders)
-    )
-    steps = [(c.step, key(c.word)) for c in result.cylinders]
-    ok = ok and steps == sorted(steps)
-    detail = "not ordered by (step, lex), or a step other than |word| - 1 < depth cap"
+    steps = [(len(w) - 1, key(w)) for w in result.cylinders]
+    ok = all(step < depth_cap for step, _ in steps) and steps == sorted(steps)
+    detail = "not ordered by (step, lex), or a step |word| - 1 at or past the depth cap"
     out.append(_check("partition", "emission-order", ok, detail))
 
     ok, detail = True, ""
     special = {}  # inner prefix -> left special, as its extension mask says
-    for c in result.cylinders:
-        u = c.word[1:]
+    for w in result.cylinders:
+        u = w[1:]
         lefts = _extensions(table, u, left=True)
-        if lefts != frozenset(c.word[:1]):
+        if lefts != frozenset(w[:1]):
             tail = "is not a factor" if lefts is None else f"has extensions {sorted(lefts)}"
-            ok, detail = False, f"{c.word!r}: tail {tail}"
+            ok, detail = False, f"{w!r}: tail {tail}"
             break
         for j in range(1, len(u)):
             if u[:j] not in special:
                 special[u[:j]] = _left_special(table, u[:j])
         inner = next((u[:j] for j in range(1, len(u)) if not special[u[:j]]), None)
         if inner is not None:
-            ok, detail = False, f"{c.word!r}: inner prefix {inner!r} not left special"
+            ok, detail = False, f"{w!r}: inner prefix {inner!r} not left special"
             break
     out.append(_check("partition", "emitted-shape", ok, detail))
 
@@ -465,7 +462,7 @@ def _partition_checks(
     size = table.complexity(table.n_max)
     for stage in stages:
         d = stage.depth_cap
-        cylinders = [w for w in stage.cylinder_words() if len(w) <= d]
+        cylinders = [w for w in stage.cylinders if len(w) <= d]
         for w in cylinders:
             if w not in spans:
                 spans[w] = _window_span(table, w)
@@ -513,17 +510,17 @@ def _partition_checks(
     )
 
     ok, detail = True, ""
-    for c in result.cylinders:
-        if result.classify(c.word) != c.k:
-            ok, detail = False, f"classify({c.word!r}) != {c.k}"
+    for k, w in enumerate(result.cylinders, 1):
+        if result.classify(w) != k:
+            ok, detail = False, f"classify({w!r}) != {k}"
             break
-        if len(c.word) < table.n_max - 1:
-            rights = _extensions(table, c.word, left=False)
+        if len(w) < table.n_max - 1:
+            rights = _extensions(table, w, left=False)
             if rights is None:
-                ok, detail = False, f"{c.word!r} is not a factor"
+                ok, detail = False, f"{w!r} is not a factor"
                 break
-            if any(result.classify(c.word + x) != c.k for x in rights):
-                ok, detail = False, f"extension of {c.word!r} classified differently"
+            if any(result.classify(w + x) != k for x in rights):
+                ok, detail = False, f"extension of {w!r} classified differently"
                 break
     for u in result.unresolved:
         if result.classify(u) != "unresolved":
@@ -546,7 +543,7 @@ def _cover_failure(table: FactorTable, stage: PartitionResult) -> str:
     """The first length-d factor that the stage of depth d classifies other
     than once, as read from the strings; "" if there is none."""
     d = stage.depth_cap
-    emitted = stage.cylinder_words()
+    emitted = stage.cylinders
     pending = set(stage.unresolved)
     lengths = sorted({len(w) for w in emitted})
     by_len = {m: {w for w in emitted if len(w) == m} for m in lengths}
@@ -574,7 +571,7 @@ def _measure_checks(
     out.append(_check("measure", "letters-sum-one", total == 1, f"sum = {total}"))
 
     ok, detail = True, ""
-    for u in list(letters) + partition.cylinder_words():
+    for u in list(letters) + partition.cylinders:
         if len(u) + 1 > min(n, table.n_max - 1):
             continue
         rights = _extensions(table, u, left=False)
@@ -690,7 +687,7 @@ def _ietmap_checks(
     ok, detail = True, ""
     for idx in (0, len(amap.pieces) // 2, len(amap.pieces) - 1):
         piece = amap.pieces[idx]
-        left, right = amap.source_interval(piece.source_index)
+        left, right = amap.source_interval(idx)
         mid = (left + right) / 2
         want_left = Fraction(piece.target_index, p_n1)
         if amap.evaluate(left) != want_left:
@@ -722,19 +719,14 @@ def _ietmap_checks(
     ok = all(
         a.left + a.length <= b.left for a, b in zip(ordered, ordered[1:])
     ) and 0 <= lis.residual <= 1
-    ok = ok and all(iv.translation == iv.image_left - iv.left for iv in lis.intervals)
     out.append(_check("ietmap", "limit-intervals-disjoint", ok, "overlap or bad residual"))
 
     # T_n against itself must give 0.  `build_approximant` is a deterministic
     # function of (table, n), so a second build would hold the same pieces.
     report = _convergence(coarse, amap, grid_size)
     same = _convergence(amap, amap, grid_size)
-    ok = (
-        report.sup_difference >= 0
-        and 0 <= report.excluded_fraction <= 1
-        and report.compared_points == grid_size - report.excluded_fraction * grid_size
-        and same.sup_difference == 0
-    )
+    ok = report.sup_difference >= 0 and 0 <= report.excluded_fraction <= 1
+    ok = ok and same.sup_difference == 0
     out.append(
         _check(
             "ietmap",

@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 _ESTIMATE = "return Fraction(table.restricted_complexity(word, n), table.complexity(n))"
-_MAP = "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces)"
+_MAP = "return PiecewiseAffineMap(n, table.complexity(n - 1), pieces)"
 _EXTEND = "for a, b in zip(starts, [*starts[1:], hi])"
 _STAGE = "yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)"
 _FACTORS = "return self._cut(self._heads(n), n)"
@@ -172,8 +172,8 @@ MUTANTS = [
            "            if run[0][1:] in special or length == 3:",
            "partition.emitted-shape: a cylinder emitted a step late still tiles"),
     Mutant("emitted-words-keep-growing", "partition.py",
-           "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n",
-           "                cylinders.append(Cylinder(len(cylinders) + 1, run[0], step))\n"
+           "                cylinders.append(run[0])\n",
+           "                cylinders.append(run[0])\n"
            "                survivors.append(run)\n",
            "premise of deleting pairwise-non-prefix: cover-at-each-depth fails on a "
            "prefix pair of factors no longer than the depth"),
@@ -192,7 +192,7 @@ MUTANTS = [
            _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][:: -1 if depth_cap < 10 else 1]",
            "partition.monotone-in-depth"),
     Mutant("residual-adds-the-mass", "partition.py",
-           "total += measures.entries[cyl.word]", "total -= measures.entries[cyl.word]",
+           "total += measures.entries[word]", "total -= measures.entries[word]",
            "partition.residual-nonincreasing"),
     Mutant("unresolved-classified-too-short", "partition.py",
            'return "unresolved"', 'return "too-short"',
@@ -227,8 +227,13 @@ MUTANTS = [
     # -- ietmap
     Mutant("last-piece-twice", "ietmap.py",
            _MAP,
-           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1), pieces + pieces[-1:])",
+           "return PiecewiseAffineMap(n, table.complexity(n - 1), pieces + pieces[-1:])",
            "premise of deleting piece-count: target-coverage's hits sum to the piece count"),
+    Mutant("last-piece-dropped", "ietmap.py",
+           _MAP,
+           "return PiecewiseAffineMap(n, table.complexity(n - 1), pieces[:-1])",
+           "ietmap.target-coverage: p(n) is the piece count, so every other check reads "
+           "a consistent map"),
     Mutant("pieces-target-the-prefix", "ietmap.py",
            "targets.get(v[1:], -1)", "targets.get(v[:-1], -1)",
            "ietmap.target-coverage"),
@@ -237,11 +242,11 @@ MUTANTS = [
            "ietmap.target-coverage: every block still steps by one"),
     Mutant("target-count-too-large", "ietmap.py",
            _MAP,
-           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1) + table.complexity(n), pieces)",
+           "return PiecewiseAffineMap(n, table.complexity(n - 1) + table.complexity(n), pieces)",
            "ietmap.slope-window"),
     Mutant("target-count-one-short", "ietmap.py",
            _MAP,
-           "return PiecewiseAffineMap(n, table.complexity(n), table.complexity(n - 1) - 1, pieces)",
+           "return PiecewiseAffineMap(n, table.complexity(n - 1) - 1, pieces)",
            "ietmap.slope-window; premise of its growth half: target_count is p(n-1)"),
     Mutant("evaluate-one-cell-up", "ietmap.py",
            "return Fraction(piece.target_index, self.target_count) + (",
@@ -258,9 +263,6 @@ MUTANTS = [
            "length = Fraction(hi - lo, table.complexity(n))",
            "length = Fraction(hi - lo + 1, table.complexity(n))",
            "ietmap.limit-intervals-disjoint"),
-    Mutant("compared-points-plus-one", "ietmap.py",
-           "        grid_size - excluded,\n", "        grid_size - excluded + 1,\n",
-           "ietmap.convergence-report-accounting"),
     Mutant("grid-difference-off-by-one", "ietmap.py",
            "return c + g * slope", "return c + g * slope + 1",
            "ietmap.convergence-report-accounting"),

@@ -295,6 +295,16 @@ def _near(sorted_points, x, radius) -> bool:
     return False
 
 
+def partition_row(k: int, word: str, step: int, measure=None) -> str:
+    """The partition.tsv row of cylinder k, its word and the refinement step
+    it was emitted at, tab-separated; with a measure (an exact Fraction) a
+    fourth column prints it as a float with 12 digits."""
+    row = [str(k), word, str(step)]
+    if measure is not None:
+        row.append(f"{float(measure):.12f}")
+    return "\t".join(row)
+
+
 def approximant_csv_row(factor: str, i: int, j: int, p: int, q: int) -> str:
     """The CSV row of the piece of `factor` with source index i of p and
     target index j of q: each end an exact Fraction, printed as a float with

@@ -68,7 +68,7 @@ def test_criterion_01_thue_morse_short_lists(tm100):
 
 def test_criterion_02_thue_morse_depth_five_partition(tm100):
     with _budget("criterion 02 depth-5 cylinders", 1):
-        words = refine(tm100, 5).cylinder_words()
+        words = refine(tm100, 5).cylinders
         assert set(words) == {"abb", "baa", "aabab", "ababb", "babaa", "bbaba"}
         assert len(words) == 6
 

@@ -4,13 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oracles
 import shift2iet
-from shift2iet import build_factor_table, parse_substitution
-from shift2iet.cli import main
+from shift2iet import (
+    build_factor_table,
+    fixture_names,
+    get_fixture,
+    measure_table,
+    parse_substitution,
+    refine,
+)
+from shift2iet.cli import main, partition_text
 
 FIB = ["--fixture", "fibonacci", "--nmax", "20", "--depth", "5", "--assert-aperiodic"]
 
@@ -45,6 +54,28 @@ def test_partition_artifact(tmp_path, capsys):
     lines = (tmp_path / "partition.tsv").read_text().splitlines()
     assert lines[0].startswith("k\tword\tstep")
     assert lines[1].split("\t")[1] == "ab"
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_partition_text_matches_the_row_oracle(name):
+    """partition.tsv at depths 2..20, with and without measures, against rows
+    built from the oracle replay's (k, word, step) and, for the measure
+    column, the share of the oracle's length-22 factors that start with the
+    word."""
+    n = 22
+    levels = oracles.factor_levels(dict(get_fixture(name).images), n)
+    table = build_factor_table(get_fixture(name), n)
+    for depth in range(2, 21):
+        result = refine(table, depth)
+        emitted, _ = oracles.refine_cylinders(levels, depth)
+        bare = [oracles.partition_row(k, w, step) for k, w, step in emitted]
+        assert partition_text(result) == "\n".join(["k\tword\tstep", *bare]) + "\n"
+        measured = [
+            oracles.partition_row(k, w, step, Fraction(oracles.prefix_count(levels, w, n), len(levels[n])))
+            for k, w, step in emitted
+        ]
+        mt = measure_table(table, result.cylinders, n)
+        assert partition_text(result, mt) == "\n".join(["k\tword\tstep\tmeasure", *measured]) + "\n"
 
 
 def test_measures_artifact(tmp_path, capsys):

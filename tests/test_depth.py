@@ -54,7 +54,7 @@ def test_language_and_partition_suites_at_depth_1000():
     budget_s = 3.0
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)
     stages = list(refine_stages(table, DEPTH // 2))
-    measures = measure_table(table, stages[-1].cylinder_words(), DEPTH)
+    measures = measure_table(table, stages[-1].cylinders, DEPTH)
     start = time.perf_counter()
     checks = _language_checks(table) + _partition_checks(table, stages, measures)
     elapsed = time.perf_counter() - start

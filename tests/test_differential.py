@@ -97,7 +97,7 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
     for depth in range(2, n_max):
         result = refine(table, depth)
         emitted, unresolved = oracles.refine_cylinders(levels, depth)
-        assert [(c.k, c.word.translate(rename), c.step) for c in result.cylinders] == emitted
+        assert [(k, w.translate(rename), len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == emitted
         assert renamed(result.unresolved) == unresolved
     for n in range(2, n_max + 1):
         assert build_approximant(table, n).discontinuities() == oracles.approximant_jumps(levels, n)
@@ -117,7 +117,7 @@ def _assert_stages_match(sub, depth_cap):
     for stage in stages:
         assert stage == refine(table, stage.depth_cap)
         emitted, unresolved = oracles.refine_cylinders(levels, stage.depth_cap)
-        assert [(c.k, c.word.translate(rename), c.step) for c in stage.cylinders] == emitted
+        assert [(k, w.translate(rename), len(w) - 1) for k, w in enumerate(stage.cylinders, 1)] == emitted
         assert [w.translate(rename) for w in stage.unresolved] == unresolved
 
 

@@ -71,26 +71,26 @@ def test_svg_carries_version_comment(fib_map):
 def _assert_matches_oracle(amap, marks=()):
     """The emitters' bytes against the exact-Fraction oracle, row by row and
     segment by segment, with the marks after the segments."""
-    p, q = amap.source_count, amap.target_count
-    rows = [approximant_csv_row(v, i, j, p, q) for v, i, j in amap.pieces]
+    p, q = len(amap.pieces), amap.target_count
+    rows = [approximant_csv_row(v, i, j, p, q) for i, (v, j) in enumerate(amap.pieces)]
     assert approximant_csv(amap) == "\n".join(["v,x_left,x_right,y_left,y_right", *rows]) + "\n"
     svg = approximant_svg(amap, marks)
     drawn = [line for line in svg.splitlines() if line.startswith(("<line", "<circle"))]
-    segments = [approximant_svg_line(i, j, p, q) for _, i, j in amap.pieces]
+    segments = [approximant_svg_line(i, j, p, q) for i, (_, j) in enumerate(amap.pieces)]
     dots = [f'<circle cx="{float(x):.6f}" cy="1" r="0.012"/>' for x in marks]
     assert drawn == segments + dots
 
 
 @st.composite
 def _maps(draw):
-    """Maps with counts up to 10**9; a target index may be -1, what
-    `build_approximant` gives a factor whose suffix is missing."""
-    p, q = draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9))
-    sources = st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+    """Maps with target counts up to 10**9; a target index may be -1, what
+    `build_approximant` gives a factor whose suffix is missing.  Piece i's
+    source is [i/p, (i+1)/p), p the number of pieces."""
+    q = draw(st.integers(1, 10**9))
     targets = st.one_of(st.sampled_from([-1, 0, q - 1]), st.integers(-1, q - 1))
     words = st.text(alphabet="abα", min_size=1, max_size=4)
-    pieces = draw(st.lists(st.builds(AffinePiece, words, sources, targets), max_size=12))
-    return PiecewiseAffineMap(2, p, q, pieces)
+    pieces = draw(st.lists(st.builds(AffinePiece, words, targets), max_size=12))
+    return PiecewiseAffineMap(2, q, pieces)
 
 
 @settings(max_examples=200, deadline=None)

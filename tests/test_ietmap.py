@@ -40,10 +40,10 @@ def fib12():
 def test_fibonacci_level_two_map(fib12):
     amap = build_approximant(fib12, 2)
     assert amap.slope == Fraction(3, 2)
-    assert [(p.factor, p.source_index, p.target_index) for p in amap.pieces] == [
-        ("aa", 0, 0),
-        ("ab", 1, 1),
-        ("ba", 2, 0),
+    assert [(i, p.factor, p.target_index) for i, p in enumerate(amap.pieces)] == [
+        (0, "aa", 0),
+        (1, "ab", 1),
+        (2, "ba", 0),
     ]
     assert amap.source_interval(1) == (Fraction(1, 3), Fraction(2, 3))
     assert amap.target_interval(1) == (Fraction(1, 2), Fraction(1, 1))
@@ -73,15 +73,28 @@ def test_first_piece_anchors_origin(name):
             assert amap.evaluate(0) == 0
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_the_source_count_is_the_piece_count(name):
+    """p(n) is read from the pieces: a map missing its last piece counts
+    p(n) - 1 sources, and its pieces still tile [0, 1)."""
+    table = build_factor_table(get_fixture(name), 12)
+    for n in (2, 7, 12):
+        amap = build_approximant(table, n)
+        assert amap.source_count == table.complexity(n)
+        short = amap._replace(pieces=amap.pieces[:-1])
+        assert short.source_count == table.complexity(n) - 1
+        assert short.source_interval(short.source_count - 1)[1] == 1
+
+
 def test_single_piece_map_has_no_jumps():
-    amap = PiecewiseAffineMap(1, 1, 1, [AffinePiece("a", 0, 0)])
+    amap = PiecewiseAffineMap(1, 1, [AffinePiece("a", 0)])
     assert amap.discontinuities() == []
 
 
 def test_evaluate_is_affine_on_each_piece(fib12):
     amap = build_approximant(fib12, 6)
-    for piece in amap.pieces:
-        left, right = amap.source_interval(piece.source_index)
+    for i, piece in enumerate(amap.pieces):
+        left, right = amap.source_interval(i)
         lo, _ = amap.target_interval(piece.target_index)
         assert amap.evaluate(left) == lo
         mid = (left + right) / 2
@@ -167,11 +180,10 @@ def test_block_affinity_matches_the_scan_per_cylinder(deep_tables, name):
         maps.append(amap._replace(pieces=pieces))
     twice = partition._replace(cylinders=partition.cylinders + partition.cylinders[:1])
     for part in (partition, twice):
-        words = part.cylinder_words()
         for m in maps:
-            want = oracles.block_affinity([(p.factor, p.target_index) for p in m.pieces], words)
+            want = oracles.block_affinity([(p.factor, p.target_index) for p in m.pieces], part.cylinders)
             verdict = block_affinity_check(m, part)
-            assert [verdict[c.k] for c in part.cylinders] == want
+            assert verdict == dict(enumerate(want, 1))
 
 
 def test_limit_intervals_fibonacci(deep_tables):

@@ -93,9 +93,9 @@ def test_defect_preconditions(tm20):
 
 def test_measure_table_contents(tm20):
     result = refine(tm20, 5)
-    mt = measure_table(tm20, result.cylinder_words(), 20)
+    mt = measure_table(tm20, result.cylinders, 20)
     assert mt.n_used == 20
-    assert set(result.cylinder_words()) <= set(mt.entries)
+    assert set(result.cylinders) <= set(mt.entries)
     assert set(mt.letter_frequencies) == {"a", "b"}
     assert sum(mt.letter_frequencies.values()) == 1
     assert mt.normalized_defect == Fraction(

@@ -16,7 +16,7 @@ def tm30():
 
 def test_thue_morse_depth_five_partition(tm30):
     result = refine(tm30, 5)
-    assert [(c.k, c.word, c.step) for c in result.cylinders] == [
+    assert [(k, w, len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == [
         (1, "abb", 2),
         (2, "baa", 2),
         (3, "aabab", 4),
@@ -43,7 +43,7 @@ def test_partition_results_compare_by_value(tm30):
 def test_fibonacci_depth_three_partition():
     table = build_factor_table(get_fixture("fibonacci"), 12)
     result = refine(table, 3)
-    assert [(c.k, c.word, c.step) for c in result.cylinders] == [(1, "ab", 1), (2, "baa", 2)]
+    assert [(k, w, len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == [(1, "ab", 1), (2, "baa", 2)]
     assert result.unresolved == ["aab", "bab"]
 
 
@@ -54,19 +54,19 @@ def test_refinement_matches_oracle_replay(name, depth):
     table = build_factor_table(get_fixture(name), depth + 2)
     result = refine(table, depth)
     want_emitted, want_unresolved = oracles.refine_cylinders(levels, depth)
-    assert [(c.k, c.word, c.step) for c in result.cylinders] == want_emitted
+    assert [(k, w, len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == want_emitted
     assert result.unresolved == want_unresolved
 
 
 def test_emitted_words_have_unique_left_extension_of_suffix(tm30):
     result = refine(tm30, 8)
-    for cyl in result.cylinders:
-        suffix = cyl.word[1:]
-        assert tm30.left_extensions(suffix) == frozenset(cyl.word[0])
+    for word in result.cylinders:
+        suffix = word[1:]
+        assert tm30.left_extensions(suffix) == frozenset(word[0])
 
 
 def test_emitted_words_are_pairwise_non_prefix(tm30):
-    words = refine(tm30, 10).cylinder_words()
+    words = refine(tm30, 10).cylinders
     for i, u in enumerate(words):
         for v in words[i + 1 :]:
             assert not u.startswith(v) and not v.startswith(u)
@@ -87,7 +87,7 @@ def test_every_long_factor_classifies_uniquely(tm30):
     """Emitted cylinders plus unresolved words tile the depth-cap level."""
     result = refine(tm30, 7)
     for w in tm30.factors(7):
-        heads = [c.word for c in result.cylinders if w.startswith(c.word)]
+        heads = [c for c in result.cylinders if w.startswith(c)]
         heads += [u for u in result.unresolved if w.startswith(u)]
         assert len(heads) == 1, w
 
@@ -96,7 +96,7 @@ def test_residual_mass_decreases_with_depth(tm30):
     masses = []
     for depth in (3, 5, 7, 9):
         result = refine(tm30, depth)
-        mt = measure_table(tm30, result.cylinder_words(), 30)
+        mt = measure_table(tm30, result.cylinders, 30)
         masses.append(result.residual_mass(mt))
     assert all(0 <= m <= 1 for m in masses)
     assert all(a >= b for a, b in zip(masses, masses[1:]))
@@ -123,9 +123,7 @@ def test_partitions_are_monotone_in_depth(depth):
     table = _cached()
     shallow = refine(table, depth)
     deeper = refine(table, depth + 2)
-    shallow_set = {(c.word, c.step) for c in shallow.cylinders}
-    deeper_set = {(c.word, c.step) for c in deeper.cylinders}
-    assert shallow_set <= deeper_set
+    assert set(shallow.cylinders) <= set(deeper.cylinders)
     for u in deeper.unresolved:
         assert any(u.startswith(v) for v in shallow.unresolved)
 

@@ -24,7 +24,7 @@ from shift2iet import (
 from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
 from shift2iet.ietmap import PiecewiseAffineMap
-from shift2iet.partition import Cylinder, PartitionResult
+from shift2iet.partition import PartitionResult
 from shift2iet.verification import _ietmap_checks, _language_checks, _measure_checks, _partition_checks
 
 
@@ -119,7 +119,7 @@ def test_report_carries_the_checked_stages(fib_report):
     assert fib_report.partition.depth_cap == 12
     assert fib_report.measures.n_used == 40
     assert fib_report.approximant.level == 40
-    assert set(fib_report.partition.cylinder_words()) <= set(fib_report.measures.entries)
+    assert set(fib_report.partition.cylinders) <= set(fib_report.measures.entries)
 
 
 def test_levels_follow_the_arguments():
@@ -379,9 +379,8 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     inner prefix `aa` is not left special.  An unresolved word whose tail is no
     factor at all fails too, as a verdict and not an InputError."""
     result = refine(tm30, 8)
-    cylinders = result.cylinders + [Cylinder(len(result.cylinders) + 1, "baab", 3)]
-    bad = PartitionResult(cylinders, ["a" * 8] + result.unresolved[1:], 8)
-    mt = measure_table(tm30, bad.cylinder_words(), 30)
+    bad = PartitionResult(result.cylinders + ["baab"], ["a" * 8] + result.unresolved[1:], 8)
+    mt = measure_table(tm30, bad.cylinders, 30)
     checks = {c.name: c for c in _partition_checks(tm30, [bad], mt)}
     shape = checks["emitted-shape"]
     assert (shape.ok, shape.detail) == (False, "'baab': inner prefix 'aa' not left special")
@@ -399,7 +398,7 @@ def _partition_failures(table, stages, last) -> dict:
     """The failing partition and measure checks when the last stage of the
     pass is replaced."""
     stages = stages[:-1] + [last]
-    mt = measure_table(table, last.cylinder_words(), 40)
+    mt = measure_table(table, last.cylinders, 40)
     checks = _partition_checks(table, stages, mt) + _measure_checks(table, last, mt)
     return {c.name: c.detail for c in checks if not c.ok}
 
@@ -412,8 +411,8 @@ def test_a_non_factor_cylinder_fails_its_checks_instead_of_raising(depth12_passe
     `bbbabbab`, so the extension test reaches it."""
     table, stages = depth12_passes["thue-morse"]
     last = stages[-1]
-    assert last.cylinders[-1].word == "bbaabbab"
-    bad = last._replace(cylinders=last.cylinders[:-1] + [last.cylinders[-1]._replace(word=word)])
+    assert last.cylinders[-1] == "bbaabbab"
+    bad = last._replace(cylinders=last.cylinders[:-1] + [word])
     failures = _partition_failures(table, stages, bad)
     assert failures["emitted-shape"] == f"{word!r}: tail is not a factor"
     assert failures["splitting-identity"] == f"{word!r} is not a factor"
@@ -431,11 +430,10 @@ def test_prefix_pairs_at_the_depth_cap_fail_cover(depth12_passes, name, pair):
     cap, so their runs overlap in cover-at-each-depth."""
     table, stages = depth12_passes[name]
     last = stages[-1]
-    word = last.cylinders[-1].word
+    word = last.cylinders[-1]
     if pair == "cylinder-and-its-extension":
         longer = word + min(table.right_extensions(word), key=table.alphabet.key)
-        cylinder = Cylinder(len(last.cylinders) + 1, longer, len(word))
-        bad = last._replace(cylinders=last.cylinders + [cylinder])
+        bad = last._replace(cylinders=last.cylinders + [longer])
     else:
         inside = next(f for f in table.factors(12) if f.startswith(word))
         bad = last._replace(unresolved=last.unresolved + [inside])
@@ -449,9 +447,8 @@ def test_a_cylinder_past_the_depth_cap_fails_emission_order(depth12_passes, name
     depth, so emission-order's step bound is what catches it."""
     table, stages = depth12_passes[name]
     last = stages[-1]
-    deeper = next(c.word for c in refine(table, 30).cylinders if len(c.word) > 12)
-    cylinder = Cylinder(len(last.cylinders) + 1, deeper, len(deeper) - 1)
-    bad = last._replace(cylinders=last.cylinders + [cylinder])
+    deeper = next(w for w in refine(table, 30).cylinders if len(w) > 12)
+    bad = last._replace(cylinders=last.cylinders + [deeper])
     assert list(_partition_failures(table, stages, bad)) == ["emission-order"]
 
 
@@ -461,12 +458,12 @@ def _cover(table, cylinders):
     stages = list(refine_stages(table, 10))
     stage = stages[8 - 2]
     stages[8 - 2] = PartitionResult(cylinders(stage.cylinders), stage.unresolved, 8)
-    mt = measure_table(table, stages[-1].cylinder_words(), 30)
+    mt = measure_table(table, stages[-1].cylinders, 30)
     return {c.name: c for c in _partition_checks(table, stages, mt)}["cover-at-each-depth"]
 
 
 def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
-    dropped = refine(tm30, 8).cylinders[-1].word
+    dropped = refine(tm30, 8).cylinders[-1]
     check = _cover(tm30, lambda cylinders: cylinders[:-1])
     first = next(f for f in tm30.factors(8) if f.startswith(dropped))
     assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 0 times")
@@ -475,14 +472,14 @@ def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
 def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30):
     """Every factor still has one classifying word, so only the pairwise
     comparison of the stage's words sees the repeat."""
-    word = refine(tm30, 8).cylinders[0].word
+    word = refine(tm30, 8).cylinders[0]
     check = _cover(tm30, lambda cylinders: cylinders + [cylinders[0]])
     assert (check.ok, check.detail) == (False, f"depth 8: {word!r} and {word!r} overlap")
 
 
 def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30):
-    short = refine(tm30, 8).cylinders[-1].word[:-1]
-    check = _cover(tm30, lambda cylinders: cylinders + [Cylinder(len(cylinders) + 1, short, 7)])
+    short = refine(tm30, 8).cylinders[-1][:-1]
+    check = _cover(tm30, lambda cylinders: cylinders + [short])
     first = next(f for f in tm30.factors(8) if f.startswith(short))
     assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 2 times")
 
@@ -622,13 +619,31 @@ def test_a_map_with_one_piece_too_many_fails_target_coverage(depth12_passes, nam
         assert check.detail == f"{table.complexity(40) + 1} pieces != p(40)"
 
 
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("fault", ["last-piece-dropped", "first-piece-appended"])
+def test_a_map_whose_piece_count_is_off_fails_instead_of_raising(depth12_passes, name, fault):
+    """T_40 reads p(40) from its pieces, so a missing or an extra piece is a
+    FAIL verdict and not an IndexError or InputError.  A map missing its last
+    piece is consistent in every other respect, so target-coverage alone
+    fails."""
+    table, stages = depth12_passes[name]
+    amap = build_approximant(table, 40)
+    pieces = amap.pieces[:-1] if fault == "last-piece-dropped" else amap.pieces + amap.pieces[:1]
+    checks = _ietmap(table, stages[-1], amap._replace(pieces=pieces), build_approximant(table, 20))
+    failing = [check for check, c in checks.items() if not c.ok]
+    assert "target-coverage" in failing
+    if fault == "last-piece-dropped":
+        assert failing == ["target-coverage"]
+
+
 @pytest.mark.parametrize("fault", ["split", "steps-by-two"])
 def test_a_cylinder_block_split_or_stepping_by_two_fails_block_affinity(tm30, tm30_maps, fault):
     """The block of a cylinder with at least three pieces: its middle piece
     gets a factor no cylinder word starts, or a target one too far."""
     partition, amap, coarse = tm30_maps
     blocks = {
-        c.k: [i for i, p in enumerate(amap.pieces) if p.factor.startswith(c.word)] for c in partition.cylinders
+        k: [i for i, p in enumerate(amap.pieces) if p.factor.startswith(w)]
+        for k, w in enumerate(partition.cylinders, 1)
     }
     k = next(k for k, block in blocks.items() if len(block) >= 3)
     pieces = list(amap.pieces)
