@@ -52,6 +52,11 @@ def _load_substitution(args: argparse.Namespace) -> tuple[Substitution, str]:
 def parse_config(args: argparse.Namespace) -> None:
     """Check the parsed flags and fill in the substitution and its source."""
     args.substitution, args.source = _load_substitution(args)
+    # The artifacts print words between tabs, commas and line ends, and the
+    # CSV quotes nothing, so such a letter would make them unparseable.
+    letter = next((c for c in args.substitution.alphabet if c in ',"\t\n\r'), None)
+    if letter is not None:
+        raise InputError(f"alphabet letter {letter!r} would break the TSV and CSV artifacts")
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1")
     if args.grid < 1:

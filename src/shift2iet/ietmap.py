@@ -202,13 +202,15 @@ def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 10
         raise InputError("levels must satisfy 2 <= n1 <= n2 <= table depth")
     if grid_size < 1:
         raise InputError("grid_size must be >= 1")
-    return _convergence(build_approximant(table, n1), build_approximant(table, n2), grid_size)
+    coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
+    return _convergence(coarse, fine, grid_size, coarse.discontinuities() + fine.discontinuities())
 
 
 def _convergence(
-    coarse: PiecewiseAffineMap, fine: PiecewiseAffineMap, grid_size: int
+    coarse: PiecewiseAffineMap, fine: PiecewiseAffineMap, grid_size: int, jumps: list[Fraction]
 ) -> ConvergenceReport:
-    """`convergence_report` on two maps already built."""
+    """`convergence_report` on two maps already built, given the
+    discontinuities of both."""
     n = grid_size
     p1, q1 = coarse.source_count, coarse.target_count
     p2, q2 = fine.source_count, fine.target_count
@@ -222,12 +224,7 @@ def _convergence(
         c -= (fine.pieces[i2].target_index - i2) * n * q1
         return c + g * slope
 
-    top, excluded = _grid_sup(
-        grid_size,
-        coarse.discontinuities() + fine.discontinuities(),
-        Fraction(1, p1),
-        difference,
-    )
+    top, excluded = _grid_sup(grid_size, jumps, Fraction(1, p1), difference)
     # Int/int division rounds correctly: the float of the exact sup.
     sup = top / (n * q1 * q2)
     return ConvergenceReport(

@@ -12,8 +12,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice, pairwise, product
-from operator import le, lt
+from itertools import chain, pairwise, product
+from operator import le
 from typing import NamedTuple
 
 from .ietmap import (
@@ -188,22 +188,9 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     alphabet = table.alphabet.letters
 
     # One sweep up the levels feeds the index certificate and the extension
-    # counts.  Where the certificate fails, the levels are read again as
-    # strings for the first failing word or level.
-    order_at, closure_at, prolongable, totals = _level_sweep(table)
-    ok, detail = True, ""
-    if order_at is not None:
-        ok = False
-        detail = _order_failure(table) or f"level {order_at} fails the index certificate"
-    out.append(_check("language", "levels-sorted-unique", ok, detail))
-
-    ok, detail = True, ""
-    if closure_at is not None:
-        ok = False
-        detail = _closure_failure(table) or f"level {closure_at} fails the index certificate"
-    out.append(_check("language", "prefix-suffix-closure", ok, detail))
-    out.append(_check("language", "prolongable", not prolongable, prolongable))
-    out.append(_check("language", "extension-totals", not totals, totals))
+    # counts, and names each failure from the arrays it read.
+    names = ("levels-sorted-unique", "prefix-suffix-closure", "prolongable", "extension-totals")
+    out += [_check("language", name, not d, d) for name, d in zip(names, _level_sweep(table))]
 
     ok, detail = True, ""
     for n in range(2, min(n_max - 1, 40) + 1):
@@ -273,13 +260,19 @@ def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
     return levels[::-1]
 
 
-def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
+def _level_sweep(table: FactorTable) -> tuple[str, str, str, str]:
     """The checks that read every level, in one pass up n = 1..n_max - 1.
 
-    Returns the first level whose order the table's index does not prove and
-    the first whose closure it does not prove (None where it proves them
-    all), then the failure details of `prolongable` and `extension-totals`
-    ("" where they pass), which read `extension_counts(n)` level by level.
+    Returns the failure details of `levels-sorted-unique`,
+    `prefix-suffix-closure`, `prolongable` and `extension-totals` ("" where
+    they pass); the last two read `extension_counts(n)` level by level.  The
+    first two are the certificate below, named where its arrays first
+    disagree, the top first: the top word that breaks (T) or (S), else, at
+    the least level n whose ranks are not H_n, the witness
+    `table.window(r, n)` of the first rank r out of order or inside its
+    predecessor's run (order), or of the least rank of H_n missing, else
+    listed outside it and so repeating the word before (closure).  A rank
+    past the top is no window; the detail names it and the word before it.
 
     Write w_0, ..., w_(W-1) for the top level `factors(n_max)`, and lcp[i] for
     the length of the common prefix of w_(i-1) and w_i (lcp[0] = 0),
@@ -321,33 +314,47 @@ def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
     needs the lengths of (T), (S), and ranks that are H_n; the closure check
     asks that.
 
-    So one level of strings and integer rank arrays prove what the string
-    scans (`_order_failure`, `_closure_failure`) check level by level.
+    So one level of strings and integer rank arrays prove every level
+    sorted, unique and closed; no lower level is read as strings.
     """
     n_max = table.n_max
     alphabet = table.alphabet
     top = table.factors(n_max)
     size = len(top)
-    shaped = all(len(w) == n_max for w in top)
     foreign = any(map(alphabet.foreign, top))
     encoding, width = ("latin-1", 8) if len(alphabet.letters) <= 256 and not foreign else ("utf-32-be", 32)
-    ordered = shaped and not foreign
     lcp = array("i", [0])
     by_lcp = [[] for _ in range(n_max + 1)]
-    x = None
+    unordered = x = None  # the first top word not above the one before it
     for i, w in enumerate(top):
         y = int.from_bytes(alphabet.key(w).encode(encoding, "surrogatepass"), "big")
         if i:
-            ordered = ordered and x < y
+            if unordered is None and x >= y:
+                unordered = w
             common = min(max(n_max - 1 - ((x ^ y).bit_length() - 1) // width, 0), n_max)
             lcp.append(common)
             by_lcp[common].append(i)
         x = y
     stems = {w[:-1] for w in top}
-    closed = shaped and all(w[1:] in stems for w in top)
+    misshapen = (f"level {n_max}: {w!r} has length {len(w)}" for w in top if len(w) != n_max)
+    order = closure = next(misshapen, "")
+    if foreign and not order:
+        w = next(filter(alphabet.foreign, top))
+        order = f"level {n_max} has a letter outside the alphabet in {w!r}"
+    elif unordered is not None and not order:
+        order = f"level {n_max} not sorted/unique at {unordered!r}"
+    unclosed = (f"{w!r} has a non-factor sub-word" for w in top if w[1:] not in stems)
+    closure = closure or next(unclosed, "")
     del top, stems
 
-    order_at = closure_at = None
+    def named(n, ranks, j, text):  # the window at ranks[j], the witness
+        r = ranks[j]
+        if 0 <= r < size:
+            return f"level {n} {text} {table.window(r, n)!r}"
+        before = ranks[j - 1] if j else -1
+        where = f"after {table.window(before, n)!r}" if 0 <= before < size else "first"
+        return f"level {n} lists rank {r}, which is no window, {where}"
+
     prolongable = totals = ""
     # H_n, in the table's array type so that the comparison is one memcmp.
     expected = array(table.level_ranks(1).typecode, [0] if size else [])
@@ -356,13 +363,15 @@ def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
             expected.insert(bisect_left(expected, i), i)  # H_n
         ranks = table.level_ranks(n)
         if ranks != expected:
-            if order_at is None and not (
-                all(map(lt, ranks, islice(ranks, 1, None)))
-                and all(0 <= r < size and lcp[r] < n for r in ranks)
-            ):
-                order_at = n
-            if closure_at is None and set(ranks) != set(expected):
-                closure_at = n
+            steps = enumerate(zip(chain([-1], ranks), ranks))  # j, (rank before, rank)
+            j = next((j for j, (q, r) in steps if not (q < r < size and lcp[r] < n)), None)
+            if not order and j is not None:
+                order = named(n, ranks, j, "not sorted/unique at")
+            if not closure and set(ranks) != set(expected):
+                missing = set(expected).difference(ranks)
+                extra = set(ranks).difference(expected)
+                where, r = (expected, min(missing)) if missing else (ranks, min(extra))
+                closure = named(n, where, where.index(r), "lacks" if missing else "repeats")
         # prolongable and extension-totals read the same counts.  Together
         # they prove p(n) <= p(n+1), a sum of p(n) counts >= 1.
         lefts, rights = table.extension_counts(n)
@@ -372,38 +381,7 @@ def _level_sweep(table: FactorTable) -> tuple[int | None, int | None, str, str]:
         total_l, total_r, p_next = sum(lefts), sum(rights), table.complexity(n + 1)
         if not totals and (total_l != p_next or total_r != p_next):
             totals = f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
-    if order_at is None and not ordered:
-        order_at = n_max
-    if closure_at is None and not closed:
-        closure_at = n_max
-    return order_at, closure_at, prolongable, totals
-
-
-def _order_failure(table: FactorTable) -> str:
-    """The first level with a letter outside the alphabet or out of order, as
-    read from its strings; "" if there is none."""
-    alphabet = table.alphabet
-    for n in range(1, table.n_max + 1):
-        level = table.factors(n)
-        if any(map(alphabet.foreign, level)):
-            return f"level {n} has a letter outside the alphabet"
-        keyed = list(map(alphabet.key, level))
-        if not all(map(str.__lt__, keyed, keyed[1:])):
-            return f"level {n} not sorted/unique"
-    return ""
-
-
-def _closure_failure(table: FactorTable) -> str:
-    """The first word whose prefix or suffix is missing from the level below,
-    as read from the strings; "" if there is none."""
-    lower = set(table.factors(1))
-    for n in range(2, table.n_max + 1):
-        level = table.factors(n)
-        w = next((w for w in level if w[1:] not in lower or w[:-1] not in lower), None)
-        if w is not None:
-            return f"{w!r} has a non-factor sub-word"
-        lower = set(level)
-    return ""
+    return order, closure, prolongable, totals
 
 
 # -- partition ----------------------------------------------------------------
@@ -456,7 +434,10 @@ def _partition_checks(
     # factor is classified once exactly when the unresolved words are the
     # factors whose first windows lie between the runs, each listed once.
     # The classified factors are then the level-d ranks, which must number
-    # p(d).
+    # p(d).  A failure is named from the first of these that fails: two runs
+    # that overlap; the first word, in alphabet order, listed between the
+    # runs and as unresolved a different number of times, with the number of
+    # the stage's words that classify it; or the two counts.
     ok, detail = True, ""
     spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
     size = table.complexity(table.n_max)
@@ -466,34 +447,36 @@ def _partition_checks(
         for w in cylinders:
             if w not in spans:
                 spans[w] = _window_span(table, w)
-        tiles = sorted(span for span in map(spans.__getitem__, cylinders) if span[0] < span[1])
-        ends = [0, *chain.from_iterable(tiles), size]
+        tiles = sorted((*spans[w], w) for w in cylinders if spans[w][0] < spans[w][1])
+        ends = [0, *chain.from_iterable(tile[:2] for tile in tiles), size]
         ranks = table.level_ranks(d)
-        between = sorted(
+        unresolved = [u for u in stage.unresolved if len(u) == d]
+        listed = Counter(
             table.window(r, d)
             for a, b in zip(ends[::2], ends[1::2])
             if a < b
             for r in ranks[bisect_left(ranks, a) : bisect_left(ranks, b)]
         )
-        unresolved = sorted(u for u in stage.unresolved if len(u) == d)
+        listed.subtract(unresolved)  # between the runs less unresolved, per word
         covered = bisect_left(ranks, size) - bisect_left(ranks, 0)
         disjoint = all(map(le, ends[::2], ends[1::2]))
-        if disjoint and between == unresolved and covered == table.complexity(d):
+        if disjoint and not any(listed.values()) and covered == table.complexity(d):
             continue
-        ok, detail = False, _cover_failure(table, stage)
-        # Every factor classified once as read from the strings: a clash, such
-        # as a cylinder listed twice, or an index at odds with the strings.
-        # Any letter order puts each word right before the words it prefixes.
-        if not detail:
-            words = sorted(cylinders + unresolved, key=key)
-            clash = next(((w, v) for w, v in pairwise(words) if v.startswith(w)), None)
-            runs = map(_window_span, [table] * len(words), words)
-            covered = sum(bisect_left(ranks, b) - bisect_left(ranks, a) for a, b in runs)
-            detail = (
-                f"depth {d}: {clash[0]!r} and {clash[1]!r} overlap"
-                if clash
-                else f"depth {d}: {covered} factors classified, p({d}) = {table.complexity(d)}"
+        ok = False
+        if not disjoint:
+            (_, _, w), (_, _, v) = next((s, t) for s, t in pairwise(tiles) if s[1] > t[0])
+            detail = f"depth {d}: {w!r} and {v!r} overlap"
+        elif any(listed.values()):
+            w = min((w for w, c in listed.items() if c), key=key)
+            lo, hi = _window_span(table, w)
+            hits = unresolved.count(w) + sum(a <= lo < b for a, b, _ in tiles)
+            detail = f"depth {d}: {w!r} " + (
+                "is not a factor" if lo == hi
+                else f"classified {hits} times" if hits != 1
+                else f"classified once, at {listed[w] + unresolved.count(w)} level ranks"
             )
+        else:
+            detail = f"depth {d}: {covered} factors classified, p({d}) = {table.complexity(d)}"
         break
     out.append(_check("partition", "cover-at-each-depth", ok, detail))
 
@@ -537,21 +520,6 @@ def _window_span(table: FactorTable, word: str) -> tuple[int, int]:
         return table.prefix_range(word, table.n_max)
     except InputError:
         return 0, 0
-
-
-def _cover_failure(table: FactorTable, stage: PartitionResult) -> str:
-    """The first length-d factor that the stage of depth d classifies other
-    than once, as read from the strings; "" if there is none."""
-    d = stage.depth_cap
-    emitted = stage.cylinders
-    pending = set(stage.unresolved)
-    lengths = sorted({len(w) for w in emitted})
-    by_len = {m: {w for w in emitted if len(w) == m} for m in lengths}
-    for f in table.factors(d):
-        hits = sum(f[:m] in by_len[m] for m in lengths) + (f in pending)
-        if hits != 1:
-            return f"depth {d}: {f!r} classified {hits} times"
-    return ""
 
 
 # -- measure -------------------------------------------------------------------
@@ -702,7 +670,8 @@ def _ietmap_checks(
     # t_i/p(n-1): a jump exactly when the target indices do not step by one.
     targets = [piece.target_index for piece in amap.pieces]
     want = {Fraction(i, p_n) for i in range(1, p_n) if targets[i - 1] + 1 != targets[i]}
-    wrong = want.symmetric_difference(amap.discontinuities())
+    jumps = amap.discontinuities()  # built once, for the convergence sweeps too
+    wrong = want.symmetric_difference(jumps)
     detail = f"junction {min(wrong)} misclassified" if wrong else ""
     out.append(_check("ietmap", "discontinuity-definition", not wrong, detail))
 
@@ -723,8 +692,8 @@ def _ietmap_checks(
 
     # T_n against itself must give 0.  `build_approximant` is a deterministic
     # function of (table, n), so a second build would hold the same pieces.
-    report = _convergence(coarse, amap, grid_size)
-    same = _convergence(amap, amap, grid_size)
+    report = _convergence(coarse, amap, grid_size, coarse.discontinuities() + jumps)
+    same = _convergence(amap, amap, grid_size, jumps + jumps)
     ok = report.sup_difference >= 0 and 0 <= report.excluded_fraction <= 1
     ok = ok and same.sup_difference == 0
     out.append(

@@ -17,6 +17,7 @@ from shift2iet import fixture_names
 from shift2iet.cli import main
 
 LETTERS = "abcd"
+SEPARATORS = ',"\t\n\r'  # the artifacts' separators, which no config letter may be
 
 junk = st.one_of(
     st.none(),
@@ -40,11 +41,15 @@ bad_alphabets = st.one_of(
 @st.composite
 def configs(draw):
     """Mostly well-formed configs (images may be empty, rules may be
-    non-primitive or never grow), plus one deliberate flaw in some."""
+    non-primitive or never grow), plus one deliberate flaw in some.  The
+    separator flaw puts a separator letter in place of a letter throughout."""
     letters = draw(st.lists(letter, min_size=1, max_size=4, unique=True))
+    flaw = draw(st.sampled_from([None, None, None, "separator", "alphabet", "rules", "image", "missing", "shape"]))
+    if flaw == "separator":
+        old, new = draw(st.sampled_from(letters)), draw(st.sampled_from(SEPARATORS))
+        letters = [new if x == old else x for x in letters]
     alphabet = list(letters)
     rules = {x: draw(st.text(alphabet="".join(letters), max_size=4)) for x in letters}
-    flaw = draw(st.sampled_from([None, None, None, "alphabet", "rules", "image", "missing", "shape"]))
     if flaw == "alphabet":
         alphabet = draw(bad_alphabets)
     elif flaw == "rules":
@@ -68,6 +73,9 @@ def test_analyze_random_config_exits_cleanly(config, n_max):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["analyze", "--config", str(path), "--nmax", str(n_max), "--out", tmp, "--assert-aperiodic"])
         assert "Traceback" not in err.getvalue()
+        separated = isinstance(config, dict) and isinstance(config.get("alphabet"), list)
+        if separated and any(x in SEPARATORS for x in config["alphabet"] if isinstance(x, str) and x):
+            assert code == 2 and not (Path(tmp) / "analyze.tsv").exists(), config
         if code == 0:
             assert (Path(tmp) / "analyze.tsv").exists()
         else:

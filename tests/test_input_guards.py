@@ -1,5 +1,6 @@
 """Every library guard on a caller's arguments raises InputError with its message."""
 
+import json
 import re
 from fractions import Fraction
 from functools import cache
@@ -23,6 +24,7 @@ from shift2iet import (
     refine,
     roundtrip_check,
 )
+from shift2iet.cli import main
 
 AB = Alphabet(["a", "b"])
 STILL = Substitution(Alphabet(["a"]), {"a": "a"})  # primitive, but no image grows
@@ -115,3 +117,25 @@ GUARDS = [
 def test_guard_raises_input_error(call, message):
     with pytest.raises(InputError, match=re.escape(message)):
         call()
+
+
+SEPARATOR_LETTERS = [",", '"', "\t", "\n", "\r"]
+COMMANDS = [["analyze"], ["partition"], ["measures"], ["approx"], ["plot"], ["verify"], ["roundtrip", "fibonacci"]]
+
+
+@pytest.mark.parametrize("letter", SEPARATOR_LETTERS, ids=["comma", "quote", "tab", "lf", "cr"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_separator_letter_in_a_config_exits_2(tmp_path, capsys, command, letter):
+    """A letter that the TSV and CSV artifacts use as a separator is refused
+    before any table is built, with its name in the error, and no artifact
+    is written.  The library's Alphabet keeps accepting it."""
+    Alphabet([letter, "b"])
+    config = tmp_path / "sep.json"
+    config.write_text(json.dumps({"alphabet": [letter, "b"], "rules": {letter: letter + "b", "b": letter}}))
+    out = tmp_path / "out"
+    argv = [*command, "--config", str(config), "--nmax", "12", "--out", str(out), "--assert-aperiodic"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: alphabet letter {letter!r} would break the TSV and CSV artifacts\n"
+    )
+    assert not out.exists()

@@ -1,12 +1,17 @@
 """The aggregated invariant suites and their report format."""
 
+import ast
+import functools
 import json
 import re
 from collections import Counter
 import tracemalloc
 from array import array
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shift2iet.language
 import shift2iet.partition
@@ -165,6 +170,10 @@ class _Served:
             first.setdefault(w[:n], r)
         return array("i", [first.get(w, -1) for w in self.factors(n)])
 
+    def window(self, rank, n):
+        """Cut from the served top level, as the real table cuts its own."""
+        return self.factors(self._table.n_max)[rank][:n]
+
     def left_extensions(self, word):
         if word == self._no_left:
             return frozenset()
@@ -195,17 +204,19 @@ def test_language_checks_pass_on_the_real_table(tm30):
 
 
 def test_swapped_words_fail_sorted_unique(tm30):
+    """The detail names the first word whose rank is not above the rank
+    before it: the word moved down one place."""
     level = list(tm30.factors(4))
     level[2], level[3] = level[3], level[2]
     check = _language(_Served(tm30, {4: tuple(level)}))["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, "level 4 not sorted/unique")
+    assert (check.ok, check.detail) == (False, f"level 4 not sorted/unique at {level[3]!r}")
 
 
 def test_duplicated_word_fails_sorted_unique(tm30):
     level = tm30.factors(4)
     served = _Served(tm30, {4: level[:3] + level[2:]})
     check = _language(served)["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, "level 4 not sorted/unique")
+    assert (check.ok, check.detail) == (False, f"level 4 not sorted/unique at {level[2]!r}")
 
 
 @pytest.mark.parametrize("letter", ["z", "\x00"])
@@ -214,18 +225,18 @@ def test_foreign_letter_fails_sorted_unique(tm30, letter):
     its code point sits above the keyed letters or among them.  The word is
     put on the top level, which no extension query reads."""
     level = tm30.factors(30)
-    served = _Served(tm30, {30: level[:-1] + (level[-1][:-1] + letter,)})
-    check = _language(served)["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, "level 30 has a letter outside the alphabet")
+    word = level[-1][:-1] + letter
+    check = _language(_Served(tm30, {30: level[:-1] + (word,)}))["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, f"level 30 has a letter outside the alphabet in {word!r}")
 
 
 def test_dropped_word_fails_closure_and_totals(tm30):
+    """The level's ranks lack the dropped word's, and the detail names it."""
     level = tm30.factors(5)
     dropped = level[3]
     checks = _language(_Served(tm30, {5: level[:3] + level[4:]}))
-    first = next(v for v in tm30.factors(6) if dropped in (v[1:], v[:-1]))
     closure = checks["prefix-suffix-closure"]
-    assert (closure.ok, closure.detail) == (False, f"{first!r} has a non-factor sub-word")
+    assert (closure.ok, closure.detail) == (False, f"level 5 lacks {dropped!r}")
     p6 = tm30.complexity(6)
     left = p6 - len(tm30.left_extensions(dropped))
     right = p6 - len(tm30.right_extensions(dropped))
@@ -254,9 +265,12 @@ def test_prolongable_and_totals_keep_their_own_first_failure(tm30):
 def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
     """Level 30 is the top level and the scan length: of the string checks only
     the prefix oracle can see a word missing there.  The index certificate
-    sees it too: the words of levels 20-29 that only the dropped window
-    started with now start no window."""
+    sees it too.  Suffix closure fails at a top word whose suffix the dropped
+    window alone started.  The words of levels 20-29 that only the dropped
+    window started with now start no window, so level 20 lists rank -1, and
+    the order detail names the word listed before it."""
     level = tm30.factors(30)
+    dropped = level[5]
     checks = _language(_Served(tm30, {30: level[:5] + level[6:]}))
     oracle = checks["oracle-equivalence"]
     assert (oracle.ok, oracle.detail) == (
@@ -265,8 +279,13 @@ def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
     assert [name for name, c in checks.items() if not c.ok] == [
         "levels-sorted-unique", "prefix-suffix-closure", "oracle-equivalence"
     ]
-    for name in ("levels-sorted-unique", "prefix-suffix-closure"):
-        assert checks[name].detail == "level 20 fails the index certificate"
+    suffix = next(w for w in level if w[1:] == dropped[:-1])
+    assert checks["prefix-suffix-closure"].detail == f"{suffix!r} has a non-factor sub-word"
+    level20 = tm30.factors(20)
+    before = level20[level20.index(dropped[:20]) - 1]
+    assert checks["levels-sorted-unique"].detail == (
+        f"level 20 lists rank -1, which is no window, after {before!r}"
+    )
 
 
 def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
@@ -288,20 +307,25 @@ def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
 
 def test_served_rank_lists_fail_closure(tm30):
     """Rank lists that disagree with the top level fail the certificate even
-    where every level still reads right as strings; the detail names the level.
-    A missing rank leaves the level in order; an added one does not, since it
-    starts no new length-5 factor."""
+    where every level still reads right as strings; the detail names the level
+    and the word at the rank.  A missing rank leaves the level in order; an
+    added one does not, since it starts no new length-5 factor: its window
+    repeats the word of the rank before it."""
     ranks = tm30.level_ranks(5)
     missing = _language(_Served(tm30, ranks={5: ranks[:3] + ranks[4:]}))
     closure = missing["prefix-suffix-closure"]
-    assert (closure.ok, closure.detail) == (False, "level 5 fails the index certificate")
+    assert (closure.ok, closure.detail) == (False, f"level 5 lacks {tm30.factors(5)[3]!r}")
     assert missing["levels-sorted-unique"].ok
 
     extra = next(r for r in range(len(tm30.factors(30))) if r not in ranks)
+    repeated = tm30.factors(5)[bisect_left(ranks, extra) - 1]
     added = _language(_Served(tm30, ranks={5: array("i", sorted([*ranks, extra]))}))
-    for name in ("prefix-suffix-closure", "levels-sorted-unique"):
-        check = added[name]
-        assert (check.ok, check.detail) == (False, "level 5 fails the index certificate")
+    assert (added["prefix-suffix-closure"].ok, added["prefix-suffix-closure"].detail) == (
+        False, f"level 5 repeats {repeated!r}"
+    )
+    assert (added["levels-sorted-unique"].ok, added["levels-sorted-unique"].detail) == (
+        False, f"level 5 not sorted/unique at {repeated!r}"
+    )
 
 
 class _NoSpecialsAt(_Served):
@@ -349,13 +373,13 @@ def test_count_window_names_the_failure_the_prefix_scan_names(name, level):
 
 def test_ranks_swapped_two_below_the_top_fail_sorted_unique(tm30):
     """Two ranks of level n_max - 2 swapped in the array the certificate
-    reads, and nothing else: every level reads right as strings, so the
-    detail names the level."""
+    reads, and nothing else: every level reads right as strings, and the
+    detail names the level and the word whose rank went down."""
     ranks = tm30.level_ranks(28)
     swapped = ranks[:1] + ranks[2:3] + ranks[1:2] + ranks[3:]
     checks = _language(_Served(tm30, ranks={28: swapped}))
     check = checks["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, "level 28 fails the index certificate")
+    assert (check.ok, check.detail) == (False, f"level 28 not sorted/unique at {tm30.factors(28)[1]!r}")
     assert [name for name, c in checks.items() if not c.ok] == ["levels-sorted-unique"]
 
 
@@ -452,14 +476,18 @@ def test_a_cylinder_past_the_depth_cap_fails_emission_order(depth12_passes, name
     assert list(_partition_failures(table, stages, bad)) == ["emission-order"]
 
 
-def _cover(table, cylinders):
-    """cover-at-each-depth on the pass to depth 10 when its depth-8 stage
-    holds the given cylinders."""
+def _stage8_checks(table, cylinders, unresolved=list) -> dict:
+    """The partition suite on the pass to depth 10 when its depth-8 stage
+    holds the given cylinders and unresolved words."""
     stages = list(refine_stages(table, 10))
     stage = stages[8 - 2]
-    stages[8 - 2] = PartitionResult(cylinders(stage.cylinders), stage.unresolved, 8)
+    stages[8 - 2] = PartitionResult(cylinders(stage.cylinders), unresolved(stage.unresolved), 8)
     mt = measure_table(table, stages[-1].cylinders, 30)
-    return {c.name: c for c in _partition_checks(table, stages, mt)}["cover-at-each-depth"]
+    return {c.name: c for c in _partition_checks(table, stages, mt)}
+
+
+def _cover(table, cylinders, unresolved=list):
+    return _stage8_checks(table, cylinders, unresolved)["cover-at-each-depth"]
 
 
 def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
@@ -478,10 +506,102 @@ def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30):
 
 
 def test_cover_fails_a_stage_with_a_cylinder_inside_another(tm30):
-    short = refine(tm30, 8).cylinders[-1][:-1]
-    check = _cover(tm30, lambda cylinders: cylinders + [short])
-    first = next(f for f in tm30.factors(8) if f.startswith(short))
-    assert (check.ok, check.detail) == (False, f"depth 8: {first!r} classified 2 times")
+    """`bbaabba` has the one extension `bbaabbab`, the last cylinder, so the
+    two runs are the same windows."""
+    last = refine(tm30, 8).cylinders[-1]
+    check = _cover(tm30, lambda cylinders: cylinders + [last[:-1]])
+    assert (check.ok, check.detail) == (False, f"depth 8: {last[:-1]!r} and {last!r} overlap")
+
+
+def test_cover_fails_a_stage_with_an_unresolved_word_inside_a_cylinder(tm30):
+    """The cylinder and the unresolved listing both classify the word."""
+    inside = next(f for f in tm30.factors(8) if f.startswith(refine(tm30, 8).cylinders[-1]))
+    check = _cover(tm30, list, lambda unresolved: unresolved + [inside])
+    assert (check.ok, check.detail) == (False, f"depth 8: {inside!r} classified 2 times")
+
+
+@functools.cache
+def _table30(name):
+    return build_factor_table(get_fixture(name), 30)
+
+
+def _out_of_place(words, w, key) -> bool:
+    """w is listed more than once, or next to a word not in order with it."""
+    places = [i for i, v in enumerate(words) if v == w]
+    return len(places) > 1 or any(
+        (i and key(words[i - 1]) >= key(w)) or (i + 1 < len(words) and key(words[i + 1]) <= key(w))
+        for i in places
+    )
+
+
+def _hits(cylinders, unresolved, f) -> int:
+    """How many words of a stage classify the factor f, read from strings."""
+    return sum(f.startswith(c) for c in cylinders if len(c) <= len(f)) + unresolved.count(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(fixture_names()),
+    st.sampled_from(["swap", "drop", "add", "drop-cylinder", "repeat-cylinder", "add-cylinder"]),
+    st.data(),
+)
+def test_failure_details_name_a_witness_word(name, fault, data):
+    """One rank array of the table (served to the language suite) or the
+    depth-8 stage of the pass to depth 10 is corrupted.  Whenever
+    levels-sorted-unique, prefix-suffix-closure or cover-at-each-depth
+    fails, its detail names the corrupted level or depth and a word that the
+    real table's strings show out of order, repeated, missing or classified
+    other than once there; no check raises."""
+    table = _table30(name)
+    key = table.alphabet.key
+    if fault in ("swap", "drop", "add"):
+        n = data.draw(st.integers(1, 29), label="level")
+        ranks = list(table.level_ranks(n))
+        if fault == "swap":
+            i, j = data.draw(st.lists(st.integers(0, len(ranks) - 1), min_size=2, max_size=2, unique=True))
+            ranks[i], ranks[j] = ranks[j], ranks[i]
+        elif fault == "drop":
+            del ranks[data.draw(st.integers(0, len(ranks) - 1))]
+        else:
+            extra = data.draw(st.integers(0, table.complexity(30) - 1))
+            ranks.insert(data.draw(st.integers(0, len(ranks))), extra)
+        checks = _language(_Served(table, ranks={n: array("i", ranks)}))
+        served = [table.window(r, n) for r in ranks]
+        real = table.factors(n)
+        for check in ("levels-sorted-unique", "prefix-suffix-closure"):
+            if checks[check].ok:
+                continue
+            verb = "not sorted/unique at" if check == "levels-sorted-unique" else "(?:lacks|repeats)"
+            found = re.fullmatch(rf"level (\d+) {verb} ('.*')", checks[check].detail)
+            assert found, checks[check].detail
+            w = ast.literal_eval(found[2])
+            assert int(found[1]) == n and w in real
+            assert w not in served or _out_of_place(served, w, key), checks[check].detail
+        return
+
+    stage = list(refine_stages(table, 10))[8 - 2]
+    if fault == "drop-cylinder":
+        i = data.draw(st.integers(0, len(stage.cylinders) - 1))
+        change = lambda cylinders: cylinders[:i] + cylinders[i + 1 :]
+    elif fault == "repeat-cylinder":
+        word = data.draw(st.sampled_from(stage.cylinders))
+        change = lambda cylinders: cylinders + [word]
+    else:
+        m = data.draw(st.integers(1, 8))
+        word = data.draw(st.sampled_from(table.factors(m)))
+        change = lambda cylinders: cylinders + [word]
+    check = _stage8_checks(table, change)["cover-at-each-depth"]
+    if check.ok:
+        return
+    cylinders, unresolved = change(stage.cylinders), stage.unresolved
+    found = re.fullmatch(r"depth 8: ('.*') (?:classified (\d+) times|and ('.*') overlap)", check.detail)
+    assert found, check.detail
+    w = ast.literal_eval(found[1])
+    if found[2] is not None:
+        assert _hits(cylinders, unresolved, w) == int(found[2]) != 1
+    else:
+        longer = max(w, ast.literal_eval(found[3]), key=len)
+        assert any(_hits(cylinders, unresolved, f) > 1 for f in table.factors(8) if f.startswith(longer))
 
 
 def test_each_stage_is_built_once(monkeypatch):
