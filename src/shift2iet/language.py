@@ -9,7 +9,7 @@ measure estimates, affine approximants) reads from this table.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, islice, pairwise
 
 from .errors import InputError
@@ -54,11 +54,12 @@ class FactorTable:
     hold at most 2 p(n_max) entries, and the special queries cost their
     output.
 
-    A word is found as in a suffix array (Manber & Myers 1993): two bisects in
-    the sorted keyed windows give the run of windows that start with it, and
-    the inner nodes are kept by their run.  The window strings are cut once,
-    on the first search.  Extension sets are shared frozensets, one per letter
-    mask.
+    A word is found as in a suffix array (Manber & Myers 1993): two bisects
+    over the sorted window positions, each position keyed by the first |word|
+    keyed letters of its window, give the run of windows that start with it,
+    and the inner nodes are kept by their run.  So each window is kept once,
+    as its position in the text.  Extension sets are shared frozensets, one
+    per letter mask.
 
     Levels are kept as the ranks of their heads, never as strings:
     `factors(n)` and the special lists cut afresh from them.  The heads of
@@ -81,7 +82,6 @@ class FactorTable:
         self._text = text  # harvested text in the alphabet's letters
         self._keyed = keyed  # the same text with letter i written as chr(i)
         self._positions = positions  # start of each distinct window, sorted order
-        self._windows: list[str] | None = None  # keyed windows, on first search
         self._left_masks = left_masks
         # Ranks i >= 1 by lcp[i], the common prefix with the previous window:
         # the heads of level n + 1 are those of level n plus splits[n].
@@ -99,17 +99,38 @@ class FactorTable:
         self._right_special = [[] for _ in range(n_max)]
         self._inner: dict[tuple[int, int], tuple[int, int, int]] = {}  # run -> hi, masks
 
-        def branch(i, h):  # letters at offset h of windows i and i + 1
-            return 1 << ord(keyed[positions[i] + h]) | 1 << ord(keyed[positions[i + 1] + h])
-
-        for a, b, lo, hi, left, right in _lcp_intervals(lcp, left_masks, branch, n_max):
-            if b - a > 1:
-                self._inner[a, b] = (hi, left, right)
-                self._right_special[hi].append((a, right.bit_count()))
-            count = left.bit_count()
-            if count > 1:
-                for n in range(lo + 1, min(hi, n_max - 1) + 1):
-                    self._left_special[n].append((a, count))
+        # One stack pass closes the nodes [a, b) of the lcp-interval tree
+        # bottom up, so disjoint nodes close left to right.  A node is
+        # [hi, a, left, right]: `left` is the union of its windows' left
+        # masks and `right` the mask of their letters at offset hi (0 for a
+        # single window, whose hi is n_max).  Open inner nodes have hi
+        # increasing up the stack; lcp -1 past the last window closes them all.
+        size, stack = len(positions), []
+        for i in range(size):
+            v = lcp[i + 1] if i + 1 < size else -1  # the node ends at i + 1
+            node = [n_max, i, left_masks[i], 0]
+            while True:
+                hi, a, left, right = node
+                if hi:  # the root, hi = 0, lives at no level
+                    if i > a:  # an inner node
+                        self._inner[a, i + 1] = (hi, left, right)
+                        self._right_special[hi].append((a, right.bit_count()))
+                    count = left.bit_count()
+                    if count > 1:
+                        for n in range(max(lcp[a], v) + 1, min(hi, n_max - 1) + 1):
+                            self._left_special[n].append((a, count))
+                if not stack or stack[-1][0] <= v:
+                    break
+                node = stack.pop()
+                node[2] |= left
+            if v < 0:
+                break
+            if stack and stack[-1][0] == v:
+                stack[-1][2] |= left
+            else:
+                stack.append([v, a, left, 0])
+            # Windows i and i + 1 differ first at offset v.
+            stack[-1][3] |= 1 << ord(keyed[positions[i] + v]) | 1 << ord(keyed[positions[i + 1] + v])
 
     # -- raw access ---------------------------------------------------------
 
@@ -243,15 +264,14 @@ class FactorTable:
         foreign = self.alphabet.foreign(prefix)
         if foreign:
             raise InputError(f"letter {foreign[0]!r} is not in the alphabet")
-        windows = self._windows
-        if windows is None:
-            keyed, n_max = self._keyed, self.n_max
-            windows = self._windows = [keyed[p : p + n_max] for p in self._positions]
         needle = self.alphabet.key(prefix)
-        a = bisect_left(windows, needle)
-        # Keyed letters are chr(i) for small i, so the windows that start with
-        # the needle sort below needle + chr(0x10ffff).
-        return a, bisect_left(windows, needle + "\U0010ffff", a)
+        keyed, k = self._keyed, len(needle)
+
+        def head(p):  # the first k keyed letters of the window at p
+            return keyed[p : p + k]
+
+        a = bisect_left(self._positions, needle, key=head)
+        return a, bisect_right(self._positions, needle, a, key=head)
 
     def _cut(self, window_ranks, n: int) -> tuple[str, ...]:
         text = self._text
@@ -294,38 +314,6 @@ def _inserted(heads: array, ranks: list[int]) -> array:
         start = i
     out[start + len(ranks) :] = heads[start:]
     return out
-
-
-def _lcp_intervals(lcp, masks, branch, depth: int):
-    """The nodes of the lcp-interval tree of the sorted windows, bottom up.
-
-    Yields (a, b, lo, hi, left, right) for every node [a, b) with hi >= 1:
-    lo and hi bound the levels it lives at (see `FactorTable`), `left` is the
-    union of its windows' left-letter masks and `right` the mask of the
-    letters at offset hi of its windows (0 for a single window, whose hi is
-    `depth`).  `branch(i, h)` gives the letters at offset h of windows i and
-    i + 1.  Nodes come in post-order, so disjoint nodes come left to right.
-    """
-    size = len(lcp)
-    stack = []  # open inner nodes [h, a, left, right], h increasing upwards
-    for i in range(size):
-        v = lcp[i + 1] if i + 1 < size else -1  # -1 closes every node
-        node = [depth, i, masks[i], 0]
-        while True:
-            h, a, left, right = node
-            if h:
-                yield a, i + 1, max(lcp[a], v), h, left, right
-            if not stack or stack[-1][0] <= v:
-                break
-            node = stack.pop()
-            node[2] |= left
-        if v < 0:
-            break
-        if stack and stack[-1][0] == v:
-            stack[-1][2] |= left
-        else:
-            stack.append([v, a, left, 0])
-        stack[-1][3] |= branch(i, v)
 
 
 def _legal_pairs(substitution: Substitution) -> set[str]:

@@ -65,8 +65,8 @@ def test_language_and_partition_suites_at_depth_1000():
 def test_refine_to_half_depth_keeps_no_level_of_strings():
     """`verify --fixture thue-morse --nmax 1000` refines to depth 500, asking
     the left extensions of words at every level up to it.  A word -> rank map
-    per level would keep about 160 MiB of strings here; the sorted windows
-    that the searches share take about 3 MiB."""
+    per level would keep about 160 MiB of strings here; the rank arrays of
+    the levels it reads, two bytes a factor, keep about 0.8 MiB."""
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)
     tracemalloc.start()
     try:
@@ -76,3 +76,19 @@ def test_refine_to_half_depth_keeps_no_level_of_strings():
         tracemalloc.stop()
     assert partition.cylinders
     assert kept < 16 * 2**20, kept
+
+
+def test_a_search_keeps_no_window_copy():
+    """A word is found by bisecting the window positions, each keyed by its
+    window's first letters, so a search keeps no string.  A table that cut
+    and kept its 3022 keyed windows on the first search held about 3 MiB
+    here."""
+    table = build_factor_table(get_fixture("thue-morse"), DEPTH)
+    tracemalloc.start()
+    try:
+        assert table.left_extensions("abba") == {"a", "b"}
+        assert table.restricted_complexity("abba", DEPTH) > 0
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20, kept

@@ -165,15 +165,42 @@ def test_persistent_left_special_margin_guard(shallow_tables):
 
 
 def test_prefix_range_and_restricted_complexity(shallow_tables, oracle_levels):
-    table = shallow_tables["tetranacci"]
-    levels = oracle_levels["tetranacci"]
-    for prefix in ("a", "ab", "abac", "d", "abacabadabacabaa"):
-        for n in (18, 25):
-            lo, hi = table.prefix_range(prefix, n)
-            assert hi - lo == oracles.prefix_count(levels, prefix, n)
-            assert table.restricted_complexity(prefix, n) == hi - lo
-            block = table.factors(n)[lo:hi]
-            assert all(w.startswith(prefix) for w in block)
+    """Ranges against the window oracle on every fixture: a range starts where
+    the word would go in the level.  The inputs are the empty word, a
+    non-factor that sorts between two windows, one that sorts past the last
+    window, and factors and a non-factor one letter short of the depth."""
+    for name in fixture_names():
+        table, levels = shallow_tables[name], oracle_levels[name]
+        key, letters = table.alphabet.key, table.alphabet.letters
+        level = levels[10]
+        between = next(
+            w
+            for f in level
+            for x in letters
+            if (w := f[:-1] + x) not in level and key(level[0]) < key(w) < key(level[-1])
+        )
+        past = letters[-1] * 20
+        short = ORACLE_DEPTH - 1
+        prefixes = ["", between, past, levels[short][0], levels[short][-1], letters[-1] * short]
+        if name == "tetranacci":
+            prefixes += ["a", "ab", "abac", "d", "abacabadabacabaa"]
+        for prefix in prefixes:
+            for n in (18, 25, short, ORACLE_DEPTH):
+                if len(prefix) > n:
+                    continue
+                lo, hi = table.prefix_range(prefix, n)
+                assert lo == sum(key(w) < key(prefix) for w in levels[n]), (name, prefix, n)
+                assert hi - lo == oracles.prefix_count(levels, prefix, n), (name, prefix, n)
+                assert table.restricted_complexity(prefix, n) == hi - lo
+                block = table.factors(n)[lo:hi]
+                assert all(w.startswith(prefix) for w in block)
+            p_top = table.complexity(ORACLE_DEPTH)
+            if prefix == "":
+                assert table.prefix_range(prefix, ORACLE_DEPTH) == (0, p_top)
+            elif prefix == between:
+                assert 0 < table.prefix_range(prefix, ORACLE_DEPTH)[0] < p_top
+            elif prefix == past:
+                assert table.prefix_range(prefix, ORACLE_DEPTH) == (p_top, p_top)
 
 
 def test_restricted_complexity_totals(shallow_tables):

@@ -411,6 +411,22 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     assert not checks["unresolved-shape"].ok
 
 
+def test_a_half_depth_cylinder_without_an_estimate_fails_residual(tm30):
+    """The pass to depth 10 with its first cylinder `abb` dropped from the
+    last stage, measured on the cylinders that are left: the half-depth pass
+    still emits `abb`, which the measure table does not estimate.  That is a
+    failing verdict naming the word, not an InputError."""
+    stages = list(refine_stages(tm30, 10))
+    last = stages[-1]
+    assert last.cylinders[0] == "abb"
+    bad = last._replace(cylinders=last.cylinders[1:])
+    mt = measure_table(tm30, bad.cylinders, 30)
+    checks = {c.name: c for c in _partition_checks(tm30, stages[:-1] + [bad], mt)}
+    residual = checks["residual-nonincreasing"]
+    assert (residual.ok, residual.detail) == (False, "'abb' has no estimate")
+    assert not checks["monotone-in-depth"].ok
+
+
 @pytest.fixture(scope="module")
 def depth12_passes():
     """Each fixture's table at n_max 40 and its refinement pass to depth 12."""
