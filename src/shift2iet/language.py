@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, islice, pairwise
+from collections import Counter
+from itertools import accumulate, compress, islice, pairwise
 
 from .errors import InputError
 from .substitution import Substitution
@@ -61,14 +62,12 @@ class FactorTable:
     as its position in the text.  Extension sets are shared frozensets, one
     per letter mask.
 
-    Levels are kept as the ranks of their heads, never as strings:
-    `factors(n)` and the special lists cut afresh from them.  The heads of
-    level n are those of level n - 1 plus the ranks i with lcp[i] = n - 1, so
-    a level is built on first use from the nearest level built below it, by
-    placing those ranks with one bisect each and copying the slices between
-    them; a sweep up the levels costs one array copy per level.  Every level
-    built is kept, each rank in two bytes below 2^16 windows (four above),
-    so `level_ranks(n)` hands out the same array on every call.
+    Levels are views of the lcp list: the heads of level n are the ranks i
+    with lcp[i] < n, so a level is built in one pass over that list, and only
+    when a reader takes it in full (`factors(n)`, `prefix_range` at length n,
+    `extension_counts(n)`).  Each level built is kept, each rank in two bytes
+    below 2^16 windows (four above).  A walk down the lcp-interval tree
+    reads `lcp()` inside the runs it extends and builds no level.
 
     Lexicographic order comes from the alphabet's letter order.  Extension sets
     (which letters may precede/follow a factor inside the shift) are known for
@@ -83,16 +82,14 @@ class FactorTable:
         self._keyed = keyed  # the same text with letter i written as chr(i)
         self._positions = positions  # start of each distinct window, sorted order
         self._left_masks = left_masks
-        # Ranks i >= 1 by lcp[i], the common prefix with the previous window:
-        # the heads of level n + 1 are those of level n plus splits[n].
-        self._splits = [[] for _ in range(n_max)]
-        for i, v in enumerate(islice(lcp, 1, None), 1):
-            self._splits[v].append(i)
-        self._p = list(accumulate(map(len, self._splits), initial=1))
+        self._lcp = lcp  # lcp[i]: the common prefix of windows i - 1 and i
+        counts = Counter(islice(lcp, 1, None))
+        self._p = list(accumulate((counts[v] for v in range(n_max)), initial=1))
         self._letter_sets: dict[int, frozenset[str]] = {}
-        # Heads per level; below 2^16 windows every rank fits in two bytes.
-        rank_type = "H" if len(positions) <= 1 << 16 else "i"
-        self._levels: list[array | None] = [array(rank_type, [0])] + [None] * n_max
+        # The levels read in full, by length; below 2^16 windows every rank
+        # fits in two bytes.
+        self._rank_type = "H" if len(positions) <= 1 << 16 else "i"
+        self._levels: dict[int, array] = {}
         # Per level n < n_max: (window rank, number of extensions) of each
         # special factor, in level order.
         self._left_special = [[] for _ in range(n_max)]
@@ -138,13 +135,16 @@ class FactorTable:
         """Sorted tuple of the length-n factors."""
         return self._cut(self._heads(n), n)
 
-    def level_ranks(self, n: int) -> array:
-        """Window ranks where the length-n factors start, in level order.
+    def lcp(self) -> array:
+        """The lcp array of the windows in sorted order: entry i is the length
+        of the common prefix of windows i - 1 and i, and entry 0 is 0.
 
-        Factor i of length n is `factors(n_max)[level_ranks(n)[i]][:n]`.  The
-        array is the table's own; callers must not change it.
+        The length-n factors start at the ranks whose entry is below n, so
+        inside the run of windows of a length-n factor its one-letter
+        extensions start at the first rank and at the ranks whose entry is n.
+        The array is the table's own; callers must not change it.
         """
-        return self._heads(n)
+        return self._lcp
 
     def window(self, rank: int, n: int) -> str:
         """The first n letters of the window at that rank: the length-n
@@ -193,23 +193,13 @@ class FactorTable:
         self._check_extension_level(n)
         return len(self._right_special[n])
 
-    def persistent_left_special(self, n: int, margin: int | None = None) -> tuple[str, ...]:
-        """Left special factors of length n that stay on a left special branch.
-
-        Keeps the length-n left special factors that are prefixes of some left
-        special factor of length n + margin.  Transient branches die out as the
-        margin grows; the survivors approximate the infinite left special words.
-        Default margin is half the table depth.
-        """
-        if margin is None:
-            margin = self.n_max // 2
-        if margin < 1:
-            raise InputError("margin must be >= 1")
-        if n + margin > self.n_max - 1:
-            raise InputError("margin too large: extension data stops below the table depth")
-        deep = self.left_special(n + margin)
-        heads = {w[:n] for w in deep}
-        return tuple(w for w in self.left_special(n) if w in heads)
+    def specials(self, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The left and the right special factors of length n, each as (window
+        rank, number of extensions) in level order; `window(rank, n)` is the
+        factor.  Every other factor of length n has one extension on that
+        side.  The lists are the table's own; callers must not change them."""
+        self._check_extension_level(n)
+        return self._left_special[n], self._right_special[n]
 
     # -- restricted complexity ----------------------------------------------
 
@@ -244,19 +234,13 @@ class FactorTable:
             )
 
     def _heads(self, n: int) -> array:
-        """Window ranks where the length-n factors start, built on first use."""
+        """Window ranks where the length-n factors start, built on first use
+        in one pass over the lcp list and kept."""
         self._check_level(n)
-        levels = self._levels
-        heads = levels[n]
+        heads = self._levels.get(n)
         if heads is None:
-            # Insert the splits between the nearest built level m below n and
-            # n into level m.  Up a sweep m is n - 1: a few ranks, each placed
-            # by a bisect, and the slices between them copied.
-            m = n - 1
-            while levels[m] is None:
-                m -= 1
-            splits = self._splits[m] if m == n - 1 else sorted(chain.from_iterable(self._splits[m:n]))
-            heads = levels[n] = _inserted(levels[m], splits)
+            lcp = self._lcp
+            heads = self._levels[n] = array(self._rank_type, compress(range(len(lcp)), map(n.__gt__, lcp)))
         return heads
 
     def _window_range(self, prefix: str) -> tuple[int, int]:
@@ -299,21 +283,6 @@ class FactorTable:
         if not left:
             mask = branch if n == hi else 1 << ord(self._keyed[self._positions[a] + n])
         return self._letter_set(mask)
-
-
-def _inserted(heads: array, ranks: list[int]) -> array:
-    """The ascending array `heads` with the ascending ranks, none of them in
-    it, put in their places.  The array is allocated at its final size, as
-    the table keeps it."""
-    out = array(heads.typecode, [0]) * (len(heads) + len(ranks))
-    start = 0
-    for j, r in enumerate(ranks):
-        i = bisect_left(heads, r, start)
-        out[start + j : i + j] = heads[start:i]
-        out[i + j] = r
-        start = i
-    out[start + len(ranks) :] = heads[start:]
-    return out
 
 
 def _legal_pairs(substitution: Substitution) -> set[str]:

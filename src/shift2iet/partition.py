@@ -9,8 +9,8 @@ the depth cap approximate the preimages of the infinite left special words.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .errors import InputError
@@ -89,11 +89,20 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
         raise InputError("depth_cap must stay below the table depth (extensions needed)")
 
     # Each active word carries the run [lo, hi) of windows that start with
-    # it.  Its one-letter extensions are the factors whose heads one level up
-    # lie in that run, in alphabet order, and their runs split it there.
-    heads = table.level_ranks(2)
-    ends = [*heads[1:], table.complexity(table.n_max)]
-    active = list(zip(table.factors(2), heads, ends))
+    # it.  Its one-letter extensions are its lcp-interval's children: the runs
+    # that the ranks inside it with lcp = |word| split it into, in alphabet
+    # order.  So each step reads the lcp list inside the surviving runs alone.
+    lcp = table.lcp()
+
+    def extended(runs, n):  # (word, lo, hi) of the length-n factors inside the runs
+        out = []
+        for lo, hi in runs:
+            starts = list(compress(range(lo, hi), map(n.__gt__, lcp[lo:hi])))
+            for a, b in zip(starts, [*starts[1:], hi]):
+                out.append((table.window(a, n), a, b))
+        return out
+
+    active = extended([(0, len(lcp))], 2)
     cylinders: list[str] = []
     for length in range(2, depth_cap + 1):
         special = set(table.left_special(length - 1))
@@ -105,12 +114,4 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
                 cylinders.append(run[0])
         yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)
         if length < depth_cap:
-            heads = table.level_ranks(length + 1)
-            active = []
-            for _, lo, hi in survivors:
-                i, j = bisect_left(heads, lo), bisect_left(heads, hi)
-                if j - i == 1:  # one extension, with the word's own run
-                    active.append((table.window(lo, length + 1), lo, hi))
-                    continue
-                starts = heads[i:j]
-                active += [(table.window(a, length + 1), a, b) for a, b in zip(starts, [*starts[1:], hi])]
+            active = extended([(lo, hi) for _, lo, hi in survivors], length + 1)

@@ -9,10 +9,9 @@ enumerations).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, pairwise, product
+from itertools import chain, compress, pairwise, product
 from operator import le
 from typing import NamedTuple
 
@@ -80,9 +79,6 @@ def run_verification(
     approximant level to min(100, n_max).
     """
     table = build_factor_table(substitution, n_max)
-    # The language suite runs first: its sweep holds the top level twice as
-    # strings, which then stacks on no level built for the stages below.
-    language = _language_checks(table)
     if measure_level is None:
         measure_level = n_max
     if approximant_level is None:
@@ -95,7 +91,7 @@ def run_verification(
 
     checks = [
         *_substitution_checks(substitution),
-        *language,
+        *_language_checks(table),
         *_partition_checks(table, stages, measures),
         *_measure_checks(table, partition, measures),
         *_ietmap_checks(table, partition, approximant, coarse, grid_size),
@@ -186,10 +182,28 @@ def _language_checks(table: FactorTable) -> list[CheckResult]:
     n_max = table.n_max
     alphabet = table.alphabet.letters
 
-    # One sweep up the levels feeds the index certificate and the extension
-    # counts, and names each failure from the arrays it read.
-    names = ("levels-sorted-unique", "prefix-suffix-closure", "prolongable", "extension-totals")
-    out += [_check("language", name, not d, d) for name, d in zip(names, _level_sweep(table))]
+    order, closure = _index_certificate(table)
+    out.append(_check("language", "levels-sorted-unique", not order, order))
+    out.append(_check("language", "prefix-suffix-closure", not closure, closure))
+
+    # A factor of length n that no special list holds has one extension on
+    # each side, so the lists give every count: prolongable asks that none is
+    # 0, and the totals that each side's counts sum to p(n + 1), since a
+    # factor of length n + 1 is one left extension of its suffix and one
+    # right extension of its prefix.  Each sum less p(n) is a sum over the
+    # special factors alone (Cassaigne 1997).  Together the two checks prove
+    # p(n) <= p(n + 1).
+    prolongable = totals = ""
+    for n in range(1, n_max):
+        specials = table.specials(n)
+        if not prolongable:
+            dead = [a for a, count in chain(*specials) if not count]
+            prolongable = f"{table.window(min(dead), n)!r} is not prolongable" if dead else ""
+        total_l, total_r = (table.complexity(n) + sum(c - 1 for _, c in side) for side in specials)
+        if not totals and (total_l != table.complexity(n + 1) or total_r != table.complexity(n + 1)):
+            totals = f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
+    out.append(_check("language", "prolongable", not prolongable, prolongable))
+    out.append(_check("language", "extension-totals", not totals, totals))
 
     ok, detail = True, ""
     for n in range(2, min(n_max - 1, 40) + 1):
@@ -259,128 +273,108 @@ def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
     return levels[::-1]
 
 
-def _level_sweep(table: FactorTable) -> tuple[str, str, str, str]:
-    """The checks that read every level, in one pass up n = 1..n_max - 1.
+def _index_certificate(table: FactorTable) -> tuple[str, str]:
+    """The failure details of `levels-sorted-unique` and
+    `prefix-suffix-closure` ("" where they pass), from two passes over the
+    top level, one window at a time.
 
-    Returns the failure details of `levels-sorted-unique`,
-    `prefix-suffix-closure`, `prolongable` and `extension-totals` ("" where
-    they pass); the last two read `extension_counts(n)` level by level.  The
-    first two are the certificate below, named where its arrays first
-    disagree, the top first: the top word that breaks (T) or (S), else, at
-    the least level n whose ranks are not H_n, the witness
-    `table.window(r, n)` of the first rank r out of order or inside its
-    predecessor's run (order), or of the least rank of H_n missing, else
-    listed outside it and so repeating the word before (closure).  A rank
-    past the top is no window; the detail names it and the word before it.
-
-    Write w_0, ..., w_(W-1) for the top level `factors(n_max)`, and lcp[i] for
-    the length of the common prefix of w_(i-1) and w_i (lcp[0] = 0),
-    recomputed here pair by pair: the two keyed words read as big-endian
-    integers, one byte per letter (four past 256 letters or with a letter
-    outside the alphabet), differ first in the letter that holds the top set
-    bit of their xor.  Only the previous word's integer is held.  Level n is
-    the list of w_r[:n] over the ranks r of `level_ranks(n)`:
-    `FactorTable.factors(n)` cuts its windows there.  Let
-    H_n = {0} u {i : lcp[i] < n}, built here by inserting the ranks with
-    lcp[i] = n - 1 into H_(n-1) one by one.  The certificate is
+    Write w_0, ..., w_(W-1) for the top level, W = p(n_max) and w_r =
+    `window(r, n_max)`, and lcp[i] for the length of the common prefix of
+    w_(i-1) and w_i (lcp[0] = 0), recomputed here pair by pair: the two keyed
+    words read as big-endian integers, one byte per letter (four past 256
+    letters or with a letter outside the alphabet), differ first in the
+    letter that holds the top set bit of their xor.  Only the previous
+    word's integer is held.  The table cuts factor j of level n from the
+    window at the j-th rank of H_n = {i : lcp'[i] < n}, lcp' its own lcp
+    array (`FactorTable.lcp`).  The certificate is
 
     (T) the top words have length n_max, letters of the alphabet only, and
         increase strictly in alphabet order;
     (S) every top word w has w[1:] = w_t[:n_max - 1] for some t;
-    (R) for each n < n_max the ranks of level n are H_n, in increasing order,
-        which one comparison of the two arrays shows.
+    (L) lcp' = lcp, which one comparison of the two arrays shows.
 
     For top words of length n_max the integers have the same length and
     compare as the keyed words do, so they show the order of (T), and the
     lcp they give is the common prefix the proof below reads.  (T) fails on
-    words of another length, whatever lcp the xor then gives.
+    words of another length, whatever lcp the xor then gives.  By (L), H_n
+    is read off the true lcp, and lcp[0] = 0 puts rank 0 in every H_n.
 
-    Lemma: if the ranks of level m include H_m, then w_t[:m] is a word of
-    level m for every t.  Take the greatest r <= t in H_m (0 is one); every i
-    with r < i <= t has lcp[i] >= m, so w_(i-1) and w_i share m letters, and
-    so do w_r and w_t.
+    Lemma: w_t[:m] is a word of level m for every t.  Take the greatest
+    r <= t in H_m; every i with r < i <= t has lcp[i] >= m, so w_(i-1) and
+    w_i share m letters, and so do w_r and w_t.
 
-    Order: let r < s be neighbouring ranks of level n, with s in H_n.  As the
-    top is sorted, the common prefix of w_r and w_s is the least lcp[i] over
-    r < i <= s, which is at most lcp[s] < n.  With w_r < w_s this gives
-    w_r[:n] < w_s[:n]: each level is strictly increasing, hence unique, and
-    uses only the top's letters.  This needs (T) and ranks that increase
-    inside H_n, and it is all the order check asks.
+    Order: let r < s be neighbouring ranks of H_n.  As the top is sorted, the
+    common prefix of w_r and w_s is the least lcp[i] over r < i <= s, which
+    is at most lcp[s] < n.  With w_r < w_s this gives w_r[:n] < w_s[:n]:
+    each level is strictly increasing, hence unique, and uses only the top's
+    letters.
 
     Closure: a word w_r[:n] of level n >= 2 (w_r itself at n = n_max) has
     the prefix w_r[:n-1], a word of level n - 1 by the lemma, and the suffix
-    w_r[1:n] = w_t[:n-1] for the t of (S), a word of level n - 1 too.  This
-    needs the lengths of (T), (S), and ranks that are H_n; the closure check
-    asks that.
+    w_r[1:n] = w_t[:n-1] for the t of (S), a word of level n - 1 too.
 
-    So one level of strings and integer rank arrays prove every level
-    sorted, unique and closed; no lower level is read as strings.
+    So one level of strings, read a window at a time, and one integer array
+    prove every level sorted, unique and closed; no lower level is read.
+    The stems w_t[:n_max - 1] are held by hash, each hit confirmed on the
+    strings and each miss by a scan of the top, so (S) is exact.
+
+    Each check names the first place where its data disagree, the top
+    first: the top word that breaks (T) or (S), else the least rank r where
+    the arrays differ.  There lcp'[r] < lcp[r] puts r in H_n for n =
+    lcp'[r] + 1, where w_r[:n] repeats the word before it, and the order
+    check names that word; it names the rank when r is past the top.
+    lcp'[r] > lcp[r], or no lcp'[r], leaves the word w_r[:n], n = lcp[r] + 1,
+    out of level n, and the closure check names it as lacking.
     """
     n_max = table.n_max
     alphabet = table.alphabet
-    top = table.factors(n_max)
-    size = len(top)
-    foreign = any(map(alphabet.foreign, top))
-    encoding, width = ("latin-1", 8) if len(alphabet.letters) <= 256 and not foreign else ("utf-32-be", 32)
+    size = table.complexity(n_max)
+    order = closure = ""
+    stems: dict[int, int] = {}  # hash of w_t[:n_max - 1] -> the least such t
+    wide = len(alphabet.letters) > 256
+    for r in range(size):
+        w = table.window(r, n_max)
+        if len(w) != n_max:
+            shape = f"level {n_max}: {w!r} has length {len(w)}"
+            order, closure = order or shape, closure or shape
+        elif alphabet.foreign(w):
+            wide = True
+            order = order or f"level {n_max} has a letter outside the alphabet in {w!r}"
+        stems.setdefault(hash(w[:-1]), r)
+
+    def stem(u):  # u is w_t[:n_max - 1] for some t
+        t = stems.get(hash(u))
+        if t is not None and table.window(t, n_max - 1) == u:
+            return True
+        return any(table.window(t, n_max - 1) == u for t in range(size))
+
+    encoding, width = ("utf-32-be", 32) if wide else ("latin-1", 8)
     lcp = array("i", [0])
-    by_lcp = [[] for _ in range(n_max + 1)]
-    unordered = x = None  # the first top word not above the one before it
-    for i, w in enumerate(top):
+    x = None
+    for r in range(size):
+        w = table.window(r, n_max)
         y = int.from_bytes(alphabet.key(w).encode(encoding, "surrogatepass"), "big")
-        if i:
-            if unordered is None and x >= y:
-                unordered = w
-            common = min(max(n_max - 1 - ((x ^ y).bit_length() - 1) // width, 0), n_max)
-            lcp.append(common)
-            by_lcp[common].append(i)
+        if r:
+            if not order and x >= y:
+                order = f"level {n_max} not sorted/unique at {w!r}"
+            lcp.append(min(max(n_max - 1 - ((x ^ y).bit_length() - 1) // width, 0), n_max))
+        if not closure and not stem(w[1:]):
+            closure = f"{w!r} has a non-factor sub-word"
         x = y
-    stems = {w[:-1] for w in top}
-    misshapen = (f"level {n_max}: {w!r} has length {len(w)}" for w in top if len(w) != n_max)
-    order = closure = next(misshapen, "")
-    if foreign and not order:
-        w = next(filter(alphabet.foreign, top))
-        order = f"level {n_max} has a letter outside the alphabet in {w!r}"
-    elif unordered is not None and not order:
-        order = f"level {n_max} not sorted/unique at {unordered!r}"
-    unclosed = (f"{w!r} has a non-factor sub-word" for w in top if w[1:] not in stems)
-    closure = closure or next(unclosed, "")
-    del top, stems
 
-    def named(n, ranks, j, text):  # the window at ranks[j], the witness
-        r = ranks[j]
-        if 0 <= r < size:
-            return f"level {n} {text} {table.window(r, n)!r}"
-        before = ranks[j - 1] if j else -1
-        where = f"after {table.window(before, n)!r}" if 0 <= before < size else "first"
-        return f"level {n} lists rank {r}, which is no window, {where}"
-
-    prolongable = totals = ""
-    # H_n, in the table's array type so that the comparison is one memcmp.
-    expected = array(table.level_ranks(1).typecode, [0] if size else [])
-    for n in range(1, n_max):
-        for i in by_lcp[n - 1]:
-            expected.insert(bisect_left(expected, i), i)  # H_n
-        ranks = table.level_ranks(n)
-        if ranks != expected:
-            steps = enumerate(zip(chain([-1], ranks), ranks))  # j, (rank before, rank)
-            j = next((j for j, (q, r) in steps if not (q < r < size and lcp[r] < n)), None)
-            if not order and j is not None:
-                order = named(n, ranks, j, "not sorted/unique at")
-            if not closure and set(ranks) != set(expected):
-                missing = set(expected).difference(ranks)
-                extra = set(ranks).difference(expected)
-                where, r = (expected, min(missing)) if missing else (ranks, min(extra))
-                closure = named(n, where, where.index(r), "lacks" if missing else "repeats")
-        # prolongable and extension-totals read the same counts.  Together
-        # they prove p(n) <= p(n+1), a sum of p(n) counts >= 1.
-        lefts, rights = table.extension_counts(n)
-        if not prolongable and not (all(lefts) and all(rights)):
-            w = next(w for w, l, r in zip(table.factors(n), lefts, rights) if not l or not r)
-            prolongable = f"{w!r} is not prolongable"
-        total_l, total_r, p_next = sum(lefts), sum(rights), table.complexity(n + 1)
-        if not totals and (total_l != p_next or total_r != p_next):
-            totals = f"extension totals at {n}: {total_l}/{total_r} != p({n + 1})"
-    return order, closure, prolongable, totals
+    theirs = table.lcp()
+    if theirs != lcp:
+        r = next((r for r, (u, v) in enumerate(zip(theirs, lcp)) if u != v), min(len(theirs), size))
+        if r >= size:
+            window = table.window(r - 1, n_max)
+            order = order or f"the lcp array lists rank {r}, which is no window, after {window!r}"
+        elif r < len(theirs) and theirs[r] < lcp[r]:
+            n = max(theirs[r], 0) + 1
+            order = order or f"level {n} not sorted/unique at {table.window(r, n)!r}"
+        else:
+            n = lcp[r] + 1
+            closure = closure or f"level {n} lacks {table.window(r, n)!r}"
+    return order, closure
 
 
 # -- partition ----------------------------------------------------------------
@@ -432,14 +426,14 @@ def _partition_checks(
     # read once for all stages.  So when the nonempty runs are disjoint, each
     # factor is classified once exactly when the unresolved words are the
     # factors whose first windows lie between the runs, each listed once.
-    # The classified factors are then the level-d ranks, which must number
-    # p(d).  A failure is named from the first of these that fails: two runs
-    # that overlap; the first word, in alphabet order, listed between the
+    # A failure is named from the first of these that fails: two runs that
+    # overlap, or else the first word, in alphabet order, listed between the
     # runs and as unresolved a different number of times, with the number of
-    # the stage's words that classify it; or the two counts.
+    # the stage's words that classify it.
     ok, detail = True, ""
     spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
-    size = table.complexity(table.n_max)
+    lcp = table.lcp()
+    size = len(lcp)
     for stage in stages:
         d = stage.depth_cap
         cylinders = [w for w in stage.cylinders if len(w) <= d]
@@ -448,24 +442,23 @@ def _partition_checks(
                 spans[w] = _window_span(table, w)
         tiles = sorted((*spans[w], w) for w in cylinders if spans[w][0] < spans[w][1])
         ends = [0, *chain.from_iterable(tile[:2] for tile in tiles), size]
-        ranks = table.level_ranks(d)
         unresolved = [u for u in stage.unresolved if len(u) == d]
+        # The level-d heads between the runs: the ranks whose lcp is below d.
         listed = Counter(
             table.window(r, d)
             for a, b in zip(ends[::2], ends[1::2])
             if a < b
-            for r in ranks[bisect_left(ranks, a) : bisect_left(ranks, b)]
+            for r in compress(range(a, b), map(d.__gt__, lcp[a:b]))
         )
         listed.subtract(unresolved)  # between the runs less unresolved, per word
-        covered = bisect_left(ranks, size) - bisect_left(ranks, 0)
         disjoint = all(map(le, ends[::2], ends[1::2]))
-        if disjoint and not any(listed.values()) and covered == table.complexity(d):
+        if disjoint and not any(listed.values()):
             continue
         ok = False
         if not disjoint:
             (_, _, w), (_, _, v) = next((s, t) for s, t in pairwise(tiles) if s[1] > t[0])
             detail = f"depth {d}: {w!r} and {v!r} overlap"
-        elif any(listed.values()):
+        else:
             w = min((w for w, c in listed.items() if c), key=key)
             lo, hi = _window_span(table, w)
             hits = unresolved.count(w) + sum(a <= lo < b for a, b, _ in tiles)
@@ -474,8 +467,6 @@ def _partition_checks(
                 else f"classified {hits} times" if hits != 1
                 else f"classified once, at {listed[w] + unresolved.count(w)} level ranks"
             )
-        else:
-            detail = f"depth {d}: {covered} factors classified, p({d}) = {table.complexity(d)}"
         break
     out.append(_check("partition", "cover-at-each-depth", ok, detail))
 

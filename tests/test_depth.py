@@ -5,13 +5,14 @@ import tracemalloc
 
 import pytest
 
-from shift2iet import build_factor_table, get_fixture, measure_table, refine, refine_stages
+import shift2iet.verification
+from shift2iet import build_factor_table, get_fixture, measure_table, refine, refine_stages, run_verification
 from shift2iet.verification import _language_checks, _partition_checks
 from test_language import _tm_complexity
 
 DEPTH = 1000
-# The three builds plus the p(n) reads took 0.06-0.08 s in all on a 2-core
-# x86-64 VM; the budget is about ten times that.
+# The three builds plus the p(n) reads took 0.14-0.16 s in all on a 2-core
+# x86-64 VM (Python 3.11); the budget is about six times that.
 BUDGET_S = 1.0
 
 CLOSED_FORMS = {
@@ -47,10 +48,11 @@ def test_extensions_account_for_the_next_level_at_depth_1000(name):
 def test_language_and_partition_suites_at_depth_1000():
     """The suites `verify --fixture thue-morse --nmax 1000` runs on its table
     and partition (depth cap 500).  Reading every level as strings they took
-    6-7.5 s on a 2-core x86-64 VM; reading the index certificate, about 0.6 s.
-    The budget is five times that.  The partition suite reads the stages of
-    the one refinement pass `run_verification` makes before any check runs,
-    so that pass is made before the clock starts."""
+    6-7.5 s on a 2-core x86-64 VM; certifying the rank array of every level,
+    0.18-0.19 s; certifying the lcp array, 0.12-0.13 s.  The budget leaves
+    room for slower machines.  The partition suite reads the stages of the
+    one refinement pass `run_verification` makes before any check runs, so
+    that pass is made before the clock starts."""
     budget_s = 3.0
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)
     stages = list(refine_stages(table, DEPTH // 2))
@@ -65,8 +67,9 @@ def test_language_and_partition_suites_at_depth_1000():
 def test_refine_to_half_depth_keeps_no_level_of_strings():
     """`verify --fixture thue-morse --nmax 1000` refines to depth 500, asking
     the left extensions of words at every level up to it.  A word -> rank map
-    per level would keep about 160 MiB of strings here; the rank arrays of
-    the levels it reads, two bytes a factor, keep about 0.8 MiB."""
+    per level would keep about 160 MiB of strings here, and the rank arrays
+    of those levels, two bytes a factor, 0.8 MiB.  The pass reads the lcp
+    array inside the runs it extends and keeps no level."""
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)
     tracemalloc.start()
     try:
@@ -75,7 +78,7 @@ def test_refine_to_half_depth_keeps_no_level_of_strings():
     finally:
         tracemalloc.stop()
     assert partition.cylinders
-    assert kept < 16 * 2**20, kept
+    assert kept < 2**20, kept
 
 
 def test_a_search_keeps_no_window_copy():
@@ -92,3 +95,23 @@ def test_a_search_keeps_no_window_copy():
     finally:
         tracemalloc.stop()
     assert kept < 2**20, kept
+
+
+def test_verify_keeps_only_the_levels_read_in_full(monkeypatch):
+    """`verify --fixture thue-morse --nmax 1000` reads 38 levels in full: the
+    30 of the language suite, the two of each of T_50, T_100 and T_500, and
+    999 and 1000 of the measure table.  The table keeps those alone, 0.05 MiB
+    here.  A table that kept every level the language sweep and the
+    refinement walked held 3.1 MiB."""
+    table = build_factor_table(get_fixture("thue-morse"), DEPTH)
+    monkeypatch.setattr(shift2iet.verification, "build_factor_table", lambda substitution, n_max: table)
+    tracemalloc.start()
+    try:
+        report = run_verification(get_fixture("thue-morse"), DEPTH, DEPTH // 2)
+        passed = report.passed
+        del report
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert kept < 2**19, kept

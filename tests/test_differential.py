@@ -68,7 +68,7 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
     for n in range(1, n_max + 1):
         level = levels[n]
         assert renamed(table.factors(n)) == level
-        assert renamed(top[r][:n] for r in table.level_ranks(n)) == level
+        assert renamed(top[r][:n] for r, v in enumerate(table.lcp()) if v < n) == level
         assert table.complexity(n) == len(level)
         for i, w in enumerate(table.factors(n)):
             assert table.prefix_range(w, n) == (i, i + 1)
@@ -89,6 +89,13 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
             [len(oracles.left_extensions(levels, w)) for w in level],
             [len(oracles.right_extensions(levels, w)) for w in level],
         )
+        lefts, rights = table.specials(n)
+        assert [(table.window(a, n).translate(rename), c) for a, c in lefts] == [
+            (w, len(oracles.left_extensions(levels, w))) for w in oracles.left_special(levels, n)
+        ]
+        assert [(table.window(a, n).translate(rename), c) for a, c in rights] == [
+            (w, len(oracles.right_extensions(levels, w))) for w in oracles.right_special(levels, n)
+        ]
         for w in table.factors(n):
             rw = w.translate(rename)
             assert sorted(renamed(table.left_extensions(w))) == oracles.left_extensions(levels, rw)

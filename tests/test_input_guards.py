@@ -90,7 +90,6 @@ GUARDS = [
     pytest.param(
         lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"
     ),
-    pytest.param(lambda: _tm().persistent_left_special(2, 0), "margin must be >= 1", id="persistent-margin"),
     pytest.param(
         lambda: _tm().prefix_range("abb", 2), "prefix longer than the requested length", id="prefix-range"
     ),

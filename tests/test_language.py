@@ -55,8 +55,9 @@ def test_all_levels_match_window_oracle(name, shallow_tables, oracle_levels):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_levels_built_in_any_order_match_window_oracle(name, oracle_levels):
-    """A level is built from the nearest level already built below it, so
-    the order of first use must not change any level."""
+    """A level is built on first use from the lcp array alone, so the order
+    of first use must not change any level; its factors start at the ranks
+    whose lcp is below n."""
     table = build_factor_table(get_fixture(name), ORACLE_DEPTH)
     order = list(range(1, ORACLE_DEPTH + 1))
     random.Random(name).shuffle(order)
@@ -64,7 +65,22 @@ def test_levels_built_in_any_order_match_window_oracle(name, oracle_levels):
         assert list(table.factors(n)) == oracle_levels[name][n]
     top = table.factors(ORACLE_DEPTH)
     for n in order:
-        assert [top[r][:n] for r in table.level_ranks(n)] == oracle_levels[name][n]
+        assert [top[r][:n] for r, v in enumerate(table.lcp()) if v < n] == oracle_levels[name][n]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_specials_match_oracle(name, shallow_tables, oracle_levels):
+    """The special lists hold each special factor's window rank and its
+    number of extensions, in level order."""
+    table, levels = shallow_tables[name], oracle_levels[name]
+    for n in range(1, ORACLE_DEPTH):
+        lefts, rights = table.specials(n)
+        assert [(table.window(a, n), c) for a, c in lefts] == [
+            (w, len(oracles.left_extensions(levels, w))) for w in oracles.left_special(levels, n)
+        ]
+        assert [(table.window(a, n), c) for a, c in rights] == [
+            (w, len(oracles.right_extensions(levels, w))) for w in oracles.right_special(levels, n)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -141,6 +157,13 @@ def test_extension_totals_account_for_next_level(shallow_tables):
         assert total == table.complexity(n + 1)
 
 
+def persistent_left_special(table, n, margin):
+    """The left special factors of length n that prefix a left special
+    factor of length n + margin: the branches that stay left special."""
+    heads = {w[:n] for w in table.left_special(n + margin)}
+    return [w for w in table.left_special(n) if w in heads]
+
+
 @pytest.mark.parametrize(
     "name,count",
     [("thue-morse", 2), ("fibonacci", 1), ("tribonacci", 1)],
@@ -148,20 +171,14 @@ def test_extension_totals_account_for_next_level(shallow_tables):
 def test_persistent_left_special_counts(name, count, deep_tables):
     table = deep_tables[name]
     for n in range(8, 41):
-        assert len(table.persistent_left_special(n, 20)) == count
+        assert len(persistent_left_special(table, n, 20)) == count
 
 
 def test_persistent_left_special_words_are_prefix_nested(tm100):
-    shorter = tm100.persistent_left_special(8, 20)
-    longer = tm100.persistent_left_special(12, 20)
+    shorter = persistent_left_special(tm100, 8, 20)
+    longer = persistent_left_special(tm100, 12, 20)
     for word in longer:
         assert any(word.startswith(s) for s in shorter)
-
-
-def test_persistent_left_special_margin_guard(shallow_tables):
-    table = shallow_tables["fibonacci"]
-    with pytest.raises(InputError):
-        table.persistent_left_special(20, ORACLE_DEPTH)
 
 
 def test_prefix_range_and_restricted_complexity(shallow_tables, oracle_levels):

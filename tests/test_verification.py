@@ -7,7 +7,6 @@ import re
 from collections import Counter
 import tracemalloc
 from array import array
-from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from shift2iet import (
 from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
 from shift2iet.ietmap import PiecewiseAffineMap
+from shift2iet.language import FactorTable
 from shift2iet.partition import PartitionResult
 from shift2iet.verification import _ietmap_checks, _language_checks, _measure_checks, _partition_checks
 
@@ -143,14 +143,15 @@ def test_failure_reporting_shape(fib_report):
 
 
 class _Served:
-    """A real factor table that serves one corruption: replaced levels,
-    replaced rank lists, or no left extensions for one word."""
+    """A real factor table that serves one corruption of what the suites
+    read: replaced levels of words (the windows are cut from a replaced top
+    level), a replaced lcp array, or replaced special lists."""
 
-    def __init__(self, table, levels=(), no_left=None, ranks=()):
+    def __init__(self, table, levels=(), lcp=None, specials=()):
         self._table = table
         self._levels = dict(levels)
-        self._no_left = no_left
-        self._ranks = dict(ranks)
+        self._lcp = lcp
+        self._specials = dict(specials)
 
     def __getattr__(self, name):
         return getattr(self._table, name)
@@ -158,35 +159,30 @@ class _Served:
     def factors(self, n):
         return self._levels.get(n, self._table.factors(n))
 
-    def level_ranks(self, n):
-        """Read off the served levels alone, so a replaced level reaches the
-        certificate: each served word sits at the first served top window
-        that starts with it, and a word no top window starts with at -1,
-        which no certificate accepts."""
-        if n in self._ranks:
-            return self._ranks[n]
-        first = {}
-        for r, w in enumerate(self.factors(self._table.n_max)):
-            first.setdefault(w[:n], r)
-        return array("i", [first.get(w, -1) for w in self.factors(n)])
+    def complexity(self, n):
+        return len(self._levels[n]) if n in self._levels else self._table.complexity(n)
 
     def window(self, rank, n):
         """Cut from the served top level, as the real table cuts its own."""
         return self.factors(self._table.n_max)[rank][:n]
 
-    def left_extensions(self, word):
-        if word == self._no_left:
-            return frozenset()
-        return self._table.left_extensions(word)
+    def lcp(self):
+        return self._table.lcp() if self._lcp is None else self._lcp
 
-    def extension_counts(self, n):
-        """Counted over the served level with the served left extensions, so
-        both corruptions reach the bulk read."""
-        words = self.factors(n)
-        return (
-            [len(self.left_extensions(w)) for w in words],
-            [len(self._table.right_extensions(w)) for w in words],
-        )
+    def specials(self, n):
+        return self._specials.get(n, self._table.specials(n))
+
+
+def _with_lcp(table, changes) -> FactorTable:
+    """The table rebuilt on its own windows with some lcp entries changed
+    ({rank: value}), so that its levels, its counts and its special lists
+    all read the changed array."""
+    lcp = array("i", table.lcp())
+    for r, v in changes.items():
+        lcp[r] = v
+    return FactorTable(
+        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks
+    )
 
 
 @pytest.fixture(scope="module")
@@ -204,19 +200,24 @@ def test_language_checks_pass_on_the_real_table(tm30):
 
 
 def test_swapped_words_fail_sorted_unique(tm30):
-    """The detail names the first word whose rank is not above the rank
-    before it: the word moved down one place."""
-    level = list(tm30.factors(4))
-    level[2], level[3] = level[3], level[2]
-    check = _language(_Served(tm30, {4: tuple(level)}))["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, f"level 4 not sorted/unique at {level[3]!r}")
+    """Two top words swapped: the detail names the first word not above the
+    word before it, the word moved down one place."""
+    top = list(tm30.factors(30))
+    top[2], top[3] = top[3], top[2]
+    check = _language(_Served(tm30, {30: tuple(top)}))["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, f"level 30 not sorted/unique at {top[3]!r}")
 
 
 def test_duplicated_word_fails_sorted_unique(tm30):
-    level = tm30.factors(4)
-    served = _Served(tm30, {4: level[:3] + level[2:]})
-    check = _language(served)["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, f"level 4 not sorted/unique at {level[2]!r}")
+    """An lcp entry one below its value puts its rank among the heads of the
+    level below, where its window repeats the word before it."""
+    r = tm30.lcp().index(4)
+    word = tm30.window(r, 4)
+    assert word == tm30.window(r - 1, 4)
+    checks = _language(_with_lcp(tm30, {r: 3}))
+    check = checks["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, f"level 4 not sorted/unique at {word!r}")
+    assert checks["prefix-suffix-closure"].ok
 
 
 @pytest.mark.parametrize("letter", ["z", "\x00"])
@@ -231,44 +232,56 @@ def test_foreign_letter_fails_sorted_unique(tm30, letter):
 
 
 def test_dropped_word_fails_closure_and_totals(tm30):
-    """The level's ranks lack the dropped word's, and the detail names it."""
-    level = tm30.factors(5)
-    dropped = level[3]
-    checks = _language(_Served(tm30, {5: level[:3] + level[4:]}))
+    """An lcp entry one above its value takes its rank out of the heads of
+    its level, and the detail names the word it started.  The left masks
+    are the windows' own, so the left counts at level 4 still sum to the
+    real p(5), one more than the table now counts."""
+    r = tm30.lcp().index(4)
+    checks = _language(_with_lcp(tm30, {r: 5}))
     closure = checks["prefix-suffix-closure"]
-    assert (closure.ok, closure.detail) == (False, f"level 5 lacks {dropped!r}")
-    p6 = tm30.complexity(6)
-    left = p6 - len(tm30.left_extensions(dropped))
-    right = p6 - len(tm30.right_extensions(dropped))
+    assert (closure.ok, closure.detail) == (False, f"level 5 lacks {tm30.window(r, 5)!r}")
+    p5 = tm30.complexity(5)
     totals = checks["extension-totals"]
-    assert (totals.ok, totals.detail) == (False, f"extension totals at 5: {left}/{right} != p(6)")
+    assert (totals.ok, totals.detail) == (False, f"extension totals at 4: {p5}/{p5 - 1} != p(5)")
     assert checks["levels-sorted-unique"].ok and checks["prolongable"].ok
 
 
+def _zeroed(table, n, side, j):
+    """The special lists of length n with the count of entry j on one side
+    (0 left, 1 right) set to 0."""
+    lists = [list(entries) for entries in table.specials(n)]
+    lists[side][j] = (lists[side][j][0], 0)
+    return {n: tuple(lists)}
+
+
 def test_empty_extension_set_fails_prolongable(tm30):
-    checks = _language(_Served(tm30, no_left="abab"))
+    """A special factor listed with no extensions: prolongable names it, and
+    the left counts fall short of p(5) by its two."""
+    a, count = tm30.specials(4)[0][1]
+    checks = _language(_Served(tm30, specials=_zeroed(tm30, 4, 0, 1)))
     prolongable = checks["prolongable"]
-    assert (prolongable.ok, prolongable.detail) == (False, "'abab' is not prolongable")
-    assert not checks["extension-totals"].ok
+    assert (prolongable.ok, prolongable.detail) == (False, f"{tm30.window(a, 4)!r} is not prolongable")
+    p5 = tm30.complexity(5)
+    assert checks["extension-totals"].detail == f"extension totals at 4: {p5 - count}/{p5} != p(5)"
 
 
 def test_prolongable_and_totals_keep_their_own_first_failure(tm30):
     """One pass serves both checks; a failure of one at level 5 must not hide
     a failure of the other at level 10."""
-    level = tm30.factors(5)
-    word = tm30.factors(10)[4]
-    checks = _language(_Served(tm30, {5: level[:3] + level[4:]}, no_left=word))
-    assert checks["prolongable"].detail == f"{word!r} is not prolongable"
+    lefts, rights = tm30.specials(5)
+    a, _ = tm30.specials(10)[1][0]
+    served = {5: (lefts[1:], rights), **_zeroed(tm30, 10, 1, 0)}
+    checks = _language(_Served(tm30, specials=served))
+    assert checks["prolongable"].detail == f"{tm30.window(a, 10)!r} is not prolongable"
     assert checks["extension-totals"].detail.startswith("extension totals at 5: ")
 
 
 def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
     """Level 30 is the top level and the scan length: of the string checks only
     the prefix oracle can see a word missing there.  The index certificate
-    sees it too.  Suffix closure fails at a top word whose suffix the dropped
-    window alone started.  The words of levels 20-29 that only the dropped
-    window started with now start no window, so level 20 lists rank -1, and
-    the order detail names the word listed before it."""
+    sees it too: suffix closure fails at a top word whose suffix the dropped
+    window alone started.  The extension counts of level 29 still sum to the
+    p(30) of the table, one more than the top words left."""
     level = tm30.factors(30)
     dropped = level[5]
     checks = _language(_Served(tm30, {30: level[:5] + level[6:]}))
@@ -277,15 +290,12 @@ def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
         False, "level 30: table and brute-force prefix scan differ"
     )
     assert [name for name, c in checks.items() if not c.ok] == [
-        "levels-sorted-unique", "prefix-suffix-closure", "oracle-equivalence"
+        "prefix-suffix-closure", "extension-totals", "oracle-equivalence"
     ]
     suffix = next(w for w in level if w[1:] == dropped[:-1])
     assert checks["prefix-suffix-closure"].detail == f"{suffix!r} has a non-factor sub-word"
-    level20 = tm30.factors(20)
-    before = level20[level20.index(dropped[:20]) - 1]
-    assert checks["levels-sorted-unique"].detail == (
-        f"level 20 lists rank -1, which is no window, after {before!r}"
-    )
+    p30 = tm30.complexity(30)
+    assert checks["extension-totals"].detail == f"extension totals at 29: {p30}/{p30} != p(30)"
 
 
 def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
@@ -305,27 +315,23 @@ def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
     assert checks["levels-sorted-unique"].ok
 
 
-def test_served_rank_lists_fail_closure(tm30):
-    """Rank lists that disagree with the top level fail the certificate even
-    where every level still reads right as strings; the detail names the level
-    and the word at the rank.  A missing rank leaves the level in order; an
-    added one does not, since it starts no new length-5 factor: its window
-    repeats the word of the rank before it."""
-    ranks = tm30.level_ranks(5)
-    missing = _language(_Served(tm30, ranks={5: ranks[:3] + ranks[4:]}))
-    closure = missing["prefix-suffix-closure"]
-    assert (closure.ok, closure.detail) == (False, f"level 5 lacks {tm30.factors(5)[3]!r}")
-    assert missing["levels-sorted-unique"].ok
-
-    extra = next(r for r in range(len(tm30.factors(30))) if r not in ranks)
-    repeated = tm30.factors(5)[bisect_left(ranks, extra) - 1]
-    added = _language(_Served(tm30, ranks={5: array("i", sorted([*ranks, extra]))}))
-    assert (added["prefix-suffix-closure"].ok, added["prefix-suffix-closure"].detail) == (
-        False, f"level 5 repeats {repeated!r}"
+def test_an_lcp_array_of_another_length_fails_the_certificate(tm30):
+    """An entry past the last window is named by its rank and the word
+    before it; a missing last entry leaves the last window's word out of
+    the level its true entry gives it."""
+    lcp = tm30.lcp()
+    size = len(lcp)
+    longer = _language(_Served(tm30, lcp=array("i", [*lcp, 5])))
+    assert (longer["levels-sorted-unique"].ok, longer["levels-sorted-unique"].detail) == (
+        False, f"the lcp array lists rank {size}, which is no window, after {tm30.window(size - 1, 30)!r}"
     )
-    assert (added["levels-sorted-unique"].ok, added["levels-sorted-unique"].detail) == (
-        False, f"level 5 not sorted/unique at {repeated!r}"
+    assert longer["prefix-suffix-closure"].ok
+    n = lcp[-1] + 1
+    shorter = _language(_Served(tm30, lcp=lcp[:-1]))
+    assert (shorter["prefix-suffix-closure"].ok, shorter["prefix-suffix-closure"].detail) == (
+        False, f"level {n} lacks {tm30.window(size - 1, n)!r}"
     )
+    assert shorter["levels-sorted-unique"].ok
 
 
 class _NoSpecialsAt(_Served):
@@ -371,22 +377,24 @@ def test_count_window_names_the_failure_the_prefix_scan_names(name, level):
     assert (check.ok, check.detail) == (False, want)
 
 
-def test_ranks_swapped_two_below_the_top_fail_sorted_unique(tm30):
-    """Two ranks of level n_max - 2 swapped in the array the certificate
-    reads, and nothing else: every level reads right as strings, and the
-    detail names the level and the word whose rank went down."""
-    ranks = tm30.level_ranks(28)
-    swapped = ranks[:1] + ranks[2:3] + ranks[1:2] + ranks[3:]
-    checks = _language(_Served(tm30, ranks={28: swapped}))
+def test_an_lcp_entry_lowered_two_below_the_top_fails_sorted_unique_alone(tm30):
+    """One lcp entry of 28 read as 27 by the certificate, and nothing else:
+    the table's own levels and counts read right, and the detail names the
+    level where the rank becomes a head and the word it repeats there."""
+    lcp = array("i", tm30.lcp())
+    r = lcp.index(28)
+    lcp[r] = 27
+    checks = _language(_Served(tm30, lcp=lcp))
     check = checks["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, f"level 28 not sorted/unique at {tm30.factors(28)[1]!r}")
+    assert (check.ok, check.detail) == (False, f"level 28 not sorted/unique at {tm30.window(r, 28)!r}")
     assert [name for name, c in checks.items() if not c.ok] == ["levels-sorted-unique"]
 
 
 def test_language_checks_keep_no_level_of_strings():
     """The suite holds at most two levels as strings.  At Thue-Morse depth 160
     every level together is sum n*p(n) = 4.28M characters, and a suite that
-    kept them all peaked at 8.5 MiB traced; one that does not stays near 1 MiB."""
+    kept them all peaked at 8.5 MiB traced; one that held the top level twice
+    peaked near 1 MiB, and one that reads it a window at a time near 0.2 MiB."""
     table = build_factor_table(get_fixture("thue-morse"), 160)
     tracemalloc.start()
     try:
@@ -558,41 +566,56 @@ def _hits(cylinders, unresolved, f) -> int:
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(fixture_names()),
-    st.sampled_from(["swap", "drop", "add", "drop-cylinder", "repeat-cylinder", "add-cylinder"]),
+    st.sampled_from(
+        ["lcp-entry", "top-swap", "special-zero", "drop-cylinder", "repeat-cylinder", "add-cylinder"]
+    ),
     st.data(),
 )
 def test_failure_details_name_a_witness_word(name, fault, data):
-    """One rank array of the table (served to the language suite) or the
-    depth-8 stage of the pass to depth 10 is corrupted.  Whenever
-    levels-sorted-unique, prefix-suffix-closure or cover-at-each-depth
-    fails, its detail names the corrupted level or depth and a word that the
-    real table's strings show out of order, repeated, missing or classified
-    other than once there; no check raises."""
+    """One thing the suites read is corrupted: an lcp entry, two top words or
+    one special count (served to the language suite), or the depth-8 stage
+    of the pass to depth 10.  Whenever
+    levels-sorted-unique, prefix-suffix-closure, prolongable or
+    cover-at-each-depth fails, its detail names a word that the corrupted
+    data show out of order, repeated, missing, with no extension, or
+    classified other than once; no check raises."""
     table = _table30(name)
     key = table.alphabet.key
-    if fault in ("swap", "drop", "add"):
-        n = data.draw(st.integers(1, 29), label="level")
-        ranks = list(table.level_ranks(n))
-        if fault == "swap":
-            i, j = data.draw(st.lists(st.integers(0, len(ranks) - 1), min_size=2, max_size=2, unique=True))
-            ranks[i], ranks[j] = ranks[j], ranks[i]
-        elif fault == "drop":
-            del ranks[data.draw(st.integers(0, len(ranks) - 1))]
-        else:
-            extra = data.draw(st.integers(0, table.complexity(30) - 1))
-            ranks.insert(data.draw(st.integers(0, len(ranks))), extra)
-        checks = _language(_Served(table, ranks={n: array("i", ranks)}))
-        served = [table.window(r, n) for r in ranks]
-        real = table.factors(n)
-        for check in ("levels-sorted-unique", "prefix-suffix-closure"):
+    if fault == "lcp-entry":
+        lcp = array("i", table.lcp())
+        r = data.draw(st.integers(1, len(lcp) - 1), label="rank")
+        lcp[r] = data.draw(st.integers(0, 29).filter(lambda v: v != lcp[r]), label="value")
+        checks = _language(_Served(table, lcp=lcp))
+        for check, verb in (("levels-sorted-unique", "not sorted/unique at"), ("prefix-suffix-closure", "lacks")):
             if checks[check].ok:
                 continue
-            verb = "not sorted/unique at" if check == "levels-sorted-unique" else "(?:lacks|repeats)"
             found = re.fullmatch(rf"level (\d+) {verb} ('.*')", checks[check].detail)
             assert found, checks[check].detail
-            w = ast.literal_eval(found[2])
-            assert int(found[1]) == n and w in real
-            assert w not in served or _out_of_place(served, w, key), checks[check].detail
+            n, w = int(found[1]), ast.literal_eval(found[2])
+            assert w in table.factors(n)
+            served = [table.window(i, n) for i, v in enumerate(lcp) if v < n]
+            assert (w not in served) if verb == "lacks" else _out_of_place(served, w, key)
+        assert not (checks["levels-sorted-unique"].ok and checks["prefix-suffix-closure"].ok)
+        return
+    if fault == "top-swap":
+        top = list(table.factors(30))
+        i, j = data.draw(st.lists(st.integers(0, len(top) - 1), min_size=2, max_size=2, unique=True))
+        top[i], top[j] = top[j], top[i]
+        check = _language(_Served(table, {30: tuple(top)}))["levels-sorted-unique"]
+        found = re.fullmatch(r"level 30 not sorted/unique at ('.*')", check.detail)
+        assert found, check.detail
+        assert _out_of_place(top, ast.literal_eval(found[1]), key)
+        return
+    if fault == "special-zero":
+        n = data.draw(st.integers(1, 29), label="level")
+        side = data.draw(st.sampled_from([k for k in (0, 1) if table.specials(n)[k]]), label="side")
+        j = data.draw(st.integers(0, len(table.specials(n)[side]) - 1), label="entry")
+        served = _zeroed(table, n, side, j)
+        check = _language(_Served(table, specials=served))["prolongable"]
+        found = re.fullmatch(r"('.*') is not prolongable", check.detail)
+        assert found, check.detail
+        a, count = served[n][side][j]
+        assert (ast.literal_eval(found[1]), count) == (table.window(a, n), 0)
         return
 
     stage = list(refine_stages(table, 10))[8 - 2]
@@ -698,16 +721,18 @@ def test_periodic_configs_fail_the_growth_check(tmp_path, capsys, rules):
 
 
 def test_table_without_suffix_closure_gets_verdicts_not_a_crash(tm30):
-    """A level-9 word dropped: `build_approximant` at level 10 gives its
+    """A table whose lcp entry of 8 reads 9 lacks the level-9 word that
+    rank starts: `build_approximant` at level 10 gives that word's
     extensions target -1 instead of raising KeyError, and the language suite
     reports the fault."""
-    level = tm30.factors(9)
-    dropped = level[4]
-    served = _Served(tm30, {9: level[:4] + level[5:]})
-    amap = build_approximant(served, 10)
+    r = tm30.lcp().index(8)
+    dropped = tm30.window(r, 9)
+    bad = _with_lcp(tm30, {r: 9})
+    assert dropped not in bad.factors(9)
+    amap = build_approximant(bad, 10)
     orphans = [piece.factor for piece in amap.pieces if piece.target_index == -1]
     assert orphans == [v for v in tm30.factors(10) if v[1:] == dropped]
-    assert not _language(served)["prefix-suffix-closure"].ok
+    assert _language(bad)["prefix-suffix-closure"].detail == f"level 9 lacks {dropped!r}"
 
 
 @pytest.fixture(scope="module")
