@@ -34,14 +34,11 @@ _HOMES = {
     "LimitIntervalSet": "ietmap",
     "limit_intervals": "ietmap",
     "ConvergenceReport": "ietmap",
-    "convergence_report": "ietmap",
     "QuadraticNumber": "coding",
     "FiniteIET": "coding",
     "CodingPartition": "coding",
     "golden_iet": "coding",
     "golden_coding": "coding",
-    "code_orbit": "coding",
-    "coded_factor_table": "coding",
     "RoundtripResult": "coding",
     "roundtrip_check": "coding",
     "approximant_csv": "export",

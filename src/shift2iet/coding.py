@@ -324,8 +324,9 @@ def _over(x: QuadraticNumber, d: int) -> tuple[int, int]:
     return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
 
 
-def code_orbit(iet: FiniteIET, coding: CodingPartition, x, length: int) -> str:
-    """Letters of the coding intervals visited by the forward orbit of x.
+def _walk(iet: FiniteIET, coding: CodingPartition, x: QuadraticNumber, length: int) -> str:
+    """Letters of the coding intervals visited by the forward orbit of x, a
+    point of [0, 1).
 
     The orbit runs in integers.  The start point, every breakpoint and every
     translation are put over one common denominator D, so each is a pair
@@ -334,20 +335,9 @@ def code_orbit(iet: FiniteIET, coding: CodingPartition, x, length: int) -> str:
     the letter and the translation are constant.  A step finds the point's
     cell by exact signs of integer differences (`_sign_parts`), emits the
     cell's letter and adds the cell's translation; after each step an integer
-    guard checks that the point is still in [0, 1).
+    guard checks that the point is still in [0, 1).  The coding need not keep
+    the exchange monotone, so the walk also runs on the inverse exchange.
     """
-    if length < 0:
-        raise InputError("length must be >= 0")
-    _check_monotone(iet, coding)
-    x = _as_quadratic(x)
-    if not (0 <= x and x < 1):
-        raise InputError("point outside [0, 1)")
-    return _walk(iet, coding, x, length)
-
-
-def _walk(iet: FiniteIET, coding: CodingPartition, x: QuadraticNumber, length: int) -> str:
-    """`code_orbit` without its checks, so that it can also walk the inverse
-    exchange, which the coding need not keep monotone."""
     lefts = sorted(set(iet.breakpoints) | set(coding.breakpoints))
     shifts = [iet.translations[iet.piece_index(c)] for c in lefts]
     letters = [coding.letter_at(c) for c in lefts]
@@ -395,8 +385,6 @@ def _coded_top(iet: FiniteIET, coding: CodingPartition, n_max: int) -> set[str]:
     letter, then the forward walk.  So the length-N codes are the N windows
     of the s_c, and each shorter code is a prefix of its point's.
     """
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
     _check_monotone(iet, coding)
     inverse = _inverse(iet)
     top = set()
@@ -404,15 +392,6 @@ def _coded_top(iet: FiniteIET, coding: CodingPartition, n_max: int) -> set[str]:
         s = _walk(inverse, coding, c, n_max)[:0:-1] + _walk(iet, coding, c, n_max)
         top.update(s[i : i + n_max] for i in range(n_max))
     return top
-
-
-def coded_factor_table(
-    iet: FiniteIET, coding: CodingPartition, n_max: int
-) -> dict[int, tuple[str, ...]]:
-    """The codes of every point (`_coded_top`) per length, in the coding's letter order."""
-    top = _coded_top(iet, coding, n_max)
-    levels = enumerate(({u[:n] for u in top} for n in range(1, n_max + 1)), 1)
-    return {n: tuple(sorted(level, key=coding.alphabet.key)) for n, level in levels}
 
 
 def _first_mismatch(

@@ -192,25 +192,15 @@ class ConvergenceReport(NamedTuple):
         return self.grid_size - int(self.excluded_fraction * self.grid_size)
 
 
-def convergence_report(table: FactorTable, n1: int, n2: int, grid_size: int = 1000) -> ConvergenceReport:
-    """Largest gap between two approximants on a grid, off the jump neighborhoods.
-
-    Grid points closer than 1/p(n1) to a discontinuity of either map are
-    excluded; the excluded share of the grid is reported next to the sup.
-    """
-    if not 2 <= n1 <= n2 <= table.n_max:
-        raise InputError("levels must satisfy 2 <= n1 <= n2 <= table depth")
-    if grid_size < 1:
-        raise InputError("grid_size must be >= 1")
-    coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
-    return _convergence(coarse, fine, grid_size, coarse.discontinuities() + fine.discontinuities())
-
-
 def _convergence(
     coarse: PiecewiseAffineMap, fine: PiecewiseAffineMap, grid_size: int, jumps: list[Fraction]
 ) -> ConvergenceReport:
-    """`convergence_report` on two maps already built, given the
-    discontinuities of both."""
+    """Largest gap between two approximants on a grid, off the jump neighborhoods.
+
+    The jumps are the discontinuities of both maps, built once by the caller.
+    Grid points closer than 1/p(n1) to one of them, n1 the coarse level, are
+    excluded; the excluded share of the grid is reported next to the sup.
+    """
     n = grid_size
     p1, q1 = coarse.source_count, coarse.target_count
     p2, q2 = fine.source_count, fine.target_count

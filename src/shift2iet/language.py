@@ -278,8 +278,10 @@ class FactorTable:
             raise InputError(f"{word!r} is not a factor")
         if b - a == 1:
             hi, mask, branch = self.n_max, self._left_masks[a], 0
-        else:
+        elif (a, b) in self._inner:
             hi, mask, branch = self._inner[a, b]
+        else:
+            raise InputError(f"the run of {word!r} is no node of the lcp-interval tree")
         if not left:
             mask = branch if n == hi else 1 << ord(self._keyed[self._positions[a] + n])
         return self._letter_set(mask)

@@ -78,6 +78,8 @@ def run_verification(
     with are built once.  The measure level defaults to n_max and the
     approximant level to min(100, n_max).
     """
+    if grid_size < 1:
+        raise InputError("grid_size must be >= 1")
     table = build_factor_table(substitution, n_max)
     if measure_level is None:
         measure_level = n_max

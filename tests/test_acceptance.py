@@ -14,7 +14,6 @@ import pytest
 from shift2iet import (
     block_affinity_check,
     build_approximant,
-    convergence_report,
     fixture_names,
     get_fixture,
     golden_coding,
@@ -27,6 +26,7 @@ from shift2iet import (
 from shift2iet.cli import main as cli_main
 from shift2iet.ietmap import _marks
 import oracles
+from test_ietmap import convergence
 from test_language import persistent_left_special
 
 
@@ -175,7 +175,7 @@ def test_criterion_10_accumulation_diagnostic(tm100):
         nearest = [min(points, key=lambda q: abs(x - q)) for x in marks]
         assert all(abs(x - q) < Fraction(1, 100) for x, q in zip(marks, nearest))
         assert set(nearest) == set(points)
-        report = convergence_report(tm100, 50, 100, 1000)
+        report = convergence(tm100, 50, 100, 1000)
         assert report.sup_difference < 0.1
 
 

@@ -18,15 +18,13 @@ from shift2iet import (
     Substitution,
     build_approximant,
     build_factor_table,
-    code_orbit,
-    coded_factor_table,
     get_fixture,
     golden_coding,
     golden_iet,
     roundtrip_check,
 )
 import shift2iet.coding as coding_layer
-from shift2iet.coding import GOLDEN_ROTATION
+from shift2iet.coding import GOLDEN_ROTATION, _coded_top, _walk
 from shift2iet.fixtures import FIXTURE_RULES
 import oracles
 
@@ -290,13 +288,13 @@ def test_an_exchange_changed_after_construction_reaches_the_orbit_guard():
     iet = FiniteIET([0, HALF], [HALF, -HALF])
     iet.translations = [QuadraticNumber(Fraction(3, 4)), QuadraticNumber(-HALF)]
     with pytest.raises(InputError, match=re.escape("orbit left [0, 1)")):
-        code_orbit(iet, CodingPartition([0, HALF], ["a", "b"]), 0, 5)
+        _walk(iet, CodingPartition([0, HALF], ["a", "b"]), QuadraticNumber(0), 5)
 
 
-def test_code_orbit_against_float_shadow():
+def test_walk_against_float_shadow():
     iet, coding = golden_iet(), golden_coding()
     for start in (Fraction(1, 7), Fraction(2, 5), Fraction(9, 11)):
-        exact = code_orbit(iet, coding, start, 40)
+        exact = _walk(iet, coding, QuadraticNumber(start), 40)
         shadow = oracles.golden_orbit_code(float(start), 40)
         assert exact == shadow
 
@@ -365,38 +363,39 @@ def rational_three_pieces(draw):
     QuadraticNumber(Fraction(-2), Fraction(1)),
     60,
 )
-def test_code_orbit_matches_the_stepwise_oracle(pair, x, length):
+@example((golden_iet(), golden_coding()), QuadraticNumber(Fraction(1, 2)), 0)
+def test_walk_matches_the_stepwise_oracle(pair, x, length):
     """The integer orbit kernel against `apply` and `letter_at`, step by step."""
     iet, coding = pair
-    assert code_orbit(iet, coding, x, length) == oracles.orbit_code(iet, coding, x, length)
+    assert _walk(iet, coding, x, length) == oracles.orbit_code(iet, coding, x, length)
 
 
-def test_code_orbit_validates_start():
-    iet, coding = golden_iet(), golden_coding()
-    with pytest.raises(InputError):
-        code_orbit(iet, coding, Fraction(3, 2), 0)
-    with pytest.raises(InputError):
-        code_orbit(iet, coding, -0.5, 5)
-    assert code_orbit(iet, coding, Fraction(1, 2), 0) == ""
+def _coded_levels(iet, coding, n_max):
+    """Every point's codes (`_coded_top`) cut to each length 1..n_max, in the
+    coding's letter order, as `oracles.cut_levels` gives them."""
+    top = _coded_top(iet, coding, n_max)
+    return {
+        n: tuple(sorted({u[:n] for u in top}, key=coding.alphabet.key)) for n in range(1, n_max + 1)
+    }
 
 
 def test_coded_factors_match_substitution_language(fib100):
     """The golden coding generates exactly the two-letter Sturmian lists."""
-    coded = coded_factor_table(golden_iet(), golden_coding(), 15)
+    coded = _coded_levels(golden_iet(), golden_coding(), 15)
     for n in range(1, 16):
         assert coded[n] == fib100.factors(n)
         assert len(coded[n]) == n + 1
 
 
 @pytest.mark.parametrize("letters", ["ab", "ba"])
-def test_coded_factor_table_matches_per_level_scan(letters):
+def test_coded_levels_match_per_level_scan(letters):
     """Levels read as prefixes of the top level equal the codes of the cut
     points at every length, sorted in the coding's letter order (b before a
     in the second case)."""
     iet = golden_iet()
     coding = CodingPartition([QuadraticNumber(0), GOLDEN_ROTATION], list(letters))
     for n_max in (1, 2, 5, 17, 40, 120):
-        assert coded_factor_table(iet, coding, n_max) == oracles.cut_levels(iet, coding, n_max)
+        assert _coded_levels(iet, coding, n_max) == oracles.cut_levels(iet, coding, n_max)
 
 
 def test_identity_exchange_codes_every_interval():
@@ -404,7 +403,7 @@ def test_identity_exchange_codes_every_interval():
     every point of [3/4, 1) codes bbb..., and no orbit sees both."""
     iet = FiniteIET([0], [0])
     coding = CodingPartition([0, Fraction(3, 4)], ["a", "b"])
-    assert coded_factor_table(iet, coding, 3) == {
+    assert _coded_levels(iet, coding, 3) == {
         1: ("a", "b"),
         2: ("aa", "bb"),
         3: ("aaa", "bbb"),
@@ -419,9 +418,7 @@ def test_non_monotone_coding_is_rejected():
     with one interval cannot be order compatible."""
     iet, coding = golden_iet(), CodingPartition([0], ["a"])
     with pytest.raises(InputError, match="breaks monotonicity"):
-        code_orbit(iet, coding, 0, 5)
-    with pytest.raises(InputError, match="breaks monotonicity"):
-        coded_factor_table(iet, coding, 5)
+        _coded_top(iet, coding, 5)
     with pytest.raises(InputError, match="breaks monotonicity"):
         roundtrip_check(get_fixture("fibonacci"), iet, coding, 5)
 
@@ -439,9 +436,9 @@ def test_orbit_guard_fires_on_the_forward_walk():
     broken = _broken_half_rotation()
     coding = CodingPartition([0, Fraction(1, 2)], ["a", "b"])
     with pytest.raises(InputError, match="orbit left"):
-        code_orbit(broken, coding, 0, 5)
+        _walk(broken, coding, QuadraticNumber(0), 5)
     with pytest.raises(InputError, match="do not tile"):   # its inverse is validated
-        coded_factor_table(broken, coding, 5)
+        _coded_top(broken, coding, 5)
 
 
 def test_orbit_guard_fires_on_the_backward_walk(monkeypatch):
@@ -451,7 +448,7 @@ def test_orbit_guard_fires_on_the_backward_walk(monkeypatch):
     iet = FiniteIET([0, half], [half, -half])
     monkeypatch.setattr(coding_layer, "_inverse", lambda _: _broken_half_rotation())
     with pytest.raises(InputError, match="orbit left"):
-        coded_factor_table(iet, CodingPartition([0, half], ["a", "b"]), 5)
+        _coded_top(iet, CodingPartition([0, half], ["a", "b"]), 5)
 
 
 def test_roundtrip_accepts_the_golden_pairing():
@@ -603,12 +600,12 @@ def test_roundtrip_certificate_matches_a_per_level_scan(tables40, name, order, k
 
 
 @pytest.mark.parametrize("kind", PAIRINGS)
-def test_coded_factor_table_matches_the_cut_point_oracle(kind):
-    """Every pairing's table equals the oracle's, and the code of every grid
+def test_coded_levels_match_the_cut_point_oracle(kind):
+    """Every pairing's levels equal the oracle's, and the code of every grid
     point j/200 lies in its top level."""
     iet, coding = _pairing(kind)
     for n_max in (1, 2, 5, 17, 40):
-        levels = coded_factor_table(iet, coding, n_max)
+        levels = _coded_levels(iet, coding, n_max)
         assert levels == oracles.cut_levels(iet, coding, n_max)
     for j in range(200):
         assert oracles.orbit_code(iet, coding, Fraction(j, 200), 40) in levels[40]

@@ -18,7 +18,6 @@ from shift2iet import (
     block_affinity_check,
     build_approximant,
     build_factor_table,
-    convergence_report,
     fixture_names,
     get_fixture,
     golden_coding,
@@ -27,7 +26,7 @@ from shift2iet import (
     refine,
     roundtrip_check,
 )
-from shift2iet.ietmap import _marks
+from shift2iet.ietmap import _convergence, _marks
 import oracles
 from test_coding import rational_three_pieces
 
@@ -218,19 +217,26 @@ def test_thue_morse_depth_five_limit_intervals_are_disjoint(deep_tables):
         assert a.left + a.length <= b.left
 
 
+def convergence(table, n1, n2, grid_size):
+    """T_n1 against T_n2 on the grid as `verify` compares them: each map
+    built once, and the jumps of both handed to `_convergence`."""
+    coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
+    return _convergence(coarse, fine, grid_size, coarse.discontinuities() + fine.discontinuities())
+
+
 def test_convergence_identical_levels_is_zero(deep_tables):
-    rep = convergence_report(deep_tables["fibonacci"], 40, 40, 500)
+    rep = convergence(deep_tables["fibonacci"], 40, 40, 500)
     assert rep.sup_difference == 0
     assert rep.compared_points + rep.excluded_fraction * 500 == 500
 
 
 def test_convergence_fibonacci(deep_tables):
-    rep = convergence_report(deep_tables["fibonacci"], 50, 100, 1000)
+    rep = convergence(deep_tables["fibonacci"], 50, 100, 1000)
     assert rep.sup_difference < 0.05
 
 
 def test_convergence_thue_morse_pinned(tm100):
-    rep = convergence_report(tm100, 50, 100, 1000)
+    rep = convergence(tm100, 50, 100, 1000)
     assert rep.sup_difference == 0.0017080246913580247
     assert rep.excluded_fraction == Fraction(161, 1000)
     assert rep.compared_points == 839
@@ -244,22 +250,13 @@ def test_convergence_thue_morse_trend(deep_tables):
     stick to the wide-gap comparisons and the exclusion accounting.
     """
     table = deep_tables["thue-morse"]
-    reports = [convergence_report(table, n1, 100, 1000) for n1 in (20, 40, 60, 80)]
+    reports = [convergence(table, n1, 100, 1000) for n1 in (20, 40, 60, 80)]
     sups = [r.sup_difference for r in reports]
     assert sups[0] > sups[1] > sups[2]
     assert sups[3] < sups[0] / 2
     assert all(s < Fraction(5, 100) for s in sups)
     excluded = [r.excluded_fraction for r in reports]
     assert all(a > b for a, b in zip(excluded, excluded[1:]))
-
-
-def test_convergence_level_guards(deep_tables):
-    with pytest.raises(InputError):
-        convergence_report(deep_tables["fibonacci"], 1, 50)
-    with pytest.raises(InputError):
-        convergence_report(deep_tables["fibonacci"], 60, 50)
-    with pytest.raises(InputError):
-        convergence_report(deep_tables["fibonacci"], 2, 101)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +308,7 @@ def test_fibonacci_diagnostic_stays_small(deep_tables):
 
 
 def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
-    """convergence_report(n1, n2) and the roundtrip at level n2 against the
+    """convergence(n1, n2) and the roundtrip at level n2 against the
     point-by-point sweep: bit-identical sups, equal excluded counts."""
     _assert_convergence_sweep(table, n1, n2, grid_size)
     _assert_roundtrip_sweep(table, golden_iet(), golden_coding(), n2, grid_size)
@@ -325,7 +322,7 @@ def _assert_convergence_sweep(table, n1, n2, grid_size):
         Fraction(1, coarse.source_count),
         lambda x: abs(coarse.evaluate(x) - fine.evaluate(x)),
     )
-    rep = convergence_report(table, n1, n2, grid_size)
+    rep = convergence(table, n1, n2, grid_size)
     assert rep.sup_difference == sup
     assert rep.excluded_fraction == Fraction(excluded, grid_size)
     assert rep.compared_points == grid_size - excluded

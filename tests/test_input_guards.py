@@ -13,9 +13,6 @@ from shift2iet import (
     InputError,
     Substitution,
     build_factor_table,
-    code_orbit,
-    coded_factor_table,
-    convergence_report,
     get_fixture,
     golden_coding,
     golden_iet,
@@ -23,6 +20,7 @@ from shift2iet import (
     measure_table,
     refine,
     roundtrip_check,
+    run_verification,
 )
 from shift2iet.cli import main
 
@@ -45,16 +43,6 @@ GUARDS = [
         lambda: FiniteIET([0, Fraction(1, 2)], [Fraction(1, 2)]),
         "need one translation per breakpoint",
         id="iet-translation-count",
-    ),
-    pytest.param(
-        lambda: code_orbit(golden_iet(), golden_coding(), 0, length=-1),
-        "length must be >= 0",
-        id="code-orbit-length",
-    ),
-    pytest.param(
-        lambda: coded_factor_table(golden_iet(), golden_coding(), 0),
-        "n_max must be >= 1",
-        id="coded-table-depth",
     ),
     pytest.param(
         lambda: roundtrip_check(get_fixture("fibonacci"), golden_iet(), golden_coding(), 0),
@@ -88,7 +76,14 @@ GUARDS = [
         id="measure-table-below-words",
     ),
     pytest.param(
-        lambda: convergence_report(_tm(), 2, 4, grid_size=0), "grid_size must be >= 1", id="convergence-grid"
+        lambda: run_verification(get_fixture("thue-morse"), 30, 10, grid_size=0),
+        "grid_size must be >= 1",
+        id="verify-grid-0",
+    ),
+    pytest.param(
+        lambda: run_verification(get_fixture("thue-morse"), 30, 10, grid_size=-3),
+        "grid_size must be >= 1",
+        id="verify-grid-negative",
     ),
     pytest.param(
         lambda: _tm().prefix_range("abb", 2), "prefix longer than the requested length", id="prefix-range"

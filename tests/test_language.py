@@ -1,12 +1,14 @@
 """Factor tables against sliding-window oracles and closed-form complexities."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shift2iet import InputError, build_factor_table, fixture_names, get_fixture, parse_substitution
+from shift2iet.language import FactorTable
 import oracles
 
 ORACLE_DEPTH = 30
@@ -270,6 +272,21 @@ def test_per_word_queries_end_in_input_error():
         for query in (table.left_extensions, table.right_extensions):
             with pytest.raises(InputError, match=f"{word!r} is not a factor"):
                 query(word)
+
+
+def test_a_run_that_is_no_node_raises_input_error(shallow_tables):
+    """Lowering the lcp entry where the windows of 'a' turn from 'aa' to 'ab'
+    makes that rank a head of level 1, so the run of 'a' is no node of the
+    tree that the constructor walked: both extension queries refuse it."""
+    table = shallow_tables["thue-morse"]
+    lcp = array("i", table.lcp())
+    lcp[lcp.index(1)] = 0
+    faulty = FactorTable(
+        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks
+    )
+    for query in (faulty.left_extensions, faulty.right_extensions):
+        with pytest.raises(InputError, match="the run of 'a' is no node of the lcp-interval tree"):
+            query("a")
 
 
 def test_level_bounds_are_guarded(shallow_tables):

@@ -1,6 +1,8 @@
 """The lazy public API of the package: every name in `__all__` resolves to
-its home module's object, and every module imports on its own."""
+its home module's object, the package itself uses it, and every module
+imports on its own."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -13,6 +15,22 @@ import pytest
 import shift2iet
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(shift2iet.__path__))
+SOURCES = sorted(Path(shift2iet.__file__).resolve().parent.glob("*.py"))
+
+
+def _used_names() -> set[str]:
+    """Names that some module reads, as a `Name` or an `Attribute`, outside
+    the body of the top-level def or class of the same name.  The `_HOMES`
+    keys and docstrings are strings, so they never count."""
+    used = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    return used
 
 
 @pytest.mark.parametrize("name", shift2iet.__all__)
@@ -23,6 +41,13 @@ def test_public_name_is_its_home_modules_object(name):
         return
     home = importlib.import_module(f"shift2iet.{shift2iet._HOMES[name]}")
     assert value is getattr(home, name)
+
+
+def test_every_public_name_is_used_by_the_package():
+    """A public name that only tests call is a second path to a computation
+    that the runtime reaches another way; it goes, with its guards."""
+    unused = set(shift2iet.__all__) - {"__version__"} - _used_names()
+    assert not unused, sorted(unused)
 
 
 def test_star_import_binds_every_public_name():

@@ -390,6 +390,26 @@ def test_an_lcp_entry_lowered_two_below_the_top_fails_sorted_unique_alone(tm30):
     assert [name for name, c in checks.items() if not c.ok] == ["levels-sorted-unique"]
 
 
+@pytest.mark.parametrize(
+    "name, entries",
+    [("thue-morse", 88), ("fibonacci", 29), ("tribonacci", 58), ("tetranacci", 87), ("rudin-shapiro", 228)],
+)
+def test_every_lowered_lcp_entry_fails_a_check_instead_of_raising(monkeypatch, name, entries):
+    """Each nonzero lcp entry of the table at 30 lowered by one, the table
+    rebuilt on it and `verify` run on that table: some check fails, and
+    none raises, also where a word's run of windows is no node of the
+    lcp-interval tree that the constructor walked."""
+    table = _table30(name)
+    lcp = table.lcp()
+    ranks = [r for r, v in enumerate(lcp) if v]
+    assert len(ranks) == entries
+    for r in ranks:
+        faulty = _with_lcp(table, {r: lcp[r] - 1})
+        monkeypatch.setattr(shift2iet.verification, "build_factor_table", lambda *_: faulty)
+        report = run_verification(get_fixture(name), 30, 10)
+        assert not report.passed, r
+
+
 def test_language_checks_keep_no_level_of_strings():
     """The suite holds at most two levels as strings.  At Thue-Morse depth 160
     every level together is sum n*p(n) = 4.28M characters, and a suite that
