@@ -30,9 +30,6 @@ _HOMES = {
     "PiecewiseAffineMap": "ietmap",
     "build_approximant": "ietmap",
     "block_affinity_check": "ietmap",
-    "LimitInterval": "ietmap",
-    "LimitIntervalSet": "ietmap",
-    "limit_intervals": "ietmap",
     "ConvergenceReport": "ietmap",
     "QuadraticNumber": "coding",
     "FiniteIET": "coding",

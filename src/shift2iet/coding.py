@@ -417,7 +417,6 @@ class RoundtripResult(NamedTuple):
     """Outcome of the shift -> exchange -> shift comparison."""
 
     passed: bool
-    factor_sets_equal: bool
     first_mismatch: tuple[int, str, str] | None   # (length, word, side)
     sup_difference: float
     excluded_fraction: Fraction
@@ -498,7 +497,6 @@ def roundtrip_check(
     passed = mismatch is None and sup < ROUNDTRIP_TOLERANCE
     return RoundtripResult(
         passed,
-        mismatch is None,
         mismatch,
         sup,
         Fraction(excluded, grid_size),

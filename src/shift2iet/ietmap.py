@@ -47,9 +47,6 @@ class PiecewiseAffineMap(NamedTuple):
     def source_interval(self, i: int) -> tuple[Fraction, Fraction]:
         return Fraction(i, self.source_count), Fraction(i + 1, self.source_count)
 
-    def target_interval(self, j: int) -> tuple[Fraction, Fraction]:
-        return Fraction(j, self.target_count), Fraction(j + 1, self.target_count)
-
     def evaluate(self, x) -> Fraction:
         """Exact value at a point of [0, 1)."""
         x = Fraction(x)
@@ -119,61 +116,15 @@ def block_affinity_check(amap: PiecewiseAffineMap, partition: PartitionResult) -
     return verdict
 
 
-class LimitInterval(NamedTuple):
-    word: str
-    left: Fraction          # estimated left endpoint of the cylinder's interval
-    length: Fraction        # estimated mass of the cylinder
-    image_left: Fraction    # estimated left endpoint of the shifted cylinder
-
-    @property
-    def translation(self) -> Fraction:
-        return self.image_left - self.left
-
-
-class LimitIntervalSet(NamedTuple):
-    """Cylinder k's interval is `intervals[k - 1]`."""
-
-    level: int
-    intervals: list[LimitInterval]
-
-    @property
-    def residual(self) -> Fraction:
-        return 1 - sum((iv.length for iv in self.intervals), Fraction(0))
-
-
-def limit_intervals(table: FactorTable, partition: PartitionResult, n: int) -> LimitIntervalSet:
-    """Estimated interval data for every emitted cylinder, counted at length n.
-
-    The left endpoint is the total mass of the same-length factors sorted
-    before the cylinder word; the image endpoint does the same for the suffix
-    one level down.  Their difference is the translation the limit map applies
-    on that cylinder.
-    """
-    if not 2 <= n <= table.n_max:
-        raise InputError(f"counting length must be within 2..{table.n_max}")
-    longest = max(map(len, partition.cylinders), default=0)
-    if n < longest:
-        raise InputError("counting length smaller than the longest cylinder word")
-    intervals = []
-    for word in partition.cylinders:
-        lo, hi = table.prefix_range(word, n)
-        left = Fraction(lo, table.complexity(n))
-        length = Fraction(hi - lo, table.complexity(n))
-        lo2, _ = table.prefix_range(word[1:], n - 1)
-        image_left = Fraction(lo2, table.complexity(n - 1))
-        intervals.append(LimitInterval(word, left, length, image_left))
-    return LimitIntervalSet(n, intervals)
-
-
 def _marks(table: FactorTable, words: list[str]) -> list[Fraction]:
     """Estimated positions of the limit map's accumulation points, one per word.
 
     The words are a refinement's unresolved ones, a+u with u left special of
     length d-1 and a a left extension of u.  As d grows they narrow to the
     words a+x, x an infinite left special branch, at whose positions the
-    discontinuities of the limit map accumulate.  Each position is the left
-    end `limit_intervals` estimates for a cylinder, counted at the table
-    depth.
+    discontinuities of the limit map accumulate.  Each position estimates
+    the left end of the word's interval: the share of the table-depth
+    factors sorted before the word.
     """
     p = table.complexity(table.n_max)
     return [Fraction(table.prefix_range(u, table.n_max)[0], p) for u in words]
@@ -185,11 +136,6 @@ class ConvergenceReport(NamedTuple):
     grid_size: int
     sup_difference: float
     excluded_fraction: Fraction
-
-    @property
-    def compared_points(self) -> int:
-        """The grid points not excluded."""
-        return self.grid_size - int(self.excluded_fraction * self.grid_size)
 
 
 def _convergence(

@@ -111,7 +111,8 @@ class FactorTable:
                 if hi:  # the root, hi = 0, lives at no level
                     if i > a:  # an inner node
                         self._inner[a, i + 1] = (hi, left, right)
-                        self._right_special[hi].append((a, right.bit_count()))
+                        if hi < n_max:  # only a faulty lcp reaches n_max
+                            self._right_special[hi].append((a, right.bit_count()))
                     count = left.bit_count()
                     if count > 1:
                         for n in range(max(lcp[a], v) + 1, min(hi, n_max - 1) + 1):

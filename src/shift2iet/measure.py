@@ -51,7 +51,6 @@ class MeasureTable(NamedTuple):
     entries: dict[str, Fraction]
     defects: dict[str, int]
     normalized_defect: Fraction
-    letter_frequencies: dict[str, Fraction]
 
 
 def measure_table(table: FactorTable, words, n: int) -> MeasureTable:
@@ -75,5 +74,4 @@ def measure_table(table: FactorTable, words, n: int) -> MeasureTable:
             defects[w] = invariance_defect(table, w, n)
     worst = max(defects.values(), default=0)
     normalized = Fraction(worst, table.complexity(n - 1))
-    letters = {a: entries[a] for a in table.alphabet.letters}
-    return MeasureTable(n, entries, defects, normalized, letters)
+    return MeasureTable(n, entries, defects, normalized)

@@ -29,24 +29,6 @@ class PartitionResult(NamedTuple):
     unresolved: list[str]
     depth_cap: int
 
-    def classify(self, word: str):
-        """Locate a word relative to the partition.
-
-        Returns the cylinder index k when some emitted word is a prefix of the
-        argument, the string "unresolved" when the argument extends an
-        unresolved word, and "too-short" when the argument is a proper prefix
-        of emitted or unresolved words (so both outcomes are still possible).
-        """
-        for k, cylinder in enumerate(self.cylinders, 1):
-            if word.startswith(cylinder):
-                return k
-        for u in self.unresolved:
-            if word.startswith(u):
-                return "unresolved"
-        if any(w.startswith(word) and w != word for w in self.cylinders + self.unresolved):
-            return "too-short"
-        raise InputError(f"{word!r} does not occur in the shift at this depth")
-
     def residual_mass(self, measures) -> Fraction:
         """1 minus the total estimated mass of the emitted cylinders.
 

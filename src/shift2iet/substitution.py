@@ -2,8 +2,8 @@
 
 A substitution maps each letter to a non-empty word.  Everything downstream
 (factor tables, cylinder partitions, affine approximants) is built from the
-iterates of a primitive substitution, so this module also decides primitivity,
-produces fixed-point prefixes, and computes Perron letter frequencies.
+iterates of a primitive substitution, so this module also decides primitivity
+and computes Perron letter frequencies.
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class PrimitivityResult(NamedTuple):
     witness_power: int | None
 
 
-class FixedPointSeed(NamedTuple):
-    seed: str
-    power: int
-
-
 class Substitution:
     """Non-erasing morphism letter -> word over a fixed alphabet."""
 
@@ -155,44 +150,6 @@ class Substitution:
                 return PrimitivityResult(True, k)
             current = [reduce(or_, map(current.__getitem__, cols), 0) for cols in support]
         return PrimitivityResult(False, None)
-
-    def fixed_point_prefix(self, seed: str, min_len: int) -> str:
-        """Prefix of the one-sided fixed point obtained by iterating on a seed letter.
-
-        Requires the seed to be a strict prefix of its own image with image
-        length >= 2; then the iterates are nested prefixes of a unique infinite
-        word.  Returns the first iterate of length >= min_len (possibly longer).
-        """
-        if min_len < 1:
-            raise InputError("min_len must be >= 1")
-        if seed not in self.alphabet:
-            raise InputError(f"seed {seed!r} is not in the alphabet")
-        image = self.apply(seed)
-        if len(image) < 2 or not image.startswith(seed):
-            raise InputError(
-                f"seed {seed!r} does not start its own image of length >= 2; no fixed point there"
-            )
-        word = seed
-        while len(word) < min_len:
-            word = self.apply(word)
-        return word
-
-    def fixed_point_seed(self) -> FixedPointSeed:
-        """Find (letter, k) such that the k-th power admits a fixed point on that letter.
-
-        Searches k up to |alphabet| squared, which covers every cycle of the
-        first-letter map.  The chosen power is part of the result so callers can
-        report it; languages of a substitution and of its powers coincide.
-        """
-        m = len(self.alphabet)
-        current = self
-        for k in range(1, m * m + 1):
-            for a in self.alphabet:
-                image = current.images[a]
-                if len(image) >= 2 and image.startswith(a):
-                    return FixedPointSeed(a, k)
-            current = Substitution(self.alphabet, {x: self.apply(w) for x, w in current.images.items()})
-        raise InputError("no letter starts its own image under any small power; images never grow")
 
     def perron_frequencies(self) -> dict[str, float]:
         """Letter frequencies: the normalized dominant eigenvector of the incidence matrix.

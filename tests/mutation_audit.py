@@ -72,10 +72,6 @@ MUTANTS = [
     Mutant("primitivity-counts-only-ones", "substitution.py",
            "for l, count in enumerate(row) if count]", "for l, count in enumerate(row) if count == 1]",
            "substitution.primitivity-power-stable"),
-    Mutant("fixed-point-prefix-reversed", "substitution.py",
-           "            word = self.apply(word)\n        return word\n",
-           "            word = self.apply(word)\n        return word[::-1]\n",
-           "substitution.fixed-point-prefix-nested"),
     Mutant("perron-not-normalized", "substitution.py",
            "w = [x / total for x in w]", "w = [x / (total + 1e-9) for x in w]",
            "substitution.perron-normalized"),
@@ -205,13 +201,10 @@ MUTANTS = [
     Mutant("residual-adds-the-mass", "partition.py",
            "total += measures.entries[word]", "total -= measures.entries[word]",
            "partition.residual-nonincreasing"),
-    Mutant("unresolved-classified-too-short", "partition.py",
-           'return "unresolved"', 'return "too-short"',
-           "partition.classify-roundtrip"),
     # -- measure
-    Mutant("letter-frequencies-drop-one", "measure.py",
-           "for a in table.alphabet.letters}", "for a in table.alphabet.letters[1:]}",
-           "measure.letters-sum-one"),
+    Mutant("measure-table-drops-the-last-letter", "measure.py",
+           "list(table.alphabet.letters)))", "list(table.alphabet.letters[:-1])))",
+           "measure.letters-sum-one: a letter row that measures.tsv prints"),
     Mutant("estimate-of-pairs-plus-one", "measure.py",
            _ESTIMATE,
            "return Fraction(table.restricted_complexity(word, n) + (len(word) == 2), table.complexity(n))",
@@ -270,10 +263,6 @@ MUTANTS = [
            "list(range(targets[a], targets[a] + size))",
            "list(range(targets[a], targets[a] + 2 * size, 2))",
            "ietmap.block-affinity"),
-    Mutant("limit-interval-one-cell-long", "ietmap.py",
-           "length = Fraction(hi - lo, table.complexity(n))",
-           "length = Fraction(hi - lo + 1, table.complexity(n))",
-           "ietmap.limit-intervals-disjoint"),
     Mutant("grid-difference-off-by-one", "ietmap.py",
            "return c + g * slope", "return c + g * slope + 1",
            "ietmap.convergence-report-accounting"),

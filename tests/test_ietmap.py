@@ -18,11 +18,12 @@ from shift2iet import (
     block_affinity_check,
     build_approximant,
     build_factor_table,
+    cylinder_measure_estimate,
     fixture_names,
     get_fixture,
     golden_coding,
     golden_iet,
-    limit_intervals,
+    measure_table,
     refine,
     roundtrip_check,
 )
@@ -45,7 +46,7 @@ def test_fibonacci_level_two_map(fib12):
         (2, "ba", 0),
     ]
     assert amap.source_interval(1) == (Fraction(1, 3), Fraction(2, 3))
-    assert amap.target_interval(1) == (Fraction(1, 2), Fraction(1, 1))
+    assert amap.target_count == 2  # piece 1's image is [1/2, 1)
     assert amap.discontinuities() == [Fraction(2, 3)]
 
 
@@ -94,7 +95,7 @@ def test_evaluate_is_affine_on_each_piece(fib12):
     amap = build_approximant(fib12, 6)
     for i, piece in enumerate(amap.pieces):
         left, right = amap.source_interval(i)
-        lo, _ = amap.target_interval(piece.target_index)
+        lo = Fraction(piece.target_index, amap.target_count)
         assert amap.evaluate(left) == lo
         mid = (left + right) / 2
         assert amap.evaluate(mid) == lo + (mid - left) * amap.slope
@@ -185,36 +186,32 @@ def test_block_affinity_matches_the_scan_per_cylinder(deep_tables, name):
             assert verdict == dict(enumerate(want, 1))
 
 
-def test_limit_intervals_fibonacci(deep_tables):
+def test_cylinder_interval_estimates_fibonacci(deep_tables):
+    """`ab` sits near [g^3, g), g = (sqrt(5) - 1)/2: its left end read off
+    the prefix range at length 100, its length the measure estimate."""
     table = deep_tables["fibonacci"]
-    partition = refine(table, 5)
-    lis = limit_intervals(table, partition, 100)
-    by_word = {iv.word: iv for iv in lis.intervals}
-    assert abs(float(by_word["ab"].left) - 0.236) < 0.01
-    assert abs(float(by_word["ab"].length) - 0.382) < 0.01
-    for iv in lis.intervals:
-        assert iv.translation == iv.image_left - iv.left
+    assert "ab" in refine(table, 5).cylinders
+    lo, _ = table.prefix_range("ab", 100)
+    assert abs(lo / table.complexity(100) - 0.236) < 0.01
+    assert abs(float(cylinder_measure_estimate(table, "ab", 100)) - 0.382) < 0.01
 
 
-def test_limit_intervals_tile_with_residual(deep_tables):
-    for name in ("thue-morse", "tetranacci"):
-        table = deep_tables[name]
-        partition = refine(table, 6)
-        lis = limit_intervals(table, partition, 60)
-        total = sum((iv.length for iv in lis.intervals), Fraction(0))
-        assert total + lis.residual == 1
-        ordered = sorted(lis.intervals, key=lambda iv: iv.left)
-        for a, b in zip(ordered, ordered[1:]):
-            assert a.left + a.length <= b.left
-
-
-def test_thue_morse_depth_five_limit_intervals_are_disjoint(deep_tables):
-    table = deep_tables["thue-morse"]
-    lis = limit_intervals(table, refine(table, 5), 100)
-    assert len(lis.intervals) == 6
-    ordered = sorted(lis.intervals, key=lambda iv: iv.left)
-    for a, b in zip(ordered, ordered[1:]):
-        assert a.left + a.length <= b.left
+@pytest.mark.parametrize(
+    "name, depth, n, count", [("thue-morse", 6, 60, 6), ("tetranacci", 6, 60, 9), ("thue-morse", 5, 100, 6)]
+)
+def test_cylinder_intervals_are_disjoint_and_leave_the_residual(deep_tables, name, depth, n, count):
+    """The estimated intervals of the emitted cylinders, each its run of
+    length-n factors over p(n), do not overlap, and their lengths and the
+    partition's residual sum to 1."""
+    table = deep_tables[name]
+    partition = refine(table, depth)
+    assert len(partition.cylinders) == count
+    p = table.complexity(n)
+    intervals = sorted(tuple(Fraction(i, p) for i in table.prefix_range(w, n)) for w in partition.cylinders)
+    assert all(right <= left for (_, right), (left, _) in zip(intervals, intervals[1:]))
+    residual = partition.residual_mass(measure_table(table, partition.cylinders, n))
+    assert sum(right - left for left, right in intervals) + residual == 1
+    assert 0 <= residual <= 1
 
 
 def convergence(table, n1, n2, grid_size):
@@ -224,10 +221,15 @@ def convergence(table, n1, n2, grid_size):
     return _convergence(coarse, fine, grid_size, coarse.discontinuities() + fine.discontinuities())
 
 
+def compared_points(rep) -> int:
+    """The grid points a convergence report did not exclude."""
+    return rep.grid_size - int(rep.excluded_fraction * rep.grid_size)
+
+
 def test_convergence_identical_levels_is_zero(deep_tables):
     rep = convergence(deep_tables["fibonacci"], 40, 40, 500)
     assert rep.sup_difference == 0
-    assert rep.compared_points + rep.excluded_fraction * 500 == 500
+    assert compared_points(rep) + rep.excluded_fraction * 500 == 500
 
 
 def test_convergence_fibonacci(deep_tables):
@@ -239,7 +241,7 @@ def test_convergence_thue_morse_pinned(tm100):
     rep = convergence(tm100, 50, 100, 1000)
     assert rep.sup_difference == 0.0017080246913580247
     assert rep.excluded_fraction == Fraction(161, 1000)
-    assert rep.compared_points == 839
+    assert compared_points(rep) == 839
 
 
 def test_convergence_thue_morse_trend(deep_tables):
@@ -325,7 +327,7 @@ def _assert_convergence_sweep(table, n1, n2, grid_size):
     rep = convergence(table, n1, n2, grid_size)
     assert rep.sup_difference == sup
     assert rep.excluded_fraction == Fraction(excluded, grid_size)
-    assert rep.compared_points == grid_size - excluded
+    assert compared_points(rep) == grid_size - excluded
     return rep
 
 
@@ -390,7 +392,7 @@ def test_grid_sweep_with_every_point_excluded(deep_tables):
     """Sup 0 and every point excluded, with no stretch left to evaluate."""
     table = deep_tables["thue-morse"]
     rep = _assert_convergence_sweep(table, 2, 8, 50)
-    assert rep.compared_points == 0 and rep.sup_difference == 0
+    assert compared_points(rep) == 0 and rep.sup_difference == 0
     # T_2 jumps at 1/2 alone; with exchange breakpoints at 1/5 and 4/5 the
     # radius 1/p(2) = 1/4 covers [0, 1).
     fifth = Fraction(1, 5)

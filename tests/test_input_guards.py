@@ -16,9 +16,7 @@ from shift2iet import (
     get_fixture,
     golden_coding,
     golden_iet,
-    limit_intervals,
     measure_table,
-    refine,
     roundtrip_check,
     run_verification,
 )
@@ -58,16 +56,6 @@ GUARDS = [
     ),
     pytest.param(lambda: get_fixture("nope"), "unknown fixture 'nope'", id="fixture-name"),
     pytest.param(
-        lambda: limit_intervals(_tm(), refine(_tm(), 5), 1),
-        "counting length must be within 2..12",
-        id="limit-intervals-level-1",
-    ),
-    pytest.param(
-        lambda: limit_intervals(_tm(), refine(_tm(), 5), 2),
-        "counting length smaller than the longest cylinder word",
-        id="limit-intervals-below-cylinders",
-    ),
-    pytest.param(
         lambda: measure_table(_tm(), [], 13), "counting length must be within 2..12", id="measure-table-level"
     ),
     pytest.param(
@@ -98,12 +86,6 @@ GUARDS = [
         "letter 'z' is not in the alphabet",
         id="apply-foreign",
     ),
-    pytest.param(
-        lambda: Substitution(AB, {"a": "ab", "b": "a"}).fixed_point_prefix("a", 0),
-        "min_len must be >= 1",
-        id="fixed-point-length",
-    ),
-    pytest.param(lambda: STILL.fixed_point_seed(), "images never grow", id="fixed-point-still"),
 ]
 
 

@@ -56,6 +56,16 @@ def test_all_levels_match_window_oracle(name, shallow_tables, oracle_levels):
 
 
 @pytest.mark.parametrize("name", fixture_names())
+def test_fixed_point_windows_are_factors(name, shallow_tables):
+    """A prefix of a one-sided fixed point is a factor, so each of its
+    windows lies in the table's level of its length."""
+    table = shallow_tables[name]
+    word = oracles.fixed_point_prefix(dict(get_fixture(name).images), 400)
+    for n in range(1, ORACLE_DEPTH + 1):
+        assert set(oracles.window_factors(word, n)) <= set(table.factors(n)), n
+
+
+@pytest.mark.parametrize("name", fixture_names())
 def test_levels_built_in_any_order_match_window_oracle(name, oracle_levels):
     """A level is built on first use from the lcp array alone, so the order
     of first use must not change any level; its factors start at the ranks

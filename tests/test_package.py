@@ -1,6 +1,6 @@
 """The lazy public API of the package: every name in `__all__` resolves to
-its home module's object, the package itself uses it, and every module
-imports on its own."""
+its home module's object, the package itself uses it and every public method
+of its classes, and every module imports on its own."""
 
 import ast
 import importlib
@@ -33,6 +33,28 @@ def _used_names() -> set[str]:
     return used
 
 
+def _public_methods() -> list[str]:
+    """`Class.method` for each public method or property of a public class."""
+    return [
+        f"{top.name}.{node.name}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _used_attributes() -> set[str]:
+    """Names that some module reads as an `Attribute`."""
+    return {
+        node.attr
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+
+
 @pytest.mark.parametrize("name", shift2iet.__all__)
 def test_public_name_is_its_home_modules_object(name):
     value = getattr(shift2iet, name)
@@ -48,6 +70,16 @@ def test_every_public_name_is_used_by_the_package():
     that the runtime reaches another way; it goes, with its guards."""
     unused = set(shift2iet.__all__) - {"__version__"} - _used_names()
     assert not unused, sorted(unused)
+
+
+def test_every_public_method_is_used_by_the_package():
+    """The same rule for the methods and properties of the package's
+    classes: each is read as an attribute somewhere in the package."""
+    used = _used_attributes()
+    methods = _public_methods()
+    assert "PiecewiseAffineMap.evaluate" in methods
+    unused = [m for m in methods if m.split(".")[1] not in used]
+    assert not unused, unused
 
 
 def test_star_import_binds_every_public_name():

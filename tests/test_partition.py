@@ -72,17 +72,6 @@ def test_emitted_words_are_pairwise_non_prefix(tm30):
             assert not u.startswith(v) and not v.startswith(u)
 
 
-def test_classify_locates_words(tm30):
-    result = refine(tm30, 5)
-    assert result.classify("abb") == 1
-    assert result.classify("abbabb") == 1
-    assert result.classify("aababb") == 3
-    assert result.classify("abaababb") == "unresolved"
-    assert result.classify("ab") == "too-short"
-    with pytest.raises(InputError):
-        result.classify("bbb")
-
-
 def test_every_long_factor_classifies_uniquely(tm30):
     """Emitted cylinders plus unresolved words tile the depth-cap level."""
     result = refine(tm30, 7)

@@ -1,4 +1,4 @@
-"""Morphism plumbing: validation, incidence data, primitivity, fixed points."""
+"""Morphism plumbing: validation, incidence data, primitivity, Perron frequencies."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from shift2iet import (
     get_fixture,
     parse_substitution,
 )
-from oracles import apply_rules, fixed_point_prefix
+from oracles import apply_rules
 
 
 def test_alphabet_rejects_bad_letter_sets():
@@ -78,32 +78,6 @@ def test_fixtures_are_primitive(name):
 def test_reducible_substitution_is_not_primitive():
     sub = parse_substitution({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "b"}})
     assert sub.primitivity() == (False, None)
-
-
-def test_fixed_point_prefixes_are_nested():
-    sub = get_fixture("tribonacci")
-    short = sub.fixed_point_prefix("a", 50)
-    long = sub.fixed_point_prefix("a", 400)
-    assert long.startswith(short)
-    reference = fixed_point_prefix(dict(sub.images), 400)
-    assert long == reference[: len(long)]
-
-
-def test_fixed_point_prefix_rejects_bad_seed():
-    sub = get_fixture("fibonacci")
-    with pytest.raises(InputError):
-        sub.fixed_point_prefix("b", 10)
-    with pytest.raises(InputError):
-        sub.fixed_point_prefix("z", 10)
-
-
-def test_fixed_point_seed_search_uses_powers():
-    # b -> ba only fixes b, and only after squaring a -> b, b -> ab.
-    sub = parse_substitution({"alphabet": ["a", "b"], "rules": {"a": "b", "b": "ab"}})
-    seed = sub.fixed_point_seed()
-    assert seed.power > 1
-    image = sub.power(seed.power).images[seed.seed]
-    assert image.startswith(seed.seed) and len(image) >= 2
 
 
 def test_power_matches_repeated_application():
