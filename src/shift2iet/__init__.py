@@ -30,7 +30,6 @@ _HOMES = {
     "PiecewiseAffineMap": "ietmap",
     "build_approximant": "ietmap",
     "block_affinity_check": "ietmap",
-    "ConvergenceReport": "ietmap",
     "QuadraticNumber": "coding",
     "FiniteIET": "coding",
     "CodingPartition": "coding",

@@ -59,7 +59,7 @@ def parse_config(args: argparse.Namespace) -> None:
         raise InputError(f"alphabet letter {letter!r} would break the TSV and CSV artifacts")
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1")
-    if args.grid < 1:
+    if "grid" in args and args.grid < 1:  # roundtrip's flag alone
         raise InputError("--grid must be >= 1")
 
 
@@ -244,12 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     level, depth = _level(args, min(100, args.nmax)), _depth_cap(args)
     report = run_verification(
-        args.substitution,
-        args.nmax,
-        depth,
-        measure_level=args.n,
-        approximant_level=level,
-        grid_size=args.grid,
+        args.substitution, args.nmax, depth, measure_level=args.n, approximant_level=level
     )
     log = report.log_text()
     _write(args, "verify.log", log)
@@ -311,9 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=".", help="output directory (default %(default)s)"
     )
     common.add_argument(
-        "--grid", type=int, default=1000, help="grid size for sup comparisons (default %(default)s)"
-    )
-    common.add_argument(
         "--assert-aperiodic",
         action="store_true",
         help="caller asserts the shift is aperiodic; silences the warning",
@@ -341,6 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="code a known exchange and compare with the substitution shift",
     )
     rt.add_argument("pairing", choices=["fibonacci"], help="which pairing to test")
+    rt.add_argument(
+        "--grid", type=int, default=1000, help="grid size for the sup comparison (default %(default)s)"
+    )
     rt.set_defaults(run=cmd_roundtrip)
     return parser
 

@@ -262,10 +262,6 @@ class FiniteIET:
     def piece_index(self, x) -> int:
         return _piece_of(self.breakpoints, x)
 
-    def apply(self, x) -> QuadraticNumber:
-        x = _as_quadratic(x)
-        return x + self.translations[self.piece_index(x)]
-
 
 def golden_iet() -> FiniteIET:
     """The two-piece exchange of the golden rotation.

@@ -44,20 +44,6 @@ class PiecewiseAffineMap(NamedTuple):
     def slope(self) -> Fraction:
         return Fraction(self.source_count, self.target_count)
 
-    def source_interval(self, i: int) -> tuple[Fraction, Fraction]:
-        return Fraction(i, self.source_count), Fraction(i + 1, self.source_count)
-
-    def evaluate(self, x) -> Fraction:
-        """Exact value at a point of [0, 1)."""
-        x = Fraction(x)
-        if not 0 <= x < 1:
-            raise InputError("point outside [0, 1)")
-        i = int(x * self.source_count)
-        piece = self.pieces[i]
-        return Fraction(piece.target_index, self.target_count) + (
-            x - Fraction(i, self.source_count)
-        ) * self.slope
-
     def discontinuities(self) -> list[Fraction]:
         """Internal breakpoints where the left limit differs from the next value.
 
@@ -130,55 +116,17 @@ def _marks(table: FactorTable, words: list[str]) -> list[Fraction]:
     return [Fraction(table.prefix_range(u, table.n_max)[0], p) for u in words]
 
 
-class ConvergenceReport(NamedTuple):
-    coarse_level: int
-    fine_level: int
-    grid_size: int
-    sup_difference: float
-    excluded_fraction: Fraction
+def _grid_sup(n: int, jumps, radius, difference) -> tuple:
+    """Largest |difference(g)| over the grid points g/n off every jump.
 
-
-def _convergence(
-    coarse: PiecewiseAffineMap, fine: PiecewiseAffineMap, grid_size: int, jumps: list[Fraction]
-) -> ConvergenceReport:
-    """Largest gap between two approximants on a grid, off the jump neighborhoods.
-
-    The jumps are the discontinuities of both maps, built once by the caller.
-    Grid points closer than 1/p(n1) to one of them, n1 the coarse level, are
-    excluded; the excluded share of the grid is reported next to the sup.
-    """
-    n = grid_size
-    p1, q1 = coarse.source_count, coarse.target_count
-    p2, q2 = fine.source_count, fine.target_count
-    slope = p1 * q2 - p2 * q1
-
-    def difference(g):
-        # T(g/N) = ((t_i - i)*N + g*p) / (N*q) on piece i = g*p // N with
-        # target t_i; both maps over the common denominator N*q1*q2.
-        i1, i2 = g * p1 // n, g * p2 // n
-        c = (coarse.pieces[i1].target_index - i1) * n * q2
-        c -= (fine.pieces[i2].target_index - i2) * n * q1
-        return c + g * slope
-
-    top, excluded = _grid_sup(grid_size, jumps, Fraction(1, p1), difference)
-    # Int/int division rounds correctly: the float of the exact sup.
-    sup = top / (n * q1 * q2)
-    return ConvergenceReport(
-        coarse.level, fine.level, grid_size, sup, Fraction(excluded, grid_size)
-    )
-
-
-def _grid_sup(grid_size: int, jumps, radius, difference) -> tuple:
-    """Largest |difference(g)| over the grid points g/grid_size off every jump.
-
-    difference(g) is the exact signed difference of two maps at g/N.  g/N
+    difference(g) is the exact signed difference of two maps at g/n.  g/n
     lies closer than radius to a jump q exactly when
-    floor(N(q - radius)) < g < ceil(N(q + radius)), so each jump excludes one
+    floor(n(q - radius)) < g < ceil(n(q + radius)), so each jump excludes one
     range [lo, hi) of indices, found by exact floor and ceil (jumps may be
     Fractions or quadratic numbers).  A map's formula changes only at its
     jumps (an approximant's t_i - i and an exchange's translation hold
-    between them), and at the jump q it changes at ceil(N q), the first index
-    at or past q, with lo <= ceil(N q) <= hi.  So the kept indices, cut at
+    between them), and at the jump q it changes at ceil(n q), the first index
+    at or past q, with lo <= ceil(n q) <= hi.  So the kept indices, cut at
     every lo and hi (an empty range still cuts), fall into runs that cross no
     jump: on each, both maps are affine in g, so is their difference, and its
     absolute value peaks at an end.  The one rule: |difference| is read at
@@ -188,8 +136,8 @@ def _grid_sup(grid_size: int, jumps, radius, difference) -> tuple:
     """
     ranges = sorted(
         (
-            max(math.floor(grid_size * (q - radius)) + 1, 0),
-            min(math.ceil(grid_size * (q + radius)), grid_size),
+            max(math.floor(n * (q - radius)) + 1, 0),
+            min(math.ceil(n * (q + radius)), n),
         )
         for q in jumps
     )
@@ -201,6 +149,6 @@ def _grid_sup(grid_size: int, jumps, radius, difference) -> tuple:
         if start < hi:
             excluded += hi - start
             start = hi
-    if start < grid_size:
-        ends += (start, grid_size - 1)
+    if start < n:
+        ends += (start, n - 1)
     return max((abs(difference(g)) for g in ends), default=0), excluded

@@ -2,14 +2,14 @@
 
 A substitution maps each letter to a non-empty word.  Everything downstream
 (factor tables, cylinder partitions, affine approximants) is built from the
-iterates of a primitive substitution, so this module also decides primitivity
-and computes Perron letter frequencies.
+iterates of a primitive substitution, so this module also decides
+primitivity.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul, or_
+from operator import or_
 from typing import NamedTuple
 
 from .errors import InputError
@@ -150,26 +150,6 @@ class Substitution:
                 return PrimitivityResult(True, k)
             current = [reduce(or_, map(current.__getitem__, cols), 0) for cols in support]
         return PrimitivityResult(False, None)
-
-    def perron_frequencies(self) -> dict[str, float]:
-        """Letter frequencies: the normalized dominant eigenvector of the incidence matrix.
-
-        Power iteration on the positive cone; requires primitivity.  Entries are
-        positive and sum to 1 within 1e-12.
-        """
-        if not self.primitivity().primitive:
-            raise InputError("perron frequencies need a primitive substitution")
-        rows = self.incidence_rows()
-        v = [1.0 / len(self.alphabet)] * len(self.alphabet)
-        for _ in range(10000):
-            w = [sum(map(mul, row, v)) for row in rows]
-            total = sum(w)
-            w = [x / total for x in w]
-            settled = max(abs(x - y) for x, y in zip(w, v)) < 1e-15
-            v = w
-            if settled:
-                break
-        return dict(zip(self.alphabet, v))
 
 
 def parse_substitution(obj: dict) -> Substitution:

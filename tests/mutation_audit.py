@@ -58,23 +58,13 @@ MUTANTS = [
     Mutant("apply-sorts-letters", "substitution.py",
            'return "".join(images[c] for c in word)',
            'return "".join(images[c] for c in sorted(word))',
-           "substitution.morphism-law"),
-    Mutant("apply-of-the-empty-word-is-a-letter", "substitution.py",
-           'return "".join(images[c] for c in word)',
-           'return "".join(images[c] for c in word) or self.alphabet.letters[0]',
-           "substitution.morphism-law: sigma of the empty word, which no other check applies"),
+           "language.oracle-equivalence: its brute-force windows apply sigma"),
     Mutant("incidence-transposed", "substitution.py",
            "rows[index(c)][j] += 1", "rows[j][index(c)] += 1",
            "substitution.incidence-column-sums"),
-    Mutant("witness-power-minus-one", "substitution.py",
-           "return PrimitivityResult(True, k)", "return PrimitivityResult(True, k - 1)",
-           "substitution.primitivity-witness"),
     Mutant("primitivity-counts-only-ones", "substitution.py",
            "for l, count in enumerate(row) if count]", "for l, count in enumerate(row) if count == 1]",
            "substitution.primitivity-power-stable"),
-    Mutant("perron-not-normalized", "substitution.py",
-           "w = [x / total for x in w]", "w = [x / (total + 1e-9) for x in w]",
-           "substitution.perron-normalized"),
     # -- language
     Mutant("lcp-read-lowered-at-its-peak", "language.py",
            "        return self._lcp\n",
@@ -252,10 +242,6 @@ MUTANTS = [
            _MAP,
            "return PiecewiseAffineMap(n, table.complexity(n - 1) - 1, pieces)",
            "ietmap.slope-window; premise of its growth half: target_count is p(n-1)"),
-    Mutant("evaluate-one-cell-up", "ietmap.py",
-           "return Fraction(piece.target_index, self.target_count) + (",
-           "return Fraction(piece.target_index + 1, self.target_count) + (",
-           "ietmap.evaluate-affine"),
     Mutant("first-junction-skipped", "ietmap.py",
            "for i in range(1, self.source_count):", "for i in range(2, self.source_count):",
            "ietmap.discontinuity-definition"),
@@ -263,9 +249,6 @@ MUTANTS = [
            "list(range(targets[a], targets[a] + size))",
            "list(range(targets[a], targets[a] + 2 * size, 2))",
            "ietmap.block-affinity"),
-    Mutant("grid-difference-off-by-one", "ietmap.py",
-           "return c + g * slope", "return c + g * slope + 1",
-           "ietmap.convergence-report-accounting"),
 ]
 
 _CHILD = f"""

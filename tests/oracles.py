@@ -17,6 +17,30 @@ def apply_rules(rules: dict, word: str) -> str:
     return "".join(rules[c] for c in word)
 
 
+def matrix_power(rows: list[list[int]], k: int) -> list[list[int]]:
+    """The k-th power (k >= 1) of a square integer matrix, by k - 1 plain
+    products; Python ints hold every path count exactly."""
+    power = rows
+    for _ in range(k - 1):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in power]
+    return power
+
+
+def perron_frequencies(rows: list[list[int]]) -> list[float]:
+    """Float power iteration for the dominant eigenvector of a primitive
+    incidence matrix, normalized to sum 1: the letter frequencies, in
+    alphabet order."""
+    v = [1.0 / len(rows)] * len(rows)
+    for _ in range(10000):
+        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
+        total = sum(w)
+        w = [x / total for x in w]
+        if max(abs(x - y) for x, y in zip(w, v)) < 1e-15:
+            return w
+        v = w
+    return v
+
+
 def prolongable_seed(rules: dict) -> str:
     for letter in sorted(rules):
         image = rules[letter]
@@ -150,13 +174,28 @@ def block_affinity(pieces, words) -> list[bool]:
     return out
 
 
+def evaluate(amap, x) -> Fraction:
+    """T_n(x) for a point x of [0, 1), exact: piece i = floor(x p(n)) starts
+    at i/p(n), and its line leaves the target index t_i over p(n-1) with
+    slope p(n)/p(n-1)."""
+    x = Fraction(x)
+    p, q = len(amap.pieces), amap.target_count
+    i = math.floor(x * p)
+    return Fraction(amap.pieces[i].target_index, q) + (x - Fraction(i, p)) * Fraction(p, q)
+
+
+def step(iet, x):
+    """The exchange's image of x: x moved by the translation of its piece."""
+    return x + iet.translations[iet.piece_index(x)]
+
+
 def orbit_code(iet, coding, x, length: int) -> str:
-    """Coding of the forward orbit of x, one step at a time through the
-    exchange's own `apply` and the partition's own `letter_at`."""
+    """Coding of the forward orbit of x, one `step` at a time through the
+    exchange's own `piece_index` and the partition's own `letter_at`."""
     out = []
     for _ in range(length):
         out.append(coding.letter_at(x))
-        x = iet.apply(x)
+        x = step(iet, x)
     return "".join(out)
 
 

@@ -395,7 +395,8 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 
 def test_commands_never_import_numpy(tmp_path):
-    """numpy is a test dependency alone, so no command pays for loading it."""
+    """The package runs on the standard library alone: no command loads numpy,
+    even where it is installed."""
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
@@ -409,6 +410,14 @@ def test_epsilon_flag_is_rejected(tmp_path, capsys):
         main(["plot", *FIB, "--epsilon", "0.02", "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --epsilon 0.02" in capsys.readouterr().err
+
+
+def test_grid_flag_is_roundtrips_alone(tmp_path, capsys):
+    """`verify` compares no maps on a grid: `--grid` is an unknown option there."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", *FIB, "--grid", "500", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --grid 500" in capsys.readouterr().err
 
 
 _FOOTPRINT_SCRIPT = """

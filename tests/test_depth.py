@@ -98,9 +98,9 @@ def test_a_search_keeps_no_window_copy():
 
 
 def test_verify_keeps_only_the_levels_read_in_full(monkeypatch):
-    """`verify --fixture thue-morse --nmax 1000` reads 38 levels in full: the
-    30 of the language suite, the two of each of T_50, T_100 and T_500, and
-    999 and 1000 of the measure table.  The table keeps those alone, 0.05 MiB
+    """`verify --fixture thue-morse --nmax 1000` reads 36 levels in full: the
+    30 of the language suite, the two of each of T_100 and T_500, and 999
+    and 1000 of the measure table.  The table keeps those alone, 0.05 MiB
     here.  A table that kept every level the language sweep and the
     refinement walked held 3.1 MiB."""
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)

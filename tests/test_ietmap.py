@@ -27,7 +27,7 @@ from shift2iet import (
     refine,
     roundtrip_check,
 )
-from shift2iet.ietmap import _convergence, _marks
+from shift2iet.ietmap import _grid_sup, _marks
 import oracles
 from test_coding import rational_three_pieces
 
@@ -45,7 +45,7 @@ def test_fibonacci_level_two_map(fib12):
         (1, "ab", 1),
         (2, "ba", 0),
     ]
-    assert amap.source_interval(1) == (Fraction(1, 3), Fraction(2, 3))
+    assert amap.source_count == 3  # piece 1's source is [1/3, 2/3)
     assert amap.target_count == 2  # piece 1's image is [1/2, 1)
     assert amap.discontinuities() == [Fraction(2, 3)]
 
@@ -66,43 +66,28 @@ def test_first_piece_anchors_origin(name):
         amap = build_approximant(table, n)
         first = amap.pieces[0]
         p_prev = table.complexity(n - 1)
-        assert amap.evaluate(0) == Fraction(first.target_index, p_prev)
+        assert oracles.evaluate(amap, 0) == Fraction(first.target_index, p_prev)
         suffix_rank = table.factors(n - 1).index(table.factors(n)[0][1:])
         assert first.target_index == suffix_rank
         if suffix_rank == 0:
-            assert amap.evaluate(0) == 0
+            assert oracles.evaluate(amap, 0) == 0
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_the_source_count_is_the_piece_count(name):
     """p(n) is read from the pieces: a map missing its last piece counts
-    p(n) - 1 sources, and its pieces still tile [0, 1)."""
+    p(n) - 1 sources."""
     table = build_factor_table(get_fixture(name), 12)
     for n in (2, 7, 12):
         amap = build_approximant(table, n)
         assert amap.source_count == table.complexity(n)
         short = amap._replace(pieces=amap.pieces[:-1])
         assert short.source_count == table.complexity(n) - 1
-        assert short.source_interval(short.source_count - 1)[1] == 1
 
 
 def test_single_piece_map_has_no_jumps():
     amap = PiecewiseAffineMap(1, 1, [AffinePiece("a", 0)])
     assert amap.discontinuities() == []
-
-
-def test_evaluate_is_affine_on_each_piece(fib12):
-    amap = build_approximant(fib12, 6)
-    for i, piece in enumerate(amap.pieces):
-        left, right = amap.source_interval(i)
-        lo = Fraction(piece.target_index, amap.target_count)
-        assert amap.evaluate(left) == lo
-        mid = (left + right) / 2
-        assert amap.evaluate(mid) == lo + (mid - left) * amap.slope
-    with pytest.raises(InputError):
-        amap.evaluate(1)
-    with pytest.raises(InputError):
-        amap.evaluate(-0.25)
 
 
 def test_level_bounds(fib12):
@@ -215,33 +200,34 @@ def test_cylinder_intervals_are_disjoint_and_leave_the_residual(deep_tables, nam
 
 
 def convergence(table, n1, n2, grid_size):
-    """T_n1 against T_n2 on the grid as `verify` compares them: each map
-    built once, and the jumps of both handed to `_convergence`."""
+    """The exact sup of |T_n1 - T_n2| as a float, and the number of excluded
+    points, on the grid of `grid_size` points off the jumps of both maps
+    within 1/p(n1), swept point by point."""
     coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
-    return _convergence(coarse, fine, grid_size, coarse.discontinuities() + fine.discontinuities())
-
-
-def compared_points(rep) -> int:
-    """The grid points a convergence report did not exclude."""
-    return rep.grid_size - int(rep.excluded_fraction * rep.grid_size)
+    return oracles.grid_sup(
+        grid_size,
+        sorted(set(coarse.discontinuities()) | set(fine.discontinuities())),
+        Fraction(1, coarse.source_count),
+        lambda x: abs(oracles.evaluate(coarse, x) - oracles.evaluate(fine, x)),
+    )
 
 
 def test_convergence_identical_levels_is_zero(deep_tables):
-    rep = convergence(deep_tables["fibonacci"], 40, 40, 500)
-    assert rep.sup_difference == 0
-    assert compared_points(rep) + rep.excluded_fraction * 500 == 500
+    sup, excluded = convergence(deep_tables["fibonacci"], 40, 40, 500)
+    assert sup == 0
+    assert 0 <= excluded <= 500
 
 
 def test_convergence_fibonacci(deep_tables):
-    rep = convergence(deep_tables["fibonacci"], 50, 100, 1000)
-    assert rep.sup_difference < 0.05
+    sup, _ = convergence(deep_tables["fibonacci"], 50, 100, 1000)
+    assert sup < 0.05
 
 
 def test_convergence_thue_morse_pinned(tm100):
-    rep = convergence(tm100, 50, 100, 1000)
-    assert rep.sup_difference == 0.0017080246913580247
-    assert rep.excluded_fraction == Fraction(161, 1000)
-    assert compared_points(rep) == 839
+    sup, excluded = convergence(tm100, 50, 100, 1000)
+    assert sup == 0.0017080246913580247
+    assert Fraction(excluded, 1000) == Fraction(161, 1000)
+    assert 1000 - excluded == 839
 
 
 def test_convergence_thue_morse_trend(deep_tables):
@@ -252,12 +238,10 @@ def test_convergence_thue_morse_trend(deep_tables):
     stick to the wide-gap comparisons and the exclusion accounting.
     """
     table = deep_tables["thue-morse"]
-    reports = [convergence(table, n1, 100, 1000) for n1 in (20, 40, 60, 80)]
-    sups = [r.sup_difference for r in reports]
+    sups, excluded = zip(*(convergence(table, n1, 100, 1000) for n1 in (20, 40, 60, 80)))
     assert sups[0] > sups[1] > sups[2]
     assert sups[3] < sups[0] / 2
     assert all(s < Fraction(5, 100) for s in sups)
-    excluded = [r.excluded_fraction for r in reports]
     assert all(a > b for a, b in zip(excluded, excluded[1:]))
 
 
@@ -310,25 +294,27 @@ def test_fibonacci_diagnostic_stays_small(deep_tables):
 
 
 def _assert_sweeps_match_oracle(table, name, n1, n2, grid_size):
-    """convergence(n1, n2) and the roundtrip at level n2 against the
-    point-by-point sweep: bit-identical sups, equal excluded counts."""
+    """`_grid_sup` on T_n1 against T_n2 and the roundtrip at level n2 against
+    the point-by-point sweep: bit-identical sups, equal excluded counts."""
     _assert_convergence_sweep(table, n1, n2, grid_size)
     _assert_roundtrip_sweep(table, golden_iet(), golden_coding(), n2, grid_size)
 
 
 def _assert_convergence_sweep(table, n1, n2, grid_size):
+    """`_grid_sup` on the exact difference T_n1 - T_n2, off the jumps of both
+    maps within 1/p(n1), against `convergence`."""
     coarse, fine = build_approximant(table, n1), build_approximant(table, n2)
-    sup, excluded = oracles.grid_sup(
+    top, excluded = _grid_sup(
         grid_size,
-        sorted(set(coarse.discontinuities()) | set(fine.discontinuities())),
+        coarse.discontinuities() + fine.discontinuities(),
         Fraction(1, coarse.source_count),
-        lambda x: abs(coarse.evaluate(x) - fine.evaluate(x)),
+        lambda g: oracles.evaluate(coarse, Fraction(g, grid_size))
+        - oracles.evaluate(fine, Fraction(g, grid_size)),
     )
-    rep = convergence(table, n1, n2, grid_size)
-    assert rep.sup_difference == sup
-    assert rep.excluded_fraction == Fraction(excluded, grid_size)
-    assert compared_points(rep) == grid_size - excluded
-    return rep
+    sup, want = convergence(table, n1, n2, grid_size)
+    assert float(top) == sup
+    assert excluded == want
+    return sup, excluded
 
 
 def _assert_roundtrip_sweep(table, iet, coding, n2, grid_size):
@@ -337,7 +323,7 @@ def _assert_roundtrip_sweep(table, iet, coding, n2, grid_size):
         grid_size,
         sorted({QuadraticNumber(d) for d in fine.discontinuities()} | set(iet.breakpoints[1:])),
         Fraction(1, fine.source_count),
-        lambda x: abs(QuadraticNumber(fine.evaluate(x)) - iet.apply(x)),
+        lambda x: abs(QuadraticNumber(oracles.evaluate(fine, x)) - oracles.step(iet, x)),
     )
     result = roundtrip_check(
         table.substitution, iet, coding, 1,
@@ -391,8 +377,8 @@ def test_grid_sweeps_match_oracle_with_jump_ends_on_the_grid(deep_tables):
 def test_grid_sweep_with_every_point_excluded(deep_tables):
     """Sup 0 and every point excluded, with no stretch left to evaluate."""
     table = deep_tables["thue-morse"]
-    rep = _assert_convergence_sweep(table, 2, 8, 50)
-    assert compared_points(rep) == 0 and rep.sup_difference == 0
+    sup, excluded = _assert_convergence_sweep(table, 2, 8, 50)
+    assert excluded == 50 and sup == 0
     # T_2 jumps at 1/2 alone; with exchange breakpoints at 1/5 and 4/5 the
     # radius 1/p(2) = 1/4 covers [0, 1).
     fifth = Fraction(1, 5)

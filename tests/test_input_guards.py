@@ -18,7 +18,6 @@ from shift2iet import (
     golden_iet,
     measure_table,
     roundtrip_check,
-    run_verification,
 )
 from shift2iet.cli import main
 
@@ -62,16 +61,6 @@ GUARDS = [
         lambda: measure_table(_tm(), ["abaab"], 4),
         "word 'abaab' longer than counting length 4",
         id="measure-table-below-words",
-    ),
-    pytest.param(
-        lambda: run_verification(get_fixture("thue-morse"), 30, 10, grid_size=0),
-        "grid_size must be >= 1",
-        id="verify-grid-0",
-    ),
-    pytest.param(
-        lambda: run_verification(get_fixture("thue-morse"), 30, 10, grid_size=-3),
-        "grid_size must be >= 1",
-        id="verify-grid-negative",
     ),
     pytest.param(
         lambda: _tm().prefix_range("abb", 2), "prefix longer than the requested length", id="prefix-range"

@@ -77,7 +77,7 @@ def test_every_public_method_is_used_by_the_package():
     classes: each is read as an attribute somewhere in the package."""
     used = _used_attributes()
     methods = _public_methods()
-    assert "PiecewiseAffineMap.evaluate" in methods
+    assert "PiecewiseAffineMap.discontinuities" in methods
     unused = [m for m in methods if m.split(".")[1] not in used]
     assert not unused, unused
 

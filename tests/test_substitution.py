@@ -1,6 +1,5 @@
-"""Morphism plumbing: validation, incidence data, primitivity, Perron frequencies."""
+"""Morphism plumbing: validation, incidence data, primitivity."""
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,7 @@ from shift2iet import (
     get_fixture,
     parse_substitution,
 )
-from oracles import apply_rules
+from oracles import apply_rules, matrix_power
 
 
 def test_alphabet_rejects_bad_letter_sets():
@@ -59,9 +58,9 @@ def test_parse_substitution_shape_errors():
 @pytest.mark.parametrize("name", fixture_names())
 def test_incidence_columns_sum_to_image_lengths(name):
     sub = get_fixture(name)
-    mat = np.array(sub.incidence_rows())
+    columns = list(zip(*sub.incidence_rows()))
     for j, a in enumerate(sub.alphabet):
-        assert mat[:, j].sum() == len(sub.images[a])
+        assert sum(columns[j]) == len(sub.images[a])
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -69,10 +68,10 @@ def test_fixtures_are_primitive(name):
     sub = get_fixture(name)
     result = sub.primitivity()
     assert result.primitive
-    assert (np.linalg.matrix_power(np.array(sub.incidence_rows()), result.witness_power) > 0).all()
+    rows = sub.incidence_rows()
+    assert all(map(all, matrix_power(rows, result.witness_power)))
     if result.witness_power > 1:
-        below = np.linalg.matrix_power(np.array(sub.incidence_rows()), result.witness_power - 1)
-        assert not (below > 0).all()
+        assert not all(map(all, matrix_power(rows, result.witness_power - 1)))
 
 
 def test_reducible_substitution_is_not_primitive():
@@ -85,34 +84,6 @@ def test_power_matches_repeated_application():
     assert sub.power(3).images["a"] == sub.apply(sub.apply(sub.images["a"]))
     with pytest.raises(InputError):
         sub.power(0)
-
-
-@pytest.mark.parametrize(
-    "name,expected",
-    [
-        ("thue-morse", {"a": 0.5, "b": 0.5}),
-        ("fibonacci", {"a": 0.6180339887498949, "b": 0.3819660112501051}),
-    ],
-)
-def test_perron_frequencies_match_known_values(name, expected):
-    freqs = get_fixture(name).perron_frequencies()
-    for letter, want in expected.items():
-        assert freqs[letter] == pytest.approx(want, abs=1e-9)
-
-
-@pytest.mark.parametrize("name", fixture_names())
-def test_perron_frequencies_match_eigenvector(name):
-    """Cross-check power iteration against a direct eigendecomposition."""
-    sub = get_fixture(name)
-    mat = np.array(sub.incidence_rows(), dtype=float)
-    values, vectors = np.linalg.eig(mat)
-    lead = np.argmax(values.real)
-    vec = np.abs(vectors[:, lead].real)
-    vec /= vec.sum()
-    freqs = sub.perron_frequencies()
-    for i, a in enumerate(sub.alphabet):
-        assert freqs[a] == pytest.approx(vec[i], abs=1e-9)
-    assert sum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,27 +113,9 @@ def _rules(rules):
 @given(substitutions())
 @example(_rules({"a": "b", "b": "a"}))  # irreducible, period 2
 @example(_rules({"a": "bc", "b": "c", "c": "a"}))  # primitive, least power 5
-def test_primitivity_matches_numpy_matrix_powers(sub):
-    """The bit-set powers against numpy's.  Floats hold the path counts,
-    which pass int64 by the bound at six letters; a positive count stays
-    positive."""
+def test_primitivity_matches_integer_matrix_powers(sub):
+    """The bit-set powers against the integer matrix powers of the oracle."""
     m = len(sub.alphabet)
-    mat = np.array(sub.incidence_rows(), dtype=float)
-    positive = [
-        k for k in range(1, (m - 1) ** 2 + 2) if (np.linalg.matrix_power(mat, k) > 0).all()
-    ]
+    rows = sub.incidence_rows()
+    positive = [k for k in range(1, (m - 1) ** 2 + 2) if all(map(all, matrix_power(rows, k)))]
     assert sub.primitivity() == ((True, positive[0]) if positive else (False, None))
-
-
-@settings(max_examples=150, deadline=None)
-@given(substitutions())
-def test_perron_frequencies_match_numpy_eigenvector(sub):
-    if not sub.primitivity().primitive:
-        with pytest.raises(InputError):
-            sub.perron_frequencies()
-        return
-    values, vectors = np.linalg.eig(np.array(sub.incidence_rows(), dtype=float))
-    vec = np.abs(vectors[:, np.argmax(values.real)].real)
-    vec /= vec.sum()
-    freqs = sub.perron_frequencies()
-    assert max(abs(freqs[a] - vec[i]) for i, a in enumerate(sub.alphabet)) <= 1e-12
