@@ -90,6 +90,21 @@ def test_single_piece_map_has_no_jumps():
     assert amap.discontinuities() == []
 
 
+def test_evaluate_is_affine_on_each_piece(fib12):
+    """The exact evaluator that the convergence sweeps read: piece i of T_6
+    starts at i/p(6) on t_i/p(5), climbs with the map's own slope, and ends
+    on (t_i + 1)/p(5)."""
+    amap = build_approximant(fib12, 6)
+    p, q = amap.source_count, amap.target_count
+    for i, piece in enumerate(amap.pieces):
+        left = Fraction(i, p)
+        lo = Fraction(piece.target_index, q)
+        assert oracles.evaluate(amap, left) == lo
+        mid = left + Fraction(1, 2 * p)
+        assert oracles.evaluate(amap, mid) == lo + (mid - left) * amap.slope
+        assert lo + Fraction(1, p) * amap.slope == Fraction(piece.target_index + 1, q)
+
+
 def test_level_bounds(fib12):
     with pytest.raises(InputError):
         build_approximant(fib12, 1)

@@ -53,6 +53,16 @@ GUARDS = [
         "n_max outside the table range",
         id="roundtrip-nmax-above-table",
     ),
+    pytest.param(
+        lambda: roundtrip_check(get_fixture("fibonacci"), golden_iet(), golden_coding(), 15, grid_size=0),
+        "grid_size must be >= 1",
+        id="roundtrip-grid-0",
+    ),
+    pytest.param(
+        lambda: roundtrip_check(get_fixture("fibonacci"), golden_iet(), golden_coding(), 15, grid_size=-3),
+        "grid_size must be >= 1",
+        id="roundtrip-grid-negative",
+    ),
     pytest.param(lambda: get_fixture("nope"), "unknown fixture 'nope'", id="fixture-name"),
     pytest.param(
         lambda: measure_table(_tm(), [], 13), "counting length must be within 2..12", id="measure-table-level"

@@ -1,4 +1,4 @@
-"""Morphism plumbing: validation, incidence data, primitivity."""
+"""Morphism plumbing: validation, incidence data, primitivity, Perron frequencies."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +12,7 @@ from shift2iet import (
     get_fixture,
     parse_substitution,
 )
-from oracles import apply_rules, matrix_power
+from oracles import apply_rules, matrix_power, perron_frequencies
 
 
 def test_alphabet_rejects_bad_letter_sets():
@@ -86,6 +86,40 @@ def test_power_matches_repeated_application():
         sub.power(0)
 
 
+def _eigen_residual(rows, v) -> float:
+    """max |(Mv)_i - lambda v_i|, with lambda = sum(Mv): the eigenvalue that an
+    eigenvector of sum 1 would have."""
+    image = [sum(a * x for a, x in zip(row, v)) for row in rows]
+    value = sum(image)
+    return max(abs(y - value * x) for x, y in zip(v, image))
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("thue-morse", {"a": 0.5, "b": 0.5}),
+        ("fibonacci", {"a": 0.6180339887498949, "b": 0.3819660112501051}),
+    ],
+)
+def test_perron_frequencies_match_known_values(name, expected):
+    """The oracle's Perron vector, which criterion 06 reads, in alphabet order."""
+    sub = get_fixture(name)
+    freqs = dict(zip(sub.alphabet, perron_frequencies(sub.incidence_rows())))
+    for letter, want in expected.items():
+        assert freqs[letter] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_perron_frequencies_match_eigenvector(name):
+    """Cross-check the power iteration against the eigen-equation: a positive
+    eigenvector of a primitive matrix is its Perron vector."""
+    rows = get_fixture(name).incidence_rows()
+    freqs = perron_frequencies(rows)
+    assert all(f > 0 for f in freqs)
+    assert sum(freqs) == pytest.approx(1.0, abs=1e-12)
+    assert _eigen_residual(rows, freqs) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(fixture_names()), st.data())
 def test_morphism_law_on_random_words(name, data):
@@ -119,3 +153,16 @@ def test_primitivity_matches_integer_matrix_powers(sub):
     rows = sub.incidence_rows()
     positive = [k for k in range(1, (m - 1) ** 2 + 2) if all(map(all, matrix_power(rows, k)))]
     assert sub.primitivity() == ((True, positive[0]) if positive else (False, None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions().filter(lambda sub: sub.primitivity().primitive))
+@example(_rules({"a": "bc", "b": "c", "c": "a"}))  # primitive, least power 5
+def test_perron_frequencies_solve_the_eigen_equation(sub):
+    """On any primitive substitution the power iteration ends on a positive
+    vector of sum 1 that the incidence matrix only scales."""
+    rows = sub.incidence_rows()
+    freqs = perron_frequencies(rows)
+    assert all(f > 0 for f in freqs)
+    assert sum(freqs) == pytest.approx(1.0, abs=1e-12)
+    assert _eigen_residual(rows, freqs) <= 1e-12
