@@ -2,7 +2,7 @@
 
 All artifacts (TSV/CSV/SVG/log) are emitted deterministically so that two runs
 with the same configuration are byte-identical.  Exit codes: 0 success, 1 a
-verification or roundtrip failure, 2 bad input.
+verification or roundtrip failure, 2 bad input or out of memory.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def measures_text(table: FactorTable, mt: MeasureTable) -> str:
             "\t".join(
                 (
                     u,
-                    str(table.restricted_complexity(u, mt.n_used)),
+                    str(est * p_n),  # the estimate is p_u / p_n
                     str(p_n),
                     f"{float(est):.12f}",
                     str(mt.defects.get(u, "")),
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
             # The default counting level, --nmax, exceeds every cylinder word.
             e = _short_level(args, e.least)
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory at --nmax {args.nmax}; a smaller --nmax needs less", file=sys.stderr)
         return 2
 
 

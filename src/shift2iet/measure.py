@@ -8,6 +8,7 @@ defect is reported alongside the values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,21 +28,25 @@ def cylinder_measure_estimate(table: FactorTable, word: str, n: int) -> Fraction
 
 
 def invariance_defect(table: FactorTable, word: str, n: int) -> int:
-    """How far the estimate at level n is from exact shift invariance.
+    """How far the estimate at level n is from exact shift invariance:
+    sum_x rc(xu, n) - rc(u, n - 1) for the word u.
 
-    Counts the length-n factors that start with some one-letter extension of
-    the word, minus the length-(n-1) factors starting with the word itself.
-    The result is >= 0 and at most |alphabet| times the number of left special
-    factors of length n-1.
+    Both counts run over the length-(n-1) factors v that start with u: the
+    first counts the |L(v)| pairs (x, v) with xv a factor for each v, the
+    second each v once.  So the defect is the sum of |L(v)| - 1 over those v,
+    and only left special v add to it (Cassaigne 1997).  Those v are the
+    factors whose first window lies in u's run of windows, so the sum is read
+    off the entries of `FactorTable.specials(n - 1)` with rank in that run.
+    As 1 <= |L(v)| <= |alphabet|, 0 <= defect <= (|alphabet| - 1) * sp(n - 1),
+    sp(n - 1) the number of left special factors of length n - 1.
     """
     if not 1 <= len(word) < n:
         raise InputError("defect needs 1 <= len(word) < n")
     if n > table.n_max:
         raise InputError(f"length {n} outside table range 1..{table.n_max}")
-    extended = sum(
-        table.restricted_complexity(x + word, n) for x in table.alphabet.letters
-    )
-    return extended - table.restricted_complexity(word, n - 1)
+    lo, hi = table.prefix_range(word, table.n_max)  # at the top, index = window rank
+    lefts = table.specials(n - 1)[0]
+    return sum(count - 1 for _, count in lefts[bisect_left(lefts, (lo,)) : bisect_left(lefts, (hi,))])
 
 
 class MeasureTable(NamedTuple):

@@ -120,7 +120,8 @@ MUTANTS = [
            "language.left-special-prefix-closure, at a level above the refinement's"),
     Mutant("left-special-count-minus-one", "language.py",
            "return len(self._left_special[n])", "return len(self._left_special[n]) - 1",
-           "language.left-extension-count-window; premise of complexity-growth-bound"),
+           "premise of the checks bounded by sp: complexity-growth-bound, normalized-defect-bound, "
+           "shifted-estimate-window and slope-window read it, and defect-identity reads the list"),
     Mutant("left-special-count-needs-three", "language.py",
            "return len(self._left_special[n])",
            "return sum(count > 2 for _, count in self._left_special[n])",
@@ -130,8 +131,7 @@ MUTANTS = [
            "premise of complexity-growth-bound, at one level between 20 and n - 2"),
     Mutant("level-ten-lists-its-first-word-twice", "language.py",
            _FACTORS, "return self._cut(self._heads(n) + self._heads(n)[:1] * (n == 10), n)",
-           "language.left-extension-count-window: the one check that counts factors(n) "
-           "as a multiset"),
+           "measure.defect-identity: the one check that counts factors(n) as a multiset"),
     Mutant("blocks-built-backwards", "language.py",
            "blocks = {a: w.translate(apply_once) for a, w in blocks.items()}",
            "blocks = {a: w[::-1].translate(apply_once) for a, w in blocks.items()}",
@@ -203,10 +203,12 @@ MUTANTS = [
            _ESTIMATE,
            "return Fraction(table.restricted_complexity(word, n) - (len(word) == 3), table.complexity(n))",
            "measure.splitting-identity"),
-    Mutant("defect-reads-level-n", "measure.py",
-           "return extended - table.restricted_complexity(word, n - 1)",
-           "return extended - table.restricted_complexity(word, n)",
-           "measure.defect-window"),
+    Mutant("defect-run-ends-a-window-late", "measure.py",
+           "(hi,)", "(hi + 1,)",
+           "measure.defect-identity: the defects are read off the special list inside the word's run"),
+    Mutant("letters-lose-their-defects", "measure.py",
+           "if 1 <= len(w) < n:", "if 2 <= len(w) < n:",
+           "measure.defect-identity: the letter rows of measures.tsv print a defect"),
     Mutant("normalized-defect-sums", "measure.py",
            "worst = max(defects.values(), default=0)", "worst = sum(defects.values())",
            "measure.normalized-defect-bound"),

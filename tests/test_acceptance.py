@@ -216,4 +216,4 @@ def test_criterion_13_benchmark_verify_pinned():
     with _budget("criterion 13 benchmark verify", 2):
         report = run_verification(get_fixture("thue-morse"), 160, 80)
         assert report.passed
-        assert len(report.checks) == 26
+        assert len(report.checks) == 25

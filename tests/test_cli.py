@@ -320,6 +320,36 @@ def test_unreadable_config_and_unwritable_out_are_input_errors(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    """Under one address-space limit of 100 MB, set on the child alone:
+    `analyze` at --nmax 100 passes, and at --nmax 6000 the factor table's
+    build runs out of memory, which ends in exit 2 with an error naming
+    --nmax, no traceback and no analyze.tsv."""
+    import resource
+
+    limit = 100 * 2**20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(shift2iet.__file__).resolve().parents[1]
+    runs = {}
+    for nmax in ("100", "6000"):
+        runs[nmax] = subprocess.run(
+            [sys.executable, "-m", "shift2iet.cli", "analyze", "--fixture", "rudin-shapiro", "--nmax", nmax,
+             "--assert-aperiodic", "--out", str(tmp_path / nmax)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limited,
+        )
+    assert runs["100"].returncode == 0, runs["100"].stderr
+    assert (tmp_path / "100" / "analyze.tsv").exists()
+    deep = runs["6000"]
+    assert deep.returncode == 2
+    assert "Traceback" not in deep.stderr
+    assert deep.stderr.splitlines()[-1] == "error: out of memory at --nmax 6000; a smaller --nmax needs less"
+    assert not (tmp_path / "6000" / "analyze.tsv").exists()
+
+
 def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
     """A non-ASCII letter writes the same analyze.tsv and partition.tsv, and
     prints the same stdout, under an ASCII locale with UTF-8 mode off as

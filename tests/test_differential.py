@@ -18,6 +18,7 @@ from shift2iet import (
     build_factor_table,
     fixture_names,
     get_fixture,
+    invariance_defect,
     parse_substitution,
     refine,
     refine_stages,
@@ -137,3 +138,33 @@ def test_refine_stages_match_refine_on_fixtures(name):
 @given(primitive_substitutions(), st.integers(min_value=2, max_value=20))
 def test_refine_stages_match_refine_on_random_substitutions(sub, depth_cap):
     _assert_stages_match(sub, depth_cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(min_value=2, max_value=20))
+def test_invariance_defect_is_the_counted_defect(sub, n_max):
+    """The defect that `invariance_defect` reads off the left special list
+    is sum_x rc(xu, n) - rc(u, n - 1) counted on the oracle's levels, and
+    lies within 0..(|A| - 1) sp(n - 1), for every n up to n_max, every word
+    u of at most two letters (non-factors give 0) and every factor of three
+    to six letters."""
+    letters = sub.alphabet.letters
+    ours = LETTERS[: len(letters)]
+    rename = str.maketrans("".join(letters), ours)
+    levels = oracles.factor_levels(
+        {x.translate(rename): w.translate(rename) for x, w in sub.images.items()}, n_max
+    )
+    table = build_factor_table(sub, n_max)
+    words = ["".join(w) for k in (1, 2) for w in product(letters, repeat=k)]
+    words += [w for m in range(3, min(6, n_max - 1) + 1) for w in table.factors(m)]
+    for n in range(2, n_max + 1):
+        bound = (len(letters) - 1) * len(oracles.left_special(levels, n - 1))
+        for u in words:
+            if len(u) >= n:
+                continue
+            ru = u.translate(rename)
+            counted = sum(oracles.prefix_count(levels, x + ru, n) for x in ours)
+            counted -= oracles.prefix_count(levels, ru, n - 1)
+            defect = invariance_defect(table, u, n)
+            assert defect == counted, (u, n)
+            assert 0 <= defect <= bound, (u, n)

@@ -64,9 +64,9 @@ def test_known_defect_value(tm20):
 
 
 def test_defect_window(tm20):
-    """Defects are nonnegative and bounded by alphabet size times sp_l(n-1)."""
+    """Defects are nonnegative and at most (alphabet size - 1) times sp_l(n-1)."""
     for n in (5, 12, 20):
-        bound = len(tm20.alphabet) * tm20.left_special_count(n - 1)
+        bound = (len(tm20.alphabet) - 1) * tm20.left_special_count(n - 1)
         for word in tm20.factors(3):
             assert 0 <= invariance_defect(tm20, word, n) <= bound
 
@@ -140,7 +140,7 @@ def test_defect_window_property(n, data):
     table = _table()
     words = table.factors(data.draw(st.integers(min_value=1, max_value=n - 1)))
     word = data.draw(st.sampled_from(words))
-    bound = len(table.alphabet) * table.left_special_count(n - 1)
+    bound = (len(table.alphabet) - 1) * table.left_special_count(n - 1)
     assert 0 <= invariance_defect(table, word, n) <= bound
 
 

@@ -49,7 +49,6 @@ CHECKS = (
     "language.prolongable",
     "language.extension-totals",
     "language.left-special-prefix-closure",
-    "language.left-extension-count-window",
     "language.oracle-equivalence",
     "partition.emission-order",
     "partition.emitted-shape",
@@ -59,7 +58,7 @@ CHECKS = (
     "partition.residual-nonincreasing",
     "measure.letters-sum-one",
     "measure.splitting-identity",
-    "measure.defect-window",
+    "measure.defect-identity",
     "measure.normalized-defect-bound",
     "measure.complexity-growth-bound",
     "measure.shifted-estimate-window",
@@ -327,20 +326,15 @@ def test_an_lcp_array_of_another_length_fails_the_certificate(tm30):
     assert shorter["levels-sorted-unique"].ok
 
 
-class _NoSpecialsAt(_Served):
-    """A real factor table that counts no left special factor at one length."""
-
-    def __init__(self, table, level):
-        super().__init__(table)
-        self._level = level
-
-    def left_special_count(self, n):
-        return 0 if n == self._level else self._table.left_special_count(n)
+def _measure(table, partition, mt) -> dict:
+    return {c.name: c for c in _measure_checks(table, partition, mt)}
 
 
-def _count_window_reference(table) -> str:
-    """left-extension-count-window as first written: the prefix counts of
-    every level up to 20, each u and n in turn; its first failure or ""."""
+def _defect_reference(table) -> str:
+    """defect-identity's levels up to 20, by brute force: for each u with
+    |u| <= 6 in alphabet order and each n in turn, the prefix counts of the
+    levels against the sum of count - 1 over the left special entries of
+    length n - 1 whose word starts with u; the first failure, or ""."""
     letters = table.alphabet.letters
     top = min(20, table.n_max)
     prefixes = [Counter()] + [
@@ -349,23 +343,27 @@ def _count_window_reference(table) -> str:
     for m in range(1, min(6, table.n_max - 1) + 1):
         for u in table.factors(m):
             for n in range(m + 1, top + 1):
-                spread = sum(prefixes[n][a + u] for a in letters)
-                base = prefixes[n - 1][u]
-                bound = len(letters) * table.left_special_count(n - 1)
-                if not 0 <= spread - base <= bound:
-                    return f"u={u!r} n={n}: {spread}-{base} outside [0,{bound}]"
+                counted = sum(prefixes[n][a + u] for a in letters) - prefixes[n - 1][u]
+                read = sum(c - 1 for r, c in table.specials(n - 1)[0] if table.window(r, n - 1).startswith(u))
+                if counted != read:
+                    return f"defect({u!r}, {n}) = {read}, counted {counted}"
     return ""
 
 
 @pytest.mark.parametrize("name", fixture_names())
 @pytest.mark.parametrize("level", [1, 4, 11, 19])
-def test_count_window_names_the_failure_the_prefix_scan_names(name, level):
-    """The whole-word count finds the first failure that counting every
-    short prefix at every level finds, when the special count it is bounded
-    by drops to 0 at one length."""
-    served = _NoSpecialsAt(build_factor_table(get_fixture(name), 24), level)
-    check = _language(served)["left-extension-count-window"]
-    want = _count_window_reference(served)
+def test_defect_identity_names_the_failure_the_prefix_scan_names(name, level):
+    """The last left special entry of one length is served with one left
+    extension too many: the check names the first failure that counting
+    every short prefix at every level names.  The measure table is the real
+    one, so the measure level agrees."""
+    table = build_factor_table(get_fixture(name), 24)
+    lefts, rights = table.specials(level)
+    a, count = lefts[-1]
+    served = _Served(table, specials={level: ([*lefts[:-1], (a, count + 1)], rights)})
+    partition = refine(table, 10)
+    check = _measure(served, partition, measure_table(table, partition.cylinders, 24))["defect-identity"]
+    want = _defect_reference(served)
     assert want
     assert (check.ok, check.detail) == (False, want)
 
@@ -472,9 +470,23 @@ def test_a_letter_without_an_estimate_fails_letters_sum_one_alone(tm30):
     partition = refine(tm30, 10)
     mt = measure_table(tm30, partition.cylinders, 30)
     bad = mt._replace(entries={w: e for w, e in mt.entries.items() if w != "b"})
-    checks = {c.name: c for c in _measure_checks(tm30, partition, bad)}
+    checks = _measure(tm30, partition, bad)
     assert (checks["letters-sum-one"].ok, checks["letters-sum-one"].detail) == (False, "'b' has no estimate")
     assert [name for name, c in checks.items() if not c.ok] == ["letters-sum-one"]
+
+
+def test_letters_without_a_defect_fail_defect_identity_alone(tm30):
+    """The measure table without the defects of the letters, whose rows
+    measures.tsv would print with an empty defect cell: defect-identity names
+    the first letter with the defect that counting gives, and no other
+    measure check reads the defects."""
+    partition = refine(tm30, 10)
+    mt = measure_table(tm30, partition.cylinders, 30)
+    bad = mt._replace(defects={w: d for w, d in mt.defects.items() if len(w) > 1})
+    checks = _measure(tm30, partition, bad)
+    want = f"defect('a', 30) = None, counted {mt.defects['a']}"
+    assert (checks["defect-identity"].ok, checks["defect-identity"].detail) == (False, want)
+    assert [name for name, c in checks.items() if not c.ok] == ["defect-identity"]
 
 
 @pytest.fixture(scope="module")
@@ -752,7 +764,7 @@ def test_periodic_configs_fail_the_growth_check(tmp_path, capsys, rules):
     log = (tmp_path / "verify.log").read_text(encoding="utf-8").splitlines()
     assert [line for line in log if not line.startswith("ok ")] == [
         "FAIL measure.complexity-growth-bound: p(2)-p(1) = 0 < 1: the shift is periodic",
-        "passed 25/26",
+        "passed 24/25",
     ]
 
 
