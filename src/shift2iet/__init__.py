@@ -21,7 +21,6 @@ _HOMES = {
     "build_factor_table": "language",
     "PartitionResult": "partition",
     "refine": "partition",
-    "refine_stages": "partition",
     "MeasureTable": "measure",
     "cylinder_measure_estimate": "measure",
     "invariance_defect": "measure",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 from .language import FactorTable
@@ -44,26 +44,14 @@ class PartitionResult(NamedTuple):
 
 
 def refine(table: FactorTable, depth_cap: int) -> PartitionResult:
-    """Refine the letter cylinders until emission or the depth cap.
+    """Refine the letter cylinders until emission or the depth cap, in one pass.
 
     At step d the active words of length d+1 are split: word = a+u is emitted
     when u is not left special, otherwise all its one-letter extensions stay
     active.  Unresolved words are reported at exactly depth_cap length.
-    Cylinders are numbered by step, then lexicographically.  This is the last
-    stage of `refine_stages`.
-    """
-    for stage in refine_stages(table, depth_cap):
-        pass
-    return stage
-
-
-def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResult]:
-    """The refinement to every depth 2..depth_cap, from one pass.
-
-    The stage of depth d is what `refine(table, d)` returns: the cylinders
-    emitted up to step d-1 and the words still active at length d.  A word u
-    is left special when it is in `FactorTable.left_special(len(u))`, the
-    factors with at least two left extensions: one set per level.
+    Cylinders are numbered by step, then lexicographically.  A word u is left
+    special when it is in `FactorTable.left_special(len(u))`, the factors with
+    at least two left extensions: one set per level.
     """
     if depth_cap < 2:
         raise InputError("depth_cap must be >= 2")
@@ -94,6 +82,6 @@ def refine_stages(table: FactorTable, depth_cap: int) -> Iterator[PartitionResul
                 survivors.append(run)
             else:
                 cylinders.append(run[0])
-        yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)
         if length < depth_cap:
             active = extended([(lo, hi) for _, lo, hi in survivors], length + 1)
+    return PartitionResult(cylinders, [w for w, _, _ in survivors], depth_cap)

@@ -19,7 +19,7 @@ from .ietmap import PiecewiseAffineMap, block_affinity_check, build_approximant
 from .errors import InputError
 from .language import FactorTable, _legal_pairs, build_factor_table
 from .measure import MeasureTable, cylinder_measure_estimate, measure_table
-from .partition import PartitionResult, refine, refine_stages
+from .partition import PartitionResult, refine
 from .substitution import Substitution
 
 
@@ -66,24 +66,23 @@ def run_verification(
 
     Each stage is computed once and handed to every suite that reads it; the
     report carries those same objects so callers can write what was checked.
-    One refinement pass gives the partition at the depth cap and every
-    shallower stage, and T_n is built once.  The measure level defaults to
-    n_max and the approximant level to min(100, n_max).
+    The partition is refined once to the depth cap, and T_n is built once.
+    The measure level defaults to n_max and the approximant level to
+    min(100, n_max).
     """
     table = build_factor_table(substitution, n_max)
     if measure_level is None:
         measure_level = n_max
     if approximant_level is None:
         approximant_level = min(100, n_max)
-    stages = list(refine_stages(table, depth_cap))
-    partition = stages[-1]
+    partition = refine(table, depth_cap)
     measures = measure_table(table, partition.cylinders, measure_level)
     approximant = build_approximant(table, approximant_level)
 
     checks = [
         *_substitution_checks(substitution),
         *_language_checks(table),
-        *_partition_checks(table, stages, measures),
+        *_partition_checks(table, partition, measures),
         *_measure_checks(table, partition, measures),
         *_ietmap_checks(table, partition, approximant),
     ]
@@ -96,7 +95,7 @@ def _check(module: str, name: str, ok: bool, detail: str = "") -> CheckResult:
 
 def _extensions(table: FactorTable, word: str, left: bool) -> frozenset[str] | None:
     """The word's left or right extensions, read from its extension mask and
-    not from the special lists `refine_stages` reads; None for a non-factor."""
+    not from the special lists `refine` reads; None for a non-factor."""
     try:
         return table.left_extensions(word) if left else table.right_extensions(word)
     except InputError:
@@ -303,14 +302,9 @@ def _index_certificate(table: FactorTable) -> tuple[str, str]:
 # -- partition ----------------------------------------------------------------
 
 
-def _partition_checks(
-    table: FactorTable, stages: list[PartitionResult], mt: MeasureTable
-) -> list[CheckResult]:
-    """The suite on one refinement pass: `stages` holds the partitions at
-    depths 2..depth_cap, and the last of them is the partition checked."""
+def _partition_checks(table: FactorTable, result: PartitionResult, mt: MeasureTable) -> list[CheckResult]:
     out = []
     key = table.alphabet.key
-    result = stages[-1]
     depth_cap = result.depth_cap
 
     # Each word is emitted at step |word| - 1 < depth_cap, so no cylinder is
@@ -341,59 +335,55 @@ def _partition_checks(
     ok = all(len(u) == depth_cap and _left_special(table, u[1:]) for u in result.unresolved)
     out.append(_check("partition", "unresolved-shape", ok, "unresolved word of wrong shape"))
 
-    # This also proves that no word of the last stage prefixes another: they
-    # are factors no longer than the depth cap, so a prefix pair overlaps.
-    # The words that can classify a length-d factor are the cylinders no
-    # longer than d and the unresolved words of length d.  A cylinder
-    # classifies the factors whose first windows lie in its run of windows,
-    # read once for all stages.  So when the nonempty runs are disjoint, each
-    # factor is classified once exactly when the unresolved words are the
-    # factors whose first windows lie between the runs, each listed once.
-    # A failure is named from the first of these that fails: two runs that
-    # overlap, or else the first word, in alphabet order, listed between the
-    # runs and as unresolved a different number of times, with the number of
-    # the stage's words that classify it.
-    ok, detail = True, ""
-    spans: dict[str, tuple[int, int]] = {}  # word -> window ranks starting with it
+    # The cover at the depth cap d gives the cover at every depth e < d.  The
+    # refinement to e holds the cylinders of length <= e and, as unresolved
+    # words, the distinct length-e prefixes of the longer words.  A length-e
+    # factor f extends to a length-d factor F, which exactly one word w
+    # classifies: then w classifies f when |w| <= e, and w[:e] does when not.
+    # Two words that classify f at depth e would give two that classify some
+    # length-d extension of f.
+    # This also proves that no word prefixes another: they are factors no
+    # longer than d, so a prefix pair overlaps.  The words that can classify
+    # a length-d factor are the cylinders no longer than d and the
+    # unresolved words of length d.  A cylinder classifies the factors whose
+    # first windows lie in its run of windows.  So when the nonempty runs are
+    # disjoint, each factor is classified once exactly when the unresolved
+    # words are the factors whose first windows lie between the runs, each
+    # listed once.  A failure is named from the first of these that fails:
+    # two runs that overlap, or else the first word, in alphabet order,
+    # listed between the runs and as unresolved a different number of times,
+    # with the number of words that classify it.
+    d = depth_cap
     lcp = table.lcp()
-    size = len(lcp)
-    for stage in stages:
-        d = stage.depth_cap
-        cylinders = [w for w in stage.cylinders if len(w) <= d]
-        for w in cylinders:
-            if w not in spans:
-                spans[w] = _window_span(table, w)
-        tiles = sorted((*spans[w], w) for w in cylinders if spans[w][0] < spans[w][1])
-        ends = [0, *chain.from_iterable(tile[:2] for tile in tiles), size]
-        unresolved = [u for u in stage.unresolved if len(u) == d]
-        # The level-d heads between the runs: the ranks whose lcp is below d.
-        listed = Counter(
-            table.window(r, d)
-            for a, b in zip(ends[::2], ends[1::2])
-            if a < b
-            for r in compress(range(a, b), map(d.__gt__, lcp[a:b]))
+    runs = [(*_window_span(table, w), w) for w in result.cylinders if len(w) <= d]
+    tiles = sorted(run for run in runs if run[0] < run[1])  # (lo, hi, word), nonempty
+    ends = [0, *chain.from_iterable(tile[:2] for tile in tiles), len(lcp)]
+    unresolved = [u for u in result.unresolved if len(u) == d]
+    # The level-d heads between the runs: the ranks whose lcp is below d.
+    listed = Counter(
+        table.window(r, d)
+        for a, b in zip(ends[::2], ends[1::2])
+        if a < b
+        for r in compress(range(a, b), map(d.__gt__, lcp[a:b]))
+    )
+    listed.subtract(unresolved)  # between the runs less unresolved, per word
+    disjoint = all(map(le, ends[::2], ends[1::2]))
+    ok, detail = disjoint and not any(listed.values()), ""
+    if not disjoint:
+        (_, _, w), (_, _, v) = next((s, t) for s, t in pairwise(tiles) if s[1] > t[0])
+        detail = f"depth {d}: {w!r} and {v!r} overlap"
+    elif not ok:
+        w = min((w for w, c in listed.items() if c), key=key)
+        lo, hi = _window_span(table, w)
+        hits = unresolved.count(w) + sum(a <= lo < b for a, b, _ in tiles)
+        detail = f"depth {d}: {w!r} " + (
+            "is not a factor" if lo == hi
+            else f"classified {hits} times" if hits != 1
+            else f"classified once, at {listed[w] + unresolved.count(w)} level ranks"
         )
-        listed.subtract(unresolved)  # between the runs less unresolved, per word
-        disjoint = all(map(le, ends[::2], ends[1::2]))
-        if disjoint and not any(listed.values()):
-            continue
-        ok = False
-        if not disjoint:
-            (_, _, w), (_, _, v) = next((s, t) for s, t in pairwise(tiles) if s[1] > t[0])
-            detail = f"depth {d}: {w!r} and {v!r} overlap"
-        else:
-            w = min((w for w, c in listed.items() if c), key=key)
-            lo, hi = _window_span(table, w)
-            hits = unresolved.count(w) + sum(a <= lo < b for a, b, _ in tiles)
-            detail = f"depth {d}: {w!r} " + (
-                "is not a factor" if lo == hi
-                else f"classified {hits} times" if hits != 1
-                else f"classified once, at {listed[w] + unresolved.count(w)} level ranks"
-            )
-        break
     out.append(_check("partition", "cover-at-each-depth", ok, detail))
 
-    # A pass of its own: a stage of the same pass would agree by construction.
+    # A second pass, to half the depth cap, against the checked one.
     half = refine(table, max(2, depth_cap // 2))
     ok = result.cylinders[: len(half.cylinders)] == half.cylinders
     out.append(_check("partition", "monotone-in-depth", ok, "emission lists diverge"))
@@ -493,8 +483,10 @@ def _measure_checks(
     detail = min(failures)[1] if failures else ""
     out.append(_check("measure", "defect-identity", not failures, detail))
 
-    cap = Fraction(len(letters) * table.left_special_count(n - 1), table.complexity(n - 1))
-    ok, detail = 0 <= mt.normalized_defect <= cap, f"{mt.normalized_defect} outside [0, {cap}]"
+    # The definition: the largest defect over p(n - 1).  defect-identity pins
+    # every defect, so this pins the number that `measures` prints.
+    want = Fraction(max(mt.defects.values(), default=0), table.complexity(n - 1))
+    ok, detail = mt.normalized_defect == want, f"{mt.normalized_defect} != {want}"
     out.append(_check("measure", "normalized-defect-bound", ok, detail))
 
     # The shift of a primitive substitution is minimal, and a minimal shift

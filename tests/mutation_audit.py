@@ -49,7 +49,7 @@ class Mutant(NamedTuple):
 _ESTIMATE = "return Fraction(table.restricted_complexity(word, n), table.complexity(n))"
 _MAP = "return PiecewiseAffineMap(n, table.complexity(n - 1), pieces)"
 _EXTEND = "for a, b in zip(starts, [*starts[1:], hi])"
-_STAGE = "yield PartitionResult(cylinders[:], [w for w, _, _ in survivors], length)"
+_STAGE = "return PartitionResult(cylinders, [w for w, _, _ in survivors], depth_cap)"
 _FACTORS = "return self._cut(self._heads(n), n)"
 _RANGE = "return bisect_left(heads, a), bisect_left(heads, b)"
 
@@ -120,7 +120,7 @@ MUTANTS = [
            "language.left-special-prefix-closure, at a level above the refinement's"),
     Mutant("left-special-count-minus-one", "language.py",
            "return len(self._left_special[n])", "return len(self._left_special[n]) - 1",
-           "premise of the checks bounded by sp: complexity-growth-bound, normalized-defect-bound, "
+           "premise of the checks bounded by sp: complexity-growth-bound, "
            "shifted-estimate-window and slope-window read it, and defect-identity reads the list"),
     Mutant("left-special-count-needs-three", "language.py",
            "return len(self._left_special[n])",
@@ -175,15 +175,14 @@ MUTANTS = [
            "premise of deleting pairwise-non-prefix: cover-at-each-depth fails on a "
            "prefix pair of factors no longer than the depth"),
     Mutant("unresolved-one-letter-short", "partition.py",
-           _STAGE, "yield PartitionResult(cylinders[:], [w[:-1] for w, _, _ in survivors], length)",
+           _STAGE, "return PartitionResult(cylinders, [w[:-1] for w, _, _ in survivors], depth_cap)",
            "partition.unresolved-shape"),
     Mutant("emission-stops-three-steps-before-the-cap", "partition.py",
            "            if run[0][1:] in special:",
            "            if run[0][1:] in special or length > depth_cap - 3:",
            "partition.unresolved-shape: the words kept past their emission still tile"),
-    Mutant("stage-five-drops-a-cylinder", "partition.py",
-           _STAGE,
-           "yield PartitionResult(cylinders[: -1 if length == 5 else None], [w for w, _, _ in survivors], length)",
+    Mutant("refine-drops-its-last-cylinder", "partition.py",
+           _STAGE, "return PartitionResult(cylinders[:-1], [w for w, _, _ in survivors], depth_cap)",
            "partition.cover-at-each-depth"),
     Mutant("extension-order-follows-depth", "partition.py",
            _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][:: -1 if depth_cap < 10 else 1]",
@@ -212,6 +211,10 @@ MUTANTS = [
     Mutant("normalized-defect-sums", "measure.py",
            "worst = max(defects.values(), default=0)", "worst = sum(defects.values())",
            "measure.normalized-defect-bound"),
+    Mutant("normalized-defect-over-p-two-below", "measure.py",
+           "normalized = Fraction(worst, table.complexity(n - 1))",
+           "normalized = Fraction(worst, table.complexity(n - 2))",
+           "measure.normalized-defect-bound: the normalization that measures prints"),
     Mutant("estimate-one-below-top-plus-one", "measure.py",
            _ESTIMATE,
            "return Fraction(table.restricted_complexity(word, n) + (n == table.n_max - 1), table.complexity(n))",

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import shift2iet.verification
-from shift2iet import build_factor_table, get_fixture, measure_table, refine, refine_stages, run_verification
+from shift2iet import build_factor_table, get_fixture, measure_table, refine, run_verification
 from shift2iet.verification import _language_checks, _partition_checks
 from test_language import _tm_complexity
 
@@ -50,15 +50,15 @@ def test_language_and_partition_suites_at_depth_1000():
     and partition (depth cap 500).  Reading every level as strings they took
     6-7.5 s on a 2-core x86-64 VM; certifying the rank array of every level,
     0.18-0.19 s; certifying the lcp array, 0.12-0.13 s.  The budget leaves
-    room for slower machines.  The partition suite reads the stages of the
-    one refinement pass `run_verification` makes before any check runs, so
-    that pass is made before the clock starts."""
+    room for slower machines.  The partition suite reads the partition that
+    `run_verification` refines before any check runs, so that pass is made
+    before the clock starts."""
     budget_s = 3.0
     table = build_factor_table(get_fixture("thue-morse"), DEPTH)
-    stages = list(refine_stages(table, DEPTH // 2))
-    measures = measure_table(table, stages[-1].cylinders, DEPTH)
+    partition = refine(table, DEPTH // 2)
+    measures = measure_table(table, partition.cylinders, DEPTH)
     start = time.perf_counter()
-    checks = _language_checks(table) + _partition_checks(table, stages, measures)
+    checks = _language_checks(table) + _partition_checks(table, partition, measures)
     elapsed = time.perf_counter() - start
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
     assert elapsed < budget_s, f"suites took {elapsed:.2f}s (budget {budget_s}s)"

@@ -20,8 +20,8 @@ from shift2iet import (
     get_fixture,
     invariance_defect,
     parse_substitution,
+    PartitionResult,
     refine,
-    refine_stages,
 )
 import oracles
 
@@ -111,33 +111,38 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
         assert build_approximant(table, n).discontinuities() == oracles.approximant_jumps(levels, n)
 
 
-def _assert_stages_match(sub, depth_cap):
-    """Every stage of one refinement pass is `refine` at that depth and the
-    oracle replay."""
+def _assert_truncations_match(sub, depth_cap):
+    """For every e in 2..depth_cap, `refine` at e is the truncation of
+    `refine` at depth_cap: its cylinders of length <= e, then the distinct
+    length-e prefixes of its longer words in alphabet order.  This is the
+    premise of checking the cover at the depth cap alone.  Each is also the
+    oracle replay at e."""
     letters = sub.alphabet.letters
     rename = str.maketrans("".join(letters), LETTERS[: len(letters)])
     levels = oracles.factor_levels(
         {x.translate(rename): w.translate(rename) for x, w in sub.images.items()}, depth_cap + 1
     )
     table = build_factor_table(sub, depth_cap + 1)
-    stages = list(refine_stages(table, depth_cap))
-    assert [stage.depth_cap for stage in stages] == list(range(2, depth_cap + 1))
-    for stage in stages:
-        assert stage == refine(table, stage.depth_cap)
-        emitted, unresolved = oracles.refine_cylinders(levels, stage.depth_cap)
-        assert [(k, w.translate(rename), len(w) - 1) for k, w in enumerate(stage.cylinders, 1)] == emitted
-        assert [w.translate(rename) for w in stage.unresolved] == unresolved
+    deep = refine(table, depth_cap)
+    for e in range(2, depth_cap + 1):
+        longer = [w for w in deep.cylinders if len(w) > e] + deep.unresolved
+        heads = sorted({w[:e] for w in longer}, key=table.alphabet.key)
+        result = refine(table, e)
+        assert result == PartitionResult([w for w in deep.cylinders if len(w) <= e], heads, e)
+        emitted, unresolved = oracles.refine_cylinders(levels, e)
+        assert [(k, w.translate(rename), len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == emitted
+        assert [w.translate(rename) for w in result.unresolved] == unresolved
 
 
 @pytest.mark.parametrize("name", fixture_names())
-def test_refine_stages_match_refine_on_fixtures(name):
-    _assert_stages_match(get_fixture(name), 24)
+def test_refine_is_the_deeper_pass_truncated_on_fixtures(name):
+    _assert_truncations_match(get_fixture(name), 24)
 
 
 @settings(max_examples=40, deadline=None)
 @given(primitive_substitutions(), st.integers(min_value=2, max_value=20))
-def test_refine_stages_match_refine_on_random_substitutions(sub, depth_cap):
-    _assert_stages_match(sub, depth_cap)
+def test_refine_is_the_deeper_pass_truncated_on_random_substitutions(sub, depth_cap):
+    _assert_truncations_match(sub, depth_cap)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shift2iet.language
-import shift2iet.partition
 import shift2iet.verification
 from shift2iet import (
     build_approximant,
@@ -22,7 +21,6 @@ from shift2iet import (
     get_fixture,
     measure_table,
     refine,
-    refine_stages,
     run_verification,
 )
 from shift2iet.cli import main as cli_main
@@ -441,23 +439,22 @@ def test_partition_shape_checks_fail_where_a_word_is_not_left_special(tm30):
     result = refine(tm30, 8)
     bad = PartitionResult(result.cylinders + ["baab"], ["a" * 8] + result.unresolved[1:], 8)
     mt = measure_table(tm30, bad.cylinders, 30)
-    checks = {c.name: c for c in _partition_checks(tm30, [bad], mt)}
+    checks = {c.name: c for c in _partition_checks(tm30, bad, mt)}
     shape = checks["emitted-shape"]
     assert (shape.ok, shape.detail) == (False, "'baab': inner prefix 'aa' not left special")
     assert not checks["unresolved-shape"].ok
 
 
 def test_a_half_depth_cylinder_without_an_estimate_fails_residual(tm30):
-    """The pass to depth 10 with its first cylinder `abb` dropped from the
-    last stage, measured on the cylinders that are left: the half-depth pass
-    still emits `abb`, which the measure table does not estimate.  That is a
-    failing verdict naming the word, not an InputError."""
-    stages = list(refine_stages(tm30, 10))
-    last = stages[-1]
+    """The partition at depth 10 with its first cylinder `abb` dropped,
+    measured on the cylinders that are left: the half-depth pass still emits
+    `abb`, which the measure table does not estimate.  That is a failing
+    verdict naming the word, not an InputError."""
+    last = refine(tm30, 10)
     assert last.cylinders[0] == "abb"
     bad = last._replace(cylinders=last.cylinders[1:])
     mt = measure_table(tm30, bad.cylinders, 30)
-    checks = {c.name: c for c in _partition_checks(tm30, stages[:-1] + [bad], mt)}
+    checks = {c.name: c for c in _partition_checks(tm30, bad, mt)}
     residual = checks["residual-nonincreasing"]
     assert (residual.ok, residual.detail) == (False, "'abb' has no estimate")
     assert not checks["monotone-in-depth"].ok
@@ -489,19 +486,30 @@ def test_letters_without_a_defect_fail_defect_identity_alone(tm30):
     assert [name for name, c in checks.items() if not c.ok] == ["defect-identity"]
 
 
+def test_a_defect_normalized_by_another_count_fails_normalized_defect_bound_alone(tm30):
+    """The largest defect over p(28) instead of p(29), which `measures` would
+    print: 1/86 lies inside [0, |A| sp(29) / p(29)] = [0, 1/22], so only an
+    equality with the definition sees it."""
+    partition = refine(tm30, 10)
+    mt = measure_table(tm30, partition.cylinders, 30)
+    bad = mt._replace(normalized_defect=mt.normalized_defect * tm30.complexity(29) / tm30.complexity(28))
+    checks = _measure(tm30, partition, bad)
+    want = f"{bad.normalized_defect} != {mt.normalized_defect}"
+    assert (checks["normalized-defect-bound"].ok, checks["normalized-defect-bound"].detail) == (False, want)
+    assert [name for name, c in checks.items() if not c.ok] == ["normalized-defect-bound"]
+
+
 @pytest.fixture(scope="module")
 def depth12_passes():
-    """Each fixture's table at n_max 40 and its refinement pass to depth 12."""
+    """Each fixture's table at n_max 40 and its partition at depth 12."""
     tables = {name: build_factor_table(get_fixture(name), 40) for name in fixture_names()}
-    return {name: (table, list(refine_stages(table, 12))) for name, table in tables.items()}
+    return {name: (table, refine(table, 12)) for name, table in tables.items()}
 
 
-def _partition_failures(table, stages, last) -> dict:
-    """The failing partition and measure checks when the last stage of the
-    pass is replaced."""
-    stages = stages[:-1] + [last]
-    mt = measure_table(table, last.cylinders, 40)
-    checks = _partition_checks(table, stages, mt) + _measure_checks(table, last, mt)
+def _partition_failures(table, bad) -> dict:
+    """The failing partition and measure checks on the given partition."""
+    mt = measure_table(table, bad.cylinders, 40)
+    checks = _partition_checks(table, bad, mt) + _measure_checks(table, bad, mt)
     return {c.name: c.detail for c in checks if not c.ok}
 
 
@@ -510,11 +518,10 @@ def test_a_non_factor_cylinder_fails_its_checks_instead_of_raising(depth12_passe
     """The last Thue-Morse cylinder `bbaabbab` turned into a non-factor: each
     check that reads its extensions reports it, whether the word starts with
     another cylinder (`baaabbab` with `baa`) or with none (`bbbabbab`)."""
-    table, stages = depth12_passes["thue-morse"]
-    last = stages[-1]
+    table, last = depth12_passes["thue-morse"]
     assert last.cylinders[-1] == "bbaabbab"
     bad = last._replace(cylinders=last.cylinders[:-1] + [word])
-    failures = _partition_failures(table, stages, bad)
+    failures = _partition_failures(table, bad)
     assert failures["emitted-shape"] == f"{word!r}: tail is not a factor"
     assert failures["splitting-identity"] == f"{word!r} is not a factor"
 
@@ -526,8 +533,7 @@ def test_prefix_pairs_at_the_depth_cap_fail_cover(depth12_passes, name, pair):
     first one-letter extension as a cylinder, or an unresolved word that
     extends the last cylinder.  Both are factors no longer than the depth
     cap, so their runs overlap in cover-at-each-depth."""
-    table, stages = depth12_passes[name]
-    last = stages[-1]
+    table, last = depth12_passes[name]
     word = last.cylinders[-1]
     if pair == "cylinder-and-its-extension":
         longer = word + min(table.right_extensions(word), key=table.alphabet.key)
@@ -535,7 +541,7 @@ def test_prefix_pairs_at_the_depth_cap_fail_cover(depth12_passes, name, pair):
     else:
         inside = next(f for f in table.factors(12) if f.startswith(word))
         bad = last._replace(unresolved=last.unresolved + [inside])
-    assert "cover-at-each-depth" in _partition_failures(table, stages, bad)
+    assert "cover-at-each-depth" in _partition_failures(table, bad)
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -543,25 +549,23 @@ def test_a_cylinder_past_the_depth_cap_fails_emission_order(depth12_passes, name
     """A cylinder of the deeper refinement extends an unresolved word and has
     the emitted shape.  cover-at-each-depth reads no word longer than the
     depth, so emission-order's step bound is what catches it."""
-    table, stages = depth12_passes[name]
-    last = stages[-1]
+    table, last = depth12_passes[name]
     deeper = next(w for w in refine(table, 30).cylinders if len(w) > 12)
     bad = last._replace(cylinders=last.cylinders + [deeper])
-    assert list(_partition_failures(table, stages, bad)) == ["emission-order"]
+    assert list(_partition_failures(table, bad)) == ["emission-order"]
 
 
-def _stage8_checks(table, cylinders, unresolved=list) -> dict:
-    """The partition suite on the pass to depth 10 when its depth-8 stage
-    holds the given cylinders and unresolved words."""
-    stages = list(refine_stages(table, 10))
-    stage = stages[8 - 2]
-    stages[8 - 2] = PartitionResult(cylinders(stage.cylinders), unresolved(stage.unresolved), 8)
-    mt = measure_table(table, stages[-1].cylinders, 30)
-    return {c.name: c for c in _partition_checks(table, stages, mt)}
+def _depth8_checks(table, cylinders, unresolved=list) -> dict:
+    """The partition suite on the partition at depth 8 with its cylinders and
+    unresolved words changed by the given functions."""
+    part = refine(table, 8)
+    bad = PartitionResult(cylinders(part.cylinders), unresolved(part.unresolved), 8)
+    mt = measure_table(table, bad.cylinders, 30)
+    return {c.name: c for c in _partition_checks(table, bad, mt)}
 
 
 def _cover(table, cylinders, unresolved=list):
-    return _stage8_checks(table, cylinders, unresolved)["cover-at-each-depth"]
+    return _depth8_checks(table, cylinders, unresolved)["cover-at-each-depth"]
 
 
 def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
@@ -573,7 +577,7 @@ def test_cover_fails_a_stage_that_drops_a_cylinder(tm30):
 
 def test_cover_fails_a_stage_that_lists_a_cylinder_twice(tm30):
     """Every factor still has one classifying word, so only the pairwise
-    comparison of the stage's words sees the repeat."""
+    comparison of the partition's words sees the repeat."""
     word = refine(tm30, 8).cylinders[0]
     check = _cover(tm30, lambda cylinders: cylinders + [cylinders[0]])
     assert (check.ok, check.detail) == (False, f"depth 8: {word!r} and {word!r} overlap")
@@ -609,7 +613,7 @@ def _out_of_place(words, w, key) -> bool:
 
 
 def _hits(cylinders, unresolved, f) -> int:
-    """How many words of a stage classify the factor f, read from strings."""
+    """How many words of a partition classify the factor f, read from strings."""
     return sum(f.startswith(c) for c in cylinders if len(c) <= len(f)) + unresolved.count(f)
 
 
@@ -623,8 +627,8 @@ def _hits(cylinders, unresolved, f) -> int:
 )
 def test_failure_details_name_a_witness_word(name, fault, data):
     """One thing the suites read is corrupted: an lcp entry, two top words or
-    one special count (served to the language suite), or the depth-8 stage
-    of the pass to depth 10.  Whenever
+    one special count (served to the language suite), or the partition at
+    depth 8.  Whenever
     levels-sorted-unique, prefix-suffix-closure, prolongable or
     cover-at-each-depth fails, its detail names a word that the corrupted
     data show out of order, repeated, missing, with no extension, or
@@ -668,21 +672,21 @@ def test_failure_details_name_a_witness_word(name, fault, data):
         assert (ast.literal_eval(found[1]), count) == (table.window(a, n), 0)
         return
 
-    stage = list(refine_stages(table, 10))[8 - 2]
+    part = refine(table, 8)
     if fault == "drop-cylinder":
-        i = data.draw(st.integers(0, len(stage.cylinders) - 1))
+        i = data.draw(st.integers(0, len(part.cylinders) - 1))
         change = lambda cylinders: cylinders[:i] + cylinders[i + 1 :]
     elif fault == "repeat-cylinder":
-        word = data.draw(st.sampled_from(stage.cylinders))
+        word = data.draw(st.sampled_from(part.cylinders))
         change = lambda cylinders: cylinders + [word]
     else:
         m = data.draw(st.integers(1, 8))
         word = data.draw(st.sampled_from(table.factors(m)))
         change = lambda cylinders: cylinders + [word]
-    check = _stage8_checks(table, change)["cover-at-each-depth"]
+    check = _depth8_checks(table, change)["cover-at-each-depth"]
     if check.ok:
         return
-    cylinders, unresolved = change(stage.cylinders), stage.unresolved
+    cylinders, unresolved = change(part.cylinders), part.unresolved
     found = re.fullmatch(r"depth 8: ('.*') (?:classified (\d+) times|and ('.*') overlap)", check.detail)
     assert found, check.detail
     w = ast.literal_eval(found[1])
@@ -705,10 +709,7 @@ def test_each_stage_is_built_once(monkeypatch):
 
         return wrapper
 
-    stages = counted("refine_stages", refine_stages)
-    # `refine` runs its pass through the partition module's own name.
-    monkeypatch.setattr(shift2iet.partition, "refine_stages", stages)
-    monkeypatch.setattr(shift2iet.verification, "refine_stages", stages)
+    monkeypatch.setattr(shift2iet.verification, "refine", counted("refine", shift2iet.verification.refine))
     monkeypatch.setattr(
         shift2iet.verification,
         "build_approximant",
@@ -718,8 +719,8 @@ def test_each_stage_is_built_once(monkeypatch):
     assert report.passed
     assert sorted(calls) == [
         ("build_approximant", 100),
-        ("refine_stages", 40),
-        ("refine_stages", 80),
+        ("refine", 40),
+        ("refine", 80),
     ]
 
 
@@ -817,12 +818,12 @@ def test_a_map_with_one_piece_too_many_fails_target_coverage(depth12_passes, nam
     """What the deleted piece-count check caught.  A repeated last piece
     covers its target once too often; a piece with target -1 covers none,
     and the count of pieces against p(n) sees it."""
-    table, stages = depth12_passes[name]
+    table, partition = depth12_passes[name]
     amap = build_approximant(table, 40)
     last = amap.pieces[-1]
     piece = last if extra == "last-piece-twice" else last._replace(target_index=-1)
     bad = amap._replace(pieces=amap.pieces + [piece])
-    check = _ietmap(table, stages[-1], bad)["target-coverage"]
+    check = _ietmap(table, partition, bad)["target-coverage"]
     assert not check.ok
     if extra == "piece-without-target":
         assert check.detail == f"{table.complexity(40) + 1} pieces != p(40)"
@@ -835,10 +836,10 @@ def test_a_map_whose_piece_count_is_off_fails_instead_of_raising(depth12_passes,
     FAIL verdict and not an IndexError or InputError.  A map missing its last
     piece is consistent in every other respect, so target-coverage alone
     fails."""
-    table, stages = depth12_passes[name]
+    table, partition = depth12_passes[name]
     amap = build_approximant(table, 40)
     pieces = amap.pieces[:-1] if fault == "last-piece-dropped" else amap.pieces + amap.pieces[:1]
-    checks = _ietmap(table, stages[-1], amap._replace(pieces=pieces))
+    checks = _ietmap(table, partition, amap._replace(pieces=pieces))
     failing = [check for check, c in checks.items() if not c.ok]
     assert "target-coverage" in failing
     if fault == "last-piece-dropped":
