@@ -74,7 +74,7 @@ class FactorTable:
     lengths strictly below n_max, because they are read off the next level.
     """
 
-    def __init__(self, substitution: Substitution, n_max: int, text: str, keyed: str, positions, lcp, left_masks):
+    def __init__(self, substitution: Substitution, n_max: int, text: str, keyed: str, positions, lcp, left_masks, ranks):
         self.substitution = substitution
         self.alphabet = substitution.alphabet
         self.n_max = n_max
@@ -83,6 +83,7 @@ class FactorTable:
         self._positions = positions  # start of each distinct window, sorted order
         self._left_masks = left_masks
         self._lcp = lcp  # lcp[i]: the common prefix of windows i - 1 and i
+        self._ranks = ranks  # R: the rank of the window at each harvested offset, -1 elsewhere
         counts = Counter(islice(lcp, 1, None))
         self._p = list(accumulate((counts[v] for v in range(n_max)), initial=1))
         self._letter_sets: dict[int, frozenset[str]] = {}
@@ -333,10 +334,12 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
     positions plus the common prefix length of each with its predecessor: the
     two keyed windows read as big-endian integers, one byte per letter (four
     past 256 letters), differ first in the letter that holds the top set bit
-    of their xor.  The special lists and the runs of the lcp-interval tree
-    come from one pass over those lengths (see `FactorTable`); no level is
-    stored as strings.  For Rudin-Shapiro at n_max = 200 the text is 8 legal
-    pairs of 256-letter blocks, 4096 letters in all.
+    of their xor.  The loop over the offsets also records R, the rank of the
+    window at each harvested offset (-1 elsewhere), which the index
+    certificate of `verify` reads.  The special lists and the runs of the
+    lcp-interval tree come from one pass over those lengths (see
+    `FactorTable`); no level is stored as strings.  For Rudin-Shapiro at
+    n_max = 200 the text is 8 legal pairs of 256-letter blocks, 4096 letters.
     """
     if n_max <= 0:
         raise InputError("n_max must be >= 1")
@@ -359,6 +362,7 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
     keyed = key(text)
 
     first: dict[str, list[int]] = {}  # window -> [first start, left-letter mask]
+    ranks = array("i", [-1]) * len(text)  # each harvested offset's first start, then its rank
     start = 0
     for x, y in pairs:
         for p in range(start + 1, start + len(blocks[x]) + 1):
@@ -366,18 +370,21 @@ def build_factor_table(substitution: Substitution, n_max: int) -> FactorTable:
             bit = 1 << ord(keyed[p - 1])
             seen = first.get(window)
             if seen is None:
-                first[window] = [p, bit]
+                seen = first[window] = [p, bit]
             else:
                 seen[1] |= bit
+            ranks[p] = seen[0]
         start += len(blocks[x]) + len(blocks[y])
     ordered = sorted(first)
     positions = [first[w][0] for w in ordered]
     left_masks = [first[w][1] for w in ordered]
     del first
+    rank_of = dict(zip(positions, range(len(positions))))
+    ranks = array("i", [rank_of.get(p, -1) for p in ranks])
 
     encoding, width = ("latin-1", 8) if len(letters) <= 256 else ("utf-32-be", 32)
     values = (int.from_bytes(w.encode(encoding), "big") for w in ordered)
     lcp = array("i", [0])
     lcp.extend(n_max - 1 - ((x ^ y).bit_length() - 1) // width for x, y in pairwise(values))
     del ordered
-    return FactorTable(substitution, n_max, text, keyed, positions, lcp, left_masks)
+    return FactorTable(substitution, n_max, text, keyed, positions, lcp, left_masks, ranks)

@@ -11,8 +11,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, compress, pairwise
+from itertools import chain, compress, pairwise, repeat
 from operator import le
+from os.path import commonprefix
 from typing import NamedTuple
 
 from .ietmap import PiecewiseAffineMap, block_affinity_check, build_approximant
@@ -197,105 +198,96 @@ def _window_levels(texts: list[str], cap: int) -> list[set[str]]:
 
 def _index_certificate(table: FactorTable) -> tuple[str, str]:
     """The failure details of `levels-sorted-unique` and
-    `prefix-suffix-closure` ("" where they pass), from two passes over the
-    top level, one window at a time.
+    `prefix-suffix-closure` ("" where they pass), from the shift map on
+    window ranks in one pass over the text: suffix-array checking (Burkhardt
+    & Kärkkäinen, CPM 2003) with Kasai et al.'s lcp recurrence (CPM 2001).
 
-    Write w_0, ..., w_(W-1) for the top level, W = p(n_max) and w_r =
-    `window(r, n_max)`, and lcp[i] for the length of the common prefix of
-    w_(i-1) and w_i (lcp[0] = 0), recomputed here pair by pair: the two keyed
-    words read as big-endian integers, one byte per letter (four past 256
-    letters or with a letter outside the alphabet), differ first in the
-    letter that holds the top set bit of their xor.  Only the previous
-    word's integer is held.  The table cuts factor j of level n from the
-    window at the j-th rank of H_n = {i : lcp'[i] < n}, lcp' its own lcp
-    array (`FactorTable.lcp`).  The certificate is
+    Write T for the text, w_r for the window of rank r < W at P[r], c_r for
+    its first letter, R[q] for the rank of the window at offset q (-1 if q
+    is not harvested), s(r) = R[P[r] + 1] and lcp for `FactorTable.lcp`.
+    The checks: (B) P[r] + n_max <= |T|, R holds -1 or ranks, len(lcp) <= W
+    (a missing entry reads n_max); (A) T has letters of the alphabet only;
+    (O) c_(r-1) < c_r, or c_(r-1) = c_r and s(r-1) < s(r); (L) lcp[r] = 0 if
+    r = 0 or c_(r-1) != c_r, else 1 + min(n_max - 1, least lcp over
+    (s(r-1), s(r)]) < n_max, from one range-minimum table; (R) T[q] = c_R[q]
+    at each harvested q, and lcp >= n_max - 1 between ranks R[q + 1] and
+    s(R[q]); (S) w_r[1:] starts a window where s(r) = -1.  Where s or
+    R[q + 1] is -1, (O), (L) and (R) compare letters instead.
 
-    (T) the top words have length n_max, letters of the alphabet only, and
-        increase strictly in alphabet order;
-    (S) every top word w has w[1:] = w_t[:n_max - 1] for some t;
-    (L) lcp' = lcp, which one comparison of the two arrays shows.
+    By induction on k <= n_max: q starts w_R[q][:k], and w_(r-1)[:k] <=
+    w_r[:k] share min(lcp[r], k) letters.  Given this at k - 1, ranks whose
+    lcp entries are >= k - 1 share k - 1 letters, so by (R) the window at q
+    is c_R[q] then w_R[q + 1][:k-1] = w_s(R[q])[:k-1] = w_R[q][1:k]; where
+    c_(r-1) = c_r, w_(r-1)[1:k] <= w_r[1:k] are w_s(r-1)[:k-1] and
+    w_s(r)[:k-1], which share the least min(lcp, k - 1) over (s(r-1), s(r)],
+    so (L) gives the claim at r.  At k = n_max the top increases strictly,
+    with lcp its common prefixes.  Level n is cut from the ranks {i : lcp[i]
+    < n}, 0 among them: the greatest such r <= t shares n letters with t,
+    and neighbours r < t share at most lcp[t] < n.  So each level increases
+    strictly, and w_r[:n] has its prefix and suffix (a prefix of w_s(r), or
+    by (S) of a window) in level n - 1: sorted, unique and closed.
 
-    For top words of length n_max the integers have the same length and
-    compare as the keyed words do, so they show the order of (T), and the
-    lcp they give is the common prefix the proof below reads.  (T) fails on
-    words of another length, whatever lcp the xor then gives.  By (L), H_n
-    is read off the true lcp, and lcp[0] = 0 puts rank 0 in every H_n.
-
-    Lemma: w_t[:m] is a word of level m for every t.  Take the greatest
-    r <= t in H_m; every i with r < i <= t has lcp[i] >= m, so w_(i-1) and
-    w_i share m letters, and so do w_r and w_t.
-
-    Order: let r < s be neighbouring ranks of H_n.  As the top is sorted, the
-    common prefix of w_r and w_s is the least lcp[i] over r < i <= s, which
-    is at most lcp[s] < n.  With w_r < w_s this gives w_r[:n] < w_s[:n]:
-    each level is strictly increasing, hence unique, and uses only the top's
-    letters.
-
-    Closure: a word w_r[:n] of level n >= 2 (w_r itself at n = n_max) has
-    the prefix w_r[:n-1], a word of level n - 1 by the lemma, and the suffix
-    w_r[1:n] = w_t[:n-1] for the t of (S), a word of level n - 1 too.
-
-    So one level of strings, read a window at a time, and one integer array
-    prove every level sorted, unique and closed; no lower level is read.
-    The stems w_t[:n_max - 1] are held by hash, each hit confirmed on the
-    strings and each miss by a scan of the top, so (S) is exact.
-
-    Each check names the first place where its data disagree, the top
-    first: the top word that breaks (T) or (S), else the least rank r where
-    the arrays differ.  There lcp'[r] < lcp[r] puts r in H_n for n =
-    lcp'[r] + 1, where w_r[:n] repeats the word before it, and the order
-    check names that word; it names the rank when r is past the top.
-    lcp'[r] > lcp[r], or no lcp'[r], leaves the word w_r[:n], n = lcp[r] + 1,
-    out of level n, and the closure check names it as lacking.
+    A failure of (B) is named alone, then of (A) or (S), else the fault of
+    least k, at one k (O) before (R) before (L), then by place.  (L) names
+    rank r at level n = min(lcp[r], v) + 1 for the v it asks: a lower lcp[r]
+    repeats the word before, a higher one leaves w_r[:n] out.  So one
+    changed lcp or R entry is named where it is.
     """
-    n_max = table.n_max
-    alphabet = table.alphabet
-    size = table.complexity(n_max)
-    order = closure = ""
-    stems: dict[int, int] = {}  # hash of w_t[:n_max - 1] -> the least such t
-    wide = len(alphabet.letters) > 256
+    n_max, text, positions, lcp = table.n_max, table._text, table._positions, table.lcp()
+    size, keyed = len(positions), table.alphabet.key(text)
+    ranks = array("i", table._ranks) + array("i", [-1])  # no window starts past the text
+
+    def window(r, n=n_max):
+        return text[positions[r] : positions[r] + n]
+
+    for r, p in enumerate(positions):
+        if not 0 <= p <= len(text) - n_max:
+            return (f"level {n_max}: {window(r)!r} has length {len(window(r))}",) * 2
+    if len(ranks) != len(text) + 1 or min(ranks) < -1 or max(ranks) >= size:
+        return f"R is no rank array of {size} windows over {len(text)} offsets", ""
+    if len(lcp) > size:
+        return f"the lcp array lists rank {size}, which is no window, after {window(size - 1)!r}", ""
+    lcp = lcp + array("i", [n_max]) * (size - len(lcp))  # a missing entry reads n_max
+    first, shift = [keyed[p] for p in positions], [ranks[p + 1] for p in positions]
+    mins = [lcp]  # mins[j][i] is the least of lcp[i : i + 2^j]
+    while 1 << len(mins) <= size:
+        h = 1 << len(mins) - 1
+        mins.append(list(map(min, mins[-1][:-h], mins[-1][h:])))
+
+    def shared(a, b, x, y):  # letters that windows a and b, at offsets x and y, share, up to n_max - 1
+        if min(a, b) < 0:  # an offset that is not harvested: read the letters
+            return min(n_max - 1, len(commonprefix((keyed[x : x + n_max], keyed[y : y + n_max]))))
+        a, b = sorted((a, b))
+        j = (b - a).bit_length() - 1
+        return n_max - 1 if a == b else max(0, min(n_max - 1, mins[j][a + 1], mins[j][b + 1 - (1 << j)]))
+
+    faults = []  # (k, kind, place, check, detail)
     for r in range(size):
-        w = table.window(r, n_max)
-        if len(w) != n_max:
-            shape = f"level {n_max}: {w!r} has length {len(w)}"
-            order, closure = order or shape, closure or shape
-        elif alphabet.foreign(w):
-            wide = True
-            order = order or f"level {n_max} has a letter outside the alphabet in {w!r}"
-        stems.setdefault(hash(w[:-1]), r)
-
-    def stem(u):  # u is w_t[:n_max - 1] for some t
-        t = stems.get(hash(u))
-        if t is not None and table.window(t, n_max - 1) == u:
-            return True
-        return any(table.window(t, n_max - 1) == u for t in range(size))
-
-    encoding, width = ("utf-32-be", 32) if wide else ("latin-1", 8)
-    lcp = array("i", [0])
-    x = None
-    for r in range(size):
-        w = table.window(r, n_max)
-        y = int.from_bytes(alphabet.key(w).encode(encoding, "surrogatepass"), "big")
-        if r:
-            if not order and x >= y:
-                order = f"level {n_max} not sorted/unique at {w!r}"
-            lcp.append(min(max(n_max - 1 - ((x ^ y).bit_length() - 1) // width, 0), n_max))
-        if not closure and not stem(w[1:]):
-            closure = f"{w!r} has a non-factor sub-word"
-        x = y
-
-    theirs = table.lcp()
-    if theirs != lcp:
-        r = next((r for r, (u, v) in enumerate(zip(theirs, lcp)) if u != v), min(len(theirs), size))
-        if r >= size:
-            window = table.window(r - 1, n_max)
-            order = order or f"the lcp array lists rank {r}, which is no window, after {window!r}"
-        elif r < len(theirs) and theirs[r] < lcp[r]:
-            n = max(theirs[r], 0) + 1
-            order = order or f"level {n} not sorted/unique at {table.window(r, n)!r}"
+        a, b = shift[r - 1], shift[r]
+        if not r or first[r - 1] != first[r]:
+            v, down = 0, r and first[r - 1] > first[r]
         else:
-            n = lcp[r] + 1
-            closure = closure or f"level {n} lacks {table.window(r, n)!r}"
+            v = 1 + shared(a, b, positions[r - 1] + 1, positions[r] + 1)
+            down = a >= b if min(a, b) >= 0 else v == n_max or keyed[positions[r - 1] + v] > keyed[positions[r] + v]
+        if down:
+            faults.append((min(v + 1, n_max), 0, r, 0, f"level {n_max} not sorted/unique at {window(r)!r}"))
+        if lcp[r] != v:
+            n, high = max(min(lcp[r], v), 0) + 1, lcp[r] > v
+            faults.append((n, 2, r, high, f"level {n} {'lacks' if high else 'not sorted/unique at'} {window(r, n)!r}"))
+    for q, r in enumerate(ranks):
+        if r >= 0 and not (keyed[q] == first[r] and ranks[q + 1] == shift[r] >= 0):
+            a, b = ranks[q + 1], shift[r]
+            k = 1 if keyed[q] != first[r] else 2 + shared(a, b, q + 1, positions[r] + 1)
+            if k <= n_max:
+                faults.append((k, 1, q, 0, f"R ranks offset {q} as {window(r, k)!r}, where the text reads {text[q : q + k]!r}"))
+
+    *_, check, detail = min(faults, default=(0, ""))
+    order, closure = ("", detail) if check else (detail, "")
+    foreign = table.alphabet.foreign(text)[:1]
+    order = f"the text has {foreign!r}, a letter outside the alphabet, at offset {text.find(foreign)}" if foreign else order
+    for r, p in enumerate(positions):
+        if shift[r] < 0 and not any(map(text.startswith, repeat(text[p + 1 : p + n_max]), positions)):
+            return order, f"{window(r)!r} has a non-factor sub-word"
     return order, closure
 
 

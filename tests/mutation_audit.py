@@ -71,26 +71,32 @@ MUTANTS = [
            "        lcp = array(\"i\", self._lcp)\n"
            "        lcp[lcp.index(max(lcp))] -= 1\n"
            "        return lcp\n",
-           "language.levels-sorted-unique: the certificate compares the lcp array the table "
-           "serves, and only it reads entries above the depth"),
+           "language.levels-sorted-unique: the certificate checks each entry of the lcp array "
+           "the table serves against the shift recurrence, and only it reads entries above the depth"),
     Mutant("top-level-reversed", "language.py",
            _FACTORS, "return self._cut(self._heads(n), n)[:: -1 if n == self.n_max else 1]",
            "ietmap.block-affinity: T_n reads the top level's strings at n = n_max, and the "
-           "certificate cuts the windows one by one instead"),
+           "certificate reads the windows off the text instead"),
     Mutant("first-window-cut-from-the-second", "language.py",
-           "start = self._positions[rank]",
-           "start = self._positions[rank + (rank == 0 and n == self.n_max)]",
-           "language.levels-sorted-unique: the top words repeat, and only the certificate "
-           "cuts whole windows"),
+           "rank_of = dict(zip(positions, range(len(positions))))",
+           "rank_of = dict(zip(positions, [1, *range(1, len(positions))]))",
+           "language.levels-sorted-unique: R gives the first window's offsets the second's "
+           "rank, and only the certificate reads R"),
+    Mutant("one-offset-ranked-one-too-high", "language.py",
+           'ranks = array("i", [rank_of.get(p, -1) for p in ranks])',
+           'ranks = array("i", [rank_of.get(p, -1) + (q == 1) for q, p in enumerate(ranks)])',
+           "language.levels-sorted-unique: R names another window at one offset, which no "
+           "window's shift reads"),
     Mutant("lcp-read-raised-at-its-peak", "language.py",
            "        return self._lcp\n",
            "        lcp = array(\"i\", self._lcp)\n"
            "        lcp[lcp.index(max(lcp))] += 1\n"
            "        return lcp\n",
-           "language.prefix-suffix-closure: a rank the served lcp leaves out of its level"),
+           "language.prefix-suffix-closure: the recurrence puts the peak's rank in a level "
+           "that the served lcp leaves it out of"),
     Mutant("lcp-of-the-first-window-one", "language.py",
            'lcp = array("i", [0])', 'lcp = array("i", [1])',
-           "the lcp the table is built on, which the certificate recomputes from the windows"),
+           "the lcp the table is built on, whose entry 0 the certificate checks"),
     Mutant("complexity-dips-at-7", "language.py",
            "return self._p[n]", "return self._p[n] - 3 * (n == 7)",
            "p(n) <= p(n+1), which prolongable and extension-totals imply"),

@@ -6,8 +6,10 @@ before it goes to the oracle, and library words are renamed the same way
 before they are compared.
 """
 
+from array import array
 from bisect import bisect_left
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from shift2iet import (
     PartitionResult,
     refine,
 )
+from shift2iet.verification import _index_certificate
 import oracles
 
 LETTERS = "abcd"
@@ -173,3 +176,36 @@ def test_invariance_defect_is_the_counted_defect(sub, n_max):
             defect = invariance_defect(table, u, n)
             assert defect == counted, (u, n)
             assert 0 <= defect <= bound, (u, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions(), st.integers(min_value=1, max_value=20), st.data())
+def test_the_index_certificate_fails_exactly_on_a_wrong_index(sub, n_max, data):
+    """The certificate passes every built table.  With one lcp entry changed,
+    it fails exactly when some level read off that lcp array (the top
+    windows at the ranks whose entry is below n) differs from the oracle's
+    level; with one R entry of a harvested offset changed to -1 (not
+    harvested) or to another rank, exactly when R then names a window other
+    than the oracle's top word that the text starts there."""
+    letters = sub.alphabet.letters
+    rename = str.maketrans("".join(letters), LETTERS[: len(letters)])
+    levels = oracles.factor_levels(
+        {x.translate(rename): w.translate(rename) for x, w in sub.images.items()}, n_max
+    )
+    table = build_factor_table(sub, n_max)
+    assert _index_certificate(table) == ("", "")
+
+    lcp, ranks = array("i", table.lcp()), array("i", table._ranks)
+    if data.draw(st.booleans(), label="lcp"):
+        r = data.draw(st.integers(0, len(lcp) - 1), label="rank")
+        lcp[r] = data.draw(st.integers(0, n_max + 1).filter(lambda v: v != lcp[r]), label="value")
+    else:
+        q = data.draw(st.sampled_from([q for q, v in enumerate(ranks) if v >= 0]), label="offset")
+        ranks[q] = data.draw(st.integers(-1, len(lcp) - 1).filter(lambda v: v != ranks[q]), label="rank")
+    top = [table._text[p : p + n_max].translate(rename) for p in table._positions]
+    wrong = any([top[r][:n] for r, v in enumerate(lcp) if v < n] != levels[n] for n in range(1, n_max + 1))
+    wrong |= any(v >= 0 and levels[n_max][v] != table._text[q : q + n_max].translate(rename) for q, v in enumerate(ranks))
+    served = SimpleNamespace(
+        n_max=n_max, alphabet=sub.alphabet, _text=table._text, _positions=table._positions, _ranks=ranks, lcp=lambda: lcp
+    )
+    assert any(_index_certificate(served)) == wrong

@@ -292,7 +292,8 @@ def test_a_run_that_is_no_node_raises_input_error(shallow_tables):
     lcp = array("i", table.lcp())
     lcp[lcp.index(1)] = 0
     faulty = FactorTable(
-        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks
+        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks,
+        table._ranks,
     )
     for query in (faulty.left_extensions, faulty.right_extensions):
         with pytest.raises(InputError, match="the run of 'a' is no node of the lcp-interval tree"):

@@ -20,6 +20,7 @@ from shift2iet import (
     fixture_names,
     get_fixture,
     measure_table,
+    parse_substitution,
     refine,
     run_verification,
 )
@@ -28,7 +29,13 @@ from shift2iet.ietmap import _marks
 from shift2iet.ietmap import PiecewiseAffineMap
 from shift2iet.language import FactorTable
 from shift2iet.partition import PartitionResult
-from shift2iet.verification import _ietmap_checks, _language_checks, _measure_checks, _partition_checks
+from shift2iet.verification import (
+    _ietmap_checks,
+    _index_certificate,
+    _language_checks,
+    _measure_checks,
+    _partition_checks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +142,16 @@ def test_failure_reporting_shape(fib_report):
 class _Served:
     """A real factor table that serves one corruption of what the suites
     read: replaced levels of words (the windows are cut from a replaced top
-    level), a replaced lcp array, or replaced special lists."""
+    level), a replaced lcp array, replaced special lists, or a replaced
+    text, position list or rank array R, which the index certificate reads."""
 
-    def __init__(self, table, levels=(), lcp=None, specials=()):
+    def __init__(self, table, levels=(), lcp=None, specials=(), **index):
         self._table = table
         self._levels = dict(levels)
         self._lcp = lcp
         self._specials = dict(specials)
+        for name, value in index.items():  # text, positions, ranks
+            setattr(self, f"_{name}", value)
 
     def __getattr__(self, name):
         return getattr(self._table, name)
@@ -171,7 +181,8 @@ def _with_lcp(table, changes) -> FactorTable:
     for r, v in changes.items():
         lcp[r] = v
     return FactorTable(
-        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks
+        table.substitution, table.n_max, table._text, table._keyed, table._positions, lcp, table._left_masks,
+        table._ranks,
     )
 
 
@@ -190,12 +201,12 @@ def test_language_checks_pass_on_the_real_table(tm30):
 
 
 def test_swapped_words_fail_sorted_unique(tm30):
-    """Two top words swapped: the detail names the first word not above the
-    word before it, the word moved down one place."""
-    top = list(tm30.factors(30))
-    top[2], top[3] = top[3], top[2]
-    check = _language(_Served(tm30, {30: tuple(top)}))["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, f"level 30 not sorted/unique at {top[3]!r}")
+    """The positions of two top words swapped: the detail names the first
+    word not above the word before it, the word moved down one place."""
+    positions = list(tm30._positions)
+    positions[2], positions[3] = positions[3], positions[2]
+    check = _language(_Served(tm30, positions=positions))["levels-sorted-unique"]
+    assert (check.ok, check.detail) == (False, f"level 30 not sorted/unique at {tm30.window(2, 30)!r}")
 
 
 def test_duplicated_word_fails_sorted_unique(tm30):
@@ -213,12 +224,14 @@ def test_duplicated_word_fails_sorted_unique(tm30):
 @pytest.mark.parametrize("letter", ["z", "\x00"])
 def test_foreign_letter_fails_sorted_unique(tm30, letter):
     """A letter outside the alphabet is a verdict, not an InputError, whether
-    its code point sits above the keyed letters or among them.  The word is
-    put on the top level, which no extension query reads."""
-    level = tm30.factors(30)
-    word = level[-1][:-1] + letter
-    check = _language(_Served(tm30, {30: level[:-1] + (word,)}))["levels-sorted-unique"]
-    assert (check.ok, check.detail) == (False, f"level 30 has a letter outside the alphabet in {word!r}")
+    its code point sits above the keyed letters or among them.  It is put in
+    the text the certificate reads, as the last letter of the last top word,
+    which no extension query reads."""
+    i = tm30._positions[-1] + 29
+    text = tm30._text[:i] + letter + tm30._text[i + 1 :]
+    check = _language(_Served(tm30, text=text))["levels-sorted-unique"]
+    want = f"the text has {letter!r}, a letter outside the alphabet, at offset {i}"
+    assert (check.ok, check.detail) == (False, want)
 
 
 def test_dropped_word_fails_closure_and_totals(tm30):
@@ -266,15 +279,28 @@ def test_prolongable_and_totals_keep_their_own_first_failure(tm30):
     assert checks["extension-totals"].detail.startswith("extension totals at 5: ")
 
 
+def _dropped(table, i) -> dict:
+    """The index without the window of rank i: its offsets are not ranked,
+    the ranks above it move down one, and the lcp entry after it becomes the
+    common prefix of its two neighbours."""
+    lcp = array("i", table.lcp())
+    if i + 1 < len(lcp):
+        lcp[i + 1] = min(lcp[i], lcp[i + 1])
+    del lcp[i]
+    ranks = array("i", [-1 if v == i else v - (v > i) for v in table._ranks])
+    return {"lcp": lcp, "positions": table._positions[:i] + table._positions[i + 1 :], "ranks": ranks}
+
+
 def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
     """Level 30 is the top level and the scan length: of the string checks only
     the prefix oracle can see a word missing there.  The index certificate
-    sees it too: suffix closure fails at a top word whose suffix the dropped
-    window alone started.  The extension counts of level 29 still sum to the
-    p(30) of the table, one more than the top words left."""
+    sees it too, on the index without that window: suffix closure fails at a
+    top word whose suffix the dropped window alone started.  The extension
+    counts of level 29 still sum to the p(30) of the table, one more than
+    the top words left."""
     level = tm30.factors(30)
     dropped = level[5]
-    checks = _language(_Served(tm30, {30: level[:5] + level[6:]}))
+    checks = _language(_Served(tm30, {30: level[:5] + level[6:]}, **_dropped(tm30, 5)))
     oracle = checks["oracle-equivalence"]
     assert (oracle.ok, oracle.detail) == (
         False, "level 30: table and brute-force prefix scan differ"
@@ -290,7 +316,9 @@ def test_word_missing_from_the_prefix_oracle_fails_equivalence(tm30):
 
 def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
     """A top word whose last letter is changed keeps its place in the order and
-    every prefix below the top, so only its suffix can give it away."""
+    every prefix below the top, so only its suffix can give it away.  The
+    changed word is put at the end of the text, its position moves there, and
+    the offsets of the word it replaces are no longer ranked."""
     top = tm30.factors(30)
     i, word = next(
         (i, w[:-1] + x)
@@ -299,7 +327,10 @@ def test_top_word_with_a_non_factor_suffix_fails_closure(tm30):
         for x in "ab"
         if x != w[-1] and not tm30.restricted_complexity(w[1:-1] + x, 29)
     )
-    checks = _language(_Served(tm30, {30: top[:i] + (word,) + top[i + 1 :]}))
+    positions = list(tm30._positions)
+    positions[i] = len(tm30._text)
+    ranks = array("i", [-1 if v == i else v for v in tm30._ranks] + [-1] * 30)
+    checks = _language(_Served(tm30, text=tm30._text + word, positions=positions, ranks=ranks))
     closure = checks["prefix-suffix-closure"]
     assert (closure.ok, closure.detail) == (False, f"{word!r} has a non-factor sub-word")
     assert checks["levels-sorted-unique"].ok
@@ -322,6 +353,54 @@ def test_an_lcp_array_of_another_length_fails_the_certificate(tm30):
         False, f"level {n} lacks {tm30.window(size - 1, n)!r}"
     )
     assert shorter["levels-sorted-unique"].ok
+
+
+SWEPT = [("thue-morse", 60), ("rudin-shapiro", 40), ("tribonacci", 40), ("fibonacci", 50)]
+
+
+@pytest.mark.parametrize("name, n_max", SWEPT)
+def test_every_rank_moved_to_a_neighbour_fails_the_certificate(name, n_max):
+    """Each harvested offset's entry of R moved to a neighbouring rank names
+    a window that is not the one at that offset, since the windows are
+    distinct: one of the certificate's checks fails, and it does not raise."""
+    table = build_factor_table(get_fixture(name), n_max)
+    ranks, size = array("i", table._ranks), table.complexity(n_max)
+    served = _Served(table, ranks=ranks)
+    for q, r in enumerate(table._ranks):
+        if r >= 0:
+            ranks[q] = r + 1 if r + 1 < size else r - 1
+            assert any(_index_certificate(served)), (q, ranks[q])
+            ranks[q] = r
+
+
+@pytest.mark.parametrize("name, n_max", SWEPT)
+def test_every_two_neighbouring_positions_swapped_fail_sorted_unique(name, n_max):
+    """The positions of each two neighbouring windows swapped: the top
+    descends there, and the order check names the window moved down."""
+    table = build_factor_table(get_fixture(name), n_max)
+    positions = list(table._positions)
+    served = _Served(table, positions=positions)
+    for r in range(1, len(positions)):
+        positions[r - 1], positions[r] = positions[r], positions[r - 1]
+        want = (f"level {n_max} not sorted/unique at {table.window(r - 1, n_max)!r}", "")
+        assert _index_certificate(served) == want, r
+        positions[r - 1], positions[r] = positions[r], positions[r - 1]
+
+
+@pytest.mark.parametrize("m", [70, 300])
+def test_the_certificate_reads_alphabets_past_256_letters(m):
+    """The substitutions of `test_large_alphabets_match_oracle`, whose keyed
+    letters past 256 no longer fit a byte: the certificate passes the table,
+    and names an lcp entry lowered by one at the level where it repeats a word."""
+    letters = [chr(0x100 + i) for i in range(m)]
+    rules = {x: x + letters[(i + 1) % m] + letters[(i * i + 3) % m] for i, x in enumerate(letters)}
+    table = build_factor_table(parse_substitution({"alphabet": letters, "rules": rules}), 5)
+    assert _index_certificate(table) == ("", "")
+    lcp = array("i", table.lcp())
+    r = max(range(len(lcp)), key=lcp.__getitem__)
+    lcp[r] -= 1
+    want = f"level {lcp[r] + 1} not sorted/unique at {table.window(r, lcp[r] + 1)!r}"
+    assert _index_certificate(_Served(table, lcp=lcp)) == (want, "")
 
 
 def _measure(table, partition, mt) -> dict:
@@ -626,9 +705,9 @@ def _hits(cylinders, unresolved, f) -> int:
     st.data(),
 )
 def test_failure_details_name_a_witness_word(name, fault, data):
-    """One thing the suites read is corrupted: an lcp entry, two top words or
-    one special count (served to the language suite), or the partition at
-    depth 8.  Whenever
+    """One thing the suites read is corrupted: an lcp entry, the positions of
+    two top words or one special count (served to the language suite), or
+    the partition at depth 8.  Whenever
     levels-sorted-unique, prefix-suffix-closure, prolongable or
     cover-at-each-depth fails, its detail names a word that the corrupted
     data show out of order, repeated, missing, with no extension, or
@@ -652,10 +731,11 @@ def test_failure_details_name_a_witness_word(name, fault, data):
         assert not (checks["levels-sorted-unique"].ok and checks["prefix-suffix-closure"].ok)
         return
     if fault == "top-swap":
-        top = list(table.factors(30))
-        i, j = data.draw(st.lists(st.integers(0, len(top) - 1), min_size=2, max_size=2, unique=True))
-        top[i], top[j] = top[j], top[i]
-        check = _language(_Served(table, {30: tuple(top)}))["levels-sorted-unique"]
+        positions = list(table._positions)
+        i, j = data.draw(st.lists(st.integers(0, len(positions) - 1), min_size=2, max_size=2, unique=True))
+        positions[i], positions[j] = positions[j], positions[i]
+        top = [table._text[p : p + 30] for p in positions]
+        check = _language(_Served(table, positions=positions))["levels-sorted-unique"]
         found = re.fullmatch(r"level 30 not sorted/unique at ('.*')", check.detail)
         assert found, check.detail
         assert _out_of_place(top, ast.literal_eval(found[1]), key)
