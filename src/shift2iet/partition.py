@@ -52,6 +52,11 @@ def refine(table: FactorTable, depth_cap: int) -> PartitionResult:
     Cylinders are numbered by step, then lexicographically.  A word u is left
     special when it is in `FactorTable.left_special(len(u))`, the factors with
     at least two left extensions: one set per level.
+
+    For caps e < d the loop runs the same steps up to length e.  So the
+    cylinders at cap e are the first ones at cap d, those no longer than e,
+    and the unresolved words at e, the survivors of step e, are the distinct
+    length-e prefixes of the longer words at d, in order.
     """
     if depth_cap < 2:
         raise InputError("depth_cap must be >= 2")

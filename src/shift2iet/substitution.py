@@ -1,4 +1,4 @@
-"""Substitutions on finite alphabets and their incidence data.
+"""Substitutions on finite alphabets.
 
 A substitution maps each letter to a non-empty word.  Everything downstream
 (factor tables, cylinder partitions, affine approximants) is built from the
@@ -38,7 +38,6 @@ class Alphabet:
         if len(set(letters)) != len(letters):
             raise InputError("alphabet letters must be distinct")
         self.letters = letters
-        self._index = {c: i for i, c in enumerate(letters)}
         self._key = {ord(c): i for i, c in enumerate(letters)}  # letter i -> chr(i)
         self._foreign = dict.fromkeys(map(ord, letters))  # deletes the letters
 
@@ -49,19 +48,13 @@ class Alphabet:
         return iter(self.letters)
 
     def __contains__(self, letter):
-        return letter in self._index
+        return letter in self.letters
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.letters == other.letters
 
     def __repr__(self):
         return f"Alphabet({''.join(self.letters)!r})"
-
-    def index(self, letter: str) -> int:
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise InputError(f"letter {letter!r} is not in the alphabet") from None
 
     def key(self, word: str) -> str:
         """The word with letter i written as chr(i): keyed words compare in
@@ -120,29 +113,20 @@ class Substitution:
             images = {a: self.apply(w) for a, w in images.items()}
         return Substitution(self.alphabet, images)
 
-    def incidence_rows(self) -> list[list[int]]:
-        """Square count matrix as rows: entry [i][j] = occurrences of letter i in the image of letter j.
-
-        Column sums equal image lengths.
-        """
-        index = self.alphabet.index
-        rows = [[0] * len(self.alphabet) for _ in self.alphabet]
-        for j, a in enumerate(self.alphabet):
-            for c in self.images[a]:
-                rows[index(c)][j] += 1
-        return rows
-
     def primitivity(self) -> PrimitivityResult:
-        """Decide primitivity: some power of the incidence matrix is entrywise positive.
+        """Decide primitivity: some power of the incidence matrix M is entrywise
+        positive, where M[i][j] counts letter i in the image of letter j.
 
         The search stops at the sharp bound (m-1)^2 + 1 for m letters, so the
         answer is exact, not a heuristic.  witness_power is the least positive
         power, or None when not primitive.  Row i of a power is kept as the bit
         set of its positive columns; row i of M^(k+1) = M M^k is the union of
-        the rows l of M^k with M[i][l] > 0.
+        the rows l of M^k with M[i][l] > 0, that is, with letter i in the
+        image of letter l.
         """
-        m = len(self.alphabet)
-        support = [[l for l, count in enumerate(row) if count] for row in self.incidence_rows()]
+        letters = self.alphabet.letters
+        m = len(letters)
+        support = [[l for l, b in enumerate(letters) if a in self.images[b]] for a in letters]
         full = (1 << m) - 1
         current = [sum(1 << j for j in cols) for cols in support]
         for k in range(1, (m - 1) ** 2 + 2):

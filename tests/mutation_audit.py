@@ -1,8 +1,9 @@
 """Mutant audit of the `verify` check suite.
 
-Which faults of the program does each check catch, and which check catches
-a fault that no other check sees?  This script answers both on a fixed
-catalogue of textual mutants.  Run it from anywhere:
+Which faults of the program does each check catch, which check catches a
+fault that no other check sees, and does that fault show anywhere outside
+`verify`'s own verdict?  This script answers all three on a fixed catalogue
+of textual mutants.  Run it from anywhere:
 
     python tests/mutation_audit.py
 
@@ -15,12 +16,23 @@ next mutant.  Mutants run one after another, never in parallel.  A mutant
 that raises or runs past the time limit is reported as such, not as a
 failing check.
 
+The same child then runs the fixed set of 50 commands in COMMANDS, none of
+them `verify`, and digests each: its stdout with the work directory masked,
+its exit code and the bytes of every artifact it writes.  The reach column
+counts the commands whose digest differs from the unmutated copy's.
+
 The file name keeps pytest from collecting it; CI runs it after the tier-1
 tests.  It exits 1 when a mutant's text does not occur exactly once, when
 the unmutated copy fails a check, when a mutant fails no check, when a
 mutant raises or times out on any fixture, or when some check is the one
 failing check of no mutant, and 0 otherwise.  So every check in `verify`
-catches a fault that no other check sees, or it has to go.
+catches a fault that no other check sees, or it has to go.  A third clause
+is read off the reach column, which reports and does not change the exit
+code: a sole catcher counts only if it changes an artifact, the stdout or
+the exit code of some command other than `verify`'s own verdict.  The
+summary names each check whose sole catchers all change no command.
+Certificate checks and checks that give a verdict on the input are exempt,
+each with its proof named in EXEMPT.
 """
 
 from __future__ import annotations
@@ -59,12 +71,10 @@ MUTANTS = [
            'return "".join(images[c] for c in word)',
            'return "".join(images[c] for c in sorted(word))',
            "language.oracle-equivalence: its brute-force windows apply sigma"),
-    Mutant("incidence-transposed", "substitution.py",
-           "rows[index(c)][j] += 1", "rows[j][index(c)] += 1",
-           "substitution.incidence-column-sums"),
     Mutant("primitivity-counts-only-ones", "substitution.py",
-           "for l, count in enumerate(row) if count]", "for l, count in enumerate(row) if count == 1]",
-           "substitution.primitivity-power-stable"),
+           "if a in self.images[b]", "if self.images[b].count(a) == 1",
+           "substitution.primitivity-power-stable: a letter twice in an image leaves the support, "
+           "so a primitive config exits 2"),
     # -- language
     Mutant("lcp-read-lowered-at-its-peak", "language.py",
            "        return self._lcp\n",
@@ -113,6 +123,9 @@ MUTANTS = [
            "            lefts = [(lefts[0][0], 0), *lefts[1:-1], (lefts[-1][0], lefts[-1][1] + lefts[0][1])]\n"
            "        return lefts, self._right_special[n]\n",
            "language.prolongable, with the totals kept"),
+    Mutant("right-special-dropped-at-5", "language.py",
+           "if hi < n_max:  # only a faulty lcp reaches n_max", "if hi < n_max and hi != 5:",
+           "language.extension-totals: the right special count that analyze.tsv prints"),
     Mutant("right-counts-capped-at-two", "language.py",
            "self._right_special[hi].append((a, right.bit_count()))",
            "self._right_special[hi].append((a, min(right.bit_count(), 2)))",
@@ -190,12 +203,9 @@ MUTANTS = [
     Mutant("refine-drops-its-last-cylinder", "partition.py",
            _STAGE, "return PartitionResult(cylinders[:-1], [w for w, _, _ in survivors], depth_cap)",
            "partition.cover-at-each-depth"),
-    Mutant("extension-order-follows-depth", "partition.py",
-           _EXTEND, "for a, b in [*zip(starts, [*starts[1:], hi])][:: -1 if depth_cap < 10 else 1]",
-           "partition.monotone-in-depth"),
     Mutant("residual-adds-the-mass", "partition.py",
            "total += measures.entries[word]", "total -= measures.entries[word]",
-           "partition.residual-nonincreasing"),
+           "partition.residual-in-unit-interval: the residual that partition prints"),
     # -- measure
     Mutant("measure-table-drops-the-last-letter", "measure.py",
            "list(table.alphabet.letters)))", "list(table.alphabet.letters[:-1])))",
@@ -253,61 +263,139 @@ MUTANTS = [
            _MAP,
            "return PiecewiseAffineMap(n, table.complexity(n - 1) - 1, pieces)",
            "ietmap.slope-window; premise of its growth half: target_count is p(n-1)"),
-    Mutant("first-junction-skipped", "ietmap.py",
-           "for i in range(1, self.source_count):", "for i in range(2, self.source_count):",
-           "ietmap.discontinuity-definition"),
     Mutant("blocks-step-by-two", "ietmap.py",
            "list(range(targets[a], targets[a] + size))",
            "list(range(targets[a], targets[a] + 2 * size, 2))",
            "ietmap.block-affinity"),
 ]
 
-_CHILD = f"""
-import json
-from shift2iet import fixture_names, get_fixture, run_verification
+# The 50 commands that the reach column digests, none of them `verify`.
+# "{fixture}" runs a command once on each of the five fixtures, and "{work}"
+# is the child's work directory.  The configs hold a letter twice in an
+# image, which no fixture does.
+CONFIGS = {
+    "abb": {"alphabet": ["a", "b"], "rules": {"a": "abb", "b": "a"}},
+    "bbcc": {"alphabet": ["a", "b", "c"], "rules": {"a": "bbcc", "b": "ccc", "c": "a"}},
+}
+COMMANDS = [
+    *([*flags.split(), "--fixture", "{fixture}"] for flags in (
+        "analyze --nmax 60",
+        "partition --nmax 80 --depth 30 --n 60",
+        "partition --nmax 40 --depth 12 --n 40",
+        "measures --nmax 60 --depth 20 --n 40",
+        "measures --nmax 60 --n 59",
+        "measures --nmax 60 --n 20",
+        "plot --nmax 120",
+        "approx --nmax 120 --n 60",
+    )),
+    *([*flags.split(), "--config", f"{{work}}/{name}.json"] for name in CONFIGS for flags in (
+        "analyze --nmax 40",
+        "measures --nmax 40 --depth 12",
+        "plot --nmax 60",
+    )),
+    *(["roundtrip", "fibonacci", *flags.split()] for flags in (
+        "--nmax 120 --grid 20000",
+        "--nmax 40 --grid 2000",
+        "--fixture thue-morse --nmax 12",
+        "--nmax 60 --n 30 --grid 997",
+    )),
+]
 
+# Checks judged by what they prove, not by their reach.
+EXEMPT = {
+    "language.levels-sorted-unique": "the index certificate, proved in verification._index_certificate",
+    "language.prefix-suffix-closure": "the index certificate, proved in verification._index_certificate",
+    "measure.complexity-growth-bound": "the periodicity verdict on the input, by Morse-Hedlund 1938",
+}
+
+_CHILD = """
+import contextlib, hashlib, io, json, shutil, sys
+from pathlib import Path
+from shift2iet import fixture_names, get_fixture, run_verification
+from shift2iet.cli import main
+
+work, spec = Path(sys.argv[1]), json.loads(sys.argv[2])
 names, failing = [], set()
 for fixture in fixture_names():
     try:
-        report = run_verification(get_fixture(fixture), {N_MAX}, {DEPTH})
+        report = run_verification(get_fixture(fixture), spec["n_max"], spec["depth"])
     except Exception as e:
-        failing.add(f"raises {{type(e).__name__}} on {{fixture}}")
+        failing.add(f"raises {type(e).__name__} on {fixture}")
         continue
     for c in report.checks:
-        key = f"{{c.module}}.{{c.name}}"
+        key = f"{c.module}.{c.name}"
         if key not in names:
             names.append(key)
         if not c.ok:
             failing.add(key)
-print(json.dumps({{"names": names, "failing": sorted(failing)}}))
+
+
+def digest(argv):
+    # stdout with the work directory masked, the exit code, and each artifact's bytes
+    out = work / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--assert-aperiodic", "--out", str(out)])
+    except SystemExit as e:
+        code = e.code
+    except Exception as e:
+        code = f"raises {type(e).__name__}"
+    h = hashlib.sha256(f"{code}\\n{stdout.getvalue().replace(str(work), '<work>')}".encode())
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            h.update(f"\\0{path.relative_to(out)}\\0".encode() + path.read_bytes())
+    return code, h.hexdigest()
+
+
+commands = []
+for argv in spec["commands"]:
+    argv = [a.replace("{work}", str(work)) for a in argv]
+    if "{fixture}" in argv:
+        commands += [[fixture if a == "{fixture}" else a for a in argv] for fixture in fixture_names()]
+    else:
+        commands.append(argv)
+codes, digests = zip(*map(digest, commands))
+print(json.dumps({"names": names, "failing": sorted(failing), "codes": codes, "digests": digests}))
 """
 
 
-def _run(src: Path) -> tuple[list[str], list[str]]:
-    """All check names and the failing ones, from one child process."""
+class Outcome(NamedTuple):
+    names: list[str]  # every check, in log order
+    failing: list[str]  # the failing checks, or why the child failed
+    codes: list  # each command's exit code, empty when the child failed
+    digests: list[str]  # each command's digest, empty when the child failed
+
+
+def _run(src: Path, work: Path) -> Outcome:
+    """The checks, the failing ones and the command digests, from one child process."""
+    spec = json.dumps({"n_max": N_MAX, "depth": DEPTH, "commands": COMMANDS})
     try:
         proc = subprocess.run(
-            [sys.executable, "-B", "-c", _CHILD],
+            [sys.executable, "-B", "-c", _CHILD, str(work), spec],
             capture_output=True,
             text=True,
             timeout=TIMEOUT_S,
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
     except subprocess.TimeoutExpired:
-        return [], [f"timeout after {TIMEOUT_S} s"]
+        return Outcome([], [f"timeout after {TIMEOUT_S} s"], [], [])
     if proc.returncode != 0:
         last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return [], [f"child exit {proc.returncode}: {last}"]
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return result["names"], result["failing"]
+        return Outcome([], [f"child exit {proc.returncode}: {last}"], [], [])
+    return Outcome(**json.loads(proc.stdout.splitlines()[-1]))
 
 
 def main() -> int:
     source = Path(__file__).resolve().parents[1] / "src"
     with tempfile.TemporaryDirectory(prefix="shift2iet-mutants-") as tmp:
-        src = Path(tmp) / "src"
+        src, work = Path(tmp) / "src", Path(tmp) / "work"
         shutil.copytree(source, src, ignore=shutil.ignore_patterns("__pycache__"))
         package = src / "shift2iet"
+        work.mkdir()
+        for name, config in CONFIGS.items():
+            (work / f"{name}.json").write_text(json.dumps(config), "utf-8")
 
         found = {m.name: (package / m.file).read_text("utf-8").count(m.old) for m in MUTANTS}
         bad = [f"{name}: its text occurs {k} times" for name, k in found.items() if k != 1]
@@ -315,29 +403,43 @@ def main() -> int:
             print("catalogue does not match the sources:", *bad, sep="\n  ")
             return 1
 
-        names, failing = _run(src)
-        if failing or not names:
-            print(f"the unmutated copy fails: {failing}")
+        base = _run(src, work)
+        if base.failing or not base.names:
+            print(f"the unmutated copy fails: {base.failing}")
             return 1
+        names = base.names
 
-        caught = {}
+        caught, reach = {}, {}
         for m in MUTANTS:
             path = package / m.file
             original = path.read_text("utf-8")
             path.write_text(original.replace(m.old, m.new), "utf-8")
             try:
-                caught[m.name] = _run(src)[1]
+                outcome = _run(src, work)
             finally:
                 path.write_text(original, "utf-8")
+            caught[m.name] = outcome.failing
+            if outcome.digests:
+                reach[m.name] = sum(map(str.__ne__, outcome.digests, base.digests))
 
-    print(f"{len(MUTANTS)} mutants, {len(names)} checks, five fixtures at n_max {N_MAX}, depth {DEPTH}\n")
-    print("| mutant | aimed at | failing checks |")
-    print("|---|---|---|")
+    print(
+        f"{len(MUTANTS)} mutants, {len(names)} checks, five fixtures at n_max {N_MAX}, depth {DEPTH}; "
+        f"reach: the digests changed of {len(base.digests)} commands, "
+        f"{base.codes.count(0)} of which exit 0 unmutated\n"
+    )
+    print("| mutant | aimed at | failing checks | reach |")
+    print("|---|---|---|---|")
     for m in MUTANTS:
-        print(f"| `{m.name}` | {m.aim} | {', '.join(caught[m.name]) or '**none**'} |")
-    alone = {found[0] for found in caught.values() if len(found) == 1}
-    lonely = [n for n in names if n not in alone]
-    print("\nchecks that no mutant catches alone:", ", ".join(lonely) or "none")
+        print(f"| `{m.name}` | {m.aim} | {', '.join(caught[m.name]) or '**none**'} | {reach.get(m.name, '—')} |")
+    sole = {}  # check -> the reaches of the mutants it alone catches
+    for m in MUTANTS:
+        if len(caught[m.name]) == 1:
+            sole.setdefault(caught[m.name][0], []).append(reach.get(m.name, 0))
+    silent = [n for n in names if n in sole and n not in EXEMPT and not any(sole[n])]
+    print("\nchecks whose sole catchers change no command:", ", ".join(silent) or "none")
+    print("exempt, judged by their proofs:", "; ".join(f"{n} ({proof})" for n, proof in EXEMPT.items()))
+    lonely = [n for n in names if n not in sole]
+    print("checks that no mutant catches alone:", ", ".join(lonely) or "none")
     escaped = [m.name for m in MUTANTS if not any(f in names for f in caught[m.name])]
     print("mutants that no check catches:", ", ".join(escaped) or "none")
     broke = [m.name for m in MUTANTS if any(f not in names for f in caught[m.name])]

@@ -17,6 +17,14 @@ def apply_rules(rules: dict, word: str) -> str:
     return "".join(rules[c] for c in word)
 
 
+def incidence_rows(sub) -> list[list[int]]:
+    """The incidence matrix of a substitution as rows, letters in alphabet
+    order: entry [i][j] counts letter i in the image of letter j, so the
+    column sums are the image lengths."""
+    letters = list(sub.alphabet)
+    return [[sub.images[b].count(a) for b in letters] for a in letters]
+
+
 def matrix_power(rows: list[list[int]], k: int) -> list[list[int]]:
     """The k-th power (k >= 1) of a square integer matrix, by k - 1 plain
     products; Python ints hold every path count exactly."""

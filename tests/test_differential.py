@@ -22,11 +22,11 @@ from shift2iet import (
     get_fixture,
     invariance_defect,
     parse_substitution,
-    PartitionResult,
     refine,
 )
 from shift2iet.verification import _index_certificate
 import oracles
+from test_partition import _assert_prefix
 
 LETTERS = "abcd"
 
@@ -116,10 +116,9 @@ def test_table_partition_and_jumps_match_oracle(sub, n_max):
 
 def _assert_truncations_match(sub, depth_cap):
     """For every e in 2..depth_cap, `refine` at e is the truncation of
-    `refine` at depth_cap: its cylinders of length <= e, then the distinct
-    length-e prefixes of its longer words in alphabet order.  This is the
-    premise of checking the cover at the depth cap alone.  Each is also the
-    oracle replay at e."""
+    `refine` at depth_cap (`_assert_prefix`).  This is the premise of
+    checking the cover at the depth cap alone.  Each is also the oracle
+    replay at e."""
     letters = sub.alphabet.letters
     rename = str.maketrans("".join(letters), LETTERS[: len(letters)])
     levels = oracles.factor_levels(
@@ -128,10 +127,9 @@ def _assert_truncations_match(sub, depth_cap):
     table = build_factor_table(sub, depth_cap + 1)
     deep = refine(table, depth_cap)
     for e in range(2, depth_cap + 1):
-        longer = [w for w in deep.cylinders if len(w) > e] + deep.unresolved
-        heads = sorted({w[:e] for w in longer}, key=table.alphabet.key)
         result = refine(table, e)
-        assert result == PartitionResult([w for w in deep.cylinders if len(w) <= e], heads, e)
+        assert result.depth_cap == e
+        _assert_prefix(table, result, deep)
         emitted, unresolved = oracles.refine_cylinders(levels, e)
         assert [(k, w.translate(rename), len(w) - 1) for k, w in enumerate(result.cylinders, 1)] == emitted
         assert [w.translate(rename) for w in result.unresolved] == unresolved

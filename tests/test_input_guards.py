@@ -79,7 +79,6 @@ GUARDS = [
         lambda: build_factor_table(get_fixture("thue-morse"), 0), "n_max must be >= 1", id="table-depth"
     ),
     pytest.param(lambda: build_factor_table(STILL, 5), "images never grow", id="table-still"),
-    pytest.param(lambda: AB.index("z"), "letter 'z' is not in the alphabet", id="alphabet-index"),
     pytest.param(
         lambda: Substitution(AB, {"a": "ab", "b": "a"}).apply("az"),
         "letter 'z' is not in the alphabet",

@@ -105,16 +105,37 @@ def test_depth_cap_bounds(tm30):
         refine(tm30, 30)
 
 
+def _assert_prefix(table, shallow, deep):
+    """`refine` at cap e <= d is the pass at d cut at step e: its cylinders
+    are the first k at d, with k the number of cap-d cylinders no longer
+    than e, and its unresolved words are the distinct length-e prefixes of
+    the longer cap-d words, in alphabet order."""
+    e = shallow.depth_cap
+    k = sum(len(w) <= e for w in deep.cylinders)
+    assert shallow.cylinders == deep.cylinders[:k]
+    assert all(len(w) > e for w in deep.cylinders[k:])
+    longer = sorted(deep.cylinders[k:] + deep.unresolved, key=table.alphabet.key)
+    assert shallow.unresolved == list(dict.fromkeys(w[:e] for w in longer))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=12))
 def test_partitions_are_monotone_in_depth(depth):
-    """Deepening never withdraws an emitted cylinder, it only adds."""
+    """Deepening never withdraws an emitted cylinder, it only adds: the
+    shallower pass is a prefix of the deeper one."""
     table = _cached()
-    shallow = refine(table, depth)
-    deeper = refine(table, depth + 2)
-    assert set(shallow.cylinders) <= set(deeper.cylinders)
-    for u in deeper.unresolved:
-        assert any(u.startswith(v) for v in shallow.unresolved)
+    _assert_prefix(table, refine(table, depth), refine(table, depth + 2))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_lower_cap_is_a_prefix_of_the_pass_verify_checks(name):
+    """At `verify`'s default flags, the table to 160 and the partition to
+    80, the pass at every cap e < 80 is the checked pass cut at step e.
+    `verify` refines once and checks the cover at 80 alone on this ground."""
+    table = build_factor_table(get_fixture(name), 160)
+    deep = refine(table, 80)
+    for e in range(2, 80):
+        _assert_prefix(table, refine(table, e), deep)
 
 
 _CACHE = []
